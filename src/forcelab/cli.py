@@ -37,6 +37,9 @@ _PARAM_SPECS = {
     "oracle-check": {"seed": 0, "cases": 20, "size": 7},
 }
 
+# Sizes, counts and levels: a negative value has no meaning for any command.
+_NONNEGATIVE = ("n", "i", "frag", "len", "cases", "size")
+
 
 def run(cfg: RunConfig) -> tuple[int, dict]:
     """Dispatch a config to its module operation; return (exit status, document)."""
@@ -50,6 +53,10 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
                    "detail": f"unknown keys {sorted(unknown)}"}
     params = {**spec, **cfg.params}
     try:
+        for key in _NONNEGATIVE:
+            if key in params and int(params[key]) < 0:
+                return 2, {"error": "bad-config",
+                           "detail": f"{key} must be at least 0, got {params[key]}"}
         doc = _DISPATCH[cfg.command](params)
         return 0, doc
     except ContractError as exc:
@@ -184,8 +191,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     status, doc = run(cfg)
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            doc = {"error": "bad-config",
+                   "detail": f"cannot write the output: {exc}"}
+            sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            return 2
     else:
         sys.stdout.write(text)
     return status

@@ -169,6 +169,23 @@ def prefix_enumeration(x: CountableSet,
 # the collapse poset and its dense levels
 # ---------------------------------------------------------------------------
 
+def extends(g: Sequence, f: Sequence,
+            eq: Callable[[Code, Code], bool] = operator.eq) -> bool:
+    """True iff g end-extends f: it is at least as long and agrees with f on f.
+
+    The one end-extension check of every sequence-tree order here.  Under
+    ``operator.eq`` it is a single slice compare done in C, so a step of a
+    run pays O(1) interpreted work for it; any other ``eq`` is applied
+    element by element, O(len f) interpreted calls.
+    """
+    n = len(f)
+    if len(g) < n:
+        return False
+    if eq is operator.eq:
+        return g[:n] == f
+    return all(eq(g[i], f[i]) for i in range(n))
+
+
 def coll_poset(x: CountableSet) -> PosetPresentation:
     """Finite injective sequences over x, ordered by end-extension."""
 
@@ -184,9 +201,7 @@ def coll_poset(x: CountableSet) -> PosetPresentation:
         return True
 
     def leq(g: Code, f: Code) -> bool:
-        if len(g) < len(f):
-            return False
-        return all(x.eq(g[i], f[i]) for i in range(len(f)))
+        return extends(g, f, x.eq)
 
     return PosetPresentation(
         name=f"Coll(w,{x.name})",
@@ -202,6 +217,29 @@ def fresh_bound(x: CountableSet, p: tuple) -> int:
     return max((x.index_of(c) for c in p), default=-1) + 1
 
 
+def _fresh_appender(x: CountableSet) -> Callable[[tuple, int], tuple]:
+    """``append(p, k)``: p followed by the k codes from its fresh bound on
+    (p itself when k <= 0).
+
+    The appender remembers the last tuple it returned with that tuple's
+    fresh bound (the old bound plus k, since enum(b + j) has index b + j).
+    An input that *is* that tuple costs O(k); any other input pays the
+    O(len p) ``index_of`` scan of ``fresh_bound``.  The slot only holds a
+    tuple the caller already holds.
+    """
+    last: list = [None, 0]
+
+    def append(p: tuple, k: int) -> tuple:
+        if k <= 0:
+            return p
+        b = last[1] if p is last[0] else fresh_bound(x, p)
+        q = p + tuple(x.enum(b + j) for j in range(k))
+        last[0], last[1] = q, b + k
+        return q
+
+    return append
+
+
 def level_dense(x: CountableSet, i: int) -> DenseSet:
     """The dense level of conditions of length at least i.
 
@@ -209,12 +247,8 @@ def level_dense(x: CountableSet, i: int) -> DenseSet:
     least bound covering the condition's range; the output is injective,
     extends the input, and lands in the level.
     """
-
-    def extend(p: tuple) -> tuple:
-        b = fresh_bound(x, p)
-        return p + tuple(x.enum(b + j) for j in range(i))
-
-    return DenseSet(f"L_{i}", lambda f: len(f) >= i, extend)
+    append = _fresh_appender(x)
+    return DenseSet(f"L_{i}", lambda f: len(f) >= i, lambda p: append(p, i))
 
 
 def level_family(x: CountableSet, n: int) -> list[DenseSet]:
@@ -222,18 +256,18 @@ def level_family(x: CountableSet, n: int) -> list[DenseSet]:
 
     The i-th goal is the level of conditions longer than i, with the
     economical extender that appends only the missing number of fresh
-    codes, so a run through n goals grows linearly.
+    codes, so a run through n goals grows linearly.  The extenders share
+    one fresh-bound cache (see ``_fresh_appender``): fed the condition the
+    previous goal returned, as the engine does, a step costs O(1)
+    interpreted work plus the C-level tuple copy.
     """
+    append = _fresh_appender(x)
     out = []
     for i in range(n):
         target = i + 1
 
         def extend(p: tuple, target=target) -> tuple:
-            need = target - len(p)
-            if need <= 0:
-                return p
-            b = fresh_bound(x, p)
-            return p + tuple(x.enum(b + j) for j in range(need))
+            return append(p, target - len(p))
 
         out.append(DenseSet(f"len>={target}", lambda f, target=target: len(f) >= target,
                             extend))
@@ -244,7 +278,7 @@ def generic_to_injection(x: CountableSet, run: GenericRun) -> InjSeq:
     """The union of a descending chain of conditions, as an injective sequence."""
     chain = run.chain
     for a, b in zip(chain[1:], chain):
-        if len(a) < len(b) or any(not x.eq(a[i], b[i]) for i in range(len(b))):
+        if not extends(a, b, x.eq):
             raise NotAChain(f"{a!r} does not extend {b!r}")
     return make_inj_seq(x, chain[-1] if chain else ())
 

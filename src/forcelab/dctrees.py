@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .collapse import CountableSet, prefix_enumeration
+from .collapse import CountableSet, extends, prefix_enumeration
 from .errors import BadSelector, NotInTree
 from .ordinals import cantor_pair, cantor_unpair
 from .posets import Code, DenseSet, PosetPresentation, rasiowa_sikorski
@@ -36,16 +36,31 @@ class ChoiceFunctional:
 
 
 def f_seq(x: CountableSet) -> ChoiceFunctional:
-    """The canonical functional allowing exactly the unused elements of x."""
+    """The canonical functional allowing exactly the unused elements of x.
+
+    ``member`` is one ``index_of`` call plus, under ``operator.eq``, a
+    C-level ``not in`` scan of t.  ``select`` resumes its scan at the index
+    it returned last when t extends the tuple it was last called on, since
+    a longer sequence only uses more codes; otherwise it scans from 0.
+    Along a growing run a step therefore costs O(1) interpreted work (two
+    amortised ``enum`` calls) on top of C-level O(len t) set and compare
+    work.
+    """
 
     def member(t: Sequence, v: Code) -> bool:
+        if x.eq is operator.eq:
+            return x.contains(v) and v not in t
         return x.contains(v) and not any(x.eq(v, c) for c in t)
+
+    last: list = [(), 0]  # the last tuple select saw and the index it returned
 
     def select(t: Sequence) -> Code:
         used = set(t)
-        i = 0
+        i = last[1] if extends(t, last[0]) else 0
         while x.enum(i) in used:
             i += 1
+        if type(t) is tuple:
+            last[0], last[1] = t, i
         return x.enum(i)
 
     return ChoiceFunctional(f"seq({x.name})", member, select, injective_mode=True)
@@ -60,8 +75,9 @@ def evens_functional(x: CountableSet) -> ChoiceFunctional:
         return x.index_of(v) % 2 == 0
 
     def select(t: Sequence) -> Code:
+        used = set(t)
         i = 0
-        while x.enum(2 * i) in t:
+        while x.enum(2 * i) in used:
             i += 1
         return x.enum(2 * i)
 
@@ -77,8 +93,9 @@ def bounded_functional(x: CountableSet) -> ChoiceFunctional:
         return x.index_of(v) <= 2 * len(t)
 
     def select(t: Sequence) -> Code:
+        used = set(t)
         for i in range(2 * len(t) + 1):
-            if x.enum(i) not in t:
+            if x.enum(i) not in used:
                 return x.enum(i)
         raise BadSelector(f"no unused code of index <= {2 * len(t)}")
 
@@ -136,13 +153,10 @@ def t_of_f(x: CountableSet, f: ChoiceFunctional) -> PosetPresentation:
     def carrier(t: Code) -> bool:
         return isinstance(t, tuple) and in_tree(f, t)
 
-    def leq(g: Code, h: Code) -> bool:
-        return len(g) >= len(h) and g[:len(h)] == h
-
     return PosetPresentation(
         name=f"T({f.name})",
         carrier=carrier,
-        leq=leq,
+        leq=extends,
         enum=prefix_enumeration(x, lambda prefix, c: f.member(prefix, c)),
         root=(),
     )

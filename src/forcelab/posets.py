@@ -54,7 +54,12 @@ def rasiowa_sikorski(p: PosetPresentation, ds: Sequence[DenseSet],
 
     chain(0) = start and chain(i+1) = ds[i].extend(chain(i)); each step is
     verified against the extender contract (below the input, and a member).
+    The engine's own work per step is O(1): one extend, one ``leq`` and one
+    ``member`` call and an append, so a step costs whatever those three
+    callables cost on the current condition.
     """
+    if n < 0:
+        raise ValueError(f"cannot descend through {n} dense sets")
     if not p.carrier(start):
         raise ValueError(f"start {start!r} is not in the carrier of {p.name}")
     if n > len(ds):

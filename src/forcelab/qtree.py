@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .collapse import CountableSet, InjSeq, make_inj_seq, prefix_enumeration
+from .collapse import CountableSet, InjSeq, extends, make_inj_seq, prefix_enumeration
 from .errors import NotAQSeq, NotInjective, NotInLambda
 from .posets import Code, PosetPresentation
 
@@ -155,9 +155,6 @@ def lambda_tree(l: LatticeOracle) -> PosetPresentation:
             return False
         return all(l.lt(s[j + 1], s[j]) for j in range(len(s) - 1))
 
-    def leq(a: Code, b: Code) -> bool:
-        return len(a) >= len(b) and a[:len(b)] == b
-
     if l.enum is not None:
         lattice_set = CountableSet(l.name, l.enum)
         enum = prefix_enumeration(
@@ -168,7 +165,7 @@ def lambda_tree(l: LatticeOracle) -> PosetPresentation:
             raise ValueError(f"lattice {l.name} carries no enumeration")
 
     return PosetPresentation(
-        name=f"tree({l.name})", carrier=carrier, leq=leq, enum=enum, root=())
+        name=f"tree({l.name})", carrier=carrier, leq=extends, enum=enum, root=())
 
 
 def finite_subset_lattice(x: CountableSet) -> LatticeOracle:

@@ -139,3 +139,36 @@ class TestConfig:
         assert capsys.readouterr().out == ""
         assert json.loads(out_file.read_text()) == {"set": "nat",
                                                     "items": [0, 1, 2]}
+
+
+NEGATIVE = [
+    ["coll-run", "--n", "-1"],
+    ["dc-run", "--n", "-2"],
+    ["density-check", "--frag", "-5"],
+    ["density-check", "--i", "-2"],
+    ["iso-roundtrip", "--len", "-1"],
+    ["iso-roundtrip", "--cases", "-3"],
+    ["oracle-check", "--size", "-1"],
+]
+
+
+class TestValidation:
+    @pytest.mark.parametrize("argv", NEGATIVE, ids=lambda a: " ".join(a))
+    def test_negative_size_is_bad_config(self, argv, capsys):
+        status, out = invoke(argv, capsys)
+        assert status == 2
+        doc = json.loads(out)
+        assert doc["error"] == "bad-config"
+        assert argv[1].lstrip("-") in doc["detail"]
+
+    def test_zero_sizes_still_run(self, capsys):
+        status, out = invoke(["coll-run", "--n", "0"], capsys)
+        assert status == 0
+        assert json.loads(out) == {"set": "nat", "items": []}
+
+    def test_unwritable_output_is_bad_config(self, tmp_path, capsys):
+        target = tmp_path / "missing-dir" / "x.json"
+        status, out = invoke(["coll-run", "--n", "3", "--out", str(target)], capsys)
+        assert status == 2
+        assert json.loads(out)["error"] == "bad-config"
+        assert not target.exists()

@@ -131,6 +131,10 @@ class TestEngine:
         with pytest.raises(ValueError):
             rasiowa_sikorski(table_poset(seven), [], "9", 0)
 
+    def test_negative_length_rejected(self, seven):
+        with pytest.raises(ValueError):
+            rasiowa_sikorski(table_poset(seven), [], "0", -1)
+
 
 class TestFilterFromChain:
     def test_root_only(self, seven):

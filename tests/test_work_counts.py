@@ -1,0 +1,43 @@
+"""Tier-1 regression: generic runs do linear work, counted in oracle calls.
+
+A wrapped ``nat`` counts its ``index`` and ``enum`` calls, so these tests
+need no clock.  A run that rescans its whole condition on every step makes
+about n*n/2 such calls; the bounds below are linear in n.
+"""
+
+from forcelab import collapse
+from forcelab.cli import RunConfig, run
+from forcelab.collapse import CountableSet
+from forcelab.dctrees import dc_witness, f_seq
+
+N = 2000
+
+
+def counting_nat():
+    calls = {"index": 0, "enum": 0}
+
+    def enum(n):
+        calls["enum"] += 1
+        return n
+
+    def index(v):
+        calls["index"] += 1
+        return v if isinstance(v, int) and v >= 0 else None
+
+    return CountableSet("nat", enum, index=index), calls
+
+
+def test_coll_run_index_of_calls_are_linear(monkeypatch):
+    x, calls = counting_nat()
+    monkeypatch.setitem(collapse._BUILTINS, "nat", lambda: x)
+    status, doc = run(RunConfig("coll-run", {"set": "nat", "n": N}))
+    assert status == 0
+    assert doc["items"] == list(range(N))
+    assert calls["index"] <= 2 * N + 10
+
+
+def test_dc_witness_f_seq_enum_calls_are_linear():
+    x, calls = counting_nat()
+    assert dc_witness(x, f_seq(x), N) == tuple(range(N))
+    assert calls["enum"] <= 4 * N + 10
+    assert calls["index"] <= 2 * N + 10
