@@ -37,8 +37,12 @@ _PARAM_SPECS = {
     "oracle-check": {"seed": 0, "cases": 20, "size": 7},
 }
 
-# Sizes, counts and levels: a negative value has no meaning for any command.
-_NONNEGATIVE = ("n", "i", "frag", "len", "cases", "size")
+# Inclusive (least, greatest) value of each size, count and level; None is
+# unbounded.  Zero cases or an empty fragment would report a vacuous
+# success, a table needs two elements, and iso-roundtrip samples its
+# sequences from range(1000).
+_BOUNDS = {"n": (0, None), "i": (0, None), "frag": (1, None),
+           "cases": (1, None), "size": (2, None), "len": (0, 1000)}
 
 
 def run(cfg: RunConfig) -> tuple[int, dict]:
@@ -53,10 +57,12 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
                    "detail": f"unknown keys {sorted(unknown)}"}
     params = {**spec, **cfg.params}
     try:
-        for key in _NONNEGATIVE:
-            if key in params and int(params[key]) < 0:
+        for key, (lo, hi) in _BOUNDS.items():
+            value = int(params.get(key, lo))
+            if value < lo or (hi is not None and value > hi):
+                bound = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
                 return 2, {"error": "bad-config",
-                           "detail": f"{key} must be at least 0, got {params[key]}"}
+                           "detail": f"{key} must be {bound}, got {value}"}
         doc = _DISPATCH[cfg.command](params)
         return 0, doc
     except ContractError as exc:

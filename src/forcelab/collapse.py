@@ -91,18 +91,35 @@ class InjSeq:
 
 def make_inj_seq(x: CountableSet, items: Sequence[Code]) -> InjSeq:
     items = tuple(items)
-    _require_injective(x, items)
+    require_injective(items, x.eq)
     return InjSeq(items)
 
 
-def _require_injective(x: CountableSet, items: Sequence[Code]) -> None:
-    if x.eq is operator.eq and len(set(items)) == len(items):
-        return
+def first_repeat(items: Sequence[Code],
+                 eq: Callable[[Code, Code], bool] = operator.eq
+                 ) -> Optional[tuple[int, int]]:
+    """The least pair (i, j), i < j, with eq(items[i], items[j]), or None.
+
+    Under ``operator.eq`` a sequence of distinct hashable items is cleared
+    by one C-level ``set`` build; otherwise, or when the set finds a
+    duplicate, the pairs are compared in order.
+    """
+    if eq is operator.eq and len(set(items)) == len(items):
+        return None
     for i in range(len(items)):
         for j in range(i + 1, len(items)):
-            if x.eq(items[i], items[j]):
-                raise NotInjective(
-                    f"positions {i} and {j} repeat {items[i]!r}")
+            if eq(items[i], items[j]):
+                return i, j
+    return None
+
+
+def require_injective(items: Sequence[Code],
+                      eq: Callable[[Code, Code], bool] = operator.eq) -> None:
+    """Raise ``NotInjective`` naming the first repeated pair of positions."""
+    pair = first_repeat(items, eq)
+    if pair is not None:
+        i, j = pair
+        raise NotInjective(f"positions {i} and {j} repeat {items[i]!r}")
 
 
 def inj_seq_json(x: CountableSet, s: InjSeq) -> dict:
@@ -125,41 +142,38 @@ def prefix_enumeration(x: CountableSet,
     the family.  Tuples are listed in blocks: block k holds the valid
     tuples over the first k codes that use code k-1, ordered by length then
     by index-lexicographic order.  Prefix-closure makes pruning sound.
+
+    Block k is built by walking the valid tuples over k codes length by
+    length.  Each length is listed in index-lexicographic order because its
+    parents are and each parent is extended in index order, so the block
+    needs no sort and no earlier block is kept.
     """
     items: list[tuple] = [()]
-    valid_cache: dict[int, list[tuple[int, ...]]] = {0: [()]}
+    built = [0]  # codes covered by the blocks in ``items``
 
-    def valid_upto(k: int) -> list[tuple[int, ...]]:
-        if k not in valid_cache:
-            codes = [x.enum(i) for i in range(k)]
-            found: list[tuple[int, ...]] = []
-
-            def dfs(prefix_idx: tuple[int, ...], prefix_codes: tuple):
-                found.append(prefix_idx)
+    def block(k: int) -> list[tuple]:
+        codes = [x.enum(i) for i in range(k)]
+        out: list[tuple] = []
+        level: list[tuple[tuple[int, ...], tuple]] = [((), ())]
+        while level:
+            longer = []
+            for idx, prefix in level:
                 for i in range(k):
-                    if i in prefix_idx:
-                        continue
-                    if extends_ok(prefix_codes, codes[i]):
-                        dfs(prefix_idx + (i,), prefix_codes + (codes[i],))
-
-            dfs((), ())
-            found.sort(key=lambda t: (len(t), t))
-            valid_cache[k] = found
-        return valid_cache[k]
+                    if i not in idx and extends_ok(prefix, codes[i]):
+                        longer.append((idx + (i,), prefix + (codes[i],)))
+            out.extend(t for idx, t in longer if k - 1 in idx)
+            level = longer
+        return out
 
     def enum(n: int) -> tuple:
-        k = max(valid_cache)
         while len(items) <= n:
-            k += 1
+            k = built[0] + 1
             if k > _ENUM_DEPTH_CAP:
                 raise RuntimeError(
                     f"enumeration needs more than {_ENUM_DEPTH_CAP} codes; "
                     "carrier may be finite")
-            prev = set(valid_upto(k - 1))
-            codes = [x.enum(i) for i in range(k)]
-            for t in valid_upto(k):
-                if t not in prev:
-                    items.append(tuple(codes[i] for i in t))
+            items.extend(block(k))
+            built[0] = k
         return items[n]
 
     return enum
@@ -190,15 +204,8 @@ def coll_poset(x: CountableSet) -> PosetPresentation:
     """Finite injective sequences over x, ordered by end-extension."""
 
     def carrier(t: Code) -> bool:
-        if not isinstance(t, tuple):
-            return False
-        for i, c in enumerate(t):
-            if not x.contains(c):
-                return False
-            for d in t[i + 1:]:
-                if x.eq(c, d):
-                    return False
-        return True
+        return (isinstance(t, tuple) and all(x.contains(c) for c in t)
+                and first_repeat(t, x.eq) is None)
 
     def leq(g: Code, f: Code) -> bool:
         return extends(g, f, x.eq)
@@ -251,27 +258,27 @@ def level_dense(x: CountableSet, i: int) -> DenseSet:
     return DenseSet(f"L_{i}", lambda f: len(f) >= i, lambda p: append(p, i))
 
 
-def level_family(x: CountableSet, n: int) -> list[DenseSet]:
+def length_levels(n: int, append: Callable[[tuple, int], tuple]) -> list[DenseSet]:
     """Engine family of n dense goals; meeting the first m forces length >= m.
 
-    The i-th goal is the level of conditions longer than i, with the
-    economical extender that appends only the missing number of fresh
-    codes, so a run through n goals grows linearly.  The extenders share
-    one fresh-bound cache (see ``_fresh_appender``): fed the condition the
-    previous goal returned, as the engine does, a step costs O(1)
-    interpreted work plus the C-level tuple copy.
+    Goal i is the level of conditions of length at least i+1.  Its extender
+    asks ``append(p, k)`` for p grown by the k = i+1-len(p) missing values
+    (k <= 0 means p is already long enough), so a run through n goals grows
+    linearly.
     """
-    append = _fresh_appender(x)
-    out = []
-    for i in range(n):
-        target = i + 1
+    return [DenseSet(f"len>={t}", lambda f, t=t: len(f) >= t,
+                     lambda p, t=t: append(p, t - len(p)))
+            for t in range(1, n + 1)]
 
-        def extend(p: tuple, target=target) -> tuple:
-            return append(p, target - len(p))
 
-        out.append(DenseSet(f"len>={target}", lambda f, target=target: len(f) >= target,
-                            extend))
-    return out
+def level_family(x: CountableSet, n: int) -> list[DenseSet]:
+    """The length levels of Coll(w, x), grown by fresh codes.
+
+    The extenders share one fresh-bound cache (see ``_fresh_appender``):
+    fed the condition the previous goal returned, as the engine does, a
+    step costs O(1) interpreted work plus the C-level tuple copy.
+    """
+    return length_levels(n, _fresh_appender(x))
 
 
 def generic_to_injection(x: CountableSet, run: GenericRun) -> InjSeq:
@@ -288,7 +295,7 @@ def injection_to_generic(x: CountableSet,
                          n: int) -> GenericRun:
     """The run of initial restrictions of an injection, meeting level i at position i."""
     values = [g(i) for i in range(n)] if callable(g) else list(g[:n])
-    _require_injective(x, values)
+    require_injective(values, x.eq)
     chain = tuple(tuple(values[:i]) for i in range(n + 1))
     met = tuple((i, i) for i in range(n + 1))
     return GenericRun(f"Coll(w,{x.name})", chain, met)

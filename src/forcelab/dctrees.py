@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .collapse import CountableSet, extends, prefix_enumeration
+from .collapse import CountableSet, extends, length_levels, prefix_enumeration
 from .errors import BadSelector, NotInTree
 from .ordinals import cantor_pair, cantor_unpair
 from .posets import Code, DenseSet, PosetPresentation, rasiowa_sikorski
@@ -164,24 +164,18 @@ def t_of_f(x: CountableSet, f: ChoiceFunctional) -> PosetPresentation:
 
 def tree_level_family(f: ChoiceFunctional, n: int) -> list[DenseSet]:
     """Length-target dense goals whose extenders iterate the functional's select."""
-    out = []
-    for i in range(n):
-        target = i + 1
 
-        def extend(p: tuple, target=target) -> tuple:
-            t = p
-            while len(t) < target:
-                v = f.select(t)
-                if not f.member(t, v):
-                    raise BadSelector(
-                        f"select of {f.name} returned non-member {v!r}",
-                        position=len(t))
-                t = t + (v,)
-            return t
+    def append(t: tuple, k: int) -> tuple:
+        for _ in range(k):
+            v = f.select(t)
+            if not f.member(t, v):
+                raise BadSelector(
+                    f"select of {f.name} returned non-member {v!r}",
+                    position=len(t))
+            t = t + (v,)
+        return t
 
-        out.append(DenseSet(f"len>={target}",
-                            lambda q, target=target: len(q) >= target, extend))
-    return out
+    return length_levels(n, append)
 
 
 def dc_witness(x: CountableSet, f: ChoiceFunctional, n: int) -> tuple:
@@ -193,7 +187,7 @@ def dc_witness(x: CountableSet, f: ChoiceFunctional, n: int) -> tuple:
 
 def check_dc_witness(f: ChoiceFunctional, g: Sequence) -> bool:
     """True iff g(i) in F(g restricted to i) at every position."""
-    return all(f.member(g[:i], g[i]) for i in range(len(g)))
+    return in_tree(f, g)
 
 
 def modified_functional(f: ChoiceFunctional, t: Sequence) -> ChoiceFunctional:

@@ -11,6 +11,7 @@ infinitely many indices free for later blocks.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
@@ -27,7 +28,6 @@ from .ordinals import (
     ZERO,
     Ordinal,
     TransfiniteSeq,
-    concat,
     ord_add,
     ord_of,
     ord_sub_left,
@@ -316,14 +316,7 @@ class LiftedWitness:
         self.builder = builder
         self.length = cof.alpha
         self._blocks: list[BuiltBlock] = []
-        self._concat: Optional[TransfiniteSeq] = None
-
-    def _concat_seq(self) -> TransfiniteSeq:
-        if self._concat is None:
-            self._concat = concat(
-                TransfiniteSeq(OMEGA, lambda xi: self._block(xi.to_int()).seq),
-                limit_length=self.cof.alpha)
-        return self._concat
+        self._stages: list[Ordinal] = [cof.stage(0)]  # ladder stages computed so far
 
     # -- block construction -------------------------------------------
 
@@ -331,7 +324,7 @@ class LiftedWitness:
         return self._blocks[xi - 1].usage_after if xi else IndexUsage()
 
     def _prefix(self, xi: int) -> UsageSeq:
-        return UsageSeq(self.cof.stage(xi), self._eval_at,
+        return UsageSeq(self.cof.stage(xi), self.at,
                         usage=self._usage_before(xi))
 
     def _block(self, xi: int) -> BuiltBlock:
@@ -358,7 +351,7 @@ class LiftedWitness:
             probes = _OMEGA_BLOCK_PROBES
         for j in probes:
             working = UsageSeq(ord_add(prefix.length, Ordinal.from_int(j)),
-                               self._eval_at,
+                               self.at,
                                usage=block.partial_usage(j, prefix.usage))
             if not self.functional.member(working, block.seq.at(j)):
                 raise BadBlockWitness(
@@ -367,27 +360,27 @@ class LiftedWitness:
 
     # -- sequence interface ---------------------------------------------
 
-    def _eval_at(self, pos: Ordinal):
+    def at(self, pos) -> Any:
         xi, offset = self.locate(pos)
         return self._block(xi).seq.at(offset)
 
-    def at(self, pos) -> Any:
-        p = ord_of(pos)
-        if not p < self.length:
-            raise IndexError(f"position {p} not below {self.length}")
-        return self._concat_seq().at(p)
-
     def locate(self, pos) -> tuple[int, Ordinal]:
-        """Block index and offset of a position."""
+        """Block index and offset of a position.
+
+        The ladder stages computed so far are kept in order, so a position
+        below the furthest stage reached is found by bisection with no new
+        ``stage`` call.
+        """
         p = ord_of(pos)
         if not p < self.length:
             raise IndexError(f"position {p} not below {self.length}")
-        xi = 0
-        while not p < self.cof.stage(xi + 1):
-            xi += 1
-            if xi > _LOCATE_CAP:
+        stages = self._stages
+        while not p < stages[-1]:
+            if len(stages) > _LOCATE_CAP + 1:
                 raise BadCofinal(f"ladder never passes {p}")
-        return xi, ord_sub_left(self.cof.stage(xi), p)
+            stages.append(self.cof.stage(len(stages)))
+        xi = bisect_right(stages, p) - 1
+        return xi, ord_sub_left(stages[xi], p)
 
     def usage_at(self, pos) -> IndexUsage:
         """Usage record of the restriction to positions below pos."""
@@ -403,7 +396,7 @@ class LiftedWitness:
         if l == self.length:
             raise RangeNotDecidable(
                 "the full witness has no single usage record; restrict below a stage")
-        return UsageSeq(l, self._eval_at, usage=self.usage_at(l))
+        return UsageSeq(l, self.at, usage=self.usage_at(l))
 
     def block_lengths(self, upto: int) -> list[Ordinal]:
         return [self._block(xi).seq.length for xi in range(upto)]
@@ -426,16 +419,18 @@ def levy_lift(cof: CofinalPresentation, f: TransfiniteFunctional,
     return LiftedWitness(cof, f, builder)
 
 
+def _sample_ok(f: TransfiniteFunctional, g, beta) -> bool:
+    """True iff g(beta) is allowed by f after g's restriction to beta."""
+    b = ord_of(beta)
+    if not b < g.length:
+        raise OutOfDomain(f"sample {b} not below length {g.length}")
+    return bool(f.member(g.restrict(b), g.at(b)))
+
+
 def check_transfinite_witness(f: TransfiniteFunctional, g,
                               samples: Sequence) -> bool:
     """True iff g(beta) is allowed by f after g's restriction, at every sample."""
-    for beta in samples:
-        b = ord_of(beta)
-        if not b < g.length:
-            raise OutOfDomain(f"sample {b} not below length {g.length}")
-        if not f.member(g.restrict(b), g.at(b)):
-            return False
-    return True
+    return all(_sample_ok(f, g, beta) for beta in samples)
 
 
 def default_samples(cof: CofinalPresentation) -> list[Ordinal]:
@@ -460,14 +455,8 @@ def default_samples(cof: CofinalPresentation) -> list[Ordinal]:
 
 def sample_report(f: TransfiniteFunctional, g,
                   samples: Sequence) -> list[dict]:
-    out = []
-    for beta in samples:
-        b = ord_of(beta)
-        if not b < g.length:
-            raise OutOfDomain(f"sample {b} not below length {g.length}")
-        ok = f.member(g.restrict(b), g.at(b))
-        out.append({"beta": str(b), "ok": bool(ok)})
-    return out
+    return [{"beta": str(ord_of(beta)), "ok": _sample_ok(f, g, beta)}
+            for beta in samples]
 
 
 def run_report_json(cof: CofinalPresentation, f: TransfiniteFunctional,

@@ -6,7 +6,6 @@ Order convention throughout: smaller is stronger, so leq(q, p) reads
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -174,15 +173,27 @@ def parse_poset_table(text: str) -> FinitePoset:
         if a not in elements or b not in elements:
             raise ValueError(f"relation {a!r} <= {b!r} uses undeclared elements")
     # reflexive-transitive closure so tables may list only generators
-    closed = set(pairs) | {(e, e) for e in elements}
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (c, d) in itertools.product(list(closed), repeat=2):
-            if b == c and (a, d) not in closed:
-                closed.add((a, d))
-                changed = True
-    return FinitePoset(tuple(elements), frozenset(closed))
+    return _closed_table(elements, pairs)
+
+
+def _closed_table(elements: Sequence, pairs: Iterable[tuple]) -> FinitePoset:
+    """The table of the reflexive-transitive closure of pairs over elements.
+
+    Warshall's algorithm on one int bit row per element: row i holds bit j
+    iff elements[i] <= elements[j].
+    """
+    pos = {e: i for i, e in enumerate(elements)}
+    rows = [1 << i for i in range(len(elements))]
+    for a, b in pairs:
+        rows[pos[a]] |= 1 << pos[b]
+    for k in range(len(rows)):
+        bit = 1 << k
+        for i, row in enumerate(rows):
+            if row & bit:
+                rows[i] = row | rows[k]
+    closed = frozenset((a, b) for a, row in zip(elements, rows)
+                       for j, b in enumerate(elements) if row >> j & 1)
+    return FinitePoset(tuple(elements), closed)
 
 
 def format_poset_table(table: FinitePoset) -> str:
@@ -282,15 +293,7 @@ def random_finite_poset(rng, size: int) -> FinitePoset:
         for j in range(i + 1, size):
             if rng.random() < 0.4:
                 pairs.add((j, i))  # higher index extends lower: j <= i
-    closed = set(pairs) | {(i, i) for i in range(size)}
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (c, d) in itertools.product(list(closed), repeat=2):
-            if b == c and (a, d) not in closed:
-                closed.add((a, d))
-                changed = True
-    return FinitePoset(tuple(range(size)), frozenset(closed))
+    return _closed_table(range(size), pairs)
 
 
 def table_dense_sets(table: FinitePoset, subsets: Sequence[Iterable]) -> list[DenseSet]:

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .collapse import CountableSet, InjSeq, extends, make_inj_seq, prefix_enumeration
-from .errors import NotAQSeq, NotInjective, NotInLambda
+from .collapse import CountableSet, InjSeq, extends, prefix_enumeration, require_injective
+from .errors import NotAQSeq, NotInLambda
 from .posets import Code, PosetPresentation
 
 
@@ -27,30 +27,15 @@ class QSeq:
 
 def validate_qseq(t: Sequence[frozenset]) -> None:
     """Raise unless every stage extends the previous by exactly one element."""
-    seen: frozenset = frozenset()
-    for i, stage in enumerate(t):
-        # one new element and the right size together force stage >= seen
-        if len(stage) != len(seen) + 1 or len(stage - seen) != 1:
-            if not stage >= seen:
-                raise NotAQSeq(f"stage {i} drops earlier elements", stage=i)
-            new = len(stage - seen)
-            raise NotAQSeq(f"stage {i} adds {new} elements, not 1", stage=i)
-        seen = stage
-    return None
+    q_to_coll(QSeq(tuple(t)))
 
 
 def coll_to_q(f: InjSeq) -> QSeq:
     """Stage i collects the first i+1 values of the injective sequence."""
-    items = f.items
-    if len(set(items)) != len(items):
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                if items[i] == items[j]:
-                    raise NotInjective(
-                        f"positions {i} and {j} repeat {items[i]!r}")
+    require_injective(f.items)
     stages = []
     acc: frozenset = frozenset()
-    for v in items:
+    for v in f.items:
         acc = acc | {v}
         stages.append(acc)
     return QSeq(tuple(stages))

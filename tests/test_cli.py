@@ -149,6 +149,12 @@ NEGATIVE = [
     ["iso-roundtrip", "--len", "-1"],
     ["iso-roundtrip", "--cases", "-3"],
     ["oracle-check", "--size", "-1"],
+    ["iso-roundtrip", "--cases", "0"],
+    ["oracle-check", "--cases", "0"],
+    ["density-check", "--frag", "0"],
+    ["oracle-check", "--size", "1"],
+    ["iso-roundtrip", "--len", "1001"],
+    ["iso-roundtrip", "--len", "2000"],
 ]
 
 

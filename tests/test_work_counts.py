@@ -9,6 +9,14 @@ from forcelab import collapse
 from forcelab.cli import RunConfig, run
 from forcelab.collapse import CountableSet
 from forcelab.dctrees import dc_witness, f_seq
+from forcelab.levy import (
+    CofinalPresentation,
+    check_transfinite_witness,
+    levy_lift,
+    standard_cofinal,
+    transfinite_f_seq,
+)
+from forcelab.ordinals import TransfiniteSeq, parse_cnf
 
 N = 2000
 
@@ -41,3 +49,28 @@ def test_dc_witness_f_seq_enum_calls_are_linear():
     assert dc_witness(x, f_seq(x), N) == tuple(range(N))
     assert calls["enum"] <= 4 * N + 10
     assert calls["index"] <= 2 * N + 10
+
+
+def test_warm_lift_query_makes_no_ladder_calls():
+    """A lift query reads the value and checks it against its restriction;
+    repeating it must not walk the ladder again."""
+    base = standard_cofinal(parse_cnf("w*2"))
+    calls = {"stage": 0}
+
+    def stage(xi):
+        calls["stage"] += 1
+        return base.stages.evaluator(xi)
+
+    cof = CofinalPresentation(base.alpha, TransfiniteSeq(base.stages.length, stage))
+    f = transfinite_f_seq(collapse.nat_set())
+    g = levy_lift(cof, f)
+    pos = parse_cnf("w + 300")
+
+    def query():
+        return g.at(pos), check_transfinite_witness(f, g, [pos])
+
+    first = query()
+    cold = calls["stage"]
+    assert first[1] is True and cold > 300
+    assert query() == first
+    assert calls["stage"] == cold
