@@ -128,7 +128,10 @@ def _cmd_density_check(params: dict) -> dict:
         collapse.level_dense(x, int(params["i"])),
         int(params["frag"]))
     doc = {"dense": report.dense, "fragment": report.fragment}
-    if not report.dense:
+    if report.dense is None:
+        doc["inconclusive"] = True
+        doc["undecided"] = posets._jsonable(report.undecided)
+    elif not report.dense:
         doc["counterexample"] = posets._jsonable(report.counterexample)
     return doc
 

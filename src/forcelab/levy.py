@@ -11,7 +11,7 @@ infinitely many indices free for later blocks.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
@@ -38,61 +38,91 @@ from .ordinals import (
 # ---------------------------------------------------------------------------
 
 
+def _skip_taken(taken: tuple, n: int) -> int:
+    """The n-th (from 0) natural outside the sorted ``taken``, by bisection."""
+    # taken[i] - i counts the naturals below taken[i] that are not taken
+    return n + bisect_right(range(len(taken)), n, key=lambda i: taken[i] - i)
+
+
 class OmegaLayer:
     """The even-ranked fresh indices over a base usage: an infinite block's
-    consumption that still leaves infinitely many indices free.
-
-    The scan of the base is incremental and memoized, so nested layers stay
-    usable; identity-based equality is fine because layers are bookkeeping.
-    """
+    consumption that still leaves infinitely many indices free."""
 
     def __init__(self, base: "IndexUsage"):
         self.base = base
-        self._fresh: list[int] = []   # base-fresh indices in increasing order
-        self._rank: dict[int, int] = {}
-        self._scanned = 0
-
-    def _scan_to(self, k: int) -> None:
-        while self._scanned <= k:
-            i = self._scanned
-            if not self.base.contains(i):
-                self._rank[i] = len(self._fresh)
-                self._fresh.append(i)
-            self._scanned += 1
 
     def contains(self, k: int) -> bool:
-        self._scan_to(k)
-        rank = self._rank.get(k)
+        rank = self.base.fresh_rank(k)
         return rank is not None and rank % 2 == 0
 
     def nth_index(self, j: int) -> int:
         """Enumeration index of the layer's j-th element (the 2j-th fresh)."""
-        while len(self._fresh) <= 2 * j:
-            self._scan_to(self._scanned)
-        return self._fresh[2 * j]
+        return self.base.nth_fresh(2 * j)
 
 
 @dataclass(frozen=True)
 class IndexUsage:
-    """A decidable set of consumed enumeration indices."""
+    """A decidable set of consumed enumeration indices.
 
-    explicit: frozenset = frozenset()
-    layers: tuple = ()
+    The fresh indices are the odd-ranked fresh indices of ``layer.base``
+    (every natural without a layer) minus those whose rank among them is in
+    the sorted ``taken``; a rank costs O(layers * log |taken|), no scan.
+    """
+
+    layer: Optional[OmegaLayer] = None
+    taken: tuple = ()
+
+    def fresh_rank(self, k: int) -> Optional[int]:
+        """Position of k among the fresh indices, or None when k is consumed."""
+        chain = [self]
+        while chain[-1].layer is not None:
+            chain.append(chain[-1].layer.base)
+        for u in reversed(chain):
+            if u.layer is not None:  # base rank 2m+1 is rank m of this level
+                if not k & 1:
+                    return None
+                k >>= 1
+            if u.taken:
+                i = bisect_left(u.taken, k)
+                if u.taken[i:i + 1] == (k,):
+                    return None
+                k -= i
+        return k
+
+    def nth_fresh(self, n: int) -> int:
+        """The n-th (from 0) fresh index in increasing order."""
+        u = self
+        while True:
+            if u.taken:
+                n = _skip_taken(u.taken, n)
+            if u.layer is None:
+                return n
+            n, u = 2 * n + 1, u.layer.base
 
     def contains(self, k: int) -> bool:
-        return k in self.explicit or any(l.contains(k) for l in self.layers)
+        return self.fresh_rank(k) is None
 
     def least_fresh(self) -> int:
-        i = 0
-        while self.contains(i):
-            i += 1
-        return i
+        return self.nth_fresh(0)
+
+    def with_fresh(self, ranks) -> "IndexUsage":
+        """Also consume the fresh indices at the given fresh ranks."""
+        added = sorted(set(ranks))  # _skip_taken keeps this order
+        if not added:
+            return self
+        if self.taken:  # two sorted runs: the sort merges them in linear time
+            added = sorted(self.taken + tuple(_skip_taken(self.taken, r) for r in added))
+        return IndexUsage(self.layer, tuple(added))
 
     def with_explicit(self, indices) -> "IndexUsage":
-        return IndexUsage(self.explicit | frozenset(indices), self.layers)
+        """Also consume the given indices; consumed ones are ignored."""
+        return self.with_fresh(r for r in map(self.fresh_rank, indices) if r is not None)
 
     def with_layer(self, layer: OmegaLayer) -> "IndexUsage":
-        return IndexUsage(self.explicit, self.layers + (layer,))
+        """Also consume an omega layer, which must lie over this usage."""
+        if layer.base != self:
+            raise ValueError("an omega layer must lie over the usage it extends")
+        return IndexUsage(layer)
 
 
 @dataclass(frozen=True)
@@ -120,36 +150,28 @@ class TransfiniteFunctional:
 def transfinite_f_seq(x: CountableSet) -> TransfiniteFunctional:
     """Allows exactly the codes not in the range of the argument sequence.
 
-    Range membership over an infinite sequence is decided through the
-    sequence's usage record; finite sequences are simply scanned.
+    Range membership is decided through the sequence's usage record.  A
+    finite sequence without one is recorded by the indices of its codes;
+    codes outside x consume no index.
     """
 
-    def member(seq, v) -> bool:
+    def usage_of(seq) -> IndexUsage:
         usage = getattr(seq, "usage", None)
         if usage is not None:
-            try:
-                idx = x.index_of(v)
-            except ValueError:
-                return False
-            return not usage.contains(idx)
+            return usage
         if seq.length.is_finite():
-            vals = [seq.at(i) for i in range(seq.length.to_int())]
-            return x.contains(v) and not any(x.eq(v, c) for c in vals)
+            codes = [seq.at(i) for i in range(seq.length.to_int())]
+            return IndexUsage().with_explicit(
+                x.index_of(c) for c in codes if x.contains(c))
         raise RangeNotDecidable(
             f"sequence of length {seq.length} carries no usage record")
 
+    def member(seq, v) -> bool:
+        usage = usage_of(seq)
+        return x.contains(v) and not usage.contains(x.index_of(v))
+
     def select(seq):
-        usage = getattr(seq, "usage", None)
-        if usage is not None:
-            return x.enum(usage.least_fresh())
-        if seq.length.is_finite():
-            vals = [seq.at(i) for i in range(seq.length.to_int())]
-            i = 0
-            while any(x.eq(x.enum(i), c) for c in vals):
-                i += 1
-            return x.enum(i)
-        raise RangeNotDecidable(
-            f"sequence of length {seq.length} carries no usage record")
+        return x.enum(usage_of(seq).least_fresh())
 
     return TransfiniteFunctional(f"seq({x.name})", member, select, set=x)
 
@@ -238,7 +260,8 @@ class BuiltBlock:
     def partial_usage(self, offset: int, base: IndexUsage) -> IndexUsage:
         if self.indices is not None:
             return base.with_explicit(self.indices[:offset])
-        return base.with_explicit(self.layer.nth_index(j) for j in range(offset))
+        # the layer's j-th element is the base's fresh index of rank 2j
+        return base.with_fresh(range(0, 2 * offset, 2))
 
 
 def standard_block_builder(x: CountableSet) -> Callable:
@@ -257,19 +280,15 @@ def standard_block_builder(x: CountableSet) -> Callable:
             raise RangeNotDecidable(
                 "standard builder needs a prefix with a usage record")
         if gamma.is_finite():
-            values = []
-            indices = []
-            cur = usage
+            values, indices, cur = [], [], usage
             for j in range(gamma.to_int()):
                 working = UsageSeq(ord_add(prefix.length, Ordinal.from_int(j)),
                                    _splice(prefix, values), usage=cur)
-                v = f.select(working)
-                values.append(v)
-                idx = x.index_of(v)
-                indices.append(idx)
-                cur = cur.with_explicit((idx,))
-            seq = TransfiniteSeq.from_items(values)
-            return BuiltBlock(seq, cur, indices=tuple(indices))
+                values.append(f.select(working))
+                indices.append(x.index_of(values[-1]))
+                cur = cur.with_explicit(indices[-1:])
+            return BuiltBlock(TransfiniteSeq.from_items(values), cur,
+                              indices=tuple(indices))
         if gamma == OMEGA:
             layer = OmegaLayer(usage)
             seq = TransfiniteSeq(OMEGA, lambda j: x.enum(layer.nth_index(j.to_int())))
@@ -323,21 +342,20 @@ class LiftedWitness:
     def _usage_before(self, xi: int) -> IndexUsage:
         return self._blocks[xi - 1].usage_after if xi else IndexUsage()
 
-    def _prefix(self, xi: int) -> UsageSeq:
-        return UsageSeq(self.cof.stage(xi), self.at,
-                        usage=self._usage_before(xi))
-
     def _block(self, xi: int) -> BuiltBlock:
         while len(self._blocks) <= xi:
             nxt = len(self._blocks)
             gamma = self.cof.gamma(nxt)
-            prefix = self._prefix(nxt)
+            prefix = UsageSeq(self.cof.stage(nxt), self.at,
+                              usage=self._usage_before(nxt))
             block = self.builder(gamma, self.functional, prefix)
             if not isinstance(block, BuiltBlock):
                 raise BadBlock("builder must return a BuiltBlock")
             if block.seq.length != gamma:
                 raise BadBlock(
                     f"block {nxt} has length {block.seq.length}, expected {gamma}")
+            if block.layer is not None and block.layer.base != prefix.usage:
+                raise BadBlock(f"block {nxt} has a layer over a foreign usage")
             self._blocks.append(block)
             self._verify_block(nxt, block, prefix)
         return self._blocks[xi]
@@ -345,10 +363,8 @@ class LiftedWitness:
     def _verify_block(self, xi: int, block: BuiltBlock,
                       prefix: UsageSeq) -> None:
         gamma = block.seq.length
-        if gamma.is_finite():
-            probes = range(min(gamma.to_int(), _FINITE_CHECK_CAP))
-        else:
-            probes = _OMEGA_BLOCK_PROBES
+        probes = (range(min(gamma.to_int(), _FINITE_CHECK_CAP)) if gamma.is_finite()
+                  else _OMEGA_BLOCK_PROBES)
         for j in probes:
             working = UsageSeq(ord_add(prefix.length, Ordinal.from_int(j)),
                                self.at,
@@ -365,12 +381,8 @@ class LiftedWitness:
         return self._block(xi).seq.at(offset)
 
     def locate(self, pos) -> tuple[int, Ordinal]:
-        """Block index and offset of a position.
-
-        The ladder stages computed so far are kept in order, so a position
-        below the furthest stage reached is found by bisection with no new
-        ``stage`` call.
-        """
+        """Block index and offset of a position; below the furthest ladder
+        stage computed so far, a bisection with no new ``stage`` call."""
         p = ord_of(pos)
         if not p < self.length:
             raise IndexError(f"position {p} not below {self.length}")
@@ -385,9 +397,8 @@ class LiftedWitness:
     def usage_at(self, pos) -> IndexUsage:
         """Usage record of the restriction to positions below pos."""
         xi, offset = self.locate(pos)
-        self._block(xi)
-        return self._blocks[xi].partial_usage(offset.to_int(),
-                                              self._usage_before(xi))
+        block = self._block(xi)
+        return block.partial_usage(offset.to_int(), self._usage_before(xi))
 
     def restrict(self, length) -> UsageSeq:
         l = ord_of(length)

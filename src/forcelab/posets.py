@@ -98,20 +98,38 @@ def filter_from_chain(p: PosetPresentation, chain: Sequence[Code],
 
 @dataclass(frozen=True)
 class DensityReport:
-    """Density evidence on an enumeration fragment; not a proof for the full poset."""
+    """Density evidence on an enumeration fragment; not a proof for the full poset.
 
-    dense: bool
+    ``dense`` is None when the fragment cannot decide: ``undecided`` has no
+    extension in d among the fragment, but d's extender gives one outside it.
+    """
+
+    dense: Optional[bool]
     fragment: int
     counterexample: Optional[Code] = None
+    undecided: Optional[Code] = None
 
 
 def is_dense_on_truncation(p: PosetPresentation, d: DenseSet,
                            n: int) -> DensityReport:
-    """Check that each of the first n elements has an extension in d among the first n."""
+    """Check that each of the first n elements has an extension in d among the first n.
+
+    The first element without one is a counterexample unless d's extender
+    maps it to a member below it (which lies past the fragment); then the
+    report is inconclusive.  An extender that raises BadExtender gives no
+    such witness.
+    """
     frag = [p.enum(k) for k in range(n)]
     members = [q for q in frag if d.member(q)]
     for q in frag:
         if not any(p.leq(m, q) for m in members):
+            try:
+                r = d.extend(q)
+                witnessed = d.member(r) and p.leq(r, q)
+            except BadExtender:
+                witnessed = False
+            if witnessed:
+                return DensityReport(None, n, undecided=q)
             return DensityReport(False, n, counterexample=q)
     return DensityReport(True, n)
 
@@ -379,6 +397,9 @@ def gamma_check(g: GammaPresentation, depth: int) -> GammaReport:
 
     A failing level is reported as not-a-preorder with a witness triple
     (for reflexivity failures the witness repeats the offending element).
+    A transitivity witness (a, b, d) has a <= b <= d but not a <= d and is
+    the least such triple in the level's element order.  A relation pair
+    naming an element outside its level raises ValueError.
     """
     sizes = []
     seen: set = set()
@@ -391,11 +412,21 @@ def gamma_check(g: GammaPresentation, depth: int) -> GammaReport:
             if (x, x) not in rel:
                 return GammaReport(False, tuple(sizes),
                                    PreorderViolation(lv, "not-a-preorder", (x, x, x)))
-        for (a, b) in rel:
-            for (c, d) in rel:
-                if b == c and (a, d) not in rel:
-                    return GammaReport(False, tuple(sizes),
-                                       PreorderViolation(lv, "not-a-preorder", (a, b, d)))
+        pos = {x: i for i, x in enumerate(elems)}
+        foreign = [ab for ab in rel if ab[0] not in pos or ab[1] not in pos]
+        if foreign:
+            raise ValueError(
+                f"level {lv} relates {min(map(repr, foreign))} outside its elements")
+        rows = [0] * len(elems)  # bit j of rows[i]: elems[i] <= elems[j]
+        for a, b in rel:
+            rows[pos[a]] |= 1 << pos[b]
+        for i, row in enumerate(rows):
+            for j in range(len(elems)):
+                missing = rows[j] & ~row if row >> j & 1 else 0
+                if missing:
+                    d = (missing & -missing).bit_length() - 1
+                    return GammaReport(False, tuple(sizes), PreorderViolation(
+                        lv, "not-a-preorder", (elems[i], elems[j], elems[d])))
         if g.identify is None:
             overlap = seen & set(elems)
             if overlap:

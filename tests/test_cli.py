@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +47,14 @@ class TestCommands:
         assert status == 0
         assert json.loads(out) == {"dense": True, "fragment": 200}
 
+    def test_density_check_block_cut_is_inconclusive(self, capsys):
+        status, out = invoke(
+            ["density-check", "--set", "nat", "--i", "3", "--frag", "2000"],
+            capsys)
+        assert status == 0
+        assert json.loads(out) == {"dense": None, "inconclusive": True,
+                                   "undecided": [6], "fragment": 2000}
+
     def test_dc_run(self, capsys):
         status, out = invoke(
             ["dc-run", "--set", "nat", "--functional", "seq", "--n", "4"], capsys)
@@ -83,6 +95,19 @@ class TestCommands:
         assert status1 == status2 == 0
         assert out1 == out2
         assert out1.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", DOCUMENTED, ids=lambda a: " ".join(a))
+def test_stdout_identical_across_processes_and_hash_seeds(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", "forcelab.cli", *argv],
+                              env=env, capture_output=True, check=True)
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].endswith(b"\n")
 
 
 class TestErrors:

@@ -1,0 +1,218 @@
+"""Rank-arithmetic index bookkeeping of the Lévy lift.
+
+The scanning, memoising ``OmegaLayer``/``IndexUsage`` pair that the rank
+arithmetic replaced is kept here, verbatim in behaviour, as a test oracle
+only.  Random usage histories go through both, and every answer must agree.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from forcelab.collapse import nat_set
+from forcelab.errors import BadBlock
+from forcelab.levy import (
+    BuiltBlock,
+    IndexUsage,
+    OmegaLayer,
+    check_transfinite_witness,
+    levy_lift,
+    standard_block_builder,
+    standard_cofinal,
+    transfinite_f_seq,
+)
+from forcelab.ordinals import OMEGA, Ordinal, TransfiniteSeq, ord_add, parse_cnf
+
+PROBE = range(0, 400)
+
+# ---------------------------------------------------------------------------
+# reference implementation: scan the base and memoise every index up to k
+# ---------------------------------------------------------------------------
+
+
+class ScanningLayer:
+    def __init__(self, base):
+        self.base = base
+        self._fresh = []
+        self._rank = {}
+        self._scanned = 0
+
+    def _scan_to(self, k):
+        while self._scanned <= k:
+            i = self._scanned
+            if not self.base.contains(i):
+                self._rank[i] = len(self._fresh)
+                self._fresh.append(i)
+            self._scanned += 1
+
+    def contains(self, k):
+        self._scan_to(k)
+        rank = self._rank.get(k)
+        return rank is not None and rank % 2 == 0
+
+    def nth_index(self, j):
+        while len(self._fresh) <= 2 * j:
+            self._scan_to(self._scanned)
+        return self._fresh[2 * j]
+
+
+class ScanningUsage:
+    def __init__(self, explicit=frozenset(), layers=()):
+        self.explicit = explicit
+        self.layers = layers
+
+    def contains(self, k):
+        return k in self.explicit or any(l.contains(k) for l in self.layers)
+
+    def least_fresh(self):
+        i = 0
+        while self.contains(i):
+            i += 1
+        return i
+
+    def with_explicit(self, indices):
+        return ScanningUsage(self.explicit | frozenset(indices), self.layers)
+
+    def with_layer(self, layer):
+        return ScanningUsage(self.explicit, self.layers + (layer,))
+
+
+# ---------------------------------------------------------------------------
+# random histories
+# ---------------------------------------------------------------------------
+
+step = st.one_of(
+    st.tuples(st.just("explicit"), st.lists(st.integers(0, 300), max_size=8)),
+    st.just(("layer",)),
+)
+
+
+def replay(history):
+    """The history applied to both implementations, with the layers made."""
+    fast, ref = IndexUsage(), ScanningUsage()
+    layers = []
+    for kind, *args in history:
+        if kind == "explicit":
+            fast, ref = fast.with_explicit(args[0]), ref.with_explicit(args[0])
+        else:
+            pair = OmegaLayer(fast), ScanningLayer(ref)
+            fast, ref = fast.with_layer(pair[0]), ref.with_layer(pair[1])
+            layers.append(pair)
+    return fast, ref, layers
+
+
+def histories():
+    # at most four layers keep the reference scan of PROBE cheap
+    return st.lists(step, max_size=10).filter(
+        lambda h: sum(s[0] == "layer" for s in h) <= 4)
+
+
+class TestAgainstScanningReference:
+    @settings(max_examples=150, deadline=None)
+    @given(histories())
+    def test_contains_and_least_fresh(self, history):
+        fast, ref, _ = replay(history)
+        assert [fast.contains(k) for k in PROBE] == [ref.contains(k) for k in PROBE]
+        assert fast.least_fresh() == ref.least_fresh()
+
+    @settings(max_examples=100, deadline=None)
+    @given(histories())
+    def test_ranks_invert(self, history):
+        fast, ref, _ = replay(history)
+        fresh = [k for k in PROBE if not ref.contains(k)]
+        assert [fast.nth_fresh(r) for r in range(len(fresh))] == fresh
+        assert [fast.fresh_rank(k) for k in fresh] == list(range(len(fresh)))
+        assert all(fast.fresh_rank(k) is None for k in PROBE if ref.contains(k))
+
+    @settings(max_examples=100, deadline=None)
+    @given(histories())
+    def test_layers(self, history):
+        _fast, _ref, layers = replay(history)
+        for fast_layer, ref_layer in layers:
+            assert ([fast_layer.nth_index(j) for j in range(8)]
+                    == [ref_layer.nth_index(j) for j in range(8)])
+            assert ([fast_layer.contains(k) for k in PROBE]
+                    == [ref_layer.contains(k) for k in PROBE])
+
+    @settings(max_examples=100, deadline=None)
+    @given(histories(), st.lists(st.integers(0, 40), max_size=10))
+    def test_with_fresh_is_with_explicit(self, history, ranks):
+        fast, ref, _ = replay(history)
+        indices = [fast.nth_fresh(r) for r in ranks]
+        by_rank = fast.with_fresh(ranks)
+        assert by_rank == fast.with_explicit(indices)
+        expected = ref.with_explicit(indices)
+        assert [by_rank.contains(k) for k in PROBE] == [expected.contains(k) for k in PROBE]
+
+    @settings(max_examples=60, deadline=None)
+    @given(histories())
+    def test_adding_nothing_returns_self(self, history):
+        fast, _ref, _ = replay(history)
+        consumed = [k for k in PROBE if fast.contains(k)][:10]
+        assert fast.with_fresh(()) is fast
+        assert fast.with_explicit(consumed) is fast
+
+
+class TestComposition:
+    def test_layer_over_a_foreign_usage_rejected(self):
+        with pytest.raises(ValueError):
+            IndexUsage().with_layer(OmegaLayer(IndexUsage().with_explicit((1,))))
+        u = IndexUsage().with_explicit((0, 2))
+        same = IndexUsage().with_explicit((2, 0))  # equal in value, not identity
+        assert u.with_layer(OmegaLayer(same)).least_fresh() == 3
+
+    def test_layer_block_over_a_foreign_base_is_bad_block(self):
+        nat = nat_set()
+        f = transfinite_f_seq(nat)
+        standard = standard_block_builder(nat)
+
+        def foreign_layer(gamma, f_, prefix):
+            if gamma != OMEGA:
+                return standard(gamma, f_, prefix)
+            foreign = prefix.usage.with_explicit((0,))
+            layer = OmegaLayer(foreign)
+            seq = TransfiniteSeq(OMEGA, lambda j: nat.enum(layer.nth_index(j.to_int())))
+            return BuiltBlock(seq, foreign.with_layer(layer), layer=layer)
+
+        g = levy_lift(standard_cofinal(Ordinal.omega(2)), f, builder=foreign_layer)
+        with pytest.raises(BadBlock):
+            g.at(0)
+
+
+class TestRestrictions:
+    def test_finite_sequence_without_usage(self):
+        f = transfinite_f_seq(nat_set())
+        s = TransfiniteSeq.from_items((0, "a", 1, 3))
+        assert [f.member(s, v) for v in range(5)] == [False, False, True, False, True]
+        assert not f.member(s, "a")
+        assert f.select(s) == 2
+
+    @pytest.mark.parametrize("alpha, pos", [("w*2", "5"), ("w*3", "w*1 + 7"),
+                                            ("w^2", "w*2 + 3"), ("w*2", "w*1 + 4")])
+    def test_usage_is_exactly_the_values_below(self, alpha, pos):
+        g = levy_lift(standard_cofinal(parse_cnf(alpha)), transfinite_f_seq(nat_set()))
+        xi, offset = g.locate(parse_cnf(pos))
+        below = set()
+        for b in range(xi + 1):
+            gamma = g.cof.gamma(b)
+            # a value at offset j is at least j, so j < 400 covers PROBE
+            stop = (offset.to_int() if b == xi
+                    else gamma.to_int() if gamma.is_finite() else len(PROBE))
+            below |= {g.at(ord_add(g.cof.stage(b), Ordinal.from_int(j)))
+                      for j in range(stop)}
+        usage = g.restrict(parse_cnf(pos)).usage
+        assert [usage.contains(k) for k in PROBE] == [k in below for k in PROBE]
+
+
+class TestDeepLadder:
+    """Under w^2, after k layers the fresh index of rank r is
+    (r + 1) * 2^k - 1.  Block k takes the ranks 2j, so position w*k + j
+    holds (2j + 1) * 2^k - 1."""
+
+    @pytest.mark.parametrize("k", [16, 64])
+    def test_value_and_witness_at_w_times_k_plus_5(self, k):
+        f = transfinite_f_seq(nat_set())
+        g = levy_lift(standard_cofinal(parse_cnf("w^2")), f)
+        pos = parse_cnf(f"w*{k} + 5")
+        assert g.at(pos) == 5 * 2 ** (k + 1) + 2 ** k - 1
+        assert check_transfinite_witness(f, g, [pos])

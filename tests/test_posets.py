@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from forcelab.collapse import coll_poset, level_dense, nat_set
 from forcelab.errors import BadExtender, NotAChain, OracleLimit
 from forcelab.posets import (
     DenseSet,
@@ -190,6 +195,33 @@ class TestDensityReports:
         assert report.counterexample == "2"  # first element with no way into {6}
         assert report.fragment == 7
 
+    def test_block_cut_is_inconclusive(self):
+        # the fragment of 2000 ends inside an enumeration block, so no member
+        # of L_3 below (6,) is listed; the extender finds one past the cut
+        nat = nat_set()
+        report = is_dense_on_truncation(coll_poset(nat), level_dense(nat, 3), 2000)
+        assert report.dense is None
+        assert report.undecided == (6,)
+        assert report.counterexample is None
+        assert report.fragment == 2000
+        for frag in (1957, 2500):
+            assert is_dense_on_truncation(
+                coll_poset(nat), level_dense(nat, 3), frag).dense is True
+
+    def test_failing_extender_gives_no_witness(self, seven):
+        p = table_poset(seven)
+
+        def refuse(q):
+            raise BadExtender("no extension")
+
+        for extend in (refuse, lambda q: "0", lambda q: "5"):
+            # "0" is not below "2"; "5" is below it but not a member
+            d = DenseSet("just6", lambda q: q == "6", extend)
+            report = is_dense_on_truncation(p, d, 7)
+            assert report.dense is False
+            assert report.counterexample == "2"
+            assert report.undecided is None
+
 
 class TestBruteForce:
     def test_disjoint_cones_have_no_filter(self):
@@ -298,3 +330,38 @@ class TestGamma:
         report = gamma_check(GammaPresentation("cyc", lambda n: level,
                                                identify=lambda c: c), 1)
         assert report.ok
+
+    def test_least_transitivity_witness(self):
+        # a <= b <= c <= d with no composed pairs: (a, b, c) is the least
+        # failing triple in element order, and so is (b, c, d) without a
+        elems = ("a", "b", "c", "d")
+        rel = {(x, x) for x in elems} | {("a", "b"), ("b", "c"), ("c", "d")}
+        level = FinitePreorder(elems, frozenset(rel))
+        report = gamma_check(GammaPresentation("chain", lambda n: level), 1)
+        assert report.violation.witness == ("a", "b", "c")
+        rel = {(x, y) for x, y in rel if "a" not in (x, y)}
+        level = FinitePreorder(elems[1:], frozenset(rel))
+        report = gamma_check(GammaPresentation("chain", lambda n: level), 1)
+        assert report.violation.witness == ("b", "c", "d")
+
+    def test_witness_independent_of_hash_seed(self):
+        script = (
+            "from forcelab.posets import FinitePreorder, GammaPresentation, gamma_check\n"
+            "e = ('a', 'b', 'c', 'd')\n"
+            "rel = frozenset({(x, x) for x in e} | {('a', 'b'), ('b', 'c'), ('c', 'd')})\n"
+            "level = FinitePreorder(e, rel)\n"
+            "print(gamma_check(GammaPresentation('g', lambda n: level), 1).violation)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = set()
+        for seed in range(1, 6):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            outs.add(done.stdout)
+        assert len(outs) == 1
+        assert "witness=('a', 'b', 'c')" in outs.pop()
+
+    def test_relation_outside_the_level_rejected(self):
+        level = FinitePreorder(("a",), frozenset({("a", "a"), ("a", "z")}))
+        with pytest.raises(ValueError):
+            gamma_check(GammaPresentation("stray", lambda n: level), 1)
