@@ -39,10 +39,11 @@ _PARAM_SPECS = {
 
 # Inclusive (least, greatest) value of each size, count and level; None is
 # unbounded.  Zero cases or an empty fragment would report a vacuous
-# success, a table needs two elements, and iso-roundtrip samples its
-# sequences from range(1000).
+# success, a table needs two elements and the brute-force oracle refuses
+# more than posets._ORACLE_CAP, and iso-roundtrip samples its sequences
+# from range(1000).
 _BOUNDS = {"n": (0, None), "i": (0, None), "frag": (1, None),
-           "cases": (1, None), "size": (2, None), "len": (0, 1000)}
+           "cases": (1, None), "size": (2, posets._ORACLE_CAP), "len": (0, 1000)}
 
 
 def run(cfg: RunConfig) -> tuple[int, dict]:

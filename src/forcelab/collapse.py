@@ -200,8 +200,22 @@ def extends(g: Sequence, f: Sequence,
     return all(eq(g[i], f[i]) for i in range(n))
 
 
+def prefixes(t: Sequence) -> list:
+    """t[:0], t[:1], ..., t[:len t]: the conditions t end-extends.
+
+    The ``above`` of every sequence-tree order here whose codes compare by
+    ``operator.eq``, since r is among them iff ``extends(t, r)``.
+    """
+    return [t[:k] for k in range(len(t) + 1)]
+
+
 def coll_poset(x: CountableSet) -> PosetPresentation:
-    """Finite injective sequences over x, ordered by end-extension."""
+    """Finite injective sequences over x, ordered by end-extension.
+
+    ``above`` is ``prefixes`` when x compares codes by ``operator.eq``,
+    whose hashing agrees with the order; under any other ``eq`` it is left
+    out and fragment checks fall back to ``leq``.
+    """
 
     def carrier(t: Code) -> bool:
         return (isinstance(t, tuple) and all(x.contains(c) for c in t)
@@ -216,6 +230,7 @@ def coll_poset(x: CountableSet) -> PosetPresentation:
         leq=leq,
         enum=prefix_enumeration(x, lambda prefix, c: c not in prefix),
         root=(),
+        above=prefixes if x.eq is operator.eq else None,
     )
 
 

@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .collapse import CountableSet, extends, length_levels, prefix_enumeration
+from .collapse import CountableSet, extends, length_levels, prefix_enumeration, prefixes
 from .errors import BadSelector, NotInTree
 from .ordinals import cantor_pair, cantor_unpair
 from .posets import Code, DenseSet, PosetPresentation, rasiowa_sikorski
@@ -159,6 +159,7 @@ def t_of_f(x: CountableSet, f: ChoiceFunctional) -> PosetPresentation:
         leq=extends,
         enum=prefix_enumeration(x, lambda prefix, c: f.member(prefix, c)),
         root=(),
+        above=prefixes,
     )
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .collapse import CountableSet, InjSeq, extends, prefix_enumeration, require_injective
+from .collapse import (CountableSet, InjSeq, extends, prefix_enumeration, prefixes,
+                       require_injective)
 from .errors import NotAQSeq, NotInLambda
 from .posets import Code, PosetPresentation
 
@@ -150,7 +151,8 @@ def lambda_tree(l: LatticeOracle) -> PosetPresentation:
             raise ValueError(f"lattice {l.name} carries no enumeration")
 
     return PosetPresentation(
-        name=f"tree({l.name})", carrier=carrier, leq=extends, enum=enum, root=())
+        name=f"tree({l.name})", carrier=carrier, leq=extends, enum=enum, root=(),
+        above=prefixes)
 
 
 def finite_subset_lattice(x: CountableSet) -> LatticeOracle:

@@ -180,6 +180,7 @@ NEGATIVE = [
     ["oracle-check", "--size", "1"],
     ["iso-roundtrip", "--len", "1001"],
     ["iso-roundtrip", "--len", "2000"],
+    ["oracle-check", "--size", "21"],
 ]
 
 

@@ -2,8 +2,13 @@
 
 A wrapped ``nat`` counts its ``index`` and ``enum`` calls, so these tests
 need no clock.  A run that rescans its whole condition on every step makes
-about n*n/2 such calls; the bounds below are linear in n.
+about n*n/2 such calls; the bounds below are linear in n.  A wrapped
+``leq`` likewise counts the order tests of a fragment check.
 """
+
+import dataclasses
+
+import pytest
 
 from forcelab import collapse
 from forcelab.cli import RunConfig, run
@@ -17,6 +22,7 @@ from forcelab.levy import (
     transfinite_f_seq,
 )
 from forcelab.ordinals import TransfiniteSeq, parse_cnf
+from forcelab.posets import is_dense_on_truncation
 
 N = 2000
 
@@ -74,3 +80,20 @@ def test_warm_lift_query_makes_no_ladder_calls():
     assert first[1] is True and cold > 300
     assert query() == first
     assert calls["stage"] == cold
+
+
+@pytest.mark.parametrize("i, dense, undecided", [(1, True, None), (3, None, (6,))])
+def test_density_check_reads_cones_not_pairs(i, dense, undecided):
+    """An all-pairs scan makes 1,999,001 (i=1) and 1,850,581 (i=3) calls."""
+    x = collapse.nat_set()
+    p = collapse.coll_poset(x)
+    calls = [0]
+
+    def leq(a, b):
+        calls[0] += 1
+        return p.leq(a, b)
+
+    report = is_dense_on_truncation(dataclasses.replace(p, leq=leq),
+                                    collapse.level_dense(x, i), N)
+    assert (report.dense, report.undecided) == (dense, undecided)
+    assert calls[0] <= 2
