@@ -9,6 +9,7 @@ so identical invocations produce byte-identical output.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -169,7 +170,13 @@ _DISPATCH = {
 }
 
 
-def build_config(argv: list[str]) -> RunConfig:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Building it costs about a millisecond, most of an in-process run of a
+    small command; ``parse_args`` keeps no state between calls.
+    """
     parser = argparse.ArgumentParser(
         prog="forcelab",
         description="Run forcing-poset constructions and emit JSON traces.")
@@ -189,8 +196,11 @@ def build_config(argv: list[str]) -> RunConfig:
     add("levy-run", set=str, alpha=str)
     add("density-check", set=str, i=int, frag=int)
     add("oracle-check", seed=int, cases=int, size=int)
+    return parser
 
-    ns = parser.parse_args(argv)
+
+def build_config(argv: list[str]) -> RunConfig:
+    ns = _parser().parse_args(argv)
     params = {k: v for k, v in vars(ns).items()
               if k not in ("command", "output_path") and v is not None}
     return RunConfig(ns.command, params, ns.output_path)

@@ -11,9 +11,10 @@ import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
-from .errors import NotAChain, NotInjective
+from .errors import EnumerationDepthCap, IndexScanCap, NotInjective
 from .ordinals import cantor_pair, cantor_unpair
-from .posets import Code, DenseSet, GenericRun, PosetPresentation
+from .posets import (Code, DenseSet, GenericRun, PosetPresentation, PrefixChain,
+                     _require_chain, extends, prefixes)
 
 _INDEX_SCAN_CAP = 100_000
 
@@ -23,7 +24,10 @@ class CountableSet:
     """An infinite set presented by an injective enumeration of element codes.
 
     ``index`` inverts ``enum`` where available; otherwise membership falls
-    back to a bounded scan of the enumeration.
+    back to a scan of the first ``_INDEX_SCAN_CAP`` codes.  ``index_of``
+    raises ``IndexScanCap`` when the scan gives up, so no caller of it
+    reads the cap as an answer.  ``contains`` answers False for a code the
+    scan did not find, since without ``index`` absence cannot be decided.
     """
 
     name: str
@@ -40,14 +44,14 @@ class CountableSet:
         for i in range(_INDEX_SCAN_CAP):
             if self.eq(self.enum(i), code):
                 return i
-        raise ValueError(
+        raise IndexScanCap(
             f"{code!r} not found in the first {_INDEX_SCAN_CAP} codes of {self.name}")
 
     def contains(self, code: Code) -> bool:
         try:
             self.index_of(code)
             return True
-        except ValueError:
+        except (ValueError, IndexScanCap):
             return False
 
 
@@ -169,7 +173,7 @@ def prefix_enumeration(x: CountableSet,
         while len(items) <= n:
             k = built[0] + 1
             if k > _ENUM_DEPTH_CAP:
-                raise RuntimeError(
+                raise EnumerationDepthCap(
                     f"enumeration needs more than {_ENUM_DEPTH_CAP} codes; "
                     "carrier may be finite")
             items.extend(block(k))
@@ -182,32 +186,6 @@ def prefix_enumeration(x: CountableSet,
 # ---------------------------------------------------------------------------
 # the collapse poset and its dense levels
 # ---------------------------------------------------------------------------
-
-def extends(g: Sequence, f: Sequence,
-            eq: Callable[[Code, Code], bool] = operator.eq) -> bool:
-    """True iff g end-extends f: it is at least as long and agrees with f on f.
-
-    The one end-extension check of every sequence-tree order here.  Under
-    ``operator.eq`` it is a single slice compare done in C, so a step of a
-    run pays O(1) interpreted work for it; any other ``eq`` is applied
-    element by element, O(len f) interpreted calls.
-    """
-    n = len(f)
-    if len(g) < n:
-        return False
-    if eq is operator.eq:
-        return g[:n] == f
-    return all(eq(g[i], f[i]) for i in range(n))
-
-
-def prefixes(t: Sequence) -> list:
-    """t[:0], t[:1], ..., t[:len t]: the conditions t end-extends.
-
-    The ``above`` of every sequence-tree order here whose codes compare by
-    ``operator.eq``, since r is among them iff ``extends(t, r)``.
-    """
-    return [t[:k] for k in range(len(t) + 1)]
-
 
 def coll_poset(x: CountableSet) -> PosetPresentation:
     """Finite injective sequences over x, ordered by end-extension.
@@ -297,20 +275,27 @@ def level_family(x: CountableSet, n: int) -> list[DenseSet]:
 
 
 def generic_to_injection(x: CountableSet, run: GenericRun) -> InjSeq:
-    """The union of a descending chain of conditions, as an injective sequence."""
+    """The union of a descending chain of conditions, as an injective sequence.
+
+    A ``PrefixChain`` is a chain when its lengths do not decrease, O(1) per
+    link; a tuple chain is checked link by link with ``extends``.
+    """
     chain = run.chain
-    for a, b in zip(chain[1:], chain):
-        if not extends(a, b, x.eq):
-            raise NotAChain(f"{a!r} does not extend {b!r}")
+    _require_chain(chain, None if isinstance(chain, PrefixChain)
+                   else lambda a, b: extends(a, b, x.eq))
     return make_inj_seq(x, chain[-1] if chain else ())
 
 
 def injection_to_generic(x: CountableSet,
                          g: "Callable[[int], Code] | Sequence[Code]",
                          n: int) -> GenericRun:
-    """The run of initial restrictions of an injection, meeting level i at position i."""
-    values = [g(i) for i in range(n)] if callable(g) else list(g[:n])
+    """The run of initial restrictions of an injection, meeting level i at position i.
+
+    The chain is the ``PrefixChain`` of the n values over the lengths
+    0..n, so it takes O(n) memory.  ``met`` pairs ``level_dense(x, i)``
+    with position i (see ``GenericRun``).
+    """
+    values = tuple(g(i) for i in range(n)) if callable(g) else tuple(g[:n])
     require_injective(values, x.eq)
-    chain = tuple(tuple(values[:i]) for i in range(n + 1))
     met = tuple((i, i) for i in range(n + 1))
-    return GenericRun(f"Coll(w,{x.name})", chain, met)
+    return GenericRun(f"Coll(w,{x.name})", PrefixChain(values, range(n + 1)), met)

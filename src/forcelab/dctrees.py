@@ -14,10 +14,10 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .collapse import CountableSet, extends, length_levels, prefix_enumeration, prefixes
+from .collapse import CountableSet, length_levels, prefix_enumeration
 from .errors import BadSelector, NotInTree
 from .ordinals import cantor_pair, cantor_unpair
-from .posets import Code, DenseSet, PosetPresentation, rasiowa_sikorski
+from .posets import Code, DenseSet, PosetPresentation, extends, prefixes, rasiowa_sikorski
 
 
 @dataclass(frozen=True)
@@ -35,69 +35,122 @@ class ChoiceFunctional:
     injective_mode: bool = False
 
 
+class _FreshScan:
+    """The least index i whose candidate ``code(i)`` a tuple does not use.
+
+    Shared by the ``seq``, ``evens`` and ``bounded`` selects.  It keeps the
+    last tuple it scanned, the set of codes that tuple uses and the index
+    where its scan stopped; every candidate below that index is used.  A
+    tuple that end-extends the last one only uses more codes, so the set
+    grows by the new suffix and the scan resumes where it stopped.  Any
+    other tuple starts over with its own set from index 0, and a list is
+    scanned without being kept.
+
+    Cost per call along a growing run: O(1) interpreted work amortised
+    (the suffix and the few candidates past the stop), plus the C-level
+    compare of the old part in ``extends``.  ``seen(t)`` gives members the
+    set instead of t when t *is* the last tuple, so their ``in`` test is a
+    hash lookup instead of a scan of t.
+    """
+
+    def __init__(self, code: Callable[[int], Code]):
+        self.code = code
+        self.last: tuple = ()
+        self.used: set = set()
+        self.stop = 0
+
+    def seen(self, t: Sequence):
+        return self.used if t is self.last else t
+
+    def first_unused(self, t: Sequence,
+                     limit: Optional[int] = None) -> tuple[int, Code]:
+        """(i, code(i)) for the least i whose code t does not use.
+
+        With ``limit``, candidates past it are not tried: when every
+        i <= limit is used the answer is (limit + 1, None).
+        """
+        if type(t) is not tuple:
+            return _first_unused(self.code, set(t), 0, limit)
+        if t is not self.last:
+            if extends(t, self.last):
+                self.used |= set(t[len(self.last):])
+            else:
+                self.used, self.stop = set(t), 0
+            self.last = t
+        i, c = _first_unused(self.code, self.used, self.stop, limit)
+        self.stop = i
+        return i, c
+
+
+def _first_unused(code: Callable[[int], Code], used: set, i: int,
+                  limit: Optional[int]) -> tuple[int, Code]:
+    while limit is None or i <= limit:
+        c = code(i)
+        if c not in used:
+            return i, c
+        i += 1
+    return i, None
+
+
 def f_seq(x: CountableSet) -> ChoiceFunctional:
     """The canonical functional allowing exactly the unused elements of x.
 
-    ``member`` is one ``index_of`` call plus, under ``operator.eq``, a
-    C-level ``not in`` scan of t.  ``select`` resumes its scan at the index
-    it returned last when t extends the tuple it was last called on, since
-    a longer sequence only uses more codes; otherwise it scans from 0.
-    Along a growing run a step therefore costs O(1) interpreted work (two
-    amortised ``enum`` calls) on top of C-level O(len t) set and compare
-    work.
+    ``member`` is one ``index_of`` call plus, under ``operator.eq``, a test
+    against the used codes of t: a set lookup when t is the tuple ``select``
+    last saw, else a C-level ``not in`` scan.  ``select`` is a
+    ``_FreshScan`` over the enumeration, so along a growing run a step
+    costs O(1) interpreted work (one or two amortised ``enum`` calls).
     """
+    scan = _FreshScan(x.enum)
 
     def member(t: Sequence, v: Code) -> bool:
         if x.eq is operator.eq:
-            return x.contains(v) and v not in t
+            return x.contains(v) and v not in scan.seen(t)
         return x.contains(v) and not any(x.eq(v, c) for c in t)
 
-    last: list = [(), 0]  # the last tuple select saw and the index it returned
-
     def select(t: Sequence) -> Code:
-        used = set(t)
-        i = last[1] if extends(t, last[0]) else 0
-        while x.enum(i) in used:
-            i += 1
-        if type(t) is tuple:
-            last[0], last[1] = t, i
-        return x.enum(i)
+        return scan.first_unused(t)[1]
 
     return ChoiceFunctional(f"seq({x.name})", member, select, injective_mode=True)
 
 
 def evens_functional(x: CountableSet) -> ChoiceFunctional:
-    """Allows unused codes with even enumeration index."""
+    """Allows unused codes with even enumeration index.
+
+    ``select`` is a ``_FreshScan`` over the even-indexed codes.
+    """
+    scan = _FreshScan(lambda i: x.enum(2 * i))
 
     def member(t: Sequence, v: Code) -> bool:
-        if not x.contains(v) or v in t:
+        if not x.contains(v) or v in scan.seen(t):
             return False
         return x.index_of(v) % 2 == 0
 
     def select(t: Sequence) -> Code:
-        used = set(t)
-        i = 0
-        while x.enum(2 * i) in used:
-            i += 1
-        return x.enum(2 * i)
+        return scan.first_unused(t)[1]
 
     return ChoiceFunctional(f"evens({x.name})", member, select, injective_mode=True)
 
 
 def bounded_functional(x: CountableSet) -> ChoiceFunctional:
-    """Allows unused codes of index at most twice the current length."""
+    """Allows unused codes of index at most twice the current length.
+
+    ``select`` is a ``_FreshScan`` over the enumeration that tries no index
+    past 2 * len(t).
+    """
+    scan = _FreshScan(x.enum)
 
     def member(t: Sequence, v: Code) -> bool:
-        if not x.contains(v) or v in t:
+        if not x.contains(v) or v in scan.seen(t):
             return False
         return x.index_of(v) <= 2 * len(t)
 
     def select(t: Sequence) -> Code:
-        used = set(t)
-        for i in range(2 * len(t) + 1):
-            if x.enum(i) not in used:
-                return x.enum(i)
-        raise BadSelector(f"no unused code of index <= {2 * len(t)}")
+        bound = 2 * len(t)
+        i, c = scan.first_unused(t, bound)
+        if i > bound:
+            raise BadSelector(f"no unused code of index <= {bound}")
+        return c
 
     return ChoiceFunctional(f"bounded({x.name})", member, select, injective_mode=True)
 
@@ -258,19 +311,58 @@ def _occurrences(bases: Sequence, v: Code, upto: int, eq) -> int:
 
 
 def _consistent_markers(x: CountableSet, u: Sequence) -> bool:
-    """True when u carries exactly the occurrence counts of its own bases."""
+    """True when u carries exactly the occurrence counts of its own bases under x.eq."""
     if not all(isinstance(m, MarkedElement) for m in u):
         return False
-    if x.eq is operator.eq:
-        counts: dict = {}
-        for m in u:
-            if m.marker != counts.get(m.base, 0):
-                return False
-            counts[m.base] = counts.get(m.base, 0) + 1
-        return True
     bases = [p.base for p in u]
     return all(m.marker == _occurrences(bases, m.base, i, x.eq)
                for i, m in enumerate(u))
+
+
+def _marker_walk(u: Sequence, counts: dict) -> bool:
+    """Add u's bases to ``counts`` (base -> occurrences so far), under operator.eq.
+
+    False, with ``counts`` left part-way, unless every element of u is a
+    MarkedElement carrying its base's count up to it.
+    """
+    if not all(isinstance(m, MarkedElement) for m in u):
+        return False
+    for m in u:
+        if m.marker != counts.get(m.base, 0):
+            return False
+        counts[m.base] = counts.get(m.base, 0) + 1
+    return True
+
+
+def _marker_tracker() -> Callable[[Sequence], Optional[tuple]]:
+    """``marks(u)``: (bases of u, base -> occurrences) when u's markers are
+    its true occurrence counts, else None; under operator.eq.
+
+    It keeps the last tuple it saw with its bases tuple, its count dict
+    and its consistency flag.  A tuple that end-extends the last one walks
+    only the new suffix; markers that are wrong on a prefix stay wrong on
+    every extension.  Any other u is walked in full, and a list is walked
+    without being kept.
+    """
+    state = [(), (), {}, True]  # last tuple, its bases, its counts, consistent
+
+    def marks(u: Sequence) -> Optional[tuple]:
+        last, bases, counts, ok = state
+        if u is not last:
+            if type(u) is tuple and extends(u, last):
+                new = u[len(last):]
+                state[:] = [(), (), {}, True]  # a walk that raises keeps no stale count
+                ok = ok and _marker_walk(new, counts)
+                bases = bases + tuple(m.base for m in new) if ok else ()
+            else:
+                counts = {}
+                ok = _marker_walk(u, counts)
+                bases = tuple(m.base for m in u) if ok else ()
+            if type(u) is tuple:
+                state[:] = [u, bases, counts, ok]
+        return (bases, counts) if ok else None
+
+    return marks
 
 
 def marker_reduction(x: CountableSet, f: ChoiceFunctional) -> ChoiceFunctional:
@@ -281,25 +373,45 @@ def marker_reduction(x: CountableSet, f: ChoiceFunctional) -> ChoiceFunctional:
     else falls back to the fresh-pair functional of the marked set.  The
     count of a newly allowed base always exceeds every marker it carries so
     far, so witnesses never repeat a pair.
+
+    Cost: under ``operator.eq`` the marker state of the last tuple seen is
+    kept (see ``_marker_tracker``), so along a growing run a ``member`` or
+    ``select`` call walks only the new suffix, O(1) interpreted work per
+    step plus the C-level compare and copy of the old part, and f sees one
+    bases tuple.  Under a custom ``eq`` every call walks u in full with it,
+    O(len(u)^2) ``eq`` calls, and f sees a bases list.
     """
     product = marked_set(x)
     product_seq = f_seq(product)
+    if x.eq is operator.eq:
+        marks = _marker_tracker()
+    else:
+        def marks(u: Sequence) -> Optional[tuple]:
+            if not _consistent_markers(x, u):
+                return None
+            return [p.base for p in u], None
+
+    def occurrences(bases: Sequence, counts: Optional[dict], b: Code) -> int:
+        if counts is None:
+            return _occurrences(bases, b, len(bases), x.eq)
+        return counts.get(b, 0)
 
     def member(u: Sequence, v: Code) -> bool:
         if not isinstance(v, MarkedElement):
             return False
-        if _consistent_markers(x, u):
-            bases = [p.base for p in u]
-            return (f.member(bases, v.base)
-                    and v.marker == _occurrences(bases, v.base, len(bases), x.eq))
-        return product_seq.member(u, v)
+        seen = marks(u)
+        if seen is None:
+            return product_seq.member(u, v)
+        bases, counts = seen
+        return f.member(bases, v.base) and v.marker == occurrences(bases, counts, v.base)
 
     def select(u: Sequence) -> Code:
-        if _consistent_markers(x, u):
-            bases = [p.base for p in u]
-            b = f.select(bases)
-            return MarkedElement(b, _occurrences(bases, b, len(bases), x.eq))
-        return product_seq.select(u)
+        seen = marks(u)
+        if seen is None:
+            return product_seq.select(u)
+        bases, counts = seen
+        b = f.select(bases)
+        return MarkedElement(b, occurrences(bases, counts, b))
 
     return ChoiceFunctional(f"marked({f.name})", member, select, injective_mode=True)
 

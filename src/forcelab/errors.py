@@ -65,6 +65,14 @@ class NotInLambda(ContractError):
     code = "not-in-lambda"
 
 
+class IndexScanCap(ContractError):
+    code = "index-scan-cap"
+
+
+class EnumerationDepthCap(ContractError):
+    code = "enumeration-depth-cap"
+
+
 # --- dctrees ---
 
 class NotInTree(ContractError):

@@ -6,6 +6,8 @@ Order convention throughout: smaller is stronger, so leq(q, p) reads
 
 from __future__ import annotations
 
+import collections.abc
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -41,16 +43,94 @@ class DenseSet:
     extend: Callable[[Code], Code]
 
 
+def extends(g: Sequence, f: Sequence,
+            eq: Callable[[Code, Code], bool] = operator.eq) -> bool:
+    """True iff g end-extends f: it is at least as long and agrees with f on f.
+
+    The one end-extension check of every sequence-tree order here.  Under
+    ``operator.eq`` it is a single slice compare done in C, so a step of a
+    run pays O(1) interpreted work for it; any other ``eq`` is applied
+    element by element, O(len f) interpreted calls.
+    """
+    n = len(f)
+    if len(g) < n:
+        return False
+    if eq is operator.eq:
+        return g[:n] == f
+    return all(eq(g[i], f[i]) for i in range(n))
+
+
+def prefixes(t: Sequence) -> list:
+    """t[:0], t[:1], ..., t[:len t]: the conditions t end-extends.
+
+    The ``above`` of every sequence-tree order here whose codes compare by
+    ``operator.eq``, since r is among them iff ``extends(t, r)``.  The
+    engine and the chain checks recognise a prefix tree by
+    ``p.above is prefixes``.
+    """
+    return [t[:k] for k in range(len(t) + 1)]
+
+
+class PrefixChain(collections.abc.Sequence):
+    """A chain of prefixes of one tuple, stored as that tuple and the lengths.
+
+    Entry k is ``final[:lengths[k]]``, so a chain of n entries takes O(n)
+    memory instead of the O(n^2) its tuples would.  It reads like the tuple
+    of its entries: ``len``, int and slice indexing (a slice is again a
+    view), iteration, ``==`` with plain tuples and with views, and the same
+    hash.  Each entry is built on access, an O(len) slice done in C; hashing
+    or printing a view builds all of them.
+    """
+
+    __slots__ = ("final", "lengths")
+
+    def __init__(self, final: tuple, lengths: Sequence[int]):
+        self.final = final
+        self.lengths = lengths
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return PrefixChain(self.final, self.lengths[i])
+        return self.final[:self.lengths[i]]
+
+    def __iter__(self):
+        final = self.final
+        return (final[:k] for k in self.lengths)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, PrefixChain)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class GenericRun:
     """A finite descending chain together with the dense sets it met.
 
-    ``met`` lists (dense-set index, chain position) pairs; the upward
-    closure of the chain is the filter the run denotes.
+    ``chain`` is a tuple of conditions, or a ``PrefixChain`` when the run
+    descends through a prefix tree; the two compare equal entry by entry.
+    The upward closure of the chain is the filter the run denotes.
+
+    ``met`` lists (dense-set index, chain position) pairs.  Each producer
+    states its goal family, and the two built-in ones agree once that is
+    read: ``rasiowa_sikorski`` meets ds[i] at position i+1, the condition
+    ds[i]'s extender returned, so through ``length_levels`` (goal i is
+    length >= i+1) it writes (i, i+1); ``injection_to_generic`` meets
+    ``level_dense(x, i)`` (length >= i) at position i, the restriction to
+    i, and writes (i, i).
     """
 
     poset: str
-    chain: tuple
+    chain: "tuple | PrefixChain"
     met: tuple[tuple[int, int], ...]
 
 
@@ -63,6 +143,12 @@ def rasiowa_sikorski(p: PosetPresentation, ds: Sequence[DenseSet],
     The engine's own work per step is O(1): one extend, one ``leq`` and one
     ``member`` call and an append, so a step costs whatever those three
     callables cost on the current condition.
+
+    On a prefix tree (``p.above is prefixes``) a verified step leq(q, prev)
+    means prev == q[:len(prev)], so the engine keeps only the last
+    condition and the list of lengths and returns the chain as a
+    ``PrefixChain``: O(n) memory for n steps, not the O(n^2) of n prefix
+    tuples.  Any other presentation keeps the explicit tuple chain.
     """
     if n < 0:
         raise ValueError(f"cannot descend through {n} dense sets")
@@ -70,25 +156,52 @@ def rasiowa_sikorski(p: PosetPresentation, ds: Sequence[DenseSet],
         raise ValueError(f"start {start!r} is not in the carrier of {p.name}")
     if n > len(ds):
         raise ValueError(f"family has {len(ds)} dense sets, need {n}")
-    chain = [start]
+    prefix_tree = p.above is prefixes
+    last = start
+    kept = [len(start) if prefix_tree else start]
     met = []
     for i in range(n):
-        q = ds[i].extend(chain[-1])
-        if not p.leq(q, chain[-1]):
+        q = ds[i].extend(last)
+        if not p.leq(q, last):
             raise BadExtender(
                 f"extender {ds[i].name} output not below its input", index=i)
         if not ds[i].member(q):
             raise BadExtender(
                 f"extender {ds[i].name} output not a member", index=i)
-        chain.append(q)
+        kept.append(len(q) if prefix_tree else q)
         met.append((i, i + 1))
-    return GenericRun(p.name, tuple(chain), tuple(met))
+        last = q
+    chain = PrefixChain(last, tuple(kept)) if prefix_tree else tuple(kept)
+    return GenericRun(p.name, chain, tuple(met))
 
 
 def _check_descending(p: PosetPresentation, chain: Sequence[Code]) -> None:
-    for a, b in zip(chain[1:], chain):
-        if not p.leq(a, b):
-            raise NotAChain(f"{a!r} does not extend {b!r}")
+    """Raise ``NotAChain`` unless each entry of chain extends the one before.
+
+    A ``PrefixChain`` on a prefix tree is checked by its lengths, O(1) per
+    link; any other chain makes one ``leq`` call per link.
+    """
+    by_lengths = isinstance(chain, PrefixChain) and p.above is prefixes
+    _require_chain(chain, None if by_lengths else p.leq)
+
+
+def _require_chain(chain: Sequence[Code],
+                   leq: Optional[Callable[[Code, Code], bool]]) -> None:
+    """Raise ``NotAChain`` at the first entry that does not extend the one before.
+
+    ``leq`` None reads the links of a ``PrefixChain`` in end-extension
+    order off its lengths: its entries are prefixes of one tuple, so a link
+    breaks exactly where the lengths decrease.  Otherwise every link is one
+    ``leq`` call.
+    """
+    if leq is None:
+        ls = chain.lengths
+        k = next((k for k in range(1, len(ls)) if ls[k] < ls[k - 1]), None)
+        bad = None if k is None else (chain[k], chain[k - 1])
+    else:
+        bad = next(((a, b) for a, b in zip(chain[1:], chain) if not leq(a, b)), None)
+    if bad is not None:
+        raise NotAChain(f"{bad[0]!r} does not extend {bad[1]!r}")
 
 
 def _covered(p: PosetPresentation, frag: Sequence[Code],
@@ -120,7 +233,8 @@ def filter_from_chain(p: PosetPresentation, chain: Sequence[Code],
     Cost: ``truncation`` enum calls and len(chain) - 1 ``leq`` calls for the
     chain check, plus the chain's cones.  With ``p.above`` those are
     sum(len(above(c))) hash lookups (O(len(chain) * depth) for the prefix
-    trees); without it, len(chain) * truncation ``leq`` calls.
+    trees); without it, len(chain) * truncation ``leq`` calls.  A
+    ``PrefixChain`` on a prefix tree is checked by its lengths instead.
     """
     _check_descending(p, chain)
     frag = [p.enum(k) for k in range(truncation)]

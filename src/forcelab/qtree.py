@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .collapse import (CountableSet, InjSeq, extends, prefix_enumeration, prefixes,
-                       require_injective)
+from .collapse import CountableSet, InjSeq, prefix_enumeration, require_injective
 from .errors import NotAQSeq, NotInLambda
-from .posets import Code, PosetPresentation
+from .posets import Code, PosetPresentation, extends, prefixes
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,14 @@ about n*n/2 such calls; the bounds below are linear in n.  A wrapped
 """
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
-from forcelab import collapse
+from forcelab import collapse, dctrees
 from forcelab.cli import RunConfig, run
 from forcelab.collapse import CountableSet
-from forcelab.dctrees import dc_witness, f_seq
+from forcelab.dctrees import dc_witness, f_seq, fixture_functional
 from forcelab.levy import (
     CofinalPresentation,
     check_transfinite_witness,
@@ -97,3 +98,47 @@ def test_density_check_reads_cones_not_pairs(i, dense, undecided):
                                     collapse.level_dense(x, i), N)
     assert (report.dense, report.undecided) == (dense, undecided)
     assert calls[0] <= 2
+
+
+def test_marker_run_walks_each_marker_at_most_twice(monkeypatch):
+    """Rewalking the marked sequence on every call walks about n*n markers."""
+    walked = [0]
+    walk = dctrees._marker_walk
+
+    def counting_walk(u, counts):
+        walked[0] += len(u)
+        return walk(u, counts)
+
+    monkeypatch.setattr(dctrees, "_marker_walk", counting_walk)
+    status, doc = run(RunConfig("marker-run",
+                                {"set": "nat", "functional": "cycle3", "n": N}))
+    assert status == 0 and doc["passes_original"]
+    assert doc["values"] == [i % 3 for i in range(N)]
+    assert doc["markers"] == [i // 3 for i in range(N)]
+    assert walked[0] <= 2 * N
+
+
+@pytest.mark.parametrize("name, step", [("evens", 2), ("bounded", 1)])
+def test_dc_witness_evens_bounded_enum_calls_are_linear(name, step):
+    """Rescanning from 0 on every select makes about n*n/2 enum calls."""
+    x, calls = counting_nat()
+    assert dc_witness(x, fixture_functional(x, name), N) == tuple(range(0, step * N, step))
+    assert calls["enum"] <= 4 * N + 10
+
+
+@pytest.mark.parametrize("command, params", [
+    ("coll-run", {"set": "nat"}),
+    ("dc-run", {"set": "nat", "functional": "seq"}),
+])
+def test_run_memory_grows_linearly(command, params):
+    """Keeping every prefix tuple takes O(n^2) memory, 4x per doubling."""
+    peaks = []
+    for n in (5000, 10000):
+        tracemalloc.start()
+        try:
+            status, _ = run(RunConfig(command, {**params, "n": n}))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+    assert peaks[1] <= 2.5 * peaks[0]
