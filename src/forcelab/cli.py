@@ -28,16 +28,6 @@ class RunConfig:
     output_path: Optional[str] = None
 
 
-_PARAM_SPECS = {
-    "coll-run": {"set": "nat", "n": 5},
-    "iso-roundtrip": {"len": 10, "cases": 10, "seed": 0},
-    "dc-run": {"set": "nat", "functional": "seq", "n": 10},
-    "marker-run": {"set": "nat", "functional": "const", "n": 10},
-    "levy-run": {"set": "nat", "alpha": "w*2"},
-    "density-check": {"set": "nat", "i": 3, "frag": 200},
-    "oracle-check": {"seed": 0, "cases": 20, "size": 7},
-}
-
 # Inclusive (least, greatest) value of each size, count and level; None is
 # unbounded.  Zero cases or an empty fragment would report a vacuous
 # success, a table needs two elements and the brute-force oracle refuses
@@ -49,10 +39,10 @@ _BOUNDS = {"n": (0, None), "i": (0, None), "frag": (1, None),
 
 def run(cfg: RunConfig) -> tuple[int, dict]:
     """Dispatch a config to its module operation; return (exit status, document)."""
-    spec = _PARAM_SPECS.get(cfg.command)
-    if spec is None:
+    if cfg.command not in _COMMANDS:
         return 2, {"error": "bad-config",
                    "detail": f"unknown command {cfg.command!r}"}
+    handler, spec = _COMMANDS[cfg.command]
     unknown = set(cfg.params) - set(spec)
     if unknown:
         return 2, {"error": "bad-config",
@@ -65,7 +55,7 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
                 bound = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
                 return 2, {"error": "bad-config",
                            "detail": f"{key} must be {bound}, got {value}"}
-        doc = _DISPATCH[cfg.command](params)
+        doc = handler(params)
         return 0, doc
     except ContractError as exc:
         return 1, {"error": exc.code, "detail": str(exc)}
@@ -159,14 +149,16 @@ def _cmd_oracle_check(params: dict) -> dict:
     return {"ok": agreements == cases, "cases": cases, "agreements": agreements}
 
 
-_DISPATCH = {
-    "coll-run": _cmd_coll_run,
-    "iso-roundtrip": _cmd_iso_roundtrip,
-    "dc-run": _cmd_dc_run,
-    "marker-run": _cmd_marker_run,
-    "levy-run": _cmd_levy_run,
-    "density-check": _cmd_density_check,
-    "oracle-check": _cmd_oracle_check,
+# Each command's handler and its parameters with their defaults; a flag
+# parses to the type of its default.
+_COMMANDS = {
+    "coll-run": (_cmd_coll_run, {"set": "nat", "n": 5}),
+    "iso-roundtrip": (_cmd_iso_roundtrip, {"len": 10, "cases": 10, "seed": 0}),
+    "dc-run": (_cmd_dc_run, {"set": "nat", "functional": "seq", "n": 10}),
+    "marker-run": (_cmd_marker_run, {"set": "nat", "functional": "const", "n": 10}),
+    "levy-run": (_cmd_levy_run, {"set": "nat", "alpha": "w*2"}),
+    "density-check": (_cmd_density_check, {"set": "nat", "i": 3, "frag": 200}),
+    "oracle-check": (_cmd_oracle_check, {"seed": 0, "cases": 20, "size": 7}),
 }
 
 
@@ -182,20 +174,11 @@ def _parser() -> argparse.ArgumentParser:
         description="Run forcing-poset constructions and emit JSON traces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, **flags):
+    for name, (_, defaults) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--out", dest="output_path", default=None)
-        for flag, kind in flags.items():
-            p.add_argument(f"--{flag}", type=kind, default=None)
-        return p
-
-    add("coll-run", set=str, n=int)
-    add("iso-roundtrip", len=int, cases=int, seed=int)
-    add("dc-run", set=str, functional=str, n=int)
-    add("marker-run", set=str, functional=str, n=int)
-    add("levy-run", set=str, alpha=str)
-    add("density-check", set=str, i=int, frag=int)
-    add("oracle-check", seed=int, cases=int, size=int)
+        for flag, default in defaults.items():
+            p.add_argument(f"--{flag}", type=type(default), default=None)
     return parser
 
 

@@ -14,7 +14,7 @@ from typing import Any, Callable, Optional, Sequence
 from .errors import EnumerationDepthCap, IndexScanCap, NotInjective
 from .ordinals import cantor_pair, cantor_unpair
 from .posets import (Code, DenseSet, GenericRun, PosetPresentation, PrefixChain,
-                     _require_chain, extends, prefixes)
+                     SuffixFold, _require_chain, extends, prefixes)
 
 _INDEX_SCAN_CAP = 100_000
 
@@ -221,20 +221,20 @@ def _fresh_appender(x: CountableSet) -> Callable[[tuple, int], tuple]:
     """``append(p, k)``: p followed by the k codes from its fresh bound on
     (p itself when k <= 0).
 
-    The appender remembers the last tuple it returned with that tuple's
-    fresh bound (the old bound plus k, since enum(b + j) has index b + j).
-    An input that *is* that tuple costs O(k); any other input pays the
-    O(len p) ``index_of`` scan of ``fresh_bound``.  The slot only holds a
-    tuple the caller already holds.
+    The fresh bound is a ``SuffixFold``, and every tuple the appender
+    returns is kept with its bound (the old bound plus k, since enum(b + j)
+    has index b + j).  An input that *is* that tuple costs O(k) and no
+    ``index_of`` call; an extension of it pays one ``index_of`` call per
+    code of the suffix; any other input one per code.
     """
-    last: list = [None, 0]
+    bound = SuffixFold(lambda: 0, lambda b, suffix: max(b, fresh_bound(x, suffix)))
 
     def append(p: tuple, k: int) -> tuple:
         if k <= 0:
             return p
-        b = last[1] if p is last[0] else fresh_bound(x, p)
+        b = bound.fold_state(p)
         q = p + tuple(x.enum(b + j) for j in range(k))
-        last[0], last[1] = q, b + k
+        bound.keep(q, b + k)
         return q
 
     return append

@@ -17,7 +17,8 @@ from typing import Callable, Optional, Sequence
 from .collapse import CountableSet, length_levels, prefix_enumeration
 from .errors import BadSelector, NotInTree
 from .ordinals import cantor_pair, cantor_unpair
-from .posets import Code, DenseSet, PosetPresentation, extends, prefixes, rasiowa_sikorski
+from .posets import (Code, DenseSet, PosetPresentation, SuffixFold, extends, prefixes,
+                     rasiowa_sikorski)
 
 
 @dataclass(frozen=True)
@@ -35,124 +36,72 @@ class ChoiceFunctional:
     injective_mode: bool = False
 
 
-class _FreshScan:
-    """The least index i whose candidate ``code(i)`` a tuple does not use.
+def _fresh_functional(x: CountableSet, name: str, stride: int = 1,
+                      bound: Optional[int] = None) -> ChoiceFunctional:
+    """The unused codes of x whose enumeration index is a multiple of
+    ``stride`` and, with ``bound``, at most bound * len(t); select names the
+    one of least index.
 
-    Shared by the ``seq``, ``evens`` and ``bounded`` selects.  It keeps the
-    last tuple it scanned, the set of codes that tuple uses and the index
-    where its scan stopped; every candidate below that index is used.  A
-    tuple that end-extends the last one only uses more codes, so the set
-    grows by the new suffix and the scan resumes where it stopped.  Any
-    other tuple starts over with its own set from index 0, and a list is
-    scanned without being kept.
-
-    Cost per call along a growing run: O(1) interpreted work amortised
-    (the suffix and the few candidates past the stop), plus the C-level
-    compare of the old part in ``extends``.  ``seen(t)`` gives members the
-    set instead of t when t *is* the last tuple, so their ``in`` test is a
-    hash lookup instead of a scan of t.
+    Its state is a ``SuffixFold`` of t into the set of codes t uses and the
+    index where the last scan stopped: every candidate below it is used, and
+    stays used on every extension.  Along a growing run a ``select`` folds
+    in only the new suffix and tries O(1) candidates amortised, and the
+    ``member`` call that checks its answer reads the same set, so a step
+    costs O(1) interpreted work plus the C-level compare of ``extends``.
+    ``member`` tests a t that is not a tuple with ``in`` instead, and it
+    makes one ``index_of`` call, or two when the index is constrained; under a custom ``x.eq`` it tests v against every code of t
+    with ``eq``, while ``select`` still tests candidates by hash.
     """
 
-    def __init__(self, code: Callable[[int], Code]):
-        self.code = code
-        self.last: tuple = ()
-        self.used: set = set()
-        self.stop = 0
+    def fold(state: tuple, suffix: Sequence) -> tuple:
+        used, stop = state
+        used.update(suffix)
+        return used, stop
 
-    def seen(self, t: Sequence):
-        return self.used if t is self.last else t
+    scan = SuffixFold(lambda: (set(), 0), fold)
 
-    def first_unused(self, t: Sequence,
-                     limit: Optional[int] = None) -> tuple[int, Code]:
-        """(i, code(i)) for the least i whose code t does not use.
+    def member(t: Sequence, v: Code) -> bool:
+        if not x.contains(v):
+            return False
+        if x.eq is operator.eq:
+            # a list or range is never kept, so a set built from it would
+            # only slow its own ``in`` test
+            if v in (scan.fold_state(t)[0] if type(t) is tuple else t):
+                return False
+        elif any(x.eq(v, c) for c in t):
+            return False
+        if stride == 1 and bound is None:
+            return True
+        i = x.index_of(v)
+        return i % stride == 0 and (bound is None or i <= bound * len(t))
 
-        With ``limit``, candidates past it are not tried: when every
-        i <= limit is used the answer is (limit + 1, None).
-        """
-        if type(t) is not tuple:
-            return _first_unused(self.code, set(t), 0, limit)
-        if t is not self.last:
-            if extends(t, self.last):
-                self.used |= set(t[len(self.last):])
-            else:
-                self.used, self.stop = set(t), 0
-            self.last = t
-        i, c = _first_unused(self.code, self.used, self.stop, limit)
-        self.stop = i
-        return i, c
+    def select(t: Sequence) -> Code:
+        used, i = scan.fold_state(t)
+        limit = None if bound is None else bound * len(t)
+        while limit is None or i <= limit:
+            c = x.enum(i)
+            if c not in used:
+                scan.keep(t, (used, i))
+                return c
+            i += stride
+        raise BadSelector(f"no unused code of index <= {limit}")
 
-
-def _first_unused(code: Callable[[int], Code], used: set, i: int,
-                  limit: Optional[int]) -> tuple[int, Code]:
-    while limit is None or i <= limit:
-        c = code(i)
-        if c not in used:
-            return i, c
-        i += 1
-    return i, None
+    return ChoiceFunctional(f"{name}({x.name})", member, select, injective_mode=True)
 
 
 def f_seq(x: CountableSet) -> ChoiceFunctional:
-    """The canonical functional allowing exactly the unused elements of x.
-
-    ``member`` is one ``index_of`` call plus, under ``operator.eq``, a test
-    against the used codes of t: a set lookup when t is the tuple ``select``
-    last saw, else a C-level ``not in`` scan.  ``select`` is a
-    ``_FreshScan`` over the enumeration, so along a growing run a step
-    costs O(1) interpreted work (one or two amortised ``enum`` calls).
-    """
-    scan = _FreshScan(x.enum)
-
-    def member(t: Sequence, v: Code) -> bool:
-        if x.eq is operator.eq:
-            return x.contains(v) and v not in scan.seen(t)
-        return x.contains(v) and not any(x.eq(v, c) for c in t)
-
-    def select(t: Sequence) -> Code:
-        return scan.first_unused(t)[1]
-
-    return ChoiceFunctional(f"seq({x.name})", member, select, injective_mode=True)
+    """The canonical functional allowing exactly the unused elements of x."""
+    return _fresh_functional(x, "seq")
 
 
 def evens_functional(x: CountableSet) -> ChoiceFunctional:
-    """Allows unused codes with even enumeration index.
-
-    ``select`` is a ``_FreshScan`` over the even-indexed codes.
-    """
-    scan = _FreshScan(lambda i: x.enum(2 * i))
-
-    def member(t: Sequence, v: Code) -> bool:
-        if not x.contains(v) or v in scan.seen(t):
-            return False
-        return x.index_of(v) % 2 == 0
-
-    def select(t: Sequence) -> Code:
-        return scan.first_unused(t)[1]
-
-    return ChoiceFunctional(f"evens({x.name})", member, select, injective_mode=True)
+    """Allows unused codes with even enumeration index."""
+    return _fresh_functional(x, "evens", stride=2)
 
 
 def bounded_functional(x: CountableSet) -> ChoiceFunctional:
-    """Allows unused codes of index at most twice the current length.
-
-    ``select`` is a ``_FreshScan`` over the enumeration that tries no index
-    past 2 * len(t).
-    """
-    scan = _FreshScan(x.enum)
-
-    def member(t: Sequence, v: Code) -> bool:
-        if not x.contains(v) or v in scan.seen(t):
-            return False
-        return x.index_of(v) <= 2 * len(t)
-
-    def select(t: Sequence) -> Code:
-        bound = 2 * len(t)
-        i, c = scan.first_unused(t, bound)
-        if i > bound:
-            raise BadSelector(f"no unused code of index <= {bound}")
-        return c
-
-    return ChoiceFunctional(f"bounded({x.name})", member, select, injective_mode=True)
+    """Allows unused codes of index at most twice the current length."""
+    return _fresh_functional(x, "bounded", bound=2)
 
 
 def const_functional(x: CountableSet) -> ChoiceFunctional:
@@ -334,35 +283,22 @@ def _marker_walk(u: Sequence, counts: dict) -> bool:
     return True
 
 
-def _marker_tracker() -> Callable[[Sequence], Optional[tuple]]:
-    """``marks(u)``: (bases of u, base -> occurrences) when u's markers are
-    its true occurrence counts, else None; under operator.eq.
+def _marker_tracker() -> SuffixFold:
+    """``marks(u)``: (bases of u, base -> occurrences, ok), where ok says
+    u's markers are its true occurrence counts; under operator.eq.
 
-    It keeps the last tuple it saw with its bases tuple, its count dict
-    and its consistency flag.  A tuple that end-extends the last one walks
-    only the new suffix; markers that are wrong on a prefix stay wrong on
-    every extension.  Any other u is walked in full, and a list is walked
-    without being kept.
+    A ``SuffixFold`` whose fold walks the new suffix with ``_marker_walk``.
+    Markers that are wrong on a prefix stay wrong on every extension, so a
+    wrong state folds to itself.
     """
-    state = [(), (), {}, True]  # last tuple, its bases, its counts, consistent
 
-    def marks(u: Sequence) -> Optional[tuple]:
-        last, bases, counts, ok = state
-        if u is not last:
-            if type(u) is tuple and extends(u, last):
-                new = u[len(last):]
-                state[:] = [(), (), {}, True]  # a walk that raises keeps no stale count
-                ok = ok and _marker_walk(new, counts)
-                bases = bases + tuple(m.base for m in new) if ok else ()
-            else:
-                counts = {}
-                ok = _marker_walk(u, counts)
-                bases = tuple(m.base for m in u) if ok else ()
-            if type(u) is tuple:
-                state[:] = [u, bases, counts, ok]
-        return (bases, counts) if ok else None
+    def fold(state: tuple, suffix: Sequence) -> tuple:
+        bases, counts, ok = state
+        if not (ok and _marker_walk(suffix, counts)):
+            return (), counts, False
+        return bases + tuple(m.base for m in suffix), counts, True
 
-    return marks
+    return SuffixFold(lambda: ((), {}, True), fold)
 
 
 def marker_reduction(x: CountableSet, f: ChoiceFunctional) -> ChoiceFunctional:
@@ -384,12 +320,11 @@ def marker_reduction(x: CountableSet, f: ChoiceFunctional) -> ChoiceFunctional:
     product = marked_set(x)
     product_seq = f_seq(product)
     if x.eq is operator.eq:
-        marks = _marker_tracker()
+        marks = _marker_tracker().fold_state
     else:
-        def marks(u: Sequence) -> Optional[tuple]:
-            if not _consistent_markers(x, u):
-                return None
-            return [p.base for p in u], None
+        def marks(u: Sequence) -> tuple:
+            ok = _consistent_markers(x, u)
+            return [p.base for p in u] if ok else None, None, ok
 
     def occurrences(bases: Sequence, counts: Optional[dict], b: Code) -> int:
         if counts is None:
@@ -399,17 +334,15 @@ def marker_reduction(x: CountableSet, f: ChoiceFunctional) -> ChoiceFunctional:
     def member(u: Sequence, v: Code) -> bool:
         if not isinstance(v, MarkedElement):
             return False
-        seen = marks(u)
-        if seen is None:
+        bases, counts, ok = marks(u)
+        if not ok:
             return product_seq.member(u, v)
-        bases, counts = seen
         return f.member(bases, v.base) and v.marker == occurrences(bases, counts, v.base)
 
     def select(u: Sequence) -> Code:
-        seen = marks(u)
-        if seen is None:
+        bases, counts, ok = marks(u)
+        if not ok:
             return product_seq.select(u)
-        bases, counts = seen
         b = f.select(bases)
         return MarkedElement(b, occurrences(bases, counts, b))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
@@ -291,12 +292,18 @@ def constant_seq(length: "Ordinal | int", item: Any) -> TransfiniteSeq:
 def _sigma_offsets(t: TransfiniteSeq, upto: int) -> list[Ordinal]:
     """First offsets of the concatenation: sigma_0 = 0, sigma_{i+1} = sigma_i + len(t_i)."""
     sigmas = [ZERO]
-    for i in range(upto):
-        comp = t.at(i)
-        if comp.length.is_zero():
-            raise EmptyComponent(f"component {i} has length 0")
-        sigmas.append(ord_add(sigmas[-1], comp.length))
+    for _ in range(upto):
+        _append_offset(t, sigmas)
     return sigmas
+
+
+def _append_offset(t: TransfiniteSeq, sigmas: list[Ordinal]) -> None:
+    """Append the next offset: sigma_{i+1} = sigma_i + len(t_i), i = len(sigmas) - 1."""
+    i = len(sigmas) - 1
+    comp = t.at(i)
+    if comp.length.is_zero():
+        raise EmptyComponent(f"component {i} has length 0")
+    sigmas.append(ord_add(sigmas[-1], comp.length))
 
 
 _PROBE_BLOCKS = 8
@@ -325,15 +332,8 @@ def concat(t: TransfiniteSeq, limit_length: "Ordinal | None" = None) -> Transfin
         components = [t.at(i) for i in range(n)]
 
         def eval_finite(pos: Ordinal) -> Any:
-            lo, hi = 0, n - 1
-            # sigma is strictly increasing: binary search for the block
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if sigmas[mid] <= pos:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            return components[lo].at(ord_sub_left(sigmas[lo], pos))
+            i = bisect_right(sigmas, pos) - 1
+            return components[i].at(ord_sub_left(sigmas[i], pos))
 
         return TransfiniteSeq(total, eval_finite)
 
@@ -354,19 +354,13 @@ def concat(t: TransfiniteSeq, limit_length: "Ordinal | None" = None) -> Transfin
                 f"block offset {s} reaches declared length {limit_length}")
 
     def eval_infinite(pos: Ordinal) -> Any:
-        i = 0
-        while True:
-            if i + 1 >= len(sigma_cache):
-                comp = t.at(i)
-                if comp.length.is_zero():
-                    raise EmptyComponent(f"component {i} has length 0")
-                sigma_cache.append(ord_add(sigma_cache[-1], comp.length))
-            if pos < sigma_cache[i + 1]:
-                return t.at(i).at(ord_sub_left(sigma_cache[i], pos))
-            i += 1
-            if i > _SCAN_CAP:
+        while not pos < sigma_cache[-1]:
+            if len(sigma_cache) > _SCAN_CAP + 1:
                 raise OrdinalOverflow(
                     f"position {pos} not reached after {_SCAN_CAP} blocks")
+            _append_offset(t, sigma_cache)
+        i = bisect_right(sigma_cache, pos) - 1
+        return t.at(i).at(ord_sub_left(sigma_cache[i], pos))
 
     return TransfiniteSeq(limit_length, eval_infinite)
 

@@ -71,6 +71,50 @@ def prefixes(t: Sequence) -> list:
     return [t[:k] for k in range(len(t) + 1)]
 
 
+class SuffixFold:
+    """``fold_state(t)`` is ``fold(start(), t)``, resumed from the last tuple kept.
+
+    It keeps one tuple with its state.  That tuple itself costs one ``is``
+    test; a tuple that end-extends it folds only ``t[len(last):]`` into the
+    kept state, O(len suffix) interpreted work plus the C-level compare of
+    ``extends``; any other tuple is folded from ``start()``.  A list is
+    folded but never kept, since it may change in place.  ``fold`` may
+    update the kept state in place, so a state is valid until the next
+    call; a fold that raises leaves nothing kept, the empty tuple included,
+    which CPython shares between all callers.  ``keep(t, value)`` records
+    the state of a tuple the caller has just built, so the next call with
+    it costs nothing.
+    """
+
+    __slots__ = ("start", "fold", "last", "state")
+
+    def __init__(self, start: Callable[[], Any],
+                 fold: Callable[[Any, Sequence], Any]):
+        self.start = start
+        self.fold = fold
+        self.last: Optional[tuple] = None
+        self.state: Any = None
+
+    def fold_state(self, t: Sequence) -> Any:
+        last = self.last
+        if t is last:
+            return self.state
+        if type(t) is not tuple:
+            return self.fold(self.start(), t)
+        if last is not None and extends(t, last):
+            state, suffix = self.state, t[len(last):]
+        else:
+            state, suffix = self.start(), t
+        self.last = self.state = None
+        state = self.fold(state, suffix)
+        self.last, self.state = t, state
+        return state
+
+    def keep(self, t: Sequence, value: Any) -> None:
+        if type(t) is tuple:
+            self.last, self.state = t, value
+
+
 class PrefixChain(collections.abc.Sequence):
     """A chain of prefixes of one tuple, stored as that tuple and the lengths.
 

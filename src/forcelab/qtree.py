@@ -58,8 +58,7 @@ def q_to_coll(t: QSeq) -> InjSeq:
 
 
 def q_extends(t_longer: QSeq, t_shorter: QSeq) -> bool:
-    s, l = t_shorter.stages, t_longer.stages
-    return len(l) >= len(s) and l[:len(s)] == s
+    return extends(t_longer.stages, t_shorter.stages)
 
 
 # ---------------------------------------------------------------------------
