@@ -49,8 +49,9 @@ def _fresh_functional(x: CountableSet, name: str, stride: int = 1,
     ``member`` call that checks its answer reads the same set, so a step
     costs O(1) interpreted work plus the C-level compare of ``extends``.
     ``member`` tests a t that is not a tuple with ``in`` instead, and it
-    makes one ``index_of`` call, or two when the index is constrained; under a custom ``x.eq`` it tests v against every code of t
-    with ``eq``, while ``select`` still tests candidates by hash.
+    makes one ``index_of`` call, or two when the index is constrained.
+    Under a custom ``x.eq`` both test a code against every code of t with
+    ``eq``, so ``select`` names only codes that ``member`` allows.
     """
 
     def fold(state: tuple, suffix: Sequence) -> tuple:
@@ -80,7 +81,9 @@ def _fresh_functional(x: CountableSet, name: str, stride: int = 1,
         limit = None if bound is None else bound * len(t)
         while limit is None or i <= limit:
             c = x.enum(i)
-            if c not in used:
+            # codes equal under a custom eq may hash apart
+            if c not in used and (x.eq is operator.eq
+                                  or not any(x.eq(c, u) for u in t)):
                 scan.keep(t, (used, i))
                 return c
             i += stride

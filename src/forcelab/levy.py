@@ -11,8 +11,10 @@ infinitely many indices free for later blocks.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 from typing import Any, Callable, Optional, Sequence
 
 from .collapse import CountableSet
@@ -39,9 +41,11 @@ from .ordinals import (
 
 
 def _skip_taken(taken: tuple, n: int) -> int:
-    """The n-th (from 0) natural outside the sorted ``taken``, by bisection."""
-    # taken[i] - i counts the naturals below taken[i] that are not taken
-    return n + bisect_right(range(len(taken)), n, key=lambda i: taken[i] - i)
+    """The n-th (from 0) natural outside the runs ``taken``, by bisection."""
+    # the naturals below each run's start that no run takes
+    free = list(accumulate(map(sub, taken[::2], (0,) + taken[1::2])))
+    i = 2 * bisect_right(free, n)  # the runs below the answer end at taken[i - 1]
+    return n + sum(taken[1:i:2]) - sum(taken[:i:2])
 
 
 class OmegaLayer:
@@ -65,8 +69,12 @@ class IndexUsage:
     """A decidable set of consumed enumeration indices.
 
     The fresh indices are the odd-ranked fresh indices of ``layer.base``
-    (every natural without a layer) minus those whose rank among them is in
-    the sorted ``taken``; a rank costs O(layers * log |taken|), no scan.
+    (every natural without a layer) minus those whose rank among them lies
+    in ``taken``: the bounds ``(start, stop, start, stop, ...)`` of sorted,
+    disjoint, non-adjacent half-open runs of ranks.  The runs are
+    canonical, so usages equal as sets compare equal.  A greedy run of
+    finite blocks extends one run, so a usage costs O(runs) memory and a
+    rank costs O(layers * runs) C-level sums, no scan.
     """
 
     layer: Optional[OmegaLayer] = None
@@ -83,10 +91,10 @@ class IndexUsage:
                     return None
                 k >>= 1
             if u.taken:
-                i = bisect_left(u.taken, k)
-                if u.taken[i:i + 1] == (k,):
+                i = bisect_right(u.taken, k)
+                if i & 1:  # k lies in a run
                     return None
-                k -= i
+                k -= sum(u.taken[1:i:2]) - sum(u.taken[:i:2])
         return k
 
     def nth_fresh(self, n: int) -> int:
@@ -106,13 +114,19 @@ class IndexUsage:
         return self.nth_fresh(0)
 
     def with_fresh(self, ranks) -> "IndexUsage":
-        """Also consume the fresh indices at the given fresh ranks."""
-        added = sorted(set(ranks))  # _skip_taken keeps this order
+        """Also consume the fresh indices at the given fresh ranks.
+
+        Each new index is a run [k, k + 1); where it meets a run, the
+        shared bound occurs twice, so the bounds that occur once are the
+        merged runs.
+        """
+        added = set(ranks)
         if not added:
             return self
-        if self.taken:  # two sorted runs: the sort merges them in linear time
-            added = sorted(self.taken + tuple(_skip_taken(self.taken, r) for r in added))
-        return IndexUsage(self.layer, tuple(added))
+        if self.taken:
+            added = {_skip_taken(self.taken, r) for r in added}
+        bounds = set(self.taken) ^ added ^ {k + 1 for k in added}
+        return IndexUsage(self.layer, tuple(sorted(bounds)))
 
     def with_explicit(self, indices) -> "IndexUsage":
         """Also consume the given indices; consumed ones are ignored."""
@@ -342,11 +356,24 @@ class LiftedWitness:
     def _usage_before(self, xi: int) -> IndexUsage:
         return self._blocks[xi - 1].usage_after if xi else IndexUsage()
 
+    def _grow_stages(self, goal: object) -> None:
+        """Evaluate the next ladder stage into ``self._stages``, the one
+        stage list of the lift; ``goal``, formatted only for the error,
+        names what the caller waits for."""
+        stages = self._stages
+        if len(stages) > _LOCATE_CAP + 1:
+            raise BadCofinal(f"ladder never passes {goal}")
+        stages.append(self.cof.stage(len(stages)))
+
     def _block(self, xi: int) -> BuiltBlock:
+        stages = self._stages
         while len(self._blocks) <= xi:
             nxt = len(self._blocks)
-            gamma = self.cof.gamma(nxt)
-            prefix = UsageSeq(self.cof.stage(nxt), self.at,
+            while len(stages) <= nxt + 1:
+                self._grow_stages(f"the end of block {nxt}")
+            # the ladder evaluator is pure, so this is cof.gamma(nxt)
+            gamma = ord_sub_left(stages[nxt], stages[nxt + 1])
+            prefix = UsageSeq(stages[nxt], self.at,
                               usage=self._usage_before(nxt))
             block = self.builder(gamma, self.functional, prefix)
             if not isinstance(block, BuiltBlock):
@@ -388,9 +415,7 @@ class LiftedWitness:
             raise IndexError(f"position {p} not below {self.length}")
         stages = self._stages
         while not p < stages[-1]:
-            if len(stages) > _LOCATE_CAP + 1:
-                raise BadCofinal(f"ladder never passes {p}")
-            stages.append(self.cof.stage(len(stages)))
+            self._grow_stages(p)
         xi = bisect_right(stages, p) - 1
         return xi, ord_sub_left(stages[xi], p)
 

@@ -2,8 +2,14 @@
 
 The scanning, memoising ``OmegaLayer``/``IndexUsage`` pair that the rank
 arithmetic replaced is kept here, verbatim in behaviour, as a test oracle
-only.  Random usage histories go through both, and every answer must agree.
+only, and so is the rank arithmetic over one sorted ``taken`` tuple that
+the interval runs replaced.  Random usage histories go through all of them,
+and every answer must agree.
 """
+
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +81,68 @@ class ScanningUsage:
 
     def with_layer(self, layer):
         return ScanningUsage(self.explicit, self.layers + (layer,))
+
+
+# ---------------------------------------------------------------------------
+# reference implementation: rank arithmetic over one sorted tuple of ranks
+# ---------------------------------------------------------------------------
+
+
+def _skip_sorted(taken, n):
+    return n + bisect_right(range(len(taken)), n, key=lambda i: taken[i] - i)
+
+
+@dataclass(frozen=True)
+class TupleUsage:
+    layer: Optional[OmegaLayer] = None
+    taken: tuple = ()
+
+    def fresh_rank(self, k):
+        chain = [self]
+        while chain[-1].layer is not None:
+            chain.append(chain[-1].layer.base)
+        for u in reversed(chain):
+            if u.layer is not None:
+                if not k & 1:
+                    return None
+                k >>= 1
+            if u.taken:
+                i = bisect_left(u.taken, k)
+                if u.taken[i:i + 1] == (k,):
+                    return None
+                k -= i
+        return k
+
+    def nth_fresh(self, n):
+        u = self
+        while True:
+            if u.taken:
+                n = _skip_sorted(u.taken, n)
+            if u.layer is None:
+                return n
+            n, u = 2 * n + 1, u.layer.base
+
+    def contains(self, k):
+        return self.fresh_rank(k) is None
+
+    def least_fresh(self):
+        return self.nth_fresh(0)
+
+    def with_fresh(self, ranks):
+        added = sorted(set(ranks))
+        if not added:
+            return self
+        if self.taken:
+            added = sorted(self.taken + tuple(_skip_sorted(self.taken, r) for r in added))
+        return TupleUsage(self.layer, tuple(added))
+
+    def with_explicit(self, indices):
+        return self.with_fresh(r for r in map(self.fresh_rank, indices) if r is not None)
+
+    def with_layer(self, layer):
+        if layer.base != self:
+            raise ValueError("an omega layer must lie over the usage it extends")
+        return TupleUsage(layer)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +219,64 @@ class TestAgainstScanningReference:
         consumed = [k for k in PROBE if fast.contains(k)][:10]
         assert fast.with_fresh(()) is fast
         assert fast.with_explicit(consumed) is fast
+
+
+# explicit indices, fresh ranks or an omega layer
+usage_step = st.one_of(
+    st.tuples(st.just("explicit"), st.lists(st.integers(0, 300), max_size=8)),
+    st.tuples(st.just("fresh"), st.lists(st.integers(0, 60), max_size=8)),
+    st.just(("layer",)),
+)
+
+
+def replay_all(history):
+    """The history applied to the runs, the sorted tuple and the scan."""
+    runs, tup, ref = IndexUsage(), TupleUsage(), ScanningUsage()
+    for kind, *args in history:
+        if kind == "explicit":
+            runs, tup = runs.with_explicit(args[0]), tup.with_explicit(args[0])
+            ref = ref.with_explicit(args[0])
+        elif kind == "fresh":
+            # the scan has no ranks: it is told the indices they name
+            ref = ref.with_explicit([tup.nth_fresh(r) for r in args[0]])
+            runs, tup = runs.with_fresh(args[0]), tup.with_fresh(args[0])
+        else:
+            runs = runs.with_layer(OmegaLayer(runs))
+            tup = tup.with_layer(OmegaLayer(tup))
+            ref = ref.with_layer(ScanningLayer(ref))
+    return runs, tup, ref
+
+
+class TestAgainstSortedTuple:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(usage_step, max_size=12).filter(
+        lambda h: sum(s[0] == "layer" for s in h) <= 4))
+    def test_every_query_agrees(self, history):
+        runs, tup, ref = replay_all(history)
+        assert [runs.contains(k) for k in PROBE] == [tup.contains(k) for k in PROBE]
+        assert [runs.contains(k) for k in PROBE] == [ref.contains(k) for k in PROBE]
+        assert [runs.fresh_rank(k) for k in PROBE] == [tup.fresh_rank(k) for k in PROBE]
+        assert [runs.nth_fresh(r) for r in PROBE] == [tup.nth_fresh(r) for r in PROBE]
+        assert runs.least_fresh() == tup.least_fresh() == ref.least_fresh()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 120), max_size=40), st.randoms(use_true_random=False),
+           st.integers(1, 6))
+    def test_equal_sets_in_any_order_compare_equal(self, indices, rnd, pieces):
+        shuffled = list(indices)
+        rnd.shuffle(shuffled)
+        one, other = IndexUsage().with_explicit(indices), IndexUsage()
+        for i in range(pieces):  # the same set, in several calls of random size
+            other = other.with_explicit(shuffled[i::pieces])
+        assert one == other and hash(one) == hash(other)
+        one.with_layer(OmegaLayer(other))  # a layer over an equal usage is no foreign layer
+        assert [one.contains(k) for k in PROBE] == [k in set(indices) for k in PROBE]
+
+    def test_runs_are_canonical(self):
+        u = IndexUsage().with_explicit((5, 3, 0, 4, 9, 1))
+        assert u.taken == (0, 2, 3, 6, 9, 10)
+        assert u.with_explicit((2,)).taken == (0, 6, 9, 10)
+        assert u.with_fresh((0, 1, 2)) == IndexUsage().with_explicit(range(8)).with_explicit((9,))
 
 
 class TestComposition:

@@ -11,7 +11,8 @@ import pytest
 from forcelab import collapse
 from forcelab.cli import RunConfig, run
 from forcelab.collapse import CountableSet, level_dense
-from forcelab.dctrees import bounded_functional, evens_functional, f_seq
+from forcelab.dctrees import (bounded_functional, evens_functional, f_seq,
+                              tree_level_family)
 from forcelab.posets import SuffixFold
 
 
@@ -142,6 +143,16 @@ def test_member_compares_used_codes_with_the_set_eq(build):
     assert not f.member((0,), "0") and not f.member((0, 2), "2")
     assert f.member((0,), "2") and f.member([0], "2")
     assert f.select((0,)) == (2 if build is evens_functional else 1)
+
+
+@pytest.mark.parametrize("build", [f_seq, evens_functional, bounded_functional])
+def test_select_skips_codes_equal_under_the_set_eq(build):
+    """"0" and 0 hash apart, so a hash test alone would name 0 after ("0",)."""
+    f = build(DECIMALS)
+    step = 2 if build is evens_functional else 1
+    assert f.select(("0",)) == step
+    assert f.select(("0", str(step))) == 2 * step
+    assert tree_level_family(f, 3)[2].extend(("0",)) == ("0", step, 2 * step)
 
 
 class NoIteration:

@@ -142,3 +142,37 @@ def test_run_memory_grows_linearly(command, params):
             tracemalloc.stop()
         assert status == 0
     assert peaks[1] <= 2.5 * peaks[0]
+
+
+def test_cold_lift_evaluates_each_ladder_stage_once():
+    """A cold query needs the 303 stages up to w + 301; asking the ladder
+    again for every block's length and start made 1,261 calls."""
+    base = standard_cofinal(parse_cnf("w*2"))
+    calls = {"stage": 0}
+
+    def stage(xi):
+        calls["stage"] += 1
+        return base.stages.evaluator(xi)
+
+    cof = CofinalPresentation(base.alpha, TransfiniteSeq(base.stages.length, stage))
+    f = transfinite_f_seq(collapse.nat_set())
+    g = levy_lift(cof, f)
+    probe = calls["stage"]  # validate_cofinal's look at the first stages
+    pos = parse_cnf("w + 300")
+    assert g.at(pos) == 601 and check_transfinite_witness(f, g, [pos])
+    assert calls["stage"] - probe <= 303
+
+
+def test_cold_lift_memory_grows_linearly():
+    """A usage that copies every consumed index grows 3.8x per doubling."""
+    peaks = []
+    for n in (2000, 4000):
+        f = transfinite_f_seq(collapse.nat_set())
+        g = levy_lift(standard_cofinal(parse_cnf("w*2")), f)
+        tracemalloc.start()
+        try:
+            assert g.at(parse_cnf(f"w + {n}")) == 2 * n + 1
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2.5 * peaks[0]
