@@ -2,7 +2,8 @@
 
 Conditions are injective tuples ordered by end-extension (longer is
 stronger); the union of a generic chain is an injection.  Also home to the
-generic prefix-tree enumeration used by every sequence-tree poset here.
+generic prefix-tree enumeration and the one presentation of every
+sequence-tree poset here.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Any, Callable, Optional, Sequence
 from .errors import EnumerationDepthCap, IndexScanCap, NotInjective
 from .ordinals import cantor_pair, cantor_unpair
 from .posets import (Code, DenseSet, GenericRun, PosetPresentation, PrefixChain,
-                     SuffixFold, _require_chain, extends, prefixes)
+                     SuffixFold, _jsonable, _require_chain, extends, prefixes)
 
 _INDEX_SCAN_CAP = 100_000
 
@@ -127,12 +128,11 @@ def require_injective(items: Sequence[Code],
 
 
 def inj_seq_json(x: CountableSet, s: InjSeq) -> dict:
-    from .posets import _jsonable
     return {"set": x.name, "items": [_jsonable(c) for c in s.items]}
 
 
 # ---------------------------------------------------------------------------
-# prefix-tree enumeration
+# prefix-tree enumeration and presentation
 # ---------------------------------------------------------------------------
 
 _ENUM_DEPTH_CAP = 1000
@@ -183,33 +183,37 @@ def prefix_enumeration(x: CountableSet,
     return enum
 
 
+def sequence_tree(name: str, carrier: Callable[[tuple], bool],
+                  enum: Callable[[int], tuple],
+                  eq: Callable[[Code, Code], bool] = operator.eq) -> PosetPresentation:
+    """The tuples that pass ``carrier``, rooted at (), ordered by end-extension
+    under ``eq``; the one presentation of every sequence tree here.
+
+    ``above`` is ``prefixes`` under ``operator.eq``, whose hashing agrees
+    with the order; under any other ``eq`` it is left out and fragment
+    checks fall back to ``leq``.
+    """
+    return PosetPresentation(
+        name=name,
+        carrier=lambda t: isinstance(t, tuple) and carrier(t),
+        leq=extends if eq is operator.eq else lambda g, f: extends(g, f, eq),
+        enum=enum,
+        root=(),
+        above=prefixes if eq is operator.eq else None,
+    )
+
+
 # ---------------------------------------------------------------------------
 # the collapse poset and its dense levels
 # ---------------------------------------------------------------------------
 
 def coll_poset(x: CountableSet) -> PosetPresentation:
-    """Finite injective sequences over x, ordered by end-extension.
-
-    ``above`` is ``prefixes`` when x compares codes by ``operator.eq``,
-    whose hashing agrees with the order; under any other ``eq`` it is left
-    out and fragment checks fall back to ``leq``.
-    """
-
-    def carrier(t: Code) -> bool:
-        return (isinstance(t, tuple) and all(x.contains(c) for c in t)
-                and first_repeat(t, x.eq) is None)
-
-    def leq(g: Code, f: Code) -> bool:
-        return extends(g, f, x.eq)
-
-    return PosetPresentation(
-        name=f"Coll(w,{x.name})",
-        carrier=carrier,
-        leq=leq,
-        enum=prefix_enumeration(x, lambda prefix, c: c not in prefix),
-        root=(),
-        above=prefixes if x.eq is operator.eq else None,
-    )
+    """Finite injective sequences over x, ordered by end-extension under x.eq."""
+    return sequence_tree(
+        f"Coll(w,{x.name})",
+        lambda t: all(x.contains(c) for c in t) and first_repeat(t, x.eq) is None,
+        prefix_enumeration(x, lambda prefix, c: c not in prefix),
+        x.eq)
 
 
 def fresh_bound(x: CountableSet, p: tuple) -> int:

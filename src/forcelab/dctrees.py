@@ -14,10 +14,10 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .collapse import CountableSet, length_levels, prefix_enumeration
+from .collapse import CountableSet, length_levels, prefix_enumeration, sequence_tree
 from .errors import BadSelector, NotInTree
 from .ordinals import cantor_pair, cantor_unpair
-from .posets import (Code, DenseSet, PosetPresentation, SuffixFold, extends, prefixes,
+from .posets import (Code, DenseSet, PosetPresentation, SuffixFold, _jsonable, extends,
                      rasiowa_sikorski)
 
 
@@ -124,10 +124,6 @@ def cycle_functional(x: CountableSet, period: int) -> ChoiceFunctional:
                             injective_mode=False)
 
 
-INJECTIVE_FIXTURES = ("seq", "evens", "bounded")
-REPEATING_FIXTURES = ("const", "cycle2", "cycle3")
-
-
 def fixture_functional(x: CountableSet, name: str) -> ChoiceFunctional:
     builders = {
         "seq": f_seq,
@@ -154,18 +150,8 @@ def t_of_f(x: CountableSet, f: ChoiceFunctional) -> PosetPresentation:
     """The sub-poset of injective sequences whose every step obeys f."""
     if not f.injective_mode:
         raise ValueError(f"{f.name} does not preserve injectivity")
-
-    def carrier(t: Code) -> bool:
-        return isinstance(t, tuple) and in_tree(f, t)
-
-    return PosetPresentation(
-        name=f"T({f.name})",
-        carrier=carrier,
-        leq=extends,
-        enum=prefix_enumeration(x, lambda prefix, c: f.member(prefix, c)),
-        root=(),
-        above=prefixes,
-    )
+    return sequence_tree(f"T({f.name})", lambda t: in_tree(f, t),
+                         prefix_enumeration(x, lambda prefix, c: f.member(prefix, c)))
 
 
 def tree_level_family(f: ChoiceFunctional, n: int) -> list[DenseSet]:
@@ -208,7 +194,7 @@ def modified_functional(f: ChoiceFunctional, t: Sequence) -> ChoiceFunctional:
         raise NotInTree(f"{t!r} does not obey {f.name}")
 
     def forced_at(s: Sequence) -> Optional[int]:
-        if len(s) < len(t) and tuple(s) == t[:len(s)]:
+        if len(s) < len(t) and extends(t, tuple(s)):
             return len(s)
         return None
 
@@ -258,21 +244,26 @@ def marked_set(x: CountableSet) -> CountableSet:
     return CountableSet(f"{x.name}*w", enum, index=index)
 
 
-def _occurrences(bases: Sequence, v: Code, upto: int, eq) -> int:
-    return sum(1 for j in range(upto) if eq(bases[j], v))
+class _EqCounts(dict):
+    """base -> occurrences under a custom ``eq``: each ``eq`` class is kept
+    under the first base seen in it, found by one ``eq`` call per class."""
 
+    def __init__(self, eq: Callable[[Code, Code], bool]):
+        super().__init__()
+        self.eq = eq
 
-def _consistent_markers(x: CountableSet, u: Sequence) -> bool:
-    """True when u carries exactly the occurrence counts of its own bases under x.eq."""
-    if not all(isinstance(m, MarkedElement) for m in u):
-        return False
-    bases = [p.base for p in u]
-    return all(m.marker == _occurrences(bases, m.base, i, x.eq)
-               for i, m in enumerate(u))
+    def _key(self, b: Code) -> Code:
+        return next((k for k in self if self.eq(k, b)), b)
+
+    def get(self, b: Code, default=None):
+        return super().get(self._key(b), default)
+
+    def __setitem__(self, b: Code, n: int) -> None:
+        super().__setitem__(self._key(b), n)
 
 
 def _marker_walk(u: Sequence, counts: dict) -> bool:
-    """Add u's bases to ``counts`` (base -> occurrences so far), under operator.eq.
+    """Add u's bases to ``counts`` (base -> occurrences so far).
 
     False, with ``counts`` left part-way, unless every element of u is a
     MarkedElement carrying its base's count up to it.
@@ -280,17 +271,19 @@ def _marker_walk(u: Sequence, counts: dict) -> bool:
     if not all(isinstance(m, MarkedElement) for m in u):
         return False
     for m in u:
-        if m.marker != counts.get(m.base, 0):
+        n = counts.get(m.base, 0)
+        if m.marker != n:
             return False
-        counts[m.base] = counts.get(m.base, 0) + 1
+        counts[m.base] = n + 1
     return True
 
 
-def _marker_tracker() -> SuffixFold:
+def _marker_tracker(eq: Callable[[Code, Code], bool]) -> SuffixFold:
     """``marks(u)``: (bases of u, base -> occurrences, ok), where ok says
-    u's markers are its true occurrence counts; under operator.eq.
+    u's markers are its true occurrence counts under ``eq``.
 
-    A ``SuffixFold`` whose fold walks the new suffix with ``_marker_walk``.
+    A ``SuffixFold`` whose fold walks the new suffix with ``_marker_walk``,
+    into a plain dict under ``operator.eq`` and an ``_EqCounts`` otherwise.
     Markers that are wrong on a prefix stay wrong on every extension, so a
     wrong state folds to itself.
     """
@@ -301,7 +294,8 @@ def _marker_tracker() -> SuffixFold:
             return (), counts, False
         return bases + tuple(m.base for m in suffix), counts, True
 
-    return SuffixFold(lambda: ((), {}, True), fold)
+    counts = dict if eq is operator.eq else lambda: _EqCounts(eq)
+    return SuffixFold(lambda: ((), counts(), True), fold)
 
 
 def marker_reduction(x: CountableSet, f: ChoiceFunctional) -> ChoiceFunctional:
@@ -313,26 +307,15 @@ def marker_reduction(x: CountableSet, f: ChoiceFunctional) -> ChoiceFunctional:
     count of a newly allowed base always exceeds every marker it carries so
     far, so witnesses never repeat a pair.
 
-    Cost: under ``operator.eq`` the marker state of the last tuple seen is
-    kept (see ``_marker_tracker``), so along a growing run a ``member`` or
-    ``select`` call walks only the new suffix, O(1) interpreted work per
-    step plus the C-level compare and copy of the old part, and f sees one
-    bases tuple.  Under a custom ``eq`` every call walks u in full with it,
-    O(len(u)^2) ``eq`` calls, and f sees a bases list.
+    Cost: the marker state of the last tuple seen is kept (see
+    ``_marker_tracker``), so along a growing run a ``member`` or ``select``
+    call walks only the new suffix, and f sees one bases tuple.  Under
+    ``operator.eq`` that is O(1) interpreted work per step plus the C-level
+    compare and copy of the old part; a custom ``eq`` adds one ``eq`` call
+    per class of bases seen for each count looked up.
     """
-    product = marked_set(x)
-    product_seq = f_seq(product)
-    if x.eq is operator.eq:
-        marks = _marker_tracker().fold_state
-    else:
-        def marks(u: Sequence) -> tuple:
-            ok = _consistent_markers(x, u)
-            return [p.base for p in u] if ok else None, None, ok
-
-    def occurrences(bases: Sequence, counts: Optional[dict], b: Code) -> int:
-        if counts is None:
-            return _occurrences(bases, b, len(bases), x.eq)
-        return counts.get(b, 0)
+    product_seq = f_seq(marked_set(x))
+    marks = _marker_tracker(x.eq).fold_state
 
     def member(u: Sequence, v: Code) -> bool:
         if not isinstance(v, MarkedElement):
@@ -340,14 +323,14 @@ def marker_reduction(x: CountableSet, f: ChoiceFunctional) -> ChoiceFunctional:
         bases, counts, ok = marks(u)
         if not ok:
             return product_seq.member(u, v)
-        return f.member(bases, v.base) and v.marker == occurrences(bases, counts, v.base)
+        return f.member(bases, v.base) and v.marker == counts.get(v.base, 0)
 
     def select(u: Sequence) -> Code:
         bases, counts, ok = marks(u)
         if not ok:
             return product_seq.select(u)
         b = f.select(bases)
-        return MarkedElement(b, occurrences(bases, counts, b))
+        return MarkedElement(b, counts.get(b, 0))
 
     return ChoiceFunctional(f"marked({f.name})", member, select, injective_mode=True)
 
@@ -359,7 +342,6 @@ def unmark(g: Sequence) -> tuple:
 
 def witness_json(f: ChoiceFunctional, values: Sequence,
                  markers: "Sequence[int] | None" = None) -> dict:
-    from .posets import _jsonable
     doc = {"functional": f.name, "length": len(values),
            "values": [_jsonable(v) for v in values]}
     if markers is not None:

@@ -238,14 +238,14 @@ def standard_cofinal(alpha: Ordinal) -> CofinalPresentation:
         f"no ladder with finite-or-w blocks reaches {alpha}")
 
 
-def validate_cofinal(cof: CofinalPresentation, probe: int = 50) -> None:
-    """Check ladder invariants on the first ``probe`` stages."""
+def validate_cofinal(cof: CofinalPresentation) -> None:
+    """Check ladder invariants on the first ``_VALIDATE_STAGES`` stages."""
     if cof.stages.length != OMEGA:
         raise BadCofinal("ladder must have length w")
     if not cof.stage(0).is_zero():
         raise BadCofinal("ladder must start at 0")
     prev = cof.stage(0)
-    for xi in range(1, probe + 1):
+    for xi in range(1, _VALIDATE_STAGES + 1):
         cur = cof.stage(xi)
         if not prev < cur:
             raise BadCofinal(f"ladder not strictly increasing at {xi}")
@@ -325,6 +325,7 @@ def _splice(prefix: TransfiniteSeq, values: list) -> Callable:
 
 _OMEGA_BLOCK_PROBES = (0, 1, 2, 5, 13)
 _FINITE_CHECK_CAP = 64
+_VALIDATE_STAGES = 50
 _LOCATE_CAP = 1_000_000
 
 

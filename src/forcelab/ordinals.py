@@ -323,46 +323,39 @@ def concat(t: TransfiniteSeq, limit_length: "Ordinal | None" = None) -> Transfin
     """
     tau = t.length
     if tau.is_finite():
-        n = tau.to_int()
-        sigmas = _sigma_offsets(t, n)
-        total = sigmas[-1]
-        if limit_length is not None and limit_length != total:
+        sigmas = _sigma_offsets(t, tau.to_int())
+        if limit_length is not None and limit_length != sigmas[-1]:
             raise OrdinalOverflow(
-                f"declared length {limit_length} but components sum to {total}")
-        components = [t.at(i) for i in range(n)]
-
-        def eval_finite(pos: Ordinal) -> Any:
-            i = bisect_right(sigmas, pos) - 1
-            return components[i].at(ord_sub_left(sigmas[i], pos))
-
-        return TransfiniteSeq(total, eval_finite)
-
-    if tau != OMEGA:
-        raise OrdinalOverflow(
-            f"outer length {tau} unsupported (finite or w only)")
-    if limit_length is None:
-        raise MissingLimitLength(
-            "infinite concatenation needs a declared total length")
-    if not limit_length.is_limit():
-        raise OrdinalOverflow(
-            f"declared length {limit_length} of an infinite concatenation must be a limit")
-
-    sigma_cache = _sigma_offsets(t, _PROBE_BLOCKS)
-    for s in sigma_cache[1:]:
-        if not s < limit_length:
+                f"declared length {limit_length} but components sum to {sigmas[-1]}")
+        limit_length = sigmas[-1]
+    else:
+        if tau != OMEGA:
             raise OrdinalOverflow(
-                f"block offset {s} reaches declared length {limit_length}")
+                f"outer length {tau} unsupported (finite or w only)")
+        if limit_length is None:
+            raise MissingLimitLength(
+                "infinite concatenation needs a declared total length")
+        if not limit_length.is_limit():
+            raise OrdinalOverflow(
+                f"declared length {limit_length} of an infinite concatenation must be a limit")
+        sigmas = _sigma_offsets(t, _PROBE_BLOCKS)
+        for s in sigmas[1:]:
+            if not s < limit_length:
+                raise OrdinalOverflow(
+                    f"block offset {s} reaches declared length {limit_length}")
 
-    def eval_infinite(pos: Ordinal) -> Any:
-        while not pos < sigma_cache[-1]:
-            if len(sigma_cache) > _SCAN_CAP + 1:
+    def evaluate(pos: Ordinal) -> Any:
+        # a finite outer sequence has every offset already, so only an
+        # infinite one grows the list
+        while not pos < sigmas[-1]:
+            if len(sigmas) > _SCAN_CAP + 1:
                 raise OrdinalOverflow(
                     f"position {pos} not reached after {_SCAN_CAP} blocks")
-            _append_offset(t, sigma_cache)
-        i = bisect_right(sigma_cache, pos) - 1
-        return t.at(i).at(ord_sub_left(sigma_cache[i], pos))
+            _append_offset(t, sigmas)
+        i = bisect_right(sigmas, pos) - 1
+        return t.at(i).at(ord_sub_left(sigmas[i], pos))
 
-    return TransfiniteSeq(limit_length, eval_infinite)
+    return TransfiniteSeq(limit_length, evaluate)
 
 
 # ---------------------------------------------------------------------------

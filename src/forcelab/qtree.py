@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .collapse import CountableSet, InjSeq, prefix_enumeration, require_injective
+from .collapse import (CountableSet, InjSeq, prefix_enumeration, require_injective,
+                       sequence_tree)
 from .errors import NotAQSeq, NotInLambda
-from .posets import Code, PosetPresentation, extends, prefixes
+from .posets import Code, PosetPresentation, extends
 
 
 @dataclass(frozen=True)
@@ -132,25 +133,18 @@ def lambda_tree(l: LatticeOracle) -> PosetPresentation:
     carry one.
     """
 
-    def carrier(s: Code) -> bool:
-        if not isinstance(s, tuple):
-            return False
-        if not all(l.carrier(v) for v in s):
-            return False
-        return all(l.lt(s[j + 1], s[j]) for j in range(len(s) - 1))
+    def carrier(s: tuple) -> bool:
+        return (all(l.carrier(v) for v in s)
+                and all(l.lt(s[j + 1], s[j]) for j in range(len(s) - 1)))
 
     if l.enum is not None:
-        lattice_set = CountableSet(l.name, l.enum)
-        enum = prefix_enumeration(
-            lattice_set,
-            lambda prefix, c: l.lt(c, prefix[-1]) if prefix else True)
+        enum = prefix_enumeration(CountableSet(l.name, l.enum),
+                                  lambda prefix, c: l.lt(c, prefix[-1]) if prefix else True)
     else:
         def enum(_n: int) -> Code:
             raise ValueError(f"lattice {l.name} carries no enumeration")
 
-    return PosetPresentation(
-        name=f"tree({l.name})", carrier=carrier, leq=extends, enum=enum, root=(),
-        above=prefixes)
+    return sequence_tree(f"tree({l.name})", carrier, enum)
 
 
 def finite_subset_lattice(x: CountableSet) -> LatticeOracle:
