@@ -24,11 +24,13 @@ _INDEX_SCAN_CAP = 100_000
 class CountableSet:
     """An infinite set presented by an injective enumeration of element codes.
 
-    ``index`` inverts ``enum`` where available; otherwise membership falls
-    back to a scan of the first ``_INDEX_SCAN_CAP`` codes.  ``index_of``
-    raises ``IndexScanCap`` when the scan gives up, so no caller of it
-    reads the cap as an answer.  ``contains`` answers False for a code the
-    scan did not find, since without ``index`` absence cannot be decided.
+    Injective means that no two indices give codes equal under ``eq``, nor
+    under ``==``, which ``prefix_enumeration`` tests.  ``index`` inverts
+    ``enum`` where available; otherwise membership falls back to a scan of
+    the first ``_INDEX_SCAN_CAP`` codes.  ``index_of`` raises
+    ``IndexScanCap`` when the scan gives up, so no caller of it reads the
+    cap as an answer.  ``contains`` answers False for a code the scan did
+    not find, since without ``index`` absence cannot be decided.
     """
 
     name: str
@@ -143,41 +145,35 @@ def prefix_enumeration(x: CountableSet,
     """Injective enumeration of a prefix-closed family of injective tuples.
 
     ``extends_ok(prefix, code)`` decides whether prefix + (code,) stays in
-    the family.  Tuples are listed in blocks: block k holds the valid
-    tuples over the first k codes that use code k-1, ordered by length then
-    by index-lexicographic order.  Prefix-closure makes pruning sound.
+    the family; a code already in prefix is never offered.  Tuples are
+    listed in blocks: block k holds the valid tuples over the first k codes
+    that use code k-1, ordered by length then by index-lexicographic order.
+    Prefix-closure makes pruning sound.  The codes of x must be distinct
+    under ``==``, which is what ``in`` tests on the tuples.
 
-    Block k is built by walking the valid tuples over k codes length by
-    length.  Each length is listed in index-lexicographic order because its
-    parents are and each parent is extended in index order, so the block
-    needs no sort and no earlier block is kept.
+    ``enum(n)`` walks block k one length at a time, from the valid tuples
+    of the last length listed, until item n is listed: the tuples past it
+    cost nothing until asked for.  Each length is in index-lexicographic
+    order because the last one is and each tuple is extended in index
+    order.  Items and state are written back only when a length is
+    complete, so a call that raises leaves the walk as it was.
     """
     items: list[tuple] = [()]
-    built = [0]  # codes covered by the blocks in ``items``
-
-    def block(k: int) -> list[tuple]:
-        codes = [x.enum(i) for i in range(k)]
-        out: list[tuple] = []
-        level: list[tuple[tuple[int, ...], tuple]] = [((), ())]
-        while level:
-            longer = []
-            for idx, prefix in level:
-                for i in range(k):
-                    if i not in idx and extends_ok(prefix, codes[i]):
-                        longer.append((idx + (i,), prefix + (codes[i],)))
-            out.extend(t for idx, t in longer if k - 1 in idx)
-            level = longer
-        return out
+    state = [0, [], []]  # block k, its codes, its valid tuples of the last length
 
     def enum(n: int) -> tuple:
         while len(items) <= n:
-            k = built[0] + 1
-            if k > _ENUM_DEPTH_CAP:
-                raise EnumerationDepthCap(
-                    f"enumeration needs more than {_ENUM_DEPTH_CAP} codes; "
-                    "carrier may be finite")
-            items.extend(block(k))
-            built[0] = k
+            k, codes, level = state
+            if not level:
+                if k >= _ENUM_DEPTH_CAP:
+                    raise EnumerationDepthCap(
+                        f"enumeration needs more than {_ENUM_DEPTH_CAP} codes; "
+                        "carrier may be finite")
+                k, codes, level = k + 1, codes + [x.enum(k)], [()]
+            longer = [t + (c,) for t in level for c in codes
+                      if c not in t and extends_ok(t, c)]
+            items.extend([t for t in longer if codes[-1] in t])
+            state[:] = k, codes, longer
         return items[n]
 
     return enum
@@ -212,7 +208,7 @@ def coll_poset(x: CountableSet) -> PosetPresentation:
     return sequence_tree(
         f"Coll(w,{x.name})",
         lambda t: all(x.contains(c) for c in t) and first_repeat(t, x.eq) is None,
-        prefix_enumeration(x, lambda prefix, c: c not in prefix),
+        prefix_enumeration(x, lambda prefix, c: True),
         x.eq)
 
 

@@ -151,7 +151,7 @@ def t_of_f(x: CountableSet, f: ChoiceFunctional) -> PosetPresentation:
     if not f.injective_mode:
         raise ValueError(f"{f.name} does not preserve injectivity")
     return sequence_tree(f"T({f.name})", lambda t: in_tree(f, t),
-                         prefix_enumeration(x, lambda prefix, c: f.member(prefix, c)))
+                         prefix_enumeration(x, f.member))
 
 
 def tree_level_family(f: ChoiceFunctional, n: int) -> list[DenseSet]:

@@ -220,22 +220,20 @@ def standard_cofinal(alpha: Ordinal) -> CofinalPresentation:
     if not alpha.is_limit():
         raise BadCofinal(f"{alpha} is not a limit ordinal")
     if alpha.terms == ((2, 1),):
-        return CofinalPresentation(
-            alpha, TransfiniteSeq(OMEGA, lambda xi: Ordinal.omega(xi.to_int())
-                                  if xi.to_int() else ZERO))
-    if len(alpha.terms) == 1 and alpha.terms[0][0] == 1:
+        k = None
+    elif len(alpha.terms) == 1 and alpha.terms[0][0] == 1:
         k = alpha.terms[0][1]
+    else:
+        raise BadCofinal(
+            f"no ladder with finite-or-w blocks reaches {alpha}")
 
-        def stage(xi: Ordinal) -> Ordinal:
-            n = xi.to_int()
-            if n < k:
-                return Ordinal.omega(n) if n else ZERO
-            return ord_add(Ordinal.omega(k - 1) if k > 1 else ZERO,
-                           Ordinal.from_int(n - (k - 1)))
+    def stage(xi: Ordinal) -> Ordinal:
+        # w*m + (n - m), where m stops at k - 1 under w*k
+        n = xi.to_int()
+        m = n if k is None else min(n, k - 1)
+        return Ordinal(tuple(t for t in ((1, m), (0, n - m)) if t[1]))
 
-        return CofinalPresentation(alpha, TransfiniteSeq(OMEGA, stage))
-    raise BadCofinal(
-        f"no ladder with finite-or-w blocks reaches {alpha}")
+    return CofinalPresentation(alpha, TransfiniteSeq(OMEGA, stage))
 
 
 def validate_cofinal(cof: CofinalPresentation) -> None:

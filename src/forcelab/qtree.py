@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 from .collapse import (CountableSet, InjSeq, prefix_enumeration, require_injective,
                        sequence_tree)
 from .errors import NotAQSeq, NotInLambda
-from .posets import Code, PosetPresentation, extends
+from .posets import Code, PosetPresentation, check_poset_laws, extends
 
 
 @dataclass(frozen=True)
@@ -88,27 +88,24 @@ class LatticeOracle:
 
 
 def check_lattice(l: LatticeOracle, sample: Sequence[Code]) -> None:
-    """Spot-check strictness, lattice laws, fpp lists and has_lower on a sample."""
+    """Spot-check strictness, lattice laws, fpp lists and has_lower on a sample.
+
+    Past irreflexivity, the order laws and the ``uppers`` lists are
+    ``check_poset_laws`` on the order "equal or lt" over the sample, so
+    every sample element must pass ``l.carrier`` and none may repeat.
+    """
     n = len(sample)
-    below = [[l.lt(sample[i], sample[j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        if below[i][i]:
-            raise AssertionError(f"lt not irreflexive at {sample[i]!r}")
-        for j in range(n):
-            if below[i][j]:
-                for k in range(n):
-                    if below[j][k] and not below[i][k]:
-                        raise AssertionError(
-                            f"lt not transitive at {sample[i]!r}, {sample[j]!r}, {sample[k]!r}")
-    for i in range(n):
-        ups = l.uppers(sample[i])
-        for j in range(n):
-            if below[i][j] != (sample[j] in ups):
-                raise AssertionError(
-                    f"uppers({sample[i]!r}) disagrees with lt at {sample[j]!r}")
-        lower = l.has_lower(sample[i])
-        if not l.lt(lower, sample[i]):
-            raise AssertionError(f"has_lower({sample[i]!r}) not strictly below")
+    for a in sample:
+        if l.lt(a, a):
+            raise AssertionError(f"lt not irreflexive at {a!r}")
+    check_poset_laws(PosetPresentation(
+        name=l.name, carrier=l.carrier, leq=lambda a, b: a == b or l.lt(a, b),
+        enum=sample.__getitem__, above=lambda a: [a, *l.uppers(a)]), n)
+    for a in sample:
+        if a in l.uppers(a):
+            raise AssertionError(f"uppers({a!r}) lists {a!r} itself")
+        if not l.lt(l.has_lower(a), a):
+            raise AssertionError(f"has_lower({a!r}) not strictly below")
     for i in range(n):
         for j in range(n):
             m = l.meet(sample[i], sample[j])
