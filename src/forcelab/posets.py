@@ -7,6 +7,7 @@ Order convention throughout: smaller is stronger, so leq(q, p) reads
 from __future__ import annotations
 
 import collections.abc
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -364,11 +365,45 @@ class FinitePoset:
     def leq(self, a, b) -> bool:
         return a == b or (a, b) in self.leq_pairs
 
+    @functools.cached_property
+    def up(self) -> list[int]:
+        """Bit j of up[i], and bit i of down[j], iff leq(elements[i], elements[j])."""
+        return _bit_rows(self.elements, self.leq)
+
+    @functools.cached_property
+    def down(self) -> list[int]:
+        return _transpose(self.up)
+
+    def _mask(self, s) -> int:
+        return sum(1 << i for i, e in enumerate(self.elements) if e in s)
+
+    def _is_filter_mask(self, mask: int) -> bool:
+        """``is_filter`` on the elements of a nonzero mask, read off the rows."""
+        up, down, members = self.up, self.down, list(_bits(mask))
+        return (all(down[i] & down[j] & mask for i in members for j in members)
+                and all(not up[i] & ~mask for i in members))
+
+
+def _bit_rows(elements: Sequence, leq: Callable[[Code, Code], bool]) -> list[int]:
+    """One int per element: bit j of row i iff leq(elements[i], elements[j])."""
+    return [sum(1 << j for j, b in enumerate(elements) if leq(a, b)) for a in elements]
+
+
+def _transpose(rows: list[int]) -> list[int]:
+    return [sum(1 << i for i, r in enumerate(rows) if r >> j & 1) for j in range(len(rows))]
+
+
+def _bits(mask: int) -> Iterable[int]:
+    """The positions of the set bits of mask, least first; O(popcount) steps."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
 
 def parse_poset_table(text: str) -> FinitePoset:
     """Parse lines of the form ``elem p`` and ``p <= q``."""
     elements: list = []
-    pairs = set()
+    pairs: list = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
@@ -380,26 +415,19 @@ def parse_poset_table(text: str) -> FinitePoset:
             elements.append(name)
         elif "<=" in line:
             a, b = (s.strip() for s in line.split("<=", 1))
-            pairs.add((a, b))
+            pairs.append((a, b))
         else:
             raise ValueError(f"cannot parse line {raw!r}")
     for a, b in pairs:
         if a not in elements or b not in elements:
             raise ValueError(f"relation {a!r} <= {b!r} uses undeclared elements")
     # reflexive-transitive closure so tables may list only generators
-    return _closed_table(elements, pairs)
+    return _closed_table(elements, set(pairs))
 
 
-def _closed_table(elements: Sequence, pairs: Iterable[tuple]) -> FinitePoset:
-    """The table of the reflexive-transitive closure of pairs over elements.
-
-    Warshall's algorithm on one int bit row per element: row i holds bit j
-    iff elements[i] <= elements[j].
-    """
-    pos = {e: i for i, e in enumerate(elements)}
-    rows = [1 << i for i in range(len(elements))]
-    for a, b in pairs:
-        rows[pos[a]] |= 1 << pos[b]
+def _closed_table(elements: Sequence, pairs: set) -> FinitePoset:
+    """The table of the reflexive-transitive closure of pairs, by Warshall on bit rows."""
+    rows = _bit_rows(elements, lambda a, b: a == b or (a, b) in pairs)
     for k in range(len(rows)):
         bit = 1 << k
         for i, row in enumerate(rows):
@@ -407,25 +435,23 @@ def _closed_table(elements: Sequence, pairs: Iterable[tuple]) -> FinitePoset:
                 rows[i] = row | rows[k]
     closed = frozenset((a, b) for a, row in zip(elements, rows)
                        for j, b in enumerate(elements) if row >> j & 1)
-    return FinitePoset(tuple(elements), closed)
+    table = FinitePoset(tuple(elements), closed)
+    vars(table).update(up=rows, down=_transpose(rows))  # fill the cached rows
+    return table
 
 
 def format_poset_table(table: FinitePoset) -> str:
     lines = [f"elem {e}" for e in table.elements]
-    order = {e: i for i, e in enumerate(table.elements)}
-    rels = sorted((a, b) for a, b in table.leq_pairs if a != b)
-    lines += [f"{a} <= {b}" for a, b in sorted(rels, key=lambda ab: (order[ab[0]], order[ab[1]]))]
+    lines += [f"{a} <= {b}" for a, row in zip(table.elements, table.up)
+              for j, b in enumerate(table.elements) if row >> j & 1 and a != b]
     return "\n".join(lines) + "\n"
 
 
 def table_poset(table: FinitePoset, name: str = "finite") -> PosetPresentation:
     """Present a finite table as a PosetPresentation."""
     elems = table.elements
-    maxima = [p for p in elems if all(table.leq(q, p) for q in elems)]
-    ups = {e: [e] for e in elems}
-    for a, b in table.leq_pairs:
-        if a != b:
-            ups.setdefault(a, [a]).append(b)
+    maxima = [p for p, row in zip(elems, table.down) if row.bit_count() == len(elems)]
+    ups = {a: [elems[j] for j in _bits(row)] for a, row in zip(elems, table.up)}
     return PosetPresentation(
         name=name,
         carrier=lambda c: c in elems,
@@ -436,38 +462,28 @@ def table_poset(table: FinitePoset, name: str = "finite") -> PosetPresentation:
     )
 
 
-def check_poset_laws(p: PosetPresentation, n: int) -> None:
+def check_poset_laws(p: PosetPresentation, n: int) -> list[int]:
     """Assert reflexivity, transitivity and antisymmetry of leq on the first n elements.
 
     When the presentation has ``above``, also assert its contract there:
-    above(a) meets the fragment in exactly the b with leq(a, b).
+    above(a) meets the fragment in exactly the b with leq(a, b).  Returns
+    the fragment's bit rows: bit j of row i iff leq(enum(i), enum(j)).
     """
     frag = [p.enum(k) for k in range(n)]
     for q in frag:
         if not p.carrier(q):
             raise AssertionError(f"enumerated {q!r} fails the carrier predicate")
-    rows = []
-    for a in frag:
-        mask = 0
-        for j, b in enumerate(frag):
-            if p.leq(a, b):
-                mask |= 1 << j
-        rows.append(mask)
+    rows = _bit_rows(frag, p.leq)
     for i in range(n):
         if not rows[i] >> i & 1:
             raise AssertionError(f"leq not reflexive at {frag[i]!r}")
-        m = rows[i]
-        j = 0
-        while m:
-            if m & 1:
-                if rows[j] & ~rows[i]:
-                    raise AssertionError(
-                        f"leq not transitive at {frag[i]!r} <= {frag[j]!r}")
-                if rows[j] >> i & 1 and i != j:
-                    raise AssertionError(
-                        f"leq not antisymmetric on {frag[i]!r}, {frag[j]!r}")
-            m >>= 1
-            j += 1
+        for j in _bits(rows[i]):
+            if rows[j] & ~rows[i]:
+                raise AssertionError(
+                    f"leq not transitive at {frag[i]!r} <= {frag[j]!r}")
+            if rows[j] >> i & 1 and i != j:
+                raise AssertionError(
+                    f"leq not antisymmetric on {frag[i]!r}, {frag[j]!r}")
     if p.above is not None:
         for i, a in enumerate(frag):
             wrong = rows[i] ^ sum(1 << j for j in _covered(p, frag, [a]))
@@ -475,25 +491,17 @@ def check_poset_laws(p: PosetPresentation, n: int) -> None:
                 b = frag[(wrong & -wrong).bit_length() - 1]
                 raise AssertionError(
                     f"above({a!r}) and leq disagree on {b!r}")
+    return rows
 
 
 _ORACLE_CAP = 20
 
 
 def is_filter(table: FinitePoset, subset: Iterable) -> bool:
-    """Upward closed, downward directed, nonempty."""
+    """Nonempty, upward closed, downward directed, and made of table elements."""
     s = set(subset)
-    if not s:
-        return False
-    for p in s:
-        for q in table.elements:
-            if table.leq(p, q) and q not in s:
-                return False
-    for p in s:
-        for q in s:
-            if not any(table.leq(r, p) and table.leq(r, q) for r in s):
-                return False
-    return True
+    mask = table._mask(s)
+    return 0 < mask.bit_count() == len(s) and table._is_filter_mask(mask)
 
 
 def brute_force_filter(table: FinitePoset,
@@ -503,16 +511,12 @@ def brute_force_filter(table: FinitePoset,
     Returns the first such filter in bitmask order over the element list,
     or None when none exists.  Carriers above 20 elements are refused.
     """
-    elems = table.elements
-    if len(elems) > _ORACLE_CAP:
-        raise OracleLimit(f"carrier of size {len(elems)} exceeds {_ORACLE_CAP}")
-    targets = [frozenset(d) for d in dense]
-    for mask in range(1, 1 << len(elems)):
-        s = frozenset(e for i, e in enumerate(elems) if mask >> i & 1)
-        if any(not (s & t) for t in targets):
-            continue
-        if is_filter(table, s):
-            return s
+    if len(table.elements) > _ORACLE_CAP:
+        raise OracleLimit(f"carrier of size {len(table.elements)} exceeds {_ORACLE_CAP}")
+    targets = [table._mask(frozenset(d)) for d in dense]
+    for mask in range(1, 1 << len(table.elements)):
+        if all(mask & t for t in targets) and table._is_filter_mask(mask):
+            return frozenset(table.elements[i] for i in _bits(mask))
     return None
 
 
@@ -536,20 +540,19 @@ def table_dense_sets(table: FinitePoset, subsets: Sequence[Iterable]) -> list[De
     for i, subset in enumerate(subsets):
         s = frozenset(subset)
 
-        def extend(p, s=s):
-            for q in table.elements:
-                if table.leq(q, p) and q in s:
-                    return q
-            raise BadExtender(f"no extension of {p!r} into {sorted(map(str, s))}")
+        def extend(p, s=s, m=table._mask(s)):
+            below = m & table.down[table.elements.index(p)] if p in table.elements else 0
+            if not below:
+                raise BadExtender(f"no extension of {p!r} into {sorted(map(str, s))}")
+            return table.elements[(below & -below).bit_length() - 1]
 
         out.append(DenseSet(f"D{i}", lambda q, s=s: q in s, extend))
     return out
 
 
 def is_dense_in_table(table: FinitePoset, subset: Iterable) -> bool:
-    s = frozenset(subset)
-    return all(any(table.leq(q, p) and q in s for q in table.elements)
-               for p in table.elements)
+    inside = table._mask(frozenset(subset))
+    return all(row & inside for row in table.down)
 
 
 def random_dense_sets(rng, table: FinitePoset, count: int) -> list[frozenset]:
@@ -624,26 +627,24 @@ def gamma_check(g: GammaPresentation, depth: int) -> GammaReport:
             if (x, x) not in rel:
                 return GammaReport(False, tuple(sizes),
                                    PreorderViolation(lv, "not-a-preorder", (x, x, x)))
-        pos = {x: i for i, x in enumerate(elems)}
-        foreign = [ab for ab in rel if ab[0] not in pos or ab[1] not in pos]
+        inside = set(elems)
+        foreign = [ab for ab in rel if ab[0] not in inside or ab[1] not in inside]
         if foreign:
             raise ValueError(
                 f"level {lv} relates {min(map(repr, foreign))} outside its elements")
-        rows = [0] * len(elems)  # bit j of rows[i]: elems[i] <= elems[j]
-        for a, b in rel:
-            rows[pos[a]] |= 1 << pos[b]
+        rows = _bit_rows(elems, lambda a, b: (a, b) in rel)
         for i, row in enumerate(rows):
-            for j in range(len(elems)):
-                missing = rows[j] & ~row if row >> j & 1 else 0
+            for j in _bits(row):
+                missing = rows[j] & ~row
                 if missing:
                     d = (missing & -missing).bit_length() - 1
                     return GammaReport(False, tuple(sizes), PreorderViolation(
                         lv, "not-a-preorder", (elems[i], elems[j], elems[d])))
         if g.identify is None:
-            overlap = seen & set(elems)
+            overlap = seen & inside
             if overlap:
                 x = sorted(map(str, overlap))[0]
                 return GammaReport(False, tuple(sizes),
                                    PreorderViolation(lv, "levels-overlap", (x, x, x)))
-            seen |= set(elems)
+            seen |= inside
     return GammaReport(True, tuple(sizes))

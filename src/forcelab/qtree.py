@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 from .collapse import (CountableSet, InjSeq, prefix_enumeration, require_injective,
                        sequence_tree)
 from .errors import NotAQSeq, NotInLambda
-from .posets import Code, PosetPresentation, check_poset_laws, extends
+from .posets import Code, PosetPresentation, _bits, _transpose, check_poset_laws, extends
 
 
 @dataclass(frozen=True)
@@ -92,34 +92,37 @@ def check_lattice(l: LatticeOracle, sample: Sequence[Code]) -> None:
 
     Past irreflexivity, the order laws and the ``uppers`` lists are
     ``check_poset_laws`` on the order "equal or lt" over the sample, so
-    every sample element must pass ``l.carrier`` and none may repeat.
+    every sample element must pass ``l.carrier`` and none may repeat.  Meets
+    and joins must bound their arguments; the laws read bounds off its rows.
     """
-    n = len(sample)
     for a in sample:
         if l.lt(a, a):
             raise AssertionError(f"lt not irreflexive at {a!r}")
-    check_poset_laws(PosetPresentation(
-        name=l.name, carrier=l.carrier, leq=lambda a, b: a == b or l.lt(a, b),
-        enum=sample.__getitem__, above=lambda a: [a, *l.uppers(a)]), n)
+    leq = lambda a, b: a == b or l.lt(a, b)
+    up = check_poset_laws(PosetPresentation(
+        name=l.name, carrier=l.carrier, leq=leq,
+        enum=sample.__getitem__, above=lambda a: [a, *l.uppers(a)]), len(sample))
+    down = _transpose(up)
     for a in sample:
         if a in l.uppers(a):
             raise AssertionError(f"uppers({a!r}) lists {a!r} itself")
         if not l.lt(l.has_lower(a), a):
             raise AssertionError(f"has_lower({a!r}) not strictly below")
-    for i in range(n):
-        for j in range(n):
-            m = l.meet(sample[i], sample[j])
-            jn = l.join(sample[i], sample[j])
-            for k in range(n):
+    for i, a in enumerate(sample):
+        for j, b in enumerate(sample):
+            m, jn = l.meet(a, b), l.join(a, b)
+            if m is not None and not (leq(m, a) and leq(m, b)):
+                raise AssertionError(f"meet({a!r}, {b!r}) = {m!r} is not below both")
+            if jn is not None and not (leq(a, jn) and leq(b, jn)):
+                raise AssertionError(f"join({a!r}, {b!r}) = {jn!r} is not above both")
+            lower = down[i] & down[j] if m is not None else 0
+            upper = up[i] & up[j] if jn is not None else 0
+            for k in _bits((lower | upper) & ~(1 << i | 1 << j)):
                 r = sample[k]
-                if l.lt(r, sample[i]) and l.lt(r, sample[j]) and m is not None:
-                    if not (r == m or l.lt(r, m)):
-                        raise AssertionError(
-                            f"meet law fails at {sample[i]!r}, {sample[j]!r}, {r!r}")
-                if l.lt(sample[i], r) and l.lt(sample[j], r) and jn is not None:
-                    if not (jn == r or l.lt(jn, r)):
-                        raise AssertionError(
-                            f"join law fails at {sample[i]!r}, {sample[j]!r}, {r!r}")
+                if lower >> k & 1 and not (r == m or l.lt(r, m)):
+                    raise AssertionError(f"meet law fails at {a!r}, {b!r}, {r!r}")
+                if upper >> k & 1 and not (jn == r or l.lt(jn, r)):
+                    raise AssertionError(f"join law fails at {a!r}, {b!r}, {r!r}")
 
 
 def lambda_tree(l: LatticeOracle) -> PosetPresentation:

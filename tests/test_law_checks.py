@@ -1,8 +1,10 @@
 """Failure paths of ``qtree.check_lattice`` and the one ladder-stage formula.
 
 ``check_lattice`` reads its order laws and ``uppers`` lists through
-``posets.check_poset_laws``; each broken oracle below must be rejected
-with the message naming what broke.  ``standard_cofinal`` is compared
+``posets.check_poset_laws`` and its lattice laws off the rows that check
+returns; each broken oracle below must be rejected with the message
+naming what broke, and a broken meet or join law with its least failing
+triple in sample order.  ``standard_cofinal`` is compared
 with the two-branch stage formula it replaced, kept here as an oracle.
 """
 
@@ -82,6 +84,41 @@ class TestCheckLattice:
     def test_repeated_sample_element(self):
         with pytest.raises(AssertionError, match="leq not antisymmetric on"):
             check_lattice(LAT, SAMPLE + [SAMPLE[3]])
+
+    def test_meet_and_join_that_do_not_bound_their_arguments(self):
+        with pytest.raises(AssertionError) as err:
+            check_lattice(broken(meet=lambda s, t: s, join=lambda s, t: t), SAMPLE)
+        assert str(err.value) == (
+            "meet(frozenset({0}), frozenset({1})) = frozenset({0}) is not below both")
+
+    def test_join_that_does_not_bound_its_arguments(self):
+        with pytest.raises(AssertionError) as err:
+            check_lattice(broken(join=lambda s, t: s | t), SAMPLE)
+        assert str(err.value) == (
+            "join(frozenset({0}), frozenset({1})) = frozenset({0, 1}) is not above both")
+
+    def test_meet_below_a_common_lower_bound(self):
+        # a lower bound of s and t, one code larger than the greatest: for
+        # s = t = {0} it is {0, 1}, and the lower bound {0, 2} is not below it
+        def meet(s, t):
+            return s | t | {max(s | t) + 1}
+
+        with pytest.raises(AssertionError) as err:
+            check_lattice(broken(meet=meet), SAMPLE)
+        assert str(err.value) == (
+            "meet law fails at frozenset({0}), frozenset({0}), frozenset({0, 2})")
+
+    def test_join_above_a_common_upper_bound(self):
+        # an upper bound of s and t, one code smaller than the least: for
+        # s = t = {0, 1} it is {0}, and the upper bound {1} is not above it
+        def join(s, t):
+            common = sorted(s & t)[:-1]
+            return frozenset(common) if common else None
+
+        with pytest.raises(AssertionError) as err:
+            check_lattice(broken(join=join), SAMPLE)
+        assert str(err.value) == (
+            "join law fails at frozenset({0, 1}), frozenset({0, 1}), frozenset({1})")
 
 
 def two_branch_stage(alpha: Ordinal, n: int) -> Ordinal:

@@ -2,10 +2,12 @@
 
 The replaced copies are kept here, verbatim in behaviour, as test oracles
 only: the DFS-and-set-difference prefix enumeration, the fixed-point pair
-closure, the pairwise repeat loops, the stand-alone QSeq validator and the
-concatenation-based evaluator of a lifted witness.
+closure, the pairwise repeat loops, the stand-alone QSeq validator, the
+concatenation-based evaluator of a lifted witness, and the finite-table
+loops over ``leq`` that the bit rows replaced.
 """
 
+import dataclasses
 import itertools
 import operator
 import random
@@ -25,7 +27,7 @@ from forcelab.collapse import (
     require_injective,
 )
 from forcelab.dctrees import bounded_functional, evens_functional, t_of_f
-from forcelab.errors import NotAQSeq, NotInjective
+from forcelab.errors import BadExtender, NotAQSeq, NotInjective
 from forcelab.levy import levy_lift, standard_cofinal, transfinite_f_seq
 from forcelab.ordinals import (
     OMEGA,
@@ -37,8 +39,26 @@ from forcelab.ordinals import (
     ord_sub_left,
     parse_cnf,
 )
-from forcelab.posets import _closed_table, parse_poset_table, random_finite_poset
+from forcelab.posets import (
+    FinitePoset,
+    FinitePreorder,
+    GammaPresentation,
+    PosetPresentation,
+    _closed_table,
+    _covered,
+    brute_force_filter,
+    check_poset_laws,
+    format_poset_table,
+    gamma_check,
+    is_dense_in_table,
+    is_filter,
+    parse_poset_table,
+    random_finite_poset,
+    table_dense_sets,
+    table_poset,
+)
 from forcelab.qtree import (
+    check_lattice,
     QSeq,
     coll_to_q,
     finite_subset_lattice,
@@ -251,6 +271,9 @@ class TestClosure:
         table = _closed_table(elems, pairs)
         assert table.elements == tuple(elems)
         assert table.leq_pairs == closure_reference(elems, pairs)
+        # the rows Warshall closed are the rows of the closed pairs
+        fresh = FinitePoset(table.elements, table.leq_pairs)
+        assert (table.up, table.down) == (fresh.up, fresh.down)
 
     @settings(max_examples=60, deadline=None)
     @given(pair_sets())
@@ -363,3 +386,365 @@ class TestLiftedWitness:
             assert expect is not None and expect[0] is IndexError
             assert raised(fast.at, p) == expect
             assert raised(fast.locate, p) == expect
+
+
+# ---------------------------------------------------------------------------
+# finite tables: the loops over leq that the bit rows replaced
+# ---------------------------------------------------------------------------
+
+
+def is_filter_reference(table, subset):
+    s = set(subset)
+    if not s:
+        return False
+    for p in s:
+        for q in table.elements:
+            if table.leq(p, q) and q not in s:
+                return False
+    for p in s:
+        for q in s:
+            if not any(table.leq(r, p) and table.leq(r, q) for r in s):
+                return False
+    return True
+
+
+def brute_force_filter_reference(table, dense):
+    elems = table.elements
+    targets = [frozenset(d) for d in dense]
+    for mask in range(1, 1 << len(elems)):
+        s = frozenset(e for i, e in enumerate(elems) if mask >> i & 1)
+        if any(not (s & t) for t in targets):
+            continue
+        if is_filter_reference(table, s):
+            return s
+    return None
+
+
+def is_dense_in_table_reference(table, subset):
+    s = frozenset(subset)
+    return all(any(table.leq(q, p) and q in s for q in table.elements)
+               for p in table.elements)
+
+
+def table_extend_reference(table, s, p):
+    for q in table.elements:
+        if table.leq(q, p) and q in s:
+            return q
+    raise BadExtender(f"no extension of {p!r} into {sorted(map(str, s))}")
+
+
+def table_root_reference(table):
+    elems = table.elements
+    maxima = [p for p in elems if all(table.leq(q, p) for q in elems)]
+    return maxima[0] if maxima else None
+
+
+def table_ups_reference(table):
+    ups = {e: [e] for e in table.elements}
+    for a, b in table.leq_pairs:
+        if a != b:
+            ups.setdefault(a, [a]).append(b)
+    return ups
+
+
+def format_poset_table_reference(table):
+    lines = [f"elem {e}" for e in table.elements]
+    order = {e: i for i, e in enumerate(table.elements)}
+    rels = sorted((a, b) for a, b in table.leq_pairs if a != b)
+    lines += [f"{a} <= {b}" for a, b in sorted(rels, key=lambda ab: (order[ab[0]], order[ab[1]]))]
+    return "\n".join(lines) + "\n"
+
+
+def check_poset_laws_reference(p, n):
+    frag = [p.enum(k) for k in range(n)]
+    for q in frag:
+        if not p.carrier(q):
+            raise AssertionError(f"enumerated {q!r} fails the carrier predicate")
+    rows = []
+    for a in frag:
+        mask = 0
+        for j, b in enumerate(frag):
+            if p.leq(a, b):
+                mask |= 1 << j
+        rows.append(mask)
+    for i in range(n):
+        if not rows[i] >> i & 1:
+            raise AssertionError(f"leq not reflexive at {frag[i]!r}")
+        m = rows[i]
+        j = 0
+        while m:
+            if m & 1:
+                if rows[j] & ~rows[i]:
+                    raise AssertionError(
+                        f"leq not transitive at {frag[i]!r} <= {frag[j]!r}")
+                if rows[j] >> i & 1 and i != j:
+                    raise AssertionError(
+                        f"leq not antisymmetric on {frag[i]!r}, {frag[j]!r}")
+            m >>= 1
+            j += 1
+    if p.above is not None:
+        for i, a in enumerate(frag):
+            wrong = rows[i] ^ sum(1 << j for j in _covered(p, frag, [a]))
+            if wrong:
+                b = frag[(wrong & -wrong).bit_length() - 1]
+                raise AssertionError(f"above({a!r}) and leq disagree on {b!r}")
+
+
+def gamma_check_reference(g, depth):
+    sizes = []
+    seen = set()
+    for lv in range(depth):
+        level = g.levels(lv)
+        elems = level.elements
+        rel = level.relation
+        sizes.append(len(elems))
+        for x in elems:
+            if (x, x) not in rel:
+                return (False, tuple(sizes), (lv, "not-a-preorder", (x, x, x)))
+        pos = {x: i for i, x in enumerate(elems)}
+        foreign = [ab for ab in rel if ab[0] not in pos or ab[1] not in pos]
+        if foreign:
+            raise ValueError(
+                f"level {lv} relates {min(map(repr, foreign))} outside its elements")
+        rows = [0] * len(elems)
+        for a, b in rel:
+            rows[pos[a]] |= 1 << pos[b]
+        for i, row in enumerate(rows):
+            for j in range(len(elems)):
+                missing = rows[j] & ~row if row >> j & 1 else 0
+                if missing:
+                    d = (missing & -missing).bit_length() - 1
+                    return (False, tuple(sizes),
+                            (lv, "not-a-preorder", (elems[i], elems[j], elems[d])))
+        if g.identify is None:
+            overlap = seen & set(elems)
+            if overlap:
+                x = sorted(map(str, overlap))[0]
+                return (False, tuple(sizes), (lv, "levels-overlap", (x, x, x)))
+            seen |= set(elems)
+    return (True, tuple(sizes), None)
+
+
+def check_lattice_reference(l, sample):
+    """The n^3 loop over every sample element as a bound of every pair.
+
+    The one added behaviour, the check that each meet lies below and each
+    join above both arguments, runs where ``check_lattice`` runs it: for
+    each pair, before that pair's laws.
+    """
+    n = len(sample)
+    for a in sample:
+        if l.lt(a, a):
+            raise AssertionError(f"lt not irreflexive at {a!r}")
+    leq = lambda a, b: a == b or l.lt(a, b)
+    check_poset_laws_reference(PosetPresentation(
+        name=l.name, carrier=l.carrier, leq=leq,
+        enum=sample.__getitem__, above=lambda a: [a, *l.uppers(a)]), n)
+    for a in sample:
+        if a in l.uppers(a):
+            raise AssertionError(f"uppers({a!r}) lists {a!r} itself")
+        if not l.lt(l.has_lower(a), a):
+            raise AssertionError(f"has_lower({a!r}) not strictly below")
+    for i in range(n):
+        for j in range(n):
+            a, b = sample[i], sample[j]
+            m = l.meet(a, b)
+            jn = l.join(a, b)
+            if m is not None and not (leq(m, a) and leq(m, b)):
+                raise AssertionError(f"meet({a!r}, {b!r}) = {m!r} is not below both")
+            if jn is not None and not (leq(a, jn) and leq(b, jn)):
+                raise AssertionError(f"join({a!r}, {b!r}) = {jn!r} is not above both")
+            for k in range(n):
+                r = sample[k]
+                if l.lt(r, sample[i]) and l.lt(r, sample[j]) and m is not None:
+                    if not (r == m or l.lt(r, m)):
+                        raise AssertionError(
+                            f"meet law fails at {sample[i]!r}, {sample[j]!r}, {r!r}")
+                if l.lt(sample[i], r) and l.lt(sample[j], r) and jn is not None:
+                    if not (jn == r or l.lt(jn, r)):
+                        raise AssertionError(
+                            f"join law fails at {sample[i]!r}, {sample[j]!r}, {r!r}")
+
+
+def outcome(fn, *args):
+    """What fn(*args) returned, or the type and message of what it raised."""
+    try:
+        return "returned", fn(*args)
+    except (AssertionError, BadExtender, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def law_failure(fn, *args):
+    """The message of the AssertionError fn(*args) raised, or None."""
+    try:
+        fn(*args)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+FOREIGN = "x"
+
+
+@st.composite
+def tables(draw):
+    """A table over distinct ints or strings with any relation on them, or
+    its reflexive-transitive closure."""
+    size = draw(st.integers(0, 6))
+    elems = tuple(range(size)) if draw(st.booleans()) else tuple(f"e{i}" for i in range(size))
+    pairs = draw(st.sets(st.tuples(st.sampled_from(elems), st.sampled_from(elems)))
+                 if size else st.just(set()))
+    closed = draw(st.booleans())
+    return _closed_table(elems, pairs) if closed else FinitePoset(elems, frozenset(pairs))
+
+
+def subsets_of(draw, table):
+    """A subset of the table's elements, sometimes with an element outside it."""
+    pool = list(table.elements) + [FOREIGN]
+    return draw(st.sets(st.sampled_from(pool)))
+
+
+class TestFiniteTables:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_is_filter_matches_loops(self, data):
+        table = data.draw(tables())
+        subset = subsets_of(data.draw, table)
+        inside = subset <= set(table.elements)
+        assert is_filter(table, subset) == (is_filter_reference(table, subset) and inside)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_brute_force_filter_matches_loops(self, data):
+        table = data.draw(tables())
+        dense = [subsets_of(data.draw, table) for _ in range(data.draw(st.integers(0, 3)))]
+        assert brute_force_filter(table, dense) == brute_force_filter_reference(table, dense)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_density_and_extender_match_loops(self, data):
+        table = data.draw(tables())
+        subset = frozenset(subsets_of(data.draw, table))
+        assert is_dense_in_table(table, subset) == is_dense_in_table_reference(table, subset)
+        (d,) = table_dense_sets(table, [subset])
+        for p in table.elements + (FOREIGN,):
+            assert outcome(d.extend, p) == outcome(table_extend_reference, table, subset, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables())
+    def test_presentation_and_text_match_loops(self, table):
+        pres = table_poset(table)
+        assert pres.root == table_root_reference(table)
+        ups = table_ups_reference(table)
+        for q in table.elements:
+            assert sorted(map(str, pres.above(q))) == sorted(map(str, ups[q]))
+        assert format_poset_table(table) == format_poset_table_reference(table)
+        n = len(table.elements)
+        assert law_failure(check_poset_laws, pres, n) == law_failure(
+            check_poset_laws_reference, pres, n)
+
+    @settings(max_examples=500, deadline=None)
+    @given(tables(), st.data())
+    def test_poset_laws_match_loops(self, table, data):
+        # leq is the table's, or its bare relation with no reflexive pairs
+        # added; above lists the cones of the same table, of another
+        # relation's closure, or is absent; one element may fail the carrier
+        elems = table.elements
+        leq = data.draw(st.sampled_from([table.leq, lambda a, b: (a, b) in table.leq_pairs]))
+        pairs = data.draw(st.sets(st.tuples(st.sampled_from(elems), st.sampled_from(elems)))
+                          if elems else st.just(set()))
+        other = _closed_table(elems, pairs) if data.draw(st.booleans()) else table
+        above = data.draw(st.sampled_from([None, table, other]))
+        outside = data.draw(st.sampled_from(elems)) if elems and data.draw(
+            st.integers(0, 4)) == 0 else FOREIGN
+        p = PosetPresentation(
+            name="drawn", carrier=lambda c: c != outside, leq=leq,
+            enum=elems.__getitem__,
+            above=None if above is None else table_poset(above).above)
+        n = data.draw(st.sampled_from([len(elems)] * 3 + list(range(len(elems)))))
+        failure = law_failure(check_poset_laws_reference, p, n)
+        assert law_failure(check_poset_laws, p, n) == failure
+        if failure is None:
+            assert check_poset_laws(p, n) == [
+                sum(1 << j for j, b in enumerate(elems[:n]) if leq(a, b))
+                for a in elems[:n]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_gamma_check_matches_loops(self, data):
+        depth = data.draw(st.integers(1, 3))
+        glued = data.draw(st.booleans())
+        levels = []
+        for lv in range(depth):
+            size = data.draw(st.integers(0, 5))
+            start = data.draw(st.integers(0, 3)) if glued or data.draw(st.booleans()) else 10 * lv
+            elems = tuple(f"e{start + i}" for i in range(size))
+            pool = elems + (("z",) if data.draw(st.integers(0, 9)) == 0 else ())
+            rel = set(data.draw(st.sets(st.tuples(st.sampled_from(pool), st.sampled_from(pool))))
+                      if pool else set())
+            if data.draw(st.integers(0, 3)):
+                rel |= {(x, x) for x in elems}
+            levels.append(FinitePreorder(elems, frozenset(rel)))
+        g = GammaPresentation("drawn", levels.__getitem__, (lambda c: c) if glued else None)
+        got = outcome(gamma_check, g, depth)
+        if got[0] == "returned":
+            report = got[1]
+            violation = report.violation
+            got = ("returned", (report.ok, report.size_profile, None if violation is None else
+                                (violation.level, violation.law, violation.witness)))
+        assert got == outcome(gamma_check_reference, g, depth)
+
+
+LATTICE = finite_subset_lattice(builtin_set("nat"))
+
+
+def keyed(s, t, modulus, residue):
+    """A pair-dependent coin, so a broken callable breaks on some pairs only."""
+    return (sum(s) * 3 + sum(t) * 7 + len(s)) % modulus == residue
+
+
+def lattice_variant(draw):
+    """The finite-subset lattice with at most one callable broken, on some pairs."""
+    modulus = draw(st.integers(1, 6))
+    residue = draw(st.integers(0, modulus - 1))
+    on = lambda s, t: keyed(s, t, modulus, residue)
+    sound = LATTICE
+    broken = {
+        "meet": {
+            "left": lambda s, t: s if on(s, t) else s | t,
+            "too-low": lambda s, t: s | t | {max(s | t) + 1} if on(s, t) else s | t,
+            "partial": lambda s, t: None if on(s, t) else s | t,
+        },
+        "join": {
+            "right": lambda s, t: t if on(s, t) else sound.join(s, t),
+            "union": lambda s, t: s | t if on(s, t) else sound.join(s, t),
+            "too-high": lambda s, t: (frozenset(sorted(s & t)[:-1]) or None) if on(s, t)
+            else sound.join(s, t),
+        },
+        "lt": {
+            "covers": lambda s, t: t < s and (len(s) == len(t) + 1 or not on(s, t)),
+            "both-ways": lambda s, t: t < s or (s < t and on(s, t)),
+            "reflexive": lambda s, t: t < s or (s == t and on(s, t)),
+        },
+        "uppers": {
+            "one-more": lambda s: sound.uppers(s) + ([sound.has_lower(s)] if on(s, s) else []),
+            "one-fewer": lambda s: sound.uppers(s)[1:] if on(s, s) else sound.uppers(s),
+        },
+    }
+    field = draw(st.sampled_from(["none", *sorted(broken)]))
+    if field == "none":
+        return sound
+    variants = broken[field]
+    return dataclasses.replace(sound, **{field: variants[draw(st.sampled_from(sorted(variants)))]})
+
+
+class TestLatticeLaws:
+    @settings(max_examples=600, deadline=None)
+    @given(st.data())
+    def test_check_lattice_matches_loops(self, data):
+        lattice = lattice_variant(data.draw)
+        sample = [LATTICE.enum(k) for k in data.draw(
+            st.lists(st.integers(0, 30), min_size=1, max_size=16,
+                     unique=data.draw(st.integers(0, 7)) > 0))]
+        assert law_failure(check_lattice, lattice, sample) == law_failure(
+            check_lattice_reference, lattice, sample)

@@ -80,6 +80,28 @@ class TestFiniteTables:
         check_poset_laws(p, len(seven.elements))
         assert p.root == "0"
 
+    def test_format_lists_relations_in_element_order_without_sorting(self):
+        # elements of different types cannot be sorted together
+        table = FinitePoset(("a", 1, "b"), frozenset({("a", 1), (1, "b"), ("a", "b")}))
+        assert format_poset_table(table) == (
+            "elem a\nelem 1\nelem b\na <= 1\na <= b\n1 <= b\n")
+
+    def test_undeclared_element_error_independent_of_hash_seed(self):
+        script = (
+            "from forcelab.posets import parse_poset_table\n"
+            "try:\n"
+            "    parse_poset_table('elem a\\nx <= a\\ny <= a\\nz <= a')\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = set()
+        for seed in range(1, 7):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            outs.add(done.stdout)
+        assert outs == {"relation 'x' <= 'a' uses undeclared elements\n"}
+
 
 class TestEngine:
     def test_empty_family(self, seven):
@@ -243,6 +265,10 @@ class TestBruteForce:
         assert not is_filter(seven, set())
         assert not is_filter(seven, {"5"})           # not upward closed
         assert not is_filter(seven, {"0", "5", "6"})  # not directed
+
+    def test_subset_outside_the_table_is_not_a_filter(self, seven):
+        assert not is_filter(seven, {"x"})
+        assert not is_filter(seven, {"0", "2", "5", "x"})
 
 
 class TestEngineOracleAgreement:

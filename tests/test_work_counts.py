@@ -24,6 +24,7 @@ from forcelab.levy import (
 )
 from forcelab.ordinals import TransfiniteSeq, parse_cnf
 from forcelab.posets import is_dense_on_truncation
+from forcelab.qtree import check_lattice, finite_subset_lattice
 
 N = 2000
 
@@ -98,6 +99,20 @@ def test_density_check_reads_cones_not_pairs(i, dense, undecided):
                                     collapse.level_dense(x, i), N)
     assert (report.dense, report.undecided) == (dense, undecided)
     assert calls[0] <= 2
+
+
+def test_lattice_laws_visit_common_bounds_only():
+    """Testing every sample element as a bound of every pair makes 2,259,204
+    ``lt`` calls on this 100-element sample."""
+    lattice = finite_subset_lattice(collapse.nat_set())
+    calls = [0]
+
+    def lt(s, t):
+        calls[0] += 1
+        return lattice.lt(s, t)
+
+    check_lattice(dataclasses.replace(lattice, lt=lt), [lattice.enum(n) for n in range(100)])
+    assert calls[0] <= 150_000
 
 
 def test_marker_run_walks_each_marker_at_most_twice(monkeypatch):
