@@ -14,8 +14,8 @@ from typing import Any, Callable, Optional, Sequence
 
 from .errors import EnumerationDepthCap, IndexScanCap, NotInjective
 from .ordinals import cantor_pair, cantor_unpair
-from .posets import (Code, DenseSet, GenericRun, PosetPresentation, PrefixChain,
-                     SuffixFold, _jsonable, _require_chain, extends, prefixes)
+from .posets import (Code, DenseSet, GenericRun, Grown, PosetPresentation, PrefixChain,
+                     SuffixFold, _jsonable, _require_chain, extends, grow, prefixes)
 
 _INDEX_SCAN_CAP = 100_000
 
@@ -182,8 +182,9 @@ def prefix_enumeration(x: CountableSet,
 def sequence_tree(name: str, carrier: Callable[[tuple], bool],
                   enum: Callable[[int], tuple],
                   eq: Callable[[Code, Code], bool] = operator.eq) -> PosetPresentation:
-    """The tuples that pass ``carrier``, rooted at (), ordered by end-extension
-    under ``eq``; the one presentation of every sequence tree here.
+    """The tuples (or ``Grown`` views) that pass ``carrier``, rooted at (),
+    ordered by end-extension under ``eq``; the one presentation of every
+    sequence tree here.
 
     ``above`` is ``prefixes`` under ``operator.eq``, whose hashing agrees
     with the order; under any other ``eq`` it is left out and fragment
@@ -191,7 +192,7 @@ def sequence_tree(name: str, carrier: Callable[[tuple], bool],
     """
     return PosetPresentation(
         name=name,
-        carrier=lambda t: isinstance(t, tuple) and carrier(t),
+        carrier=lambda t: isinstance(t, (tuple, Grown)) and carrier(t),
         leq=extends if eq is operator.eq else lambda g, f: extends(g, f, eq),
         enum=enum,
         root=(),
@@ -217,23 +218,24 @@ def fresh_bound(x: CountableSet, p: tuple) -> int:
     return max((x.index_of(c) for c in p), default=-1) + 1
 
 
-def _fresh_appender(x: CountableSet) -> Callable[[tuple, int], tuple]:
+def _fresh_appender(x: CountableSet) -> Callable[[Sequence, int], Sequence]:
     """``append(p, k)``: p followed by the k codes from its fresh bound on
-    (p itself when k <= 0).
+    (p itself when k <= 0), as a ``Grown`` view.
 
-    The fresh bound is a ``SuffixFold``, and every tuple the appender
+    The fresh bound is a ``SuffixFold``, and every view the appender
     returns is kept with its bound (the old bound plus k, since enum(b + j)
-    has index b + j).  An input that *is* that tuple costs O(k) and no
-    ``index_of`` call; an extension of it pays one ``index_of`` call per
-    code of the suffix; any other input one per code.
+    has index b + j).  An input that *is* that view costs O(k): ``grow``
+    appends in place and no ``index_of`` call is made.  An extension of it
+    pays one ``index_of`` call per code of the suffix; any other input one
+    per code, plus a copy.
     """
     bound = SuffixFold(lambda: 0, lambda b, suffix: max(b, fresh_bound(x, suffix)))
 
-    def append(p: tuple, k: int) -> tuple:
+    def append(p: Sequence, k: int) -> Sequence:
         if k <= 0:
             return p
         b = bound.fold_state(p)
-        q = p + tuple(x.enum(b + j) for j in range(k))
+        q = grow(p, [x.enum(b + j) for j in range(k)])
         bound.keep(q, b + k)
         return q
 
@@ -251,7 +253,7 @@ def level_dense(x: CountableSet, i: int) -> DenseSet:
     return DenseSet(f"L_{i}", lambda f: len(f) >= i, lambda p: append(p, i))
 
 
-def length_levels(n: int, append: Callable[[tuple, int], tuple]) -> list[DenseSet]:
+def length_levels(n: int, append: Callable[[Sequence, int], Sequence]) -> list[DenseSet]:
     """Engine family of n dense goals; meeting the first m forces length >= m.
 
     Goal i is the level of conditions of length at least i+1.  Its extender
@@ -269,7 +271,7 @@ def level_family(x: CountableSet, n: int) -> list[DenseSet]:
 
     The extenders share one fresh-bound cache (see ``_fresh_appender``):
     fed the condition the previous goal returned, as the engine does, a
-    step costs O(1) interpreted work plus the C-level tuple copy.
+    step grows that view in place and costs O(1).
     """
     return length_levels(n, _fresh_appender(x))
 

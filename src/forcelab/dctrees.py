@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 from .collapse import CountableSet, length_levels, prefix_enumeration, sequence_tree
 from .errors import BadSelector, NotInTree
 from .ordinals import cantor_pair, cantor_unpair
-from .posets import (Code, DenseSet, PosetPresentation, SuffixFold, _jsonable, extends,
+from .posets import (Code, DenseSet, Grown, PosetPresentation, SuffixFold, _jsonable, grow,
                      rasiowa_sikorski)
 
 
@@ -47,9 +47,9 @@ def _fresh_functional(x: CountableSet, name: str, stride: int = 1,
     stays used on every extension.  Along a growing run a ``select`` folds
     in only the new suffix and tries O(1) candidates amortised, and the
     ``member`` call that checks its answer reads the same set, so a step
-    costs O(1) interpreted work plus the C-level compare of ``extends``.
-    ``member`` tests a t that is not a tuple with ``in`` instead, and it
-    makes one ``index_of`` call, or two when the index is constrained.
+    on a ``Grown`` view costs O(1).  ``member`` tests a t that is neither a
+    tuple nor a view with ``in`` instead, and it makes one ``index_of``
+    call, or two when the index is constrained.
     Under a custom ``x.eq`` both test a code against every code of t with
     ``eq``, so ``select`` names only codes that ``member`` allows.
     """
@@ -67,7 +67,7 @@ def _fresh_functional(x: CountableSet, name: str, stride: int = 1,
         if x.eq is operator.eq:
             # a list or range is never kept, so a set built from it would
             # only slow its own ``in`` test
-            if v in (scan.fold_state(t)[0] if type(t) is tuple else t):
+            if v in (scan.fold_state(t)[0] if type(t) in (tuple, Grown) else t):
                 return False
         elif any(x.eq(v, c) for c in t):
             return False
@@ -143,7 +143,13 @@ def fixture_functional(x: CountableSet, name: str) -> ChoiceFunctional:
 # ---------------------------------------------------------------------------
 
 def in_tree(f: ChoiceFunctional, t: Sequence) -> bool:
-    return all(f.member(t[:i], t[i]) for i in range(len(t)))
+    """True iff every value of t is allowed by f on the values before it.
+
+    The restrictions are ``Grown`` views of one copy of t, so each is
+    built in O(1) and f's resumable oracles fold each value once.
+    """
+    buf = list(t)
+    return all(f.member(Grown(buf, i), v) for i, v in enumerate(buf))
 
 
 def t_of_f(x: CountableSet, f: ChoiceFunctional) -> PosetPresentation:
@@ -155,16 +161,20 @@ def t_of_f(x: CountableSet, f: ChoiceFunctional) -> PosetPresentation:
 
 
 def tree_level_family(f: ChoiceFunctional, n: int) -> list[DenseSet]:
-    """Length-target dense goals whose extenders iterate the functional's select."""
+    """Length-target dense goals whose extenders iterate the functional's select.
 
-    def append(t: tuple, k: int) -> tuple:
+    Each value is appended with ``grow``, so along a run the condition is
+    one ``Grown`` view extended in place.
+    """
+
+    def append(t: Sequence, k: int) -> Sequence:
         for _ in range(k):
             v = f.select(t)
             if not f.member(t, v):
                 raise BadSelector(
                     f"select of {f.name} returned non-member {v!r}",
                     position=len(t))
-            t = t + (v,)
+            t = grow(t, (v,))
         return t
 
     return length_levels(n, append)
@@ -187,16 +197,24 @@ def modified_functional(f: ChoiceFunctional, t: Sequence) -> ChoiceFunctional:
 
     On a proper restriction of t the only member is the next value of t;
     elsewhere membership defers to f.  Its witnesses extend t, which is the
-    density argument for length levels below t.
+    density argument for length levels below t.  Whether s is a proper
+    restriction of t is a ``SuffixFold`` of s, so along a growing run each
+    call compares only the new values with t.
     """
     t = tuple(t)
     if not in_tree(f, t):
         raise NotInTree(f"{t!r} does not obey {f.name}")
 
+    def fold(state: tuple, suffix: Sequence) -> tuple:
+        k, agrees = state
+        end = k + len(suffix)
+        return end, agrees and t[k:end] == tuple(suffix)
+
+    restriction = SuffixFold(lambda: (0, True), fold)
+
     def forced_at(s: Sequence) -> Optional[int]:
-        if len(s) < len(t) and extends(t, tuple(s)):
-            return len(s)
-        return None
+        k, agrees = restriction.fold_state(s)
+        return k if agrees and k < len(t) else None
 
     def member(s: Sequence, v: Code) -> bool:
         i = forced_at(s)
@@ -283,18 +301,21 @@ def _marker_tracker(eq: Callable[[Code, Code], bool]) -> SuffixFold:
     u's markers are its true occurrence counts under ``eq``.
 
     A ``SuffixFold`` whose fold walks the new suffix with ``_marker_walk``,
-    into a plain dict under ``operator.eq`` and an ``_EqCounts`` otherwise.
-    Markers that are wrong on a prefix stay wrong on every extension, so a
-    wrong state folds to itself.
+    into a plain dict and a ``Grown`` view of bases under ``operator.eq``,
+    and into an ``_EqCounts`` and a tuple otherwise.  Markers that are
+    wrong on a prefix stay wrong on every extension, so a wrong state folds
+    to itself.
     """
 
     def fold(state: tuple, suffix: Sequence) -> tuple:
         bases, counts, ok = state
         if not (ok and _marker_walk(suffix, counts)):
             return (), counts, False
-        return bases + tuple(m.base for m in suffix), counts, True
+        new = [m.base for m in suffix]
+        return (grow(bases, new) if plain else bases + tuple(new)), counts, True
 
-    counts = dict if eq is operator.eq else lambda: _EqCounts(eq)
+    plain = eq is operator.eq
+    counts = dict if plain else lambda: _EqCounts(eq)
     return SuffixFold(lambda: ((), counts(), True), fold)
 
 
@@ -307,12 +328,12 @@ def marker_reduction(x: CountableSet, f: ChoiceFunctional) -> ChoiceFunctional:
     count of a newly allowed base always exceeds every marker it carries so
     far, so witnesses never repeat a pair.
 
-    Cost: the marker state of the last tuple seen is kept (see
+    Cost: the marker state of the last sequence seen is kept (see
     ``_marker_tracker``), so along a growing run a ``member`` or ``select``
-    call walks only the new suffix, and f sees one bases tuple.  Under
-    ``operator.eq`` that is O(1) interpreted work per step plus the C-level
-    compare and copy of the old part; a custom ``eq`` adds one ``eq`` call
-    per class of bases seen for each count looked up.
+    call walks only the new suffix.  Under ``operator.eq`` f sees one
+    ``Grown`` view of the bases, grown in place, and a step costs O(1).
+    Under a custom ``eq`` f sees a tuple of bases, copied at each step, and
+    each count looked up adds one ``eq`` call per class of bases seen.
     """
     product_seq = f_seq(marked_set(x))
     marks = _marker_tracker(x.eq).fold_state

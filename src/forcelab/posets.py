@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import collections.abc
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -44,15 +45,94 @@ class DenseSet:
     extend: Callable[[Code], Code]
 
 
+class Grown(collections.abc.Sequence):
+    """The first n entries of an append-only list, read like a tuple.
+
+    ``grow`` makes these views.  No entry below a view's n ever changes,
+    so a view is as immutable as a tuple: it has ``len``, indexing
+    (a slice is a tuple), iteration, ``in``, ``+`` (giving a tuple), ``==``
+    with tuples and views, and the hash and ``repr`` of the tuple of its
+    entries.  Two views of one buffer agree on their common length, which
+    is what makes ``extends`` on them O(1).
+    """
+
+    __slots__ = ("buf", "n")
+
+    def __init__(self, buf: list, n: int):
+        self.buf = buf
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i):
+        if type(i) is slice:
+            start, stop, step = i.indices(self.n)
+            return tuple(self.buf[start:stop] if step == 1 else self.buf[:self.n][i])
+        if not -self.n <= i < self.n:
+            raise IndexError("Grown index out of range")
+        return self.buf[i % self.n]
+
+    def __iter__(self):
+        return itertools.islice(self.buf, self.n)
+
+    def __contains__(self, value) -> bool:
+        return value in itertools.islice(self.buf, self.n)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Grown):
+            if other.buf is self.buf:
+                return other.n == self.n
+            other = tuple(other)
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return len(other) == self.n and tuple(self) == other
+
+    def __add__(self, other):
+        if not isinstance(other, (tuple, Grown)):
+            return NotImplemented
+        return tuple(self) + tuple(other)
+
+    def __radd__(self, other):
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return other + tuple(self)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+def grow(t: Sequence, values: Iterable) -> Grown:
+    """t followed by values, as a ``Grown`` view.
+
+    A view that ends at its buffer's end is grown in place, O(len values);
+    any other t, a tuple or a view some earlier ``grow`` already extended
+    (a branch), is copied first.  So a run that grows its own last
+    condition never copies it.
+    """
+    if type(t) is Grown and t.n == len(t.buf):
+        buf = t.buf
+    else:
+        buf = list(t)
+    buf.extend(values)
+    return Grown(buf, len(buf))
+
+
 def extends(g: Sequence, f: Sequence,
             eq: Callable[[Code, Code], bool] = operator.eq) -> bool:
     """True iff g end-extends f: it is at least as long and agrees with f on f.
 
     The one end-extension check of every sequence-tree order here.  Under
-    ``operator.eq`` it is a single slice compare done in C, so a step of a
-    run pays O(1) interpreted work for it; any other ``eq`` is applied
-    element by element, O(len f) interpreted calls.
+    ``operator.eq`` two views of one buffer compare by length alone, O(1);
+    other sequences take one slice compare done in C, O(len f) C-level
+    work.  Any other ``eq`` is applied element by element, O(len f)
+    interpreted calls.
     """
+    if type(f) is Grown and type(g) is Grown and f.buf is g.buf and eq is operator.eq:
+        return f.n <= g.n
     n = len(f)
     if len(g) < n:
         return False
@@ -73,18 +153,19 @@ def prefixes(t: Sequence) -> list:
 
 
 class SuffixFold:
-    """``fold_state(t)`` is ``fold(start(), t)``, resumed from the last tuple kept.
+    """``fold_state(t)`` is ``fold(start(), t)``, resumed from the last sequence kept.
 
-    It keeps one tuple with its state.  That tuple itself costs one ``is``
-    test; a tuple that end-extends it folds only ``t[len(last):]`` into the
-    kept state, O(len suffix) interpreted work plus the C-level compare of
-    ``extends``; any other tuple is folded from ``start()``.  A list is
-    folded but never kept, since it may change in place.  ``fold`` may
-    update the kept state in place, so a state is valid until the next
-    call; a fold that raises leaves nothing kept, the empty tuple included,
-    which CPython shares between all callers.  ``keep(t, value)`` records
-    the state of a tuple the caller has just built, so the next call with
-    it costs nothing.
+    It keeps one tuple or ``Grown`` view with its state.  That sequence
+    itself costs one ``is`` test; one that end-extends it folds only
+    ``t[len(last):]`` into the kept state, O(len suffix) interpreted work
+    plus the ``extends`` test, which is O(1) for a view grown from the kept
+    one; any other is folded from ``start()``.  A list is folded but never
+    kept, since it may change in place.  ``fold`` may update the kept
+    state in place, so a state is valid until the next call; a fold that
+    raises leaves nothing kept, the empty tuple included, which CPython
+    shares between all callers.  ``keep(t, value)`` records the state of a
+    sequence the caller has just built, so the next call with it costs
+    nothing.
     """
 
     __slots__ = ("start", "fold", "last", "state")
@@ -93,14 +174,14 @@ class SuffixFold:
                  fold: Callable[[Any, Sequence], Any]):
         self.start = start
         self.fold = fold
-        self.last: Optional[tuple] = None
+        self.last: "tuple | Grown | None" = None
         self.state: Any = None
 
     def fold_state(self, t: Sequence) -> Any:
         last = self.last
         if t is last:
             return self.state
-        if type(t) is not tuple:
+        if type(t) not in (tuple, Grown):
             return self.fold(self.start(), t)
         if last is not None and extends(t, last):
             state, suffix = self.state, t[len(last):]
@@ -112,12 +193,12 @@ class SuffixFold:
         return state
 
     def keep(self, t: Sequence, value: Any) -> None:
-        if type(t) is tuple:
+        if type(t) in (tuple, Grown):
             self.last, self.state = t, value
 
 
 class PrefixChain(collections.abc.Sequence):
-    """A chain of prefixes of one tuple, stored as that tuple and the lengths.
+    """A chain of prefixes of one sequence, stored as it and the lengths.
 
     Entry k is ``final[:lengths[k]]``, so a chain of n entries takes O(n)
     memory instead of the O(n^2) its tuples would.  It reads like the tuple
@@ -129,7 +210,7 @@ class PrefixChain(collections.abc.Sequence):
 
     __slots__ = ("final", "lengths")
 
-    def __init__(self, final: tuple, lengths: Sequence[int]):
+    def __init__(self, final: "tuple | Grown", lengths: Sequence[int]):
         self.final = final
         self.lengths = lengths
 
@@ -249,22 +330,24 @@ def _require_chain(chain: Sequence[Code],
         raise NotAChain(f"{bad[0]!r} does not extend {bad[1]!r}")
 
 
-def _covered(p: PosetPresentation, frag: Sequence[Code],
-             sources: Iterable[Code]) -> set[int]:
-    """Positions in frag of the elements some source extends.
+def _cones(p: PosetPresentation, frag: Sequence[Code]) -> Callable[[Code], list[int]]:
+    """``cone(m)``: the positions in frag of the elements m extends.
 
-    The union of the sources' upward cones: read off ``p.above`` by hash
-    when the presentation has it, else derived from ``leq`` against every
-    fragment element.
+    Read off ``p.above`` by hash when the presentation has it, through one
+    position dict of frag built here; else derived from ``leq`` against
+    every fragment element.
     """
     if p.above is None:
-        def cone(m):
-            return [j for j, b in enumerate(frag) if p.leq(m, b)]
-    else:
-        pos = {q: k for k, q in enumerate(frag)}
+        return lambda m: [j for j, b in enumerate(frag) if p.leq(m, b)]
+    pos = {q: k for k, q in enumerate(frag)}
+    return lambda m: [pos[r] for r in p.above(m) if r in pos]
 
-        def cone(m):
-            return [pos[r] for r in p.above(m) if r in pos]
+
+def _covered(p: PosetPresentation, frag: Sequence[Code],
+             sources: Iterable[Code]) -> set[int]:
+    """Positions in frag of the elements some source extends: the union of
+    the sources' upward cones (see ``_cones``)."""
+    cone = _cones(p, frag)
     covered: set[int] = set()
     for m in sources:
         covered.update(cone(m))
@@ -344,7 +427,7 @@ def run_trace_json(run: GenericRun) -> dict:
 
 
 def _jsonable(code: Code):
-    if isinstance(code, tuple):
+    if isinstance(code, (tuple, Grown)):
         return [_jsonable(c) for c in code]
     if isinstance(code, frozenset):
         return sorted(_jsonable(c) for c in code)
@@ -426,8 +509,15 @@ def parse_poset_table(text: str) -> FinitePoset:
 
 
 def _closed_table(elements: Sequence, pairs: set) -> FinitePoset:
-    """The table of the reflexive-transitive closure of pairs, by Warshall on bit rows."""
-    rows = _bit_rows(elements, lambda a, b: a == b or (a, b) in pairs)
+    """The table of the reflexive-transitive closure of pairs, by Warshall on bit rows.
+
+    Every element of a pair must be one of elements.  The first rows set
+    one bit per element and one per pair.
+    """
+    pos = {e: i for i, e in enumerate(elements)}
+    rows = [1 << i for i in range(len(elements))]
+    for a, b in pairs:
+        rows[pos[a]] |= 1 << pos[b]
     for k in range(len(rows)):
         bit = 1 << k
         for i, row in enumerate(rows):
@@ -485,8 +575,9 @@ def check_poset_laws(p: PosetPresentation, n: int) -> list[int]:
                 raise AssertionError(
                     f"leq not antisymmetric on {frag[i]!r}, {frag[j]!r}")
     if p.above is not None:
+        cone = _cones(p, frag)
         for i, a in enumerate(frag):
-            wrong = rows[i] ^ sum(1 << j for j in _covered(p, frag, [a]))
+            wrong = rows[i] ^ sum(1 << j for j in set(cone(a)))
             if wrong:
                 b = frag[(wrong & -wrong).bit_length() - 1]
                 raise AssertionError(

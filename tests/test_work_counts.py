@@ -1,12 +1,15 @@
 """Tier-1 regression: generic runs do linear work, counted in oracle calls.
 
-A wrapped ``nat`` counts its ``index`` and ``enum`` calls, so these tests
-need no clock.  A run that rescans its whole condition on every step makes
-about n*n/2 such calls; the bounds below are linear in n.  A wrapped
-``leq`` likewise counts the order tests of a fragment check.
+A wrapped ``nat`` counts its ``index`` and ``enum`` calls, so most of these
+tests need no clock.  A run that rescans its whole condition on every step
+makes about n*n/2 such calls; the bounds below are linear in n.  A wrapped
+``leq`` likewise counts the order tests of a fragment check.  Work done in
+C, such as copying or comparing a whole condition on every step, makes no
+oracle call, so one test pins the growth of wall time instead.
 """
 
 import dataclasses
+import time
 import tracemalloc
 
 import pytest
@@ -23,7 +26,7 @@ from forcelab.levy import (
     transfinite_f_seq,
 )
 from forcelab.ordinals import TransfiniteSeq, parse_cnf
-from forcelab.posets import is_dense_on_truncation
+from forcelab.posets import PosetPresentation, check_poset_laws, is_dense_on_truncation
 from forcelab.qtree import check_lattice, finite_subset_lattice
 
 N = 2000
@@ -113,6 +116,44 @@ def test_lattice_laws_visit_common_bounds_only():
 
     check_lattice(dataclasses.replace(lattice, lt=lt), [lattice.enum(n) for n in range(100)])
     assert calls[0] <= 150_000
+
+
+def test_above_contract_check_hashes_each_element_a_few_times():
+    """A position dict of the fragment per element hashes n*n = 40,000 times."""
+    hashes = [0]
+
+    class Counted:
+        def __init__(self, k):
+            self.k = k
+
+        def __hash__(self):
+            hashes[0] += 1
+            return hash(self.k)
+
+    elems = [Counted(k) for k in range(200)]
+    antichain = PosetPresentation("antichain", lambda c: True, lambda a, b: a is b,
+                                  elems.__getitem__, above=lambda q: [q])
+    check_poset_laws(antichain, len(elems))
+    assert hashes[0] <= 4 * len(elems)
+
+
+@pytest.mark.parametrize("command, params", [
+    ("coll-run", {"set": "nat"}),
+    ("dc-run", {"set": "nat", "functional": "seq"}),
+    ("marker-run", {"set": "nat", "functional": "cycle3"}),
+])
+def test_run_time_grows_linearly(command, params):
+    """Linear runs take about 4x as long at 4x the length; copying and
+    comparing the whole condition on every step took 12x or more.  Each
+    size is timed three times, interleaved, and the fastest time counts."""
+    best = {4000: float("inf"), 16000: float("inf")}
+    for _ in range(3):
+        for n in best:
+            start = time.perf_counter()
+            status, _ = run(RunConfig(command, {**params, "n": n}))
+            best[n] = min(best[n], time.perf_counter() - start)
+            assert status == 0
+    assert best[16000] / best[4000] < 8
 
 
 def test_marker_run_walks_each_marker_at_most_twice(monkeypatch):
