@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import sub
+from operator import attrgetter, sub
 from typing import Any, Callable, Optional, Sequence
 
 from .collapse import CountableSet
@@ -46,6 +46,15 @@ def _skip_taken(taken: tuple, n: int) -> int:
     free = list(accumulate(map(sub, taken[::2], (0,) + taken[1::2])))
     i = 2 * bisect_right(free, n)  # the runs below the answer end at taken[i - 1]
     return n + sum(taken[1:i:2]) - sum(taken[:i:2])
+
+
+def _rank_outside(taken: tuple, k: int) -> Optional[int]:
+    """Rank of k among the naturals outside the runs ``taken``, the inverse
+    of ``_skip_taken``; None when a run holds k."""
+    i = bisect_right(taken, k)
+    if i & 1:
+        return None
+    return k - (sum(taken[1:i:2]) - sum(taken[:i:2]))
 
 
 class OmegaLayer:
@@ -80,22 +89,31 @@ class IndexUsage:
     layer: Optional[OmegaLayer] = None
     taken: tuple = ()
 
+    def _level_rank(self, k: int) -> Optional[int]:
+        """Rank of k in the space ``taken`` counts in: every natural
+        without a layer, else the odd-ranked fresh indices of
+        ``layer.base``.  None when k lies outside that space."""
+        bases = []
+        u = self
+        while u.layer is not None:
+            u = u.layer.base
+            bases.append(u)
+        for u in reversed(bases):  # from the usage without a layer up
+            if u.taken:
+                k = _rank_outside(u.taken, k)
+                if k is None:
+                    return None
+            if not k & 1:  # the layer above takes u's even ranks
+                return None
+            k >>= 1
+        return k
+
     def fresh_rank(self, k: int) -> Optional[int]:
         """Position of k among the fresh indices, or None when k is consumed."""
-        chain = [self]
-        while chain[-1].layer is not None:
-            chain.append(chain[-1].layer.base)
-        for u in reversed(chain):
-            if u.layer is not None:  # base rank 2m+1 is rank m of this level
-                if not k & 1:
-                    return None
-                k >>= 1
-            if u.taken:
-                i = bisect_right(u.taken, k)
-                if i & 1:  # k lies in a run
-                    return None
-                k -= sum(u.taken[1:i:2]) - sum(u.taken[:i:2])
-        return k
+        k = self._level_rank(k)
+        if k is None or not self.taken:
+            return k
+        return _rank_outside(self.taken, k)
 
     def nth_fresh(self, n: int) -> int:
         """The n-th (from 0) fresh index in increasing order."""
@@ -114,23 +132,37 @@ class IndexUsage:
         return self.nth_fresh(0)
 
     def with_fresh(self, ranks) -> "IndexUsage":
-        """Also consume the fresh indices at the given fresh ranks.
-
-        Each new index is a run [k, k + 1); where it meets a run, the
-        shared bound occurs twice, so the bounds that occur once are the
-        merged runs.
-        """
+        """Also consume the fresh indices at the given fresh ranks."""
         added = set(ranks)
-        if not added:
-            return self
         if self.taken:
             added = {_skip_taken(self.taken, r) for r in added}
-        bounds = set(self.taken) ^ added ^ {k + 1 for k in added}
-        return IndexUsage(self.layer, tuple(sorted(bounds)))
+        return self._with_level_ranks(added)
 
     def with_explicit(self, indices) -> "IndexUsage":
         """Also consume the given indices; consumed ones are ignored."""
-        return self.with_fresh(r for r in map(self.fresh_rank, indices) if r is not None)
+        taken = self.taken
+        added = set()
+        for k in indices:
+            r = self._level_rank(k)
+            if r is not None and not bisect_right(taken, r) & 1:
+                added.add(r)
+        return self._with_level_ranks(added)
+
+    def _with_level_ranks(self, added: set) -> "IndexUsage":
+        """Also take the given ranks of the level space, none in a run.
+
+        A single rank that continues the last run extends it, O(1) tuple
+        work.  Otherwise each rank is a run [k, k + 1); where it meets a
+        run, the shared bound occurs twice, so the bounds that occur once
+        are the merged runs.
+        """
+        if not added:
+            return self
+        taken = self.taken
+        if len(added) == 1 and taken and taken[-1] in added:
+            return IndexUsage(self.layer, taken[:-1] + (taken[-1] + 1,))
+        bounds = set(taken) ^ added ^ {k + 1 for k in added}
+        return IndexUsage(self.layer, tuple(sorted(bounds)))
 
     def with_layer(self, layer: OmegaLayer) -> "IndexUsage":
         """Also consume an omega layer, which must lie over this usage."""
@@ -231,7 +263,7 @@ def standard_cofinal(alpha: Ordinal) -> CofinalPresentation:
         # w*m + (n - m), where m stops at k - 1 under w*k
         n = xi.to_int()
         m = n if k is None else min(n, k - 1)
-        return Ordinal(tuple(t for t in ((1, m), (0, n - m)) if t[1]))
+        return Ordinal._of(((1, m),) * (m > 0) + ((0, n - m),) * (n > m))
 
     return CofinalPresentation(alpha, TransfiniteSeq(OMEGA, stage))
 
@@ -270,9 +302,15 @@ class BuiltBlock:
     layer: Optional[OmegaLayer] = None
 
     def partial_usage(self, offset: int, base: IndexUsage) -> IndexUsage:
+        if not offset:
+            return base
         if self.indices is not None:
             return base.with_explicit(self.indices[:offset])
-        # the layer's j-th element is the base's fresh index of rank 2j
+        # the layer's j-th element is the base's fresh index of rank 2j;
+        # over a base without runs these are the runs [2j, 2j + 1), whose
+        # bounds are 0, 1, ..., 2 * offset - 1
+        if not base.taken:
+            return IndexUsage(base.layer, tuple(range(2 * offset)))
         return base.with_fresh(range(0, 2 * offset, 2))
 
 
@@ -293,9 +331,10 @@ def standard_block_builder(x: CountableSet) -> Callable:
                 "standard builder needs a prefix with a usage record")
         if gamma.is_finite():
             values, indices, cur = [], [], usage
+            splice = _splice(prefix, values)  # reads values as they grow
             for j in range(gamma.to_int()):
                 working = UsageSeq(ord_add(prefix.length, Ordinal.from_int(j)),
-                                   _splice(prefix, values), usage=cur)
+                                   splice, usage=cur)
                 values.append(f.select(working))
                 indices.append(x.index_of(values[-1]))
                 cur = cur.with_explicit(indices[-1:])
@@ -321,6 +360,7 @@ def _splice(prefix: TransfiniteSeq, values: list) -> Callable:
     return evaluator
 
 
+_terms = attrgetter("terms")
 _OMEGA_BLOCK_PROBES = (0, 1, 2, 5, 13)
 _FINITE_CHECK_CAP = 64
 _VALIDATE_STAGES = 50
@@ -415,7 +455,8 @@ class LiftedWitness:
         stages = self._stages
         while not p < stages[-1]:
             self._grow_stages(p)
-        xi = bisect_right(stages, p) - 1
+        # Ordinals compare as their terms; comparing those is done in C
+        xi = bisect_right(stages, p.terms, key=_terms) - 1
         return xi, ord_sub_left(stages[xi], p)
 
     def usage_at(self, pos) -> IndexUsage:

@@ -26,7 +26,7 @@ from .errors import (
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ordinal:
     """An ordinal below w^w in Cantor normal form.
 
@@ -51,11 +51,25 @@ class Ordinal:
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    def _of(terms: tuple) -> "Ordinal":
+        """An Ordinal on ``terms`` without the checks of ``__post_init__``.
+
+        Only for terms that are valid CNF by construction, such as the
+        results of arithmetic on valid Ordinals; ``Ordinal(...)``,
+        ``parse_cnf`` and ``from_int`` on anything but a natural check.
+        """
+        o = _new_ordinal(Ordinal)
+        _set_field(o, "terms", terms)
+        return o
+
+    @staticmethod
     def zero() -> "Ordinal":
         return Ordinal(())
 
     @staticmethod
     def from_int(n: int) -> "Ordinal":
+        if type(n) is int and n >= 0:
+            return Ordinal._of(((0, n),)) if n else ZERO
         if n < 0:
             raise ValueError("ordinals are non-negative")
         return Ordinal(((0, n),) if n else ())
@@ -83,9 +97,12 @@ class Ordinal:
         return bool(self.terms) and self.terms[-1][0] >= 1
 
     def to_int(self) -> int:
-        if not self.is_finite():
+        terms = self.terms
+        if not terms:
+            return 0
+        if terms[0][0]:
             raise ValueError(f"{self} is infinite")
-        return self.terms[0][1] if self.terms else 0
+        return terms[0][1]
 
     # -- order ----------------------------------------------------------
 
@@ -105,7 +122,7 @@ class Ordinal:
             raise ValueError(f"{self} is not a successor")
         e, c = self.terms[-1]
         head = self.terms[:-1]
-        return Ordinal(head + ((0, c - 1),) if c > 1 else head)
+        return Ordinal._of(head + ((0, c - 1),) if c > 1 else head)
 
     # -- text format -----------------------------------------------------
 
@@ -116,6 +133,8 @@ class Ordinal:
         return f"Ordinal({format_cnf(self)!r})"
 
 
+_new_ordinal = object.__new__
+_set_field = object.__setattr__  # past the frozen ``__setattr__``
 ZERO = Ordinal.zero()
 ONE = Ordinal.from_int(1)
 OMEGA = Ordinal.omega()
@@ -139,26 +158,26 @@ def ord_add(a: Ordinal, b: Ordinal) -> Ordinal:
         if t[0] == e:
             merged[0] = (e, t[1] + b.terms[0][1])
             break
-    return Ordinal(tuple(kept) + tuple(merged))
+    return Ordinal._of(tuple(kept) + tuple(merged))
 
 
 def ord_sub_left(a: Ordinal, b: Ordinal) -> Ordinal:
     """The unique o with a + o = b, for a <= b (order type of [a, b))."""
-    if b < a:
-        raise ValueError(f"cannot left-subtract {a} from smaller {b}")
     at, bt = a.terms, b.terms
+    if bt < at:
+        raise ValueError(f"cannot left-subtract {a} from smaller {b}")
     k = 0
     while k < len(at) and k < len(bt) and at[k] == bt[k]:
         k += 1
     if k == len(at):
-        return Ordinal(bt[k:])
+        return Ordinal._of(bt[k:])
     # first differing term: b must dominate there
     e_a, c_a = at[k]
     e_b, c_b = bt[k]
     if e_b > e_a:
-        return Ordinal(bt[k:])
+        return Ordinal._of(bt[k:])
     # e_b == e_a with c_b > c_a (anything else contradicts a <= b)
-    return Ordinal(((e_a, c_b - c_a),) + bt[k + 1:])
+    return Ordinal._of(((e_a, c_b - c_a),) + bt[k + 1:])
 
 
 def format_cnf(a: Ordinal) -> str:
@@ -262,8 +281,8 @@ class TransfiniteSeq:
     evaluator: Callable[[Ordinal], Any]
 
     def at(self, pos: "Ordinal | int") -> Any:
-        p = ord_of(pos)
-        if not p < self.length:
+        p = pos if isinstance(pos, Ordinal) else Ordinal.from_int(pos)
+        if not p.terms < self.length.terms:
             raise IndexError(f"position {p} not below length {self.length}")
         return self.evaluator(p)
 
@@ -397,8 +416,7 @@ def _coords_below_power(r: Ordinal, dim: int) -> tuple[int, ...]:
 
 def _power_of_coords(coords: tuple[int, ...]) -> Ordinal:
     dim = len(coords)
-    terms = [(dim - 1 - i, c) for i, c in enumerate(coords) if c]
-    return Ordinal(tuple(terms))
+    return Ordinal._of(tuple((dim - 1 - i, c) for i, c in enumerate(coords) if c))
 
 
 @dataclass(frozen=True)

@@ -158,8 +158,9 @@ class SuffixFold:
     It keeps one tuple or ``Grown`` view with its state.  That sequence
     itself costs one ``is`` test; one that end-extends it folds only
     ``t[len(last):]`` into the kept state, O(len suffix) interpreted work
-    plus the ``extends`` test, which is O(1) for a view grown from the kept
-    one; any other is folded from ``start()``.  A list is folded but never
+    plus the ``extends`` test, and a view grown from the kept one reads
+    that suffix off the shared buffer with no test; any other is folded
+    from ``start()``.  A list is folded but never
     kept, since it may change in place.  ``fold`` may update the kept
     state in place, so a state is valid until the next call; a fold that
     raises leaves nothing kept, the empty tuple included, which CPython
@@ -183,7 +184,10 @@ class SuffixFold:
             return self.state
         if type(t) not in (tuple, Grown):
             return self.fold(self.start(), t)
-        if last is not None and extends(t, last):
+        if type(t) is Grown and type(last) is Grown and t.buf is last.buf and last.n <= t.n:
+            # a view grown from the kept one: its new entries, off the buffer
+            state, suffix = self.state, t.buf[last.n:t.n]
+        elif last is not None and extends(t, last):
             state, suffix = self.state, t[len(last):]
         else:
             state, suffix = self.start(), t

@@ -212,6 +212,19 @@ class TestAgainstScanningReference:
         expected = ref.with_explicit(indices)
         assert [by_rank.contains(k) for k in PROBE] == [expected.contains(k) for k in PROBE]
 
+    @settings(max_examples=100, deadline=None)
+    @given(histories(), st.integers(0, 40))
+    def test_omega_block_restriction_takes_its_first_elements(self, history, offset):
+        base, _ref, _ = replay(history)
+        layer = OmegaLayer(base)
+        block = BuiltBlock(TransfiniteSeq(OMEGA, lambda j: j), base.with_layer(layer),
+                           layer=layer)
+        cut = block.partial_usage(offset, base)
+        assert cut == base.with_fresh(range(0, 2 * offset, 2))
+        first = {layer.nth_index(j) for j in range(offset)}
+        assert ([cut.contains(k) for k in PROBE]
+                == [base.contains(k) or k in first for k in PROBE])
+
     @settings(max_examples=60, deadline=None)
     @given(histories())
     def test_adding_nothing_returns_self(self, history):
@@ -333,9 +346,10 @@ class TestRestrictions:
 class TestDeepLadder:
     """Under w^2, after k layers the fresh index of rank r is
     (r + 1) * 2^k - 1.  Block k takes the ranks 2j, so position w*k + j
-    holds (2j + 1) * 2^k - 1."""
+    holds (2j + 1) * 2^k - 1.  At k = 600 a rank that recursed once per
+    layer would pass Python's default recursion limit."""
 
-    @pytest.mark.parametrize("k", [16, 64])
+    @pytest.mark.parametrize("k", [16, 64, 600])
     def test_value_and_witness_at_w_times_k_plus_5(self, k):
         f = transfinite_f_seq(nat_set())
         g = levy_lift(standard_cofinal(parse_cnf("w^2")), f)

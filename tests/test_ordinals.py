@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.sets.ordinals import Ordinal as SymOrdinal
 from sympy.sets.ordinals import OmegaPower, ord0
 
@@ -11,6 +13,7 @@ from forcelab.errors import (
     OrdinalOverflow,
     SsupOfEmpty,
 )
+from forcelab.levy import standard_cofinal
 from forcelab.ordinals import (
     OMEGA,
     ONE,
@@ -312,3 +315,55 @@ def test_ord_of_coercion():
     assert ord_of(5) == fin(5)
     assert ord_of(W) is W
     assert constant_seq(3, "k").materialize() == ["k", "k", "k"]
+
+
+# ---------------------------------------------------------------------------
+# unchecked results: every Ordinal the arithmetic builds without the checks
+# of __post_init__ is one the checked constructor accepts as it stands
+# ---------------------------------------------------------------------------
+
+cnf = st.dictionaries(st.integers(0, 5), st.integers(1, 50), max_size=4).map(
+    lambda d: Ordinal(tuple(sorted(d.items(), reverse=True))))
+
+
+def assert_valid(o):
+    checked = Ordinal(o.terms)
+    assert checked == o and hash(checked) == hash(o)
+
+
+class TestUncheckedResults:
+    @settings(max_examples=300, deadline=None)
+    @given(cnf, cnf, st.integers(0, 10**6))
+    def test_arithmetic_results_pass_the_checks(self, a, b, n):
+        total = ord_add(a, b)
+        for o in (total, ord_sub_left(a, total), ord_sub_left(b, ord_add(b, a)),
+                  Ordinal.from_int(n), ord_add(a, fin(n + 1)).pred()):
+            assert_valid(o)
+        assert ord_sub_left(a, total) == b
+
+    @settings(max_examples=150, deadline=None)
+    @given(cnf.filter(lambda a: not a < W), st.integers(0, 10**9))
+    def test_bijection_results_pass_the_checks(self, a, n):
+        bij = omega_bijection(a)
+        o = bij.backward(n)
+        assert_valid(o)
+        assert bij.forward(o) == n
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["w*1", "w*2", "w*3", "w*7", "w^2"]), st.integers(0, 10**6))
+    def test_ladder_stages_pass_the_checks(self, alpha, xi):
+        cof = standard_cofinal(parse_cnf(alpha))
+        stage = cof.stage(xi)
+        assert_valid(stage)
+        assert stage < cof.alpha and cof.stage(xi) < cof.stage(xi + 1)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Ordinal(((0, 0),)), "bad coefficient 0"),
+        (lambda: Ordinal(((0, 2), (1, 1))), "exponents must be strictly decreasing"),
+        (lambda: parse_cnf("w*8+0"), "bad coefficient 0"),
+        (lambda: Ordinal.from_int(-1), "ordinals are non-negative"),
+        (lambda: Ordinal.from_int(2.0), "bad coefficient 2.0"),
+    ])
+    def test_checked_constructors_still_refuse(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()

@@ -14,7 +14,7 @@ import tracemalloc
 
 import pytest
 
-from forcelab import collapse, dctrees
+from forcelab import collapse, dctrees, levy
 from forcelab.cli import RunConfig, run
 from forcelab.collapse import CountableSet
 from forcelab.dctrees import dc_witness, f_seq, fixture_functional
@@ -25,7 +25,7 @@ from forcelab.levy import (
     standard_cofinal,
     transfinite_f_seq,
 )
-from forcelab.ordinals import TransfiniteSeq, parse_cnf
+from forcelab.ordinals import Ordinal, TransfiniteSeq, parse_cnf
 from forcelab.posets import PosetPresentation, check_poset_laws, is_dense_on_truncation
 from forcelab.qtree import check_lattice, finite_subset_lattice
 
@@ -232,3 +232,46 @@ def test_cold_lift_memory_grows_linearly():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 2.5 * peaks[0]
+
+
+def test_cold_lift_blocks_build_no_checked_ordinals(monkeypatch):
+    """A cold block's positions and lengths come from arithmetic, which
+    builds its results unchecked, so the checked Ordinals of a cold query
+    are those of its setup, the same at every depth; checking every
+    Ordinal made 1,235 at n=150 and 2,285 at n=300, 7 per block.  A
+    block's usage update maps each index to its rank once, and never back
+    through ``_skip_taken``."""
+    checked, skips, updating, updates = [0], [0], [0], [0]
+    post_init, skip, with_explicit = (Ordinal.__post_init__, levy._skip_taken,
+                                      levy.IndexUsage.with_explicit)
+
+    def counting_post_init(self):
+        checked[0] += 1
+        post_init(self)
+
+    def counting_skip(taken, n):
+        skips[0] += updating[0] > 0
+        return skip(taken, n)
+
+    def tracked_with_explicit(self, indices):
+        updates[0] += 1
+        updating[0] += 1
+        try:
+            return with_explicit(self, indices)
+        finally:
+            updating[0] -= 1
+
+    monkeypatch.setattr(Ordinal, "__post_init__", counting_post_init)
+    monkeypatch.setattr(levy, "_skip_taken", counting_skip)
+    monkeypatch.setattr(levy.IndexUsage, "with_explicit", tracked_with_explicit)
+
+    def cold_query(n):
+        start = checked[0]
+        f = transfinite_f_seq(collapse.nat_set())
+        g = levy_lift(standard_cofinal(parse_cnf("w*2")), f)
+        pos = parse_cnf(f"w + {n}")
+        assert g.at(pos) == 2 * n + 1 and check_transfinite_witness(f, g, [pos])
+        return checked[0] - start
+
+    assert cold_query(150) == cold_query(300)
+    assert updates[0] >= 450 and skips[0] == 0
