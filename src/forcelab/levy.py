@@ -17,6 +17,7 @@ from itertools import accumulate
 from operator import attrgetter, sub
 from typing import Any, Callable, Optional, Sequence
 
+from . import ordinals
 from .collapse import CountableSet
 from .errors import (
     BadBlock,
@@ -331,10 +332,15 @@ def standard_block_builder(x: CountableSet) -> Callable:
                 "standard builder needs a prefix with a usage record")
         if gamma.is_finite():
             values, indices, cur = [], [], usage
-            splice = _splice(prefix, values)  # reads values as they grow
+            plen = prefix.length
+
+            def splice(pos: Ordinal):  # reads values as they grow
+                return (prefix.at(pos) if pos < plen
+                        else values[ord_sub_left(plen, pos).to_int()])
+
             for j in range(gamma.to_int()):
-                working = UsageSeq(ord_add(prefix.length, Ordinal.from_int(j)),
-                                   splice, usage=cur)
+                working = (UsageSeq(ord_add(prefix.length, Ordinal.from_int(j)),
+                                    splice, usage=cur) if j else prefix)
                 values.append(f.select(working))
                 indices.append(x.index_of(values[-1]))
                 cur = cur.with_explicit(indices[-1:])
@@ -349,22 +355,10 @@ def standard_block_builder(x: CountableSet) -> Callable:
     return build
 
 
-def _splice(prefix: TransfiniteSeq, values: list) -> Callable:
-    plen = prefix.length
-
-    def evaluator(pos: Ordinal):
-        if pos < plen:
-            return prefix.at(pos)
-        return values[ord_sub_left(plen, pos).to_int()]
-
-    return evaluator
-
-
 _terms = attrgetter("terms")
 _OMEGA_BLOCK_PROBES = (0, 1, 2, 5, 13)
 _FINITE_CHECK_CAP = 64
 _VALIDATE_STAGES = 50
-_LOCATE_CAP = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -389,18 +383,17 @@ class LiftedWitness:
         self.length = cof.alpha
         self._blocks: list[BuiltBlock] = []
         self._stages: list[Ordinal] = [cof.stage(0)]  # ladder stages computed so far
+        self._next_prefix = UsageSeq(self._stages[0], self.at, usage=IndexUsage())
+        self._last_located: tuple = (None, None)  # terms of a position, its locate
 
     # -- block construction -------------------------------------------
-
-    def _usage_before(self, xi: int) -> IndexUsage:
-        return self._blocks[xi - 1].usage_after if xi else IndexUsage()
 
     def _grow_stages(self, goal: object) -> None:
         """Evaluate the next ladder stage into ``self._stages``, the one
         stage list of the lift; ``goal``, formatted only for the error,
         names what the caller waits for."""
         stages = self._stages
-        if len(stages) > _LOCATE_CAP + 1:
+        if len(stages) > ordinals._SCAN_CAP + 1:
             raise BadCofinal(f"ladder never passes {goal}")
         stages.append(self.cof.stage(len(stages)))
 
@@ -412,8 +405,7 @@ class LiftedWitness:
                 self._grow_stages(f"the end of block {nxt}")
             # the ladder evaluator is pure, so this is cof.gamma(nxt)
             gamma = ord_sub_left(stages[nxt], stages[nxt + 1])
-            prefix = UsageSeq(stages[nxt], self.at,
-                              usage=self._usage_before(nxt))
+            prefix = self._next_prefix
             block = self.builder(gamma, self.functional, prefix)
             if not isinstance(block, BuiltBlock):
                 raise BadBlock("builder must return a BuiltBlock")
@@ -422,23 +414,36 @@ class LiftedWitness:
                     f"block {nxt} has length {block.seq.length}, expected {gamma}")
             if block.layer is not None and block.layer.base != prefix.usage:
                 raise BadBlock(f"block {nxt} has a layer over a foreign usage")
-            self._blocks.append(block)
-            self._verify_block(nxt, block, prefix)
+            after = UsageSeq(stages[nxt + 1], self.at, usage=block.usage_after)
+            self._blocks.append(block)  # the functional may read the block's values
+            try:
+                self._verify_block(nxt, block, prefix, after)
+            except BaseException:
+                self._blocks.pop()  # a refused block is never served
+                raise
+            self._next_prefix = after
         return self._blocks[xi]
 
-    def _verify_block(self, xi: int, block: BuiltBlock,
-                      prefix: UsageSeq) -> None:
+    def _verify_block(self, xi: int, block: BuiltBlock, prefix: UsageSeq,
+                      after: UsageSeq) -> None:
+        """Each probed value must be allowed before its offset and refused
+        after the block; a finite block's indices must add up to its usage,
+        since restrictions inside the block read them."""
         gamma = block.seq.length
-        probes = (range(min(gamma.to_int(), _FINITE_CHECK_CAP)) if gamma.is_finite()
-                  else _OMEGA_BLOCK_PROBES)
-        for j in probes:
-            working = UsageSeq(ord_add(prefix.length, Ordinal.from_int(j)),
-                               self.at,
-                               usage=block.partial_usage(j, prefix.usage))
-            if not self.functional.member(working, block.seq.at(j)):
-                raise BadBlockWitness(
-                    f"block {xi} value at offset {j} is not allowed",
-                    position=str(ord_add(prefix.length, Ordinal.from_int(j))))
+        base, member = prefix.usage, self.functional.member
+        n = gamma.to_int() if gamma.is_finite() else None
+        for j in _OMEGA_BLOCK_PROBES if n is None else range(min(n, _FINITE_CHECK_CAP)):
+            working = (UsageSeq(ord_add(prefix.length, Ordinal.from_int(j)), self.at,
+                                usage=block.partial_usage(j, base)) if j else prefix)
+            value = block.seq.at(j)
+            if not member(working, value):
+                raise BadBlockWitness(f"block {xi} value at offset {j} is not allowed",
+                                      position=str(working.length))
+            if member(after, value):
+                raise BadBlock(f"block {xi} value at offset {j} is still allowed "
+                               f"after the block, at {after.length}")
+        if n is not None and block.partial_usage(n, base) != after.usage:
+            raise BadBlock(f"block {xi} reports indices that disagree with its usage")
 
     # -- sequence interface ---------------------------------------------
 
@@ -448,8 +453,11 @@ class LiftedWitness:
 
     def locate(self, pos) -> tuple[int, Ordinal]:
         """Block index and offset of a position; below the furthest ladder
-        stage computed so far, a bisection with no new ``stage`` call."""
+        stage computed so far, a bisection with no new ``stage`` call.  The
+        last answer is kept, so a value and its sample check locate once."""
         p = ord_of(pos)
+        if p.terms == self._last_located[0]:
+            return self._last_located[1]
         if not p < self.length:
             raise IndexError(f"position {p} not below {self.length}")
         stages = self._stages
@@ -457,13 +465,15 @@ class LiftedWitness:
             self._grow_stages(p)
         # Ordinals compare as their terms; comparing those is done in C
         xi = bisect_right(stages, p.terms, key=_terms) - 1
-        return xi, ord_sub_left(stages[xi], p)
+        self._last_located = p.terms, (xi, ord_sub_left(stages[xi], p))
+        return self._last_located[1]
 
     def usage_at(self, pos) -> IndexUsage:
         """Usage record of the restriction to positions below pos."""
         xi, offset = self.locate(pos)
         block = self._block(xi)
-        return block.partial_usage(offset.to_int(), self._usage_before(xi))
+        base = self._blocks[xi - 1].usage_after if xi else IndexUsage()
+        return block.partial_usage(offset.to_int(), base)
 
     def restrict(self, length) -> UsageSeq:
         l = ord_of(length)

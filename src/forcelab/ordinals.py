@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
@@ -182,47 +183,26 @@ def ord_sub_left(a: Ordinal, b: Ordinal) -> Ordinal:
 
 def format_cnf(a: Ordinal) -> str:
     """Render as e.g. ``"w^2*3 + w*1 + 4"``; zero is ``"0"``."""
-    if not a.terms:
-        return "0"
-    parts = []
-    for e, c in a.terms:
-        if e == 0:
-            parts.append(str(c))
-        elif e == 1:
-            parts.append(f"w*{c}")
-        else:
-            parts.append(f"w^{e}*{c}")
-    return " + ".join(parts)
+    return " + ".join([f"w^{e}*{c}" if e > 1 else f"w*{c}" if e else str(c)
+                       for e, c in a.terms]) or "0"
+
+
+_CNF_TERM = re.compile(r"w(?:\^([0-9]+))?(?:\*([0-9]+))?|([0-9]+)")
 
 
 def parse_cnf(text: str) -> Ordinal:
-    """Parse the ``format_cnf`` notation back into an Ordinal."""
-    s = text.strip()
-    if s == "0":
+    """Parse the ``format_cnf`` notation back into an Ordinal: terms
+    ``w^E*C``, ``w^E``, ``w*C``, ``w`` and ``N`` in ASCII digits, joined by
+    ``+`` with optional spaces around each term; ``"0"`` is zero."""
+    if text.strip(" ") == "0":
         return ZERO
     terms = []
-    for part in s.split("+"):
-        part = part.strip()
-        if not part:
-            raise ValueError(f"empty term in {text!r}")
-        if part.startswith("w"):
-            rest = part[1:]
-            exp = 1
-            if rest.startswith("^"):
-                rest = rest[1:]
-                cut = rest.find("*")
-                exp_text = rest if cut < 0 else rest[:cut]
-                exp = int(exp_text)
-                rest = "" if cut < 0 else rest[cut:]
-            if rest.startswith("*"):
-                coeff = int(rest[1:])
-            elif rest == "":
-                coeff = 1
-            else:
-                raise ValueError(f"cannot parse term {part!r}")
-            terms.append((exp, coeff))
-        else:
-            terms.append((0, int(part)))
+    for part in text.split("+"):
+        m = _CNF_TERM.fullmatch(part.strip(" "))
+        if m is None:
+            raise ValueError(f"cannot parse {text!r} as CNF terms joined by '+'")
+        e, c, n = m.groups()
+        terms.append((0, int(n)) if n else (int(e or 1), int(c or 1)))
     return Ordinal(tuple(terms))
 
 
@@ -452,19 +432,17 @@ def omega_bijection(a: Ordinal) -> OmegaBijection:
             blocks.append((base, e))
             base = ord_add(base, Ordinal.omega_power(e))
     k = len(blocks)
+    starts = [b.terms for b, _e in blocks]  # Ordinals compare as their terms
 
     def forward(o: Ordinal) -> int:
         if not o < a:
             raise ValueError(f"{o} is not below {a}")
         if fin_count and not o < fin_base:
             return ord_sub_left(fin_base, o).to_int()
-        for i, (b, e) in enumerate(blocks):
-            nxt = blocks[i + 1][0] if i + 1 < k else fin_base if fin_count else a
-            if o < nxt:
-                r = ord_sub_left(b, o)
-                v = _encode_tuple(_coords_below_power(r, e))
-                return fin_count + v * k + i
-        raise AssertionError("unreachable: o below a must land in a block")
+        i = bisect_right(starts, o.terms) - 1
+        b, e = blocks[i]
+        v = _encode_tuple(_coords_below_power(ord_sub_left(b, o), e))
+        return fin_count + v * k + i
 
     def backward(n: int) -> Ordinal:
         if n < 0:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from forcelab import ordinals
 from forcelab.collapse import evens_set, nat_set
 from forcelab.errors import (
     BadBlock,
@@ -15,6 +16,7 @@ from forcelab.levy import (
     CofinalPresentation,
     IndexUsage,
     OmegaLayer,
+    TransfiniteFunctional,
     UsageSeq,
     check_transfinite_witness,
     default_samples,
@@ -130,6 +132,30 @@ class TestCofinal:
                            if xi.to_int() else ZERO))
         with pytest.raises(BadCofinal):
             validate_cofinal(too_long)
+
+    def test_validate_refuses_a_ladder_of_another_length(self):
+        short = CofinalPresentation(Ordinal.omega(2), TransfiniteSeq(fin(5), lambda xi: xi))
+        with pytest.raises(BadCofinal, match="ladder must have length w"):
+            validate_cofinal(short)
+
+    def test_validate_refuses_a_stage_that_reaches_alpha(self):
+        overshoot = CofinalPresentation(
+            Ordinal.omega(2),
+            TransfiniteSeq(W, lambda xi: Ordinal.omega_power(1, xi.to_int())))
+        with pytest.raises(BadCofinal, match=r"stage 2 reaches w\*2"):
+            validate_cofinal(overshoot)
+
+    def test_lift_shares_the_offset_walk_cap(self, nat, monkeypatch):
+        # stages 0, 1, 2, ... lie below w*2 but never pass w
+        monkeypatch.setattr(ordinals, "_SCAN_CAP", 60)
+        asked = []
+        finite = CofinalPresentation(Ordinal.omega(2),
+                                     TransfiniteSeq(W, lambda xi: asked.append(xi) or xi))
+        g = levy_lift(finite, transfinite_f_seq(nat))
+        assert g.at(59) == 59
+        with pytest.raises(BadCofinal, match="ladder never passes w"):
+            g.at(W)
+        assert max(asked) == fin(61)
 
 
 class TestLiftOmega:
@@ -279,6 +305,34 @@ class TestBuilders:
             levy_lift(standard_cofinal(W), f, builder=repeat_zero).at(3)
         assert exc.value.details["position"] == "1"
 
+    @pytest.mark.parametrize("lie, message", [
+        ("consumes nothing", "still allowed after the block"),
+        ("other indices", "indices that disagree with its usage"),
+        ("other index throughout", "still allowed after the block"),
+    ])
+    def test_misreported_bookkeeping_is_bad_block(self, nat, lie, message):
+        std = standard_block_builder(nat)
+
+        def liar(gamma, f, prefix):
+            b = std(gamma, f, prefix)
+            if not gamma.is_finite():
+                return b
+            other = tuple(k + 2 for k in b.indices)  # the next odd index, still fresh
+            if lie == "consumes nothing":
+                return BuiltBlock(b.seq, prefix.usage, indices=b.indices)
+            if lie == "other indices":
+                return BuiltBlock(b.seq, b.usage_after, indices=other)
+            return BuiltBlock(b.seq, prefix.usage.with_explicit(other), indices=other)
+
+        g = levy_lift(standard_cofinal(parse_cnf("w*2")), transfinite_f_seq(nat),
+                      builder=liar)
+        assert g.at(3) == 6
+        for _ in range(2):  # a refused block is refused again, never served
+            with pytest.raises(BadBlock) as exc:
+                g.at(parse_cnf("w + 5"))
+            assert exc.type is BadBlock and message in str(exc.value)
+        assert "block 1 " in str(exc.value)
+
     def test_builder_needs_usage(self, nat):
         build = standard_block_builder(nat)
         with pytest.raises(RangeNotDecidable):
@@ -301,6 +355,52 @@ class TestBuilders:
         g = levy_lift(standard_cofinal(W), anonymous,
                       builder=standard_block_builder(nat))
         assert g.at(2) == 2
+
+
+def growing_blocks_ladder():
+    """Under w*2: first w, then finite blocks of lengths 3, 4, 5, ..."""
+    def stage(xi):
+        n = xi.to_int()
+        return ord_add(W, fin((n - 1) * (n + 4) // 2)) if n else ZERO
+
+    return CofinalPresentation(Ordinal.omega(2), TransfiniteSeq(W, stage))
+
+
+class TestLongerFiniteBlocks:
+    def test_values_checks_and_restrictions(self, nat):
+        cof = growing_blocks_ladder()
+        f = transfinite_f_seq(nat)
+        g = levy_lift(cof, f)
+        assert [str(cof.gamma(xi)) for xi in range(4)] == ["w*1", "3", "4", "5"]
+        positions = [ord_add(W, fin(i)) for i in range(30)]
+        assert [g.at(p) for p in positions] == list(range(1, 60, 2))
+        assert check_transfinite_witness(f, g, positions)
+        # w + 5 lies inside the block [w + 3, w + 7): below it the w-block
+        # took the even indices and the finite blocks took 1, 3, 5, 7, 9
+        usage = g.restrict(positions[5]).usage
+        assert ([k for k in range(40) if usage.contains(k)]
+                == sorted(set(range(0, 40, 2)) | {1, 3, 5, 7, 9}))
+
+    def test_select_sees_the_lift_s_previous_values(self, nat):
+        plain = transfinite_f_seq(nat)
+        seen = []
+
+        def select(seq):
+            # read the last two values, where the length has them
+            length, back = seq.length, []
+            while len(back) < 2 and length.is_successor():
+                length = length.pred()
+                back.append((length, seq.at(length)))
+            seen.extend(back)
+            return plain.select(seq)
+
+        f = TransfiniteFunctional("seq-reading", plain.member, select, set=nat)
+        g = levy_lift(growing_blocks_ladder(), f)
+        assert g.at(ord_add(W, fin(11))) == 23
+        inside = [(p, v) for p, v in seen if W <= p]
+        assert len(inside) > 10 and all(v == g.at(p) for p, v in inside)
+        # the block [w + 3, w + 7) read w + 2, the last value of the block before
+        assert (ord_add(W, fin(2)), 5) in seen
 
 
 class TestReport:

@@ -123,6 +123,29 @@ class TestTextFormat:
             with pytest.raises(ValueError):
                 parse_cnf(bad)
 
+    @pytest.mark.parametrize("text", [
+        "w^-0", "w*1_0", "1_0", "w^ 2", "w* 3", "w^2 *3",
+        "w*2\t+ 3", "\nw", "w*\u0663", "\uff17",
+    ])
+    def test_refuses_what_int_alone_let_through(self, text):
+        # a sign, digit separators, a space inside a term, whitespace other
+        # than spaces, and digits other than ASCII ones
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_cnf(text)
+
+    @pytest.mark.parametrize("text, terms", [
+        ("w", ((1, 1),)), ("w^3", ((3, 1),)), ("w^0", ((0, 1),)), ("007", ((0, 7),)),
+        (" w^2*3+w + 4 ", ((2, 3), (1, 1), (0, 4))), (" 0 ", ()),
+    ])
+    def test_every_term_form(self, text, terms):
+        assert parse_cnf(text).terms == terms
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.integers(0, 12), st.integers(1, 10**12), max_size=6))
+    def test_format_parses_back(self, coeffs):
+        a = Ordinal(tuple(sorted(coeffs.items(), reverse=True)))
+        assert parse_cnf(format_cnf(a)) == a
+
 
 class TestSsup:
     def test_max_plus_one(self):
@@ -348,6 +371,17 @@ class TestUncheckedResults:
         o = bij.backward(n)
         assert_valid(o)
         assert bij.forward(o) == n
+
+    @settings(max_examples=300, deadline=None)
+    @given(cnf.filter(lambda a: not a < W), cnf)
+    def test_bijection_forward_finds_the_block(self, a, o):
+        # forward bisects the blocks' starts; backward reads the block off n
+        if a < o:
+            a, o = o, a
+        if a == o:
+            return
+        bij = omega_bijection(a)
+        assert bij.backward(bij.forward(o)) == o
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(["w*1", "w*2", "w*3", "w*7", "w^2"]), st.integers(0, 10**6))

@@ -9,6 +9,7 @@ oracle call, so one test pins the growth of wall time instead.
 """
 
 import dataclasses
+import gc
 import time
 import tracemalloc
 
@@ -87,6 +88,30 @@ def test_warm_lift_query_makes_no_ladder_calls():
     assert calls["stage"] == cold
 
 
+@pytest.mark.parametrize("alpha, deep, pos", [("w*3", "w*2 + 40", "w*2 + 30"),
+                                              ("w^2", "w*9 + 12", "w*9 + 5")])
+def test_warm_lift_query_locates_once(monkeypatch, alpha, deep, pos):
+    """A value and its sample check read one position three times: the
+    value, the restriction below it and the value again inside the check.
+    Locating each read bisected the stages and subtracted the stage three
+    times."""
+    f = transfinite_f_seq(collapse.nat_set())
+    g = levy_lift(standard_cofinal(parse_cnf(alpha)), f)
+    g.at(parse_cnf(deep))
+    subtractions = [0]
+    sub = levy.ord_sub_left
+
+    def counting_sub(a, b):
+        subtractions[0] += 1
+        return sub(a, b)
+
+    monkeypatch.setattr(levy, "ord_sub_left", counting_sub)
+    for _ in range(2):
+        beta = parse_cnf(pos)  # equal positions, not the same object
+        assert g.at(beta) is not None and check_transfinite_witness(f, g, [beta])
+    assert subtractions[0] == 1
+
+
 @pytest.mark.parametrize("i, dense, undecided", [(1, True, None), (3, None, (6,))])
 def test_density_check_reads_cones_not_pairs(i, dense, undecided):
     """An all-pairs scan makes 1,999,001 (i=1) and 1,850,581 (i=3) calls."""
@@ -145,14 +170,22 @@ def test_above_contract_check_hashes_each_element_a_few_times():
 def test_run_time_grows_linearly(command, params):
     """Linear runs take about 4x as long at 4x the length; copying and
     comparing the whole condition on every step took 12x or more.  Each
-    size is timed three times, interleaved, and the fastest time counts."""
+    size is timed three times, interleaved, and the fastest time counts.
+    The heap that earlier tests leave alive is frozen while the runs are
+    timed, so a full collection does not walk it and charge the longer
+    run for it."""
     best = {4000: float("inf"), 16000: float("inf")}
-    for _ in range(3):
-        for n in best:
-            start = time.perf_counter()
-            status, _ = run(RunConfig(command, {**params, "n": n}))
-            best[n] = min(best[n], time.perf_counter() - start)
-            assert status == 0
+    gc.collect()
+    gc.freeze()
+    try:
+        for _ in range(3):
+            for n in best:
+                start = time.perf_counter()
+                status, _ = run(RunConfig(command, {**params, "n": n}))
+                best[n] = min(best[n], time.perf_counter() - start)
+                assert status == 0
+    finally:
+        gc.unfreeze()
     assert best[16000] / best[4000] < 8
 
 
