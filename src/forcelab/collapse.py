@@ -14,8 +14,8 @@ from typing import Any, Callable, Optional, Sequence
 
 from .errors import EnumerationDepthCap, IndexScanCap, NotInjective
 from .ordinals import cantor_pair, cantor_unpair
-from .posets import (Code, DenseSet, GenericRun, Grown, PosetPresentation, PrefixChain,
-                     SuffixFold, _jsonable, _require_chain, extends, grow, prefixes)
+from .posets import (Code, DenseSet, GenericRun, Grown, PosetPresentation, SuffixFold,
+                     _jsonable, _require_chain, extends, grow, prefixes)
 
 _INDEX_SCAN_CAP = 100_000
 
@@ -279,11 +279,11 @@ def level_family(x: CountableSet, n: int) -> list[DenseSet]:
 def generic_to_injection(x: CountableSet, run: GenericRun) -> InjSeq:
     """The union of a descending chain of conditions, as an injective sequence.
 
-    A ``PrefixChain`` is a chain when its lengths do not decrease, O(1) per
-    link; a tuple chain is checked link by link with ``extends``.
+    Each link is checked with ``extends`` under ``x.eq``, which on two
+    views of one buffer is O(1).
     """
     chain = run.chain
-    _require_chain(chain, None if isinstance(chain, PrefixChain)
+    _require_chain(chain, extends if x.eq is operator.eq
                    else lambda a, b: extends(a, b, x.eq))
     return make_inj_seq(x, chain[-1] if chain else ())
 
@@ -293,11 +293,14 @@ def injection_to_generic(x: CountableSet,
                          n: int) -> GenericRun:
     """The run of initial restrictions of an injection, meeting level i at position i.
 
-    The chain is the ``PrefixChain`` of the n values over the lengths
-    0..n, so it takes O(n) memory.  ``met`` pairs ``level_dense(x, i)``
-    with position i (see ``GenericRun``).
+    The chain is the n + 1 ``Grown`` views of one list of the first n
+    values, so it takes O(n) memory.  ``met`` pairs ``level_dense(x, i)``
+    with position i (see ``GenericRun``).  A sequence g with fewer than n
+    values raises ``ValueError``: its restrictions cannot meet level n.
     """
-    values = tuple(g(i) for i in range(n)) if callable(g) else tuple(g[:n])
+    values = [g(i) for i in range(n)] if callable(g) else list(g[:n])
+    if len(values) < n:
+        raise ValueError(f"injection has {len(values)} values, need {n}")
     require_injective(values, x.eq)
     met = tuple((i, i) for i in range(n + 1))
-    return GenericRun(f"Coll(w,{x.name})", PrefixChain(values, range(n + 1)), met)
+    return GenericRun(f"Coll(w,{x.name})", tuple(Grown(values, k) for k in range(n + 1)), met)

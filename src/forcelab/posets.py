@@ -145,9 +145,7 @@ def prefixes(t: Sequence) -> list:
     """t[:0], t[:1], ..., t[:len t]: the conditions t end-extends.
 
     The ``above`` of every sequence-tree order here whose codes compare by
-    ``operator.eq``, since r is among them iff ``extends(t, r)``.  The
-    engine and the chain checks recognise a prefix tree by
-    ``p.above is prefixes``.
+    ``operator.eq``, since r is among them iff ``extends(t, r)``.
     """
     return [t[:k] for k in range(len(t) + 1)]
 
@@ -201,54 +199,15 @@ class SuffixFold:
             self.last, self.state = t, value
 
 
-class PrefixChain(collections.abc.Sequence):
-    """A chain of prefixes of one sequence, stored as it and the lengths.
-
-    Entry k is ``final[:lengths[k]]``, so a chain of n entries takes O(n)
-    memory instead of the O(n^2) its tuples would.  It reads like the tuple
-    of its entries: ``len``, int and slice indexing (a slice is again a
-    view), iteration, ``==`` with plain tuples and with views, and the same
-    hash.  Each entry is built on access, an O(len) slice done in C; hashing
-    or printing a view builds all of them.
-    """
-
-    __slots__ = ("final", "lengths")
-
-    def __init__(self, final: "tuple | Grown", lengths: Sequence[int]):
-        self.final = final
-        self.lengths = lengths
-
-    def __len__(self) -> int:
-        return len(self.lengths)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return PrefixChain(self.final, self.lengths[i])
-        return self.final[:self.lengths[i]]
-
-    def __iter__(self):
-        final = self.final
-        return (final[:k] for k in self.lengths)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (tuple, PrefixChain)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
 @dataclass(frozen=True)
 class GenericRun:
     """A finite descending chain together with the dense sets it met.
 
-    ``chain`` is a tuple of conditions, or a ``PrefixChain`` when the run
-    descends through a prefix tree; the two compare equal entry by entry.
-    The upward closure of the chain is the filter the run denotes.
+    ``chain`` is the tuple of the conditions the run visited.  On the
+    prefix trees these are ``Grown`` views of one shared buffer, apart from
+    a plain-tuple start and the steps that return it unchanged, so a chain
+    of n steps takes O(n) memory.  The upward closure of the chain is the
+    filter the run denotes.
 
     ``met`` lists (dense-set index, chain position) pairs.  Each producer
     states its goal family, and the two built-in ones agree once that is
@@ -260,7 +219,7 @@ class GenericRun:
     """
 
     poset: str
-    chain: "tuple | PrefixChain"
+    chain: tuple
     met: tuple[tuple[int, int], ...]
 
 
@@ -272,13 +231,9 @@ def rasiowa_sikorski(p: PosetPresentation, ds: Sequence[DenseSet],
     verified against the extender contract (below the input, and a member).
     The engine's own work per step is O(1): one extend, one ``leq`` and one
     ``member`` call and an append, so a step costs whatever those three
-    callables cost on the current condition.
-
-    On a prefix tree (``p.above is prefixes``) a verified step leq(q, prev)
-    means prev == q[:len(prev)], so the engine keeps only the last
-    condition and the list of lengths and returns the chain as a
-    ``PrefixChain``: O(n) memory for n steps, not the O(n^2) of n prefix
-    tuples.  Any other presentation keeps the explicit tuple chain.
+    callables cost on the current condition.  The chain keeps every
+    condition the extenders returned, which is O(n) memory when they grow
+    one shared buffer (``grow``).
     """
     if n < 0:
         raise ValueError(f"cannot descend through {n} dense sets")
@@ -286,10 +241,8 @@ def rasiowa_sikorski(p: PosetPresentation, ds: Sequence[DenseSet],
         raise ValueError(f"start {start!r} is not in the carrier of {p.name}")
     if n > len(ds):
         raise ValueError(f"family has {len(ds)} dense sets, need {n}")
-    prefix_tree = p.above is prefixes
     last = start
-    kept = [len(start) if prefix_tree else start]
-    met = []
+    chain = [start]
     for i in range(n):
         q = ds[i].extend(last)
         if not p.leq(q, last):
@@ -298,38 +251,15 @@ def rasiowa_sikorski(p: PosetPresentation, ds: Sequence[DenseSet],
         if not ds[i].member(q):
             raise BadExtender(
                 f"extender {ds[i].name} output not a member", index=i)
-        kept.append(len(q) if prefix_tree else q)
-        met.append((i, i + 1))
+        chain.append(q)
         last = q
-    chain = PrefixChain(last, tuple(kept)) if prefix_tree else tuple(kept)
-    return GenericRun(p.name, chain, tuple(met))
+    return GenericRun(p.name, tuple(chain), tuple((i, i + 1) for i in range(n)))
 
 
-def _check_descending(p: PosetPresentation, chain: Sequence[Code]) -> None:
-    """Raise ``NotAChain`` unless each entry of chain extends the one before.
-
-    A ``PrefixChain`` on a prefix tree is checked by its lengths, O(1) per
-    link; any other chain makes one ``leq`` call per link.
-    """
-    by_lengths = isinstance(chain, PrefixChain) and p.above is prefixes
-    _require_chain(chain, None if by_lengths else p.leq)
-
-
-def _require_chain(chain: Sequence[Code],
-                   leq: Optional[Callable[[Code, Code], bool]]) -> None:
-    """Raise ``NotAChain`` at the first entry that does not extend the one before.
-
-    ``leq`` None reads the links of a ``PrefixChain`` in end-extension
-    order off its lengths: its entries are prefixes of one tuple, so a link
-    breaks exactly where the lengths decrease.  Otherwise every link is one
-    ``leq`` call.
-    """
-    if leq is None:
-        ls = chain.lengths
-        k = next((k for k in range(1, len(ls)) if ls[k] < ls[k - 1]), None)
-        bad = None if k is None else (chain[k], chain[k - 1])
-    else:
-        bad = next(((a, b) for a, b in zip(chain[1:], chain) if not leq(a, b)), None)
+def _require_chain(chain: Sequence[Code], leq: Callable[[Code, Code], bool]) -> None:
+    """Raise ``NotAChain`` at the first entry that does not extend the one
+    before; one ``leq`` call per link."""
+    bad = next(((a, b) for a, b in zip(chain[1:], chain) if not leq(a, b)), None)
     if bad is not None:
         raise NotAChain(f"{bad[0]!r} does not extend {bad[1]!r}")
 
@@ -362,15 +292,15 @@ def filter_from_chain(p: PosetPresentation, chain: Sequence[Code],
                       truncation: int) -> set:
     """Upward closure of a descending chain within the first enumerated elements.
 
-    Cost: ``truncation`` enum calls and len(chain) - 1 ``leq`` calls for the
-    chain check, plus the chain's cones.  With ``p.above`` those are
-    sum(len(above(c))) hash lookups (O(len(chain) * depth) for the prefix
-    trees); without it, len(chain) * truncation ``leq`` calls.  A
-    ``PrefixChain`` on a prefix tree is checked by its lengths instead.
+    Once the chain is checked, transitivity makes its upward closure the
+    cone of its last entry (an empty chain closes to the empty set).
+    Cost: ``truncation`` enum calls, len(chain) - 1 ``leq`` calls for the
+    chain check and that one cone: len(above(last)) hash lookups with
+    ``p.above``, else ``truncation`` ``leq`` calls.
     """
-    _check_descending(p, chain)
+    _require_chain(chain, p.leq)
     frag = [p.enum(k) for k in range(truncation)]
-    covered = _covered(p, frag, chain)
+    covered = _covered(p, frag, chain[-1:])
     return {q for k, q in enumerate(frag) if k in covered}
 
 

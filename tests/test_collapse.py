@@ -195,6 +195,11 @@ class TestInjectionToGeneric:
         for i, pos in run.met:
             assert level_dense(nat, i).member(run.chain[pos])
 
+    def test_rejects_a_sequence_shorter_than_n(self, nat):
+        """Restrictions of one value cannot meet the levels of length 2 and 3."""
+        with pytest.raises(ValueError, match="has 1 values, need 3"):
+            injection_to_generic(nat, [5], 3)
+
     def test_rejects_repeats(self, nat):
         with pytest.raises(NotInjective):
             injection_to_generic(nat, [1, 1, 2], 3)

@@ -40,7 +40,7 @@ from forcelab.errors import BadExtender, BadSelector, NotAChain
 from forcelab.posets import (
     DenseSet,
     GenericRun,
-    PrefixChain,
+    Grown,
     filter_from_chain,
     random_dense_sets,
     random_finite_poset,
@@ -381,7 +381,8 @@ class TestChainView:
             start = ()
         fast = rasiowa_sikorski(p, family(), start, n)
         slow = rasiowa_sikorski_reference(p, family(), start, n)
-        assert isinstance(fast.chain, PrefixChain)
+        assert type(fast.chain) is tuple
+        assert len({id(c.buf) for c in fast.chain if type(c) is Grown}) <= 1
         assert_same_chain(fast.chain, slow.chain)
         assert fast == slow and hash(fast) == hash(slow)
         assert fast.met == slow.met
@@ -390,6 +391,7 @@ class TestChainView:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 200), unique=True, max_size=25), st.integers(0, 30))
     def test_injection_chain_matches_tuple_chain(self, values, n):
+        n = min(n, len(values))
         run = injection_to_generic(NAT, values, n)
         old = injection_chain_reference(values, n)
         assert_same_chain(run.chain, old)
@@ -415,7 +417,8 @@ class TestChainView:
         assert run.chain == ((), (0,), (0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 3, 4))
 
     def test_decreasing_lengths_are_not_a_chain(self):
-        bad = GenericRun("Coll(w,nat)", PrefixChain((4, 9, 1), (1, 3, 2)), ())
+        buf = [4, 9, 1]
+        bad = GenericRun("Coll(w,nat)", (Grown(buf, 1), Grown(buf, 3), Grown(buf, 2)), ())
         old = GenericRun("Coll(w,nat)", ((4,), (4, 9, 1), (4, 9)), ())
         with pytest.raises(NotAChain) as fast:
             generic_to_injection(NAT, bad)
@@ -431,14 +434,6 @@ class TestChainView:
         fast = rasiowa_sikorski(p, level_family(NAT, 6), (), 6)
         slow = rasiowa_sikorski_reference(p, level_family(NAT, 6), (), 6)
         assert filter_from_chain(p, fast.chain, n) == filter_from_chain(p, slow.chain, n)
-
-    def test_view_differs_from_other_types(self):
-        view = PrefixChain((1, 2), (0, 1, 2))
-        assert view != [(), (1,), (1, 2)]
-        assert view != "abc" and view != None  # noqa: E711
-        assert repr(view) == repr(((), (1,), (1, 2)))
-        assert view == PrefixChain((1, 2, 3), range(3))
-        assert view != PrefixChain((1, 2), (0, 2, 2))
 
     def test_met_conventions(self):
         """The engine meets goal i of ``length_levels`` at position i+1; an

@@ -28,7 +28,7 @@ from forcelab.posets import (
     DenseSet,
     DensityReport,
     PosetPresentation,
-    _check_descending,
+    _require_chain,
     check_poset_laws,
     filter_from_chain,
     is_dense_on_truncation,
@@ -45,7 +45,7 @@ from forcelab.qtree import finite_subset_lattice, lambda_tree
 
 def filter_from_chain_reference(p, chain, truncation):
     """Every enumerated element tested against every chain member with leq."""
-    _check_descending(p, chain)
+    _require_chain(chain, p.leq)
     closure = set()
     for k in range(truncation):
         q = p.enum(k)

@@ -218,6 +218,7 @@ def test_dc_witness_evens_bounded_enum_calls_are_linear(name, step):
 @pytest.mark.parametrize("command, params", [
     ("coll-run", {"set": "nat"}),
     ("dc-run", {"set": "nat", "functional": "seq"}),
+    ("marker-run", {"set": "nat", "functional": "cycle3"}),
 ])
 def test_run_memory_grows_linearly(command, params):
     """Keeping every prefix tuple takes O(n^2) memory, 4x per doubling."""
