@@ -296,8 +296,11 @@ def injection_to_generic(x: CountableSet,
     The chain is the n + 1 ``Grown`` views of one list of the first n
     values, so it takes O(n) memory.  ``met`` pairs ``level_dense(x, i)``
     with position i (see ``GenericRun``).  A sequence g with fewer than n
-    values raises ``ValueError``: its restrictions cannot meet level n.
+    values raises ``ValueError``: its restrictions cannot meet level n; so
+    does a negative n, since a run always holds its start.
     """
+    if n < 0:
+        raise ValueError(f"a run cannot meet {n} levels")
     values = [g(i) for i in range(n)] if callable(g) else list(g[:n])
     if len(values) < n:
         raise ValueError(f"injection has {len(values)} values, need {n}")

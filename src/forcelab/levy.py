@@ -60,10 +60,21 @@ def _rank_outside(taken: tuple, k: int) -> Optional[int]:
 
 class OmegaLayer:
     """The even-ranked fresh indices over a base usage: an infinite block's
-    consumption that still leaves infinitely many indices free."""
+    consumption that still leaves infinitely many indices free.  ``below``
+    maps the naturals onto the level space above it, bottom up: each
+    ``(runs, d)`` drops the ranks in ``runs``, keeps those whose low d bits
+    are all ones and shifts them right by d (d layers with no runs between).
+    A lookup costs O(levels with runs * runs), O(1) interpreted steps on
+    the standard ladders, where ``below`` is one pair.
+    """
 
     def __init__(self, base: "IndexUsage"):
         self.base = base
+        below = base.layer.below if base.layer is not None else ()
+        if below and not base.taken:
+            self.below = below[:-1] + ((below[-1][0], below[-1][1] + 1),)
+        else:
+            self.below = below + ((base.taken, 1),)
 
     def contains(self, k: int) -> bool:
         rank = self.base.fresh_rank(k)
@@ -84,29 +95,22 @@ class IndexUsage:
     disjoint, non-adjacent half-open runs of ranks.  The runs are
     canonical, so usages equal as sets compare equal.  A greedy run of
     finite blocks extends one run, so a usage costs O(runs) memory and a
-    rank costs O(layers * runs) C-level sums, no scan.
+    rank costs O(levels with runs * runs) C-level sums, no scan: O(1)
+    interpreted steps on the standard ladders, through ``layer.below``.
     """
 
     layer: Optional[OmegaLayer] = None
     taken: tuple = ()
 
     def _level_rank(self, k: int) -> Optional[int]:
-        """Rank of k in the space ``taken`` counts in: every natural
-        without a layer, else the odd-ranked fresh indices of
-        ``layer.base``.  None when k lies outside that space."""
-        bases = []
-        u = self
-        while u.layer is not None:
-            u = u.layer.base
-            bases.append(u)
-        for u in reversed(bases):  # from the usage without a layer up
-            if u.taken:
-                k = _rank_outside(u.taken, k)
-                if k is None:
-                    return None
-            if not k & 1:  # the layer above takes u's even ranks
+        """Rank of k in the space ``taken`` counts in, ``layer.below``'s
+        image (every natural without a layer); None outside that space."""
+        for runs, d in self.layer.below if self.layer is not None else ():
+            if runs:
+                k = _rank_outside(runs, k)
+            if k is None or ~k & ((1 << d) - 1):  # in a run, or a layer above takes k
                 return None
-            k >>= 1
+            k >>= d
         return k
 
     def fresh_rank(self, k: int) -> Optional[int]:
@@ -118,13 +122,13 @@ class IndexUsage:
 
     def nth_fresh(self, n: int) -> int:
         """The n-th (from 0) fresh index in increasing order."""
-        u = self
-        while True:
-            if u.taken:
-                n = _skip_taken(u.taken, n)
-            if u.layer is None:
-                return n
-            n, u = 2 * n + 1, u.layer.base
+        if self.taken:
+            n = _skip_taken(self.taken, n)
+        for runs, d in reversed(self.layer.below) if self.layer is not None else ():
+            n = n << d | ((1 << d) - 1)
+            if runs:
+                n = _skip_taken(runs, n)
+        return n
 
     def contains(self, k: int) -> bool:
         return self.fresh_rank(k) is None
@@ -134,10 +138,7 @@ class IndexUsage:
 
     def with_fresh(self, ranks) -> "IndexUsage":
         """Also consume the fresh indices at the given fresh ranks."""
-        added = set(ranks)
-        if self.taken:
-            added = {_skip_taken(self.taken, r) for r in added}
-        return self._with_level_ranks(added)
+        return self._with_level_ranks({_skip_taken(self.taken, r) for r in ranks})
 
     def with_explicit(self, indices) -> "IndexUsage":
         """Also consume the given indices; consumed ones are ignored."""
@@ -269,15 +270,15 @@ def standard_cofinal(alpha: Ordinal) -> CofinalPresentation:
     return CofinalPresentation(alpha, TransfiniteSeq(OMEGA, stage))
 
 
-def validate_cofinal(cof: CofinalPresentation) -> None:
-    """Check ladder invariants on the first ``_VALIDATE_STAGES`` stages."""
+def validate_cofinal(cof: CofinalPresentation) -> list[Ordinal]:
+    """Check ladder invariants on the first ``_VALIDATE_STAGES`` stages; return those."""
     if cof.stages.length != OMEGA:
         raise BadCofinal("ladder must have length w")
-    if not cof.stage(0).is_zero():
+    stages = [cof.stage(0)]
+    if not stages[0].is_zero():
         raise BadCofinal("ladder must start at 0")
-    prev = cof.stage(0)
     for xi in range(1, _VALIDATE_STAGES + 1):
-        cur = cof.stage(xi)
+        prev, cur = stages[-1], cof.stage(xi)
         if not prev < cur:
             raise BadCofinal(f"ladder not strictly increasing at {xi}")
         if not cur < cof.alpha:
@@ -285,7 +286,8 @@ def validate_cofinal(cof: CofinalPresentation) -> None:
         gamma = ord_sub_left(prev, cur)
         if not (gamma.is_finite() or gamma == OMEGA):
             raise BadCofinal(f"block {xi - 1} has length {gamma}, not finite or w")
-        prev = cur
+        stages.append(cur)
+    return stages
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +305,6 @@ class BuiltBlock:
     layer: Optional[OmegaLayer] = None
 
     def partial_usage(self, offset: int, base: IndexUsage) -> IndexUsage:
-        if not offset:
-            return base
         if self.indices is not None:
             return base.with_explicit(self.indices[:offset])
         # the layer's j-th element is the base's fresh index of rank 2j;
@@ -369,10 +369,11 @@ _VALIDATE_STAGES = 50
 class LiftedWitness:
     """A length-alpha sequence built block by block along a cofinal ladder.
 
-    Blocks are constructed lazily but strictly in order; every finished
-    block is verified to have the ladder's order type and to satisfy the
-    functional at sampled positions.  Restrictions carry the usage record
-    of exactly the consumed prefix.
+    The ladder's checked stages start the lift's one stage list.  Blocks
+    are constructed lazily but strictly in order; every finished block is
+    verified to have the ladder's order type and to satisfy the functional
+    at sampled positions.  Restrictions carry the usage record of exactly
+    the consumed prefix.
     """
 
     def __init__(self, cof: CofinalPresentation, f: TransfiniteFunctional,
@@ -382,7 +383,7 @@ class LiftedWitness:
         self.builder = builder
         self.length = cof.alpha
         self._blocks: list[BuiltBlock] = []
-        self._stages: list[Ordinal] = [cof.stage(0)]  # ladder stages computed so far
+        self._stages = validate_cofinal(cof)  # ladder stages computed so far
         self._next_prefix = UsageSeq(self._stages[0], self.at, usage=IndexUsage())
         self._last_located: tuple = (None, None)  # terms of a position, its locate
 
@@ -496,7 +497,6 @@ def levy_lift(cof: CofinalPresentation, f: TransfiniteFunctional,
     the result evaluates anywhere below alpha and satisfies the functional
     at every position the verifier samples.
     """
-    validate_cofinal(cof)
     if builder is None:
         if f.set is None:
             raise ValueError(
@@ -550,6 +550,6 @@ def run_report_json(cof: CofinalPresentation, f: TransfiniteFunctional,
                     samples: Sequence) -> dict:
     return {
         "alpha": str(cof.alpha),
-        "blocks": [{"xi": xi, "gamma": str(cof.gamma(xi))} for xi in range(blocks)],
+        "blocks": [{"xi": i, "gamma": str(b)} for i, b in enumerate(g.block_lengths(blocks))],
         "samples": sample_report(f, g, samples),
     }

@@ -204,6 +204,14 @@ class TestInjectionToGeneric:
         with pytest.raises(NotInjective):
             injection_to_generic(nat, [1, 1, 2], 3)
 
+    @pytest.mark.parametrize("g", [[1, 2, 3], [1, 1, 3], lambda i: i])
+    def test_rejects_a_negative_n(self, nat, g):
+        """A run holds at least its start, so no n below 0 has one; the
+        repeat in [1, 1, 3] is never read."""
+        for n in (-1, -2):
+            with pytest.raises(ValueError, match=f"cannot meet {n} levels"):
+                injection_to_generic(nat, g, n)
+
     def test_roundtrip_with_engine(self, nat, nat_poset):
         run = rasiowa_sikorski(nat_poset, level_family(nat, 8), (), 8)
         inj = generic_to_injection(nat, run)

@@ -292,6 +292,35 @@ class TestAgainstSortedTuple:
         assert u.with_fresh((0, 1, 2)) == IndexUsage().with_explicit(range(8)).with_explicit((9,))
 
 
+class TestDeepChains:
+    """Chains of 200+ layers, far past what the scan can reach, with runs
+    taken between some layers and none between others, so that
+    ``OmegaLayer.below`` merges run-free stretches of many lengths."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(200, 260))
+    def test_deep_mixed_chain_agrees_with_the_sorted_tuple(self, rnd, depth):
+        runs, tup, levels = IndexUsage(), TupleUsage(), 0
+        for step in range(depth + 1):
+            roll = rnd.random()
+            if roll < 0.1:
+                ranks = [rnd.randrange(12) for _ in range(rnd.randrange(1, 4))]
+                runs, tup = runs.with_fresh(ranks), tup.with_fresh(ranks)
+            elif roll < 0.2:  # a fresh index and a neighbour, mostly consumed
+                k = tup.nth_fresh(rnd.randrange(12))
+                runs, tup = runs.with_explicit((k, k + 1)), tup.with_explicit((k, k + 1))
+            if step < depth:
+                levels += bool(runs.taken or not levels)
+                runs = runs.with_layer(OmegaLayer(runs))
+                tup = tup.with_layer(OmegaLayer(tup))
+        assert len(runs.layer.below) == levels  # one pair per level with runs
+        fresh = [tup.nth_fresh(r) for r in range(16)]
+        assert [runs.nth_fresh(r) for r in range(16)] == fresh
+        probes = sorted({k + e for k in fresh for e in (-1, 0, 1)} - {-1})
+        assert [runs.fresh_rank(k) for k in probes] == [tup.fresh_rank(k) for k in probes]
+        assert [runs.contains(k) for k in probes] == [tup.contains(k) for k in probes]
+
+
 class TestComposition:
     def test_layer_over_a_foreign_usage_rejected(self):
         with pytest.raises(ValueError):

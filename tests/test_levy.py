@@ -15,6 +15,7 @@ from forcelab.levy import (
     BuiltBlock,
     CofinalPresentation,
     IndexUsage,
+    LiftedWitness,
     OmegaLayer,
     TransfiniteFunctional,
     UsageSeq,
@@ -132,6 +133,11 @@ class TestCofinal:
                            if xi.to_int() else ZERO))
         with pytest.raises(BadCofinal):
             validate_cofinal(too_long)
+
+    def test_a_lift_built_directly_checks_its_ladder(self, nat):
+        flat = CofinalPresentation(Ordinal.omega(2), TransfiniteSeq(W, lambda xi: ZERO))
+        with pytest.raises(BadCofinal, match="not strictly increasing at 1"):
+            LiftedWitness(flat, transfinite_f_seq(nat), standard_block_builder(nat))
 
     def test_validate_refuses_a_ladder_of_another_length(self):
         short = CofinalPresentation(Ordinal.omega(2), TransfiniteSeq(fin(5), lambda xi: xi))

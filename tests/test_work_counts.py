@@ -236,7 +236,8 @@ def test_run_memory_grows_linearly(command, params):
 
 def test_cold_lift_evaluates_each_ladder_stage_once():
     """A cold query needs the 303 stages up to w + 301; asking the ladder
-    again for every block's length and start made 1,261 calls."""
+    again for every block's length and start made 1,261 calls, and
+    evaluating the checked stages again for the lift 355 in all."""
     base = standard_cofinal(parse_cnf("w*2"))
     calls = {"stage": 0}
 
@@ -247,10 +248,36 @@ def test_cold_lift_evaluates_each_ladder_stage_once():
     cof = CofinalPresentation(base.alpha, TransfiniteSeq(base.stages.length, stage))
     f = transfinite_f_seq(collapse.nat_set())
     g = levy_lift(cof, f)
-    probe = calls["stage"]  # validate_cofinal's look at the first stages
+    probe = calls["stage"]  # the lift's check of its first stages
     pos = parse_cnf("w + 300")
     assert g.at(pos) == 601 and check_transfinite_witness(f, g, [pos])
     assert calls["stage"] - probe <= 303
+    assert calls["stage"] <= 303
+
+
+def test_cold_deep_lookup_grows_about_linearly():
+    """Under w^2 the usage at block k lies over k layers; a lookup that
+    walked them all made a cold value and its check at w*k + 30 about 11x
+    slower from k = 80 to k = 320, where shifting over the run-free layers
+    in one step leaves about 5x (the codes gain a bit per layer).  Timed
+    as ``test_run_time_grows_linearly``: fastest of three, interleaved,
+    with the heap frozen, lift construction included."""
+    best = {80: float("inf"), 320: float("inf")}
+    f = transfinite_f_seq(collapse.nat_set())
+    gc.collect()
+    gc.freeze()
+    try:
+        for _ in range(3):
+            for k in best:
+                pos = parse_cnf(f"w*{k} + 30")
+                start = time.perf_counter()
+                g = levy_lift(standard_cofinal(parse_cnf("w^2")), f)
+                assert check_transfinite_witness(f, g, [pos])
+                best[k] = min(best[k], time.perf_counter() - start)
+                assert g.at(pos) == 61 * 2 ** k - 1
+    finally:
+        gc.unfreeze()
+    assert best[320] / best[80] < 7
 
 
 def test_cold_lift_memory_grows_linearly():
