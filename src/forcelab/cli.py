@@ -16,9 +16,10 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import collapse, dctrees, levy, posets, qtree
+# Each handler imports the modules beyond these that it alone needs, so a
+# fresh process loads only what its command runs.
+from . import collapse, posets
 from .errors import ContractError
-from .ordinals import parse_cnf
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,7 @@ def _cmd_coll_run(params: dict) -> dict:
 
 
 def _cmd_iso_roundtrip(params: dict) -> dict:
+    from . import qtree
     rng = random.Random(int(params["seed"]))
     cases = int(params["cases"])
     max_len = int(params["len"])
@@ -85,6 +87,7 @@ def _cmd_iso_roundtrip(params: dict) -> dict:
 
 
 def _cmd_dc_run(params: dict) -> dict:
+    from . import dctrees
     x = collapse.builtin_set(params["set"])
     f = dctrees.fixture_functional(x, params["functional"])
     if not f.injective_mode:
@@ -94,6 +97,7 @@ def _cmd_dc_run(params: dict) -> dict:
 
 
 def _cmd_marker_run(params: dict) -> dict:
+    from . import dctrees
     x = collapse.builtin_set(params["set"])
     f = dctrees.fixture_functional(x, params["functional"])
     g = dctrees.marker_reduction(x, f)
@@ -105,6 +109,8 @@ def _cmd_marker_run(params: dict) -> dict:
 
 
 def _cmd_levy_run(params: dict) -> dict:
+    from . import levy
+    from .ordinals import parse_cnf
     x = collapse.builtin_set(params["set"])
     cof = levy.standard_cofinal(parse_cnf(params["alpha"]))
     f = levy.transfinite_f_seq(x)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from .errors import EnumerationDepthCap, IndexScanCap, NotInjective
-from .ordinals import cantor_pair, cantor_unpair
 from .posets import (Code, DenseSet, GenericRun, Grown, PosetPresentation, SuffixFold,
                      _jsonable, _require_chain, extends, grow, prefixes)
 
@@ -71,6 +70,8 @@ def evens_set() -> CountableSet:
 
 
 def pairs_set() -> CountableSet:
+    from .ordinals import cantor_pair, cantor_unpair  # here: no other set loads ordinals
+
     def index(v):
         if (isinstance(v, tuple) and len(v) == 2
                 and all(isinstance(c, int) and c >= 0 for c in v)):

@@ -16,7 +16,6 @@ from typing import Callable, Optional, Sequence
 
 from .collapse import CountableSet, length_levels, prefix_enumeration, sequence_tree
 from .errors import BadSelector, NotInTree
-from .ordinals import cantor_pair, cantor_unpair
 from .posets import (Code, DenseSet, Grown, PosetPresentation, SuffixFold, _jsonable, grow,
                      rasiowa_sikorski)
 
@@ -245,6 +244,7 @@ class MarkedElement:
 
 def marked_set(x: CountableSet) -> CountableSet:
     """The product of x with the naturals, diagonally enumerated."""
+    from .ordinals import cantor_pair, cantor_unpair  # here: dc-run loads no ordinals
 
     def enum(n: int) -> MarkedElement:
         a, b = cantor_unpair(n)

@@ -23,6 +23,7 @@ from .errors import (
     BadBlock,
     BadBlockWitness,
     BadCofinal,
+    IndexScanCap,
     OutOfDomain,
     RangeNotDecidable,
 )
@@ -216,7 +217,11 @@ def transfinite_f_seq(x: CountableSet) -> TransfiniteFunctional:
 
     def member(seq, v) -> bool:
         usage = usage_of(seq)
-        return x.contains(v) and not usage.contains(x.index_of(v))
+        try:
+            i = x.index_of(v)
+        except (ValueError, IndexScanCap):  # as ``CountableSet.contains`` reads it
+            return False
+        return not usage.contains(i)
 
     def select(seq):
         return x.enum(usage_of(seq).least_fresh())
