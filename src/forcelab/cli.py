@@ -115,8 +115,7 @@ def _cmd_levy_run(params: dict) -> dict:
     cof = levy.standard_cofinal(parse_cnf(params["alpha"]))
     f = levy.transfinite_f_seq(x)
     g = levy.levy_lift(cof, f)
-    return levy.run_report_json(cof, f, g, blocks=6,
-                                samples=levy.default_samples(cof))
+    return levy.run_report_json(cof, f, g, blocks=6, samples=g.default_samples())
 
 
 def _cmd_density_check(params: dict) -> dict:

@@ -254,25 +254,81 @@ def level_dense(x: CountableSet, i: int) -> DenseSet:
     return DenseSet(f"L_{i}", lambda f: len(f) >= i, lambda p: append(p, i))
 
 
-def length_levels(n: int, append: Callable[[Sequence, int], Sequence]) -> list[DenseSet]:
+class _LengthGoal(DenseSet):
+    """Goal t of a ``length_levels`` family: the conditions of length at
+    least t, reached by ``append(p, t - len(p))``.
+
+    ``_LengthLevels`` makes one as ``Ordinal._of`` makes an ``Ordinal``:
+    past the frozen ``__init__``, with ``t`` and ``append`` written into
+    its ``__dict__``, no closure, and a ``name`` formatted only when read.
+    A copy made by ``dataclasses.replace`` is built by that ``__init__``,
+    so the fields it was given, stored on the instance, win over these
+    methods.
+    """
+
+    def member(self, f: Sequence) -> bool:
+        return len(f) >= self.t
+
+    def extend(self, p: Sequence) -> Sequence:
+        return self.append(p, self.t - len(p))
+
+    def __getattr__(self, attr: str) -> Any:
+        if attr == "name":  # only a goal made by _LengthLevels has no name field
+            return f"len>={self.t}"
+        raise AttributeError(attr)
+
+
+_new_goal = object.__new__
+
+
+class _LengthLevels(Sequence[DenseSet]):
+    """The n goals of ``length_levels``, each made when it is read."""
+
+    __slots__ = ("n", "append")
+
+    def __init__(self, n: int, append: Callable[[Sequence, int], Sequence]):
+        self.n = n
+        self.append = append
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int) -> DenseSet:
+        n = self.n
+        if not -n <= i < n:
+            raise IndexError(f"goal {i} out of range of {n} length levels")
+        goal = _new_goal(_LengthGoal)
+        fields = goal.__dict__
+        fields["t"] = i % n + 1
+        fields["append"] = self.append
+        return goal
+
+
+def length_levels(n: int, append: Callable[[Sequence, int], Sequence]) -> Sequence[DenseSet]:
     """Engine family of n dense goals; meeting the first m forces length >= m.
 
     Goal i is the level of conditions of length at least i+1.  Its extender
     asks ``append(p, k)`` for p grown by the k = i+1-len(p) missing values
     (k <= 0 means p is already long enough), so a run through n goals grows
     linearly.
+
+    The family is a rule, not a list: a read-only ``Sequence`` of length n
+    (``len``, indexing from either end, iteration) that makes goal i, a
+    ``DenseSet`` holding (i+1, append), each time it is read.  So building
+    it costs O(1) time and memory whatever n is, and a goal costs no
+    dataclass ``__init__`` and no closure.
     """
-    return [DenseSet(f"len>={t}", lambda f, t=t: len(f) >= t,
-                     lambda p, t=t: append(p, t - len(p)))
-            for t in range(1, n + 1)]
+    return _LengthLevels(n, append)
 
 
-def level_family(x: CountableSet, n: int) -> list[DenseSet]:
+def level_family(x: CountableSet, n: int) -> Sequence[DenseSet]:
     """The length levels of Coll(w, x), grown by fresh codes.
 
-    The extenders share one fresh-bound cache (see ``_fresh_appender``):
-    fed the condition the previous goal returned, as the engine does, a
-    step grows that view in place and costs O(1).
+    A ``length_levels`` rule over one appender: O(1) to build, each goal
+    made when the engine reads it.  The extenders share one fresh-bound
+    cache (see ``_fresh_appender``): fed the condition the previous goal
+    returned, as the engine does, a step grows that view in place and
+    costs O(1).
     """
     return length_levels(n, _fresh_appender(x))
 

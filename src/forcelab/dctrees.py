@@ -159,9 +159,10 @@ def t_of_f(x: CountableSet, f: ChoiceFunctional) -> PosetPresentation:
                          prefix_enumeration(x, f.member))
 
 
-def tree_level_family(f: ChoiceFunctional, n: int) -> list[DenseSet]:
+def tree_level_family(f: ChoiceFunctional, n: int) -> Sequence[DenseSet]:
     """Length-target dense goals whose extenders iterate the functional's select.
 
+    A ``length_levels`` rule: O(1) to build, goal i made when it is read.
     Each value is appended with ``grow``, so along a run the condition is
     one ``Grown`` view extended in place.
     """

@@ -204,24 +204,27 @@ def transfinite_f_seq(x: CountableSet) -> TransfiniteFunctional:
     codes outside x consume no index.
     """
 
+    def index_or_none(c) -> Optional[int]:
+        """x.index_of(c), or None where ``CountableSet.contains`` reads absent."""
+        try:
+            return x.index_of(c)
+        except (ValueError, IndexScanCap):
+            return None
+
     def usage_of(seq) -> IndexUsage:
         usage = getattr(seq, "usage", None)
         if usage is not None:
             return usage
         if seq.length.is_finite():
-            codes = [seq.at(i) for i in range(seq.length.to_int())]
-            return IndexUsage().with_explicit(
-                x.index_of(c) for c in codes if x.contains(c))
+            indices = (index_or_none(seq.at(i)) for i in range(seq.length.to_int()))
+            return IndexUsage().with_explicit(i for i in indices if i is not None)
         raise RangeNotDecidable(
             f"sequence of length {seq.length} carries no usage record")
 
     def member(seq, v) -> bool:
         usage = usage_of(seq)
-        try:
-            i = x.index_of(v)
-        except (ValueError, IndexScanCap):  # as ``CountableSet.contains`` reads it
-            return False
-        return not usage.contains(i)
+        i = index_or_none(v)
+        return i is not None and not usage.contains(i)
 
     def select(seq):
         return x.enum(usage_of(seq).least_fresh())
@@ -493,6 +496,11 @@ class LiftedWitness:
     def block_lengths(self, upto: int) -> list[Ordinal]:
         return [self._block(xi).seq.length for xi in range(upto)]
 
+    def default_samples(self) -> list[Ordinal]:
+        """``default_samples(self.cof)``, read off the stages the lift has
+        already evaluated, so the ladder is not asked again."""
+        return _samples_on(self.length, self._stages)
+
 
 def levy_lift(cof: CofinalPresentation, f: TransfiniteFunctional,
               builder: Optional[Callable] = None) -> LiftedWitness:
@@ -527,19 +535,23 @@ def check_transfinite_witness(f: TransfiniteFunctional, g,
 def default_samples(cof: CofinalPresentation) -> list[Ordinal]:
     """0, a mid-block point, the first five ladder boundaries, and the two
     least limit ordinals below alpha when they exist."""
+    return _samples_on(cof.alpha, [cof.stage(xi) for xi in range(6)])
+
+
+def _samples_on(alpha: Ordinal, stages: Sequence[Ordinal]) -> list[Ordinal]:
+    """``default_samples`` of a ladder to alpha, given its first six or more stages."""
     samples = {ZERO}
-    gamma0 = cof.gamma(0)
+    gamma0 = ord_sub_left(stages[0], stages[1])
     if gamma0 == OMEGA:
         samples.add(Ordinal.from_int(3))
     elif gamma0.to_int() >= 2:
         samples.add(Ordinal.from_int(gamma0.to_int() // 2))
-    for xi in range(1, 6):
-        stage = cof.stage(xi)
-        if stage < cof.alpha:
+    for stage in stages[1:6]:
+        if stage < alpha:
             samples.add(stage)
     for k in (1, 2):
         limit = Ordinal.omega(k)
-        if limit < cof.alpha:
+        if limit < alpha:
             samples.add(limit)
     return sorted(samples)
 

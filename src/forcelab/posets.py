@@ -229,11 +229,14 @@ def rasiowa_sikorski(p: PosetPresentation, ds: Sequence[DenseSet],
 
     chain(0) = start and chain(i+1) = ds[i].extend(chain(i)); each step is
     verified against the extender contract (below the input, and a member).
-    The engine's own work per step is O(1): one extend, one ``leq`` and one
-    ``member`` call and an append, so a step costs whatever those three
-    callables cost on the current condition.  The chain keeps every
-    condition the extenders returned, which is O(n) memory when they grow
-    one shared buffer (``grow``).
+    The family is any ``Sequence``, a list or a rule such as
+    ``length_levels`` that makes goal i when it is read: step i reads
+    ds[i] once and uses that one goal for its extend, its ``member`` call
+    and the name in a ``BadExtender``.  The engine's own work per step is
+    O(1): that read, one extend, one ``leq`` and one ``member`` call and an
+    append, so a step costs whatever those callables cost on the current
+    condition.  The chain keeps every condition the extenders returned,
+    which is O(n) memory when they grow one shared buffer (``grow``).
     """
     if n < 0:
         raise ValueError(f"cannot descend through {n} dense sets")
@@ -244,13 +247,14 @@ def rasiowa_sikorski(p: PosetPresentation, ds: Sequence[DenseSet],
     last = start
     chain = [start]
     for i in range(n):
-        q = ds[i].extend(last)
+        d = ds[i]
+        q = d.extend(last)
         if not p.leq(q, last):
             raise BadExtender(
-                f"extender {ds[i].name} output not below its input", index=i)
-        if not ds[i].member(q):
+                f"extender {d.name} output not below its input", index=i)
+        if not d.member(q):
             raise BadExtender(
-                f"extender {ds[i].name} output not a member", index=i)
+                f"extender {d.name} output not a member", index=i)
         chain.append(q)
         last = q
     return GenericRun(p.name, tuple(chain), tuple((i, i + 1) for i in range(n)))

@@ -255,6 +255,73 @@ def test_cold_lift_evaluates_each_ladder_stage_once():
     assert calls["stage"] <= 303
 
 
+@pytest.mark.parametrize("alpha", ["w", "w*2", "w*7", "w^2"])
+def test_levy_run_evaluates_each_ladder_stage_once(monkeypatch, alpha):
+    """``levy-run`` takes its samples' first block and stages 1 to 5 from
+    the 51 stages its lift checked; asking the ladder again made 58 calls.
+    The samples are those of ``default_samples``, which holds only the
+    ladder, and the document is unchanged."""
+    calls = {"stage": 0}
+    standard = levy.standard_cofinal
+
+    def counted_cofinal(a):
+        base = standard(a)
+
+        def stage(xi):
+            calls["stage"] += 1
+            return base.stages.evaluator(xi)
+
+        return CofinalPresentation(base.alpha, TransfiniteSeq(base.stages.length, stage))
+
+    config = RunConfig("levy-run", {"set": "nat", "alpha": alpha})
+    plain = run(config)
+    monkeypatch.setattr(levy, "standard_cofinal", counted_cofinal)
+    assert run(config) == plain
+    assert calls["stage"] == 51
+    cof = standard(parse_cnf(alpha))
+    assert levy_lift(cof, transfinite_f_seq(collapse.nat_set())).default_samples() \
+        == levy.default_samples(cof)
+
+
+def test_f_seq_records_a_finite_sequence_with_one_index_of_per_code(monkeypatch):
+    """A finite sequence without a usage record is recorded by the index
+    of each code, one ``index_of`` call each; asking ``contains`` first
+    made two for each code in the set, so on these 99 codes in the set and
+    one outside it ``member`` made 200 calls and ``select`` 199."""
+    calls = [0]
+    lookup = CountableSet.index_of
+
+    def counting(self, code):
+        calls[0] += 1
+        return lookup(self, code)
+
+    monkeypatch.setattr(CountableSet, "index_of", counting)
+    f = transfinite_f_seq(CountableSet("nat-scan", lambda n: n))
+    seq = TransfiniteSeq.from_items([*range(99), -1])  # -1 is outside the set
+    assert f.member(seq, 99) and not f.member(seq, 98)
+    calls[0] = 0
+    assert f.member(seq, 200)
+    assert calls[0] == 101
+    calls[0] = 0
+    assert f.select(seq) == 99
+    assert calls[0] == 100
+
+
+def test_goal_family_builds_in_constant_memory():
+    """``level_family`` is a rule that makes goal i when it is read; a
+    list of n goals, each a dataclass with two closures, took about 640
+    bytes a goal (6.4 MB at n = 10,000)."""
+    x = collapse.nat_set()
+    tracemalloc.start()
+    try:
+        family = collapse.level_family(x, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(family) == 10**6 and family[-1].name == "len>=1000000"
+    assert peak < 16 * 1024
+
+
 def test_cold_deep_lookup_grows_about_linearly():
     """Under w^2 the usage at block k lies over k layers; a lookup that
     walked them all made a cold value and its check at w*k + 30 about 11x
