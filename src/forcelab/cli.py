@@ -48,10 +48,15 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
     if unknown:
         return 2, {"error": "bad-config",
                    "detail": f"unknown keys {sorted(unknown)}"}
+    for key, value in cfg.params.items():
+        # argparse turns "--n=--" into an empty list
+        if type(value) is not type(spec[key]):
+            return 2, {"error": "bad-config",
+                       "detail": f"{key} must be {type(spec[key]).__name__}, got {value!r}"}
     params = {**spec, **cfg.params}
     try:
         for key, (lo, hi) in _BOUNDS.items():
-            value = int(params.get(key, lo))
+            value = params.get(key, lo)
             if value < lo or (hi is not None and value > hi):
                 bound = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
                 return 2, {"error": "bad-config",

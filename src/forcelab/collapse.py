@@ -28,8 +28,11 @@ class CountableSet:
     ``enum`` where available; otherwise membership falls back to a scan of
     the first ``_INDEX_SCAN_CAP`` codes.  ``index_of`` raises
     ``IndexScanCap`` when the scan gives up, so no caller of it reads the
-    cap as an answer.  ``contains`` answers False for a code the scan did
-    not find, since without ``index`` absence cannot be decided.
+    cap as an answer.  ``index_or_none`` is the one rule for a failed
+    lookup: ``index_of``, or None where it raises ``ValueError`` or
+    ``IndexScanCap``.  ``contains`` and the fresh-code and Lévy
+    functionals ask it, so a code the scan did not find reads as absent,
+    since without ``index`` absence cannot be decided.
     """
 
     name: str
@@ -49,12 +52,14 @@ class CountableSet:
         raise IndexScanCap(
             f"{code!r} not found in the first {_INDEX_SCAN_CAP} codes of {self.name}")
 
-    def contains(self, code: Code) -> bool:
+    def index_or_none(self, code: Code) -> Optional[int]:
         try:
-            self.index_of(code)
-            return True
+            return self.index_of(code)
         except (ValueError, IndexScanCap):
-            return False
+            return None
+
+    def contains(self, code: Code) -> bool:
+        return self.index_or_none(code) is not None
 
 
 def nat_set() -> CountableSet:
@@ -157,12 +162,15 @@ def prefix_enumeration(x: CountableSet,
     cost nothing until asked for.  Each length is in index-lexicographic
     order because the last one is and each tuple is extended in index
     order.  Items and state are written back only when a length is
-    complete, so a call that raises leaves the walk as it was.
+    complete, so a call that raises leaves the walk as it was; a negative
+    n raises ``ValueError`` before any walk.
     """
     items: list[tuple] = [()]
     state = [0, [], []]  # block k, its codes, its valid tuples of the last length
 
     def enum(n: int) -> tuple:
+        if n < 0:
+            raise ValueError(f"negative enumeration index {n}")
         while len(items) <= n:
             k, codes, level = state
             if not level:

@@ -47,8 +47,8 @@ def _fresh_functional(x: CountableSet, name: str, stride: int = 1,
     in only the new suffix and tries O(1) candidates amortised, and the
     ``member`` call that checks its answer reads the same set, so a step
     on a ``Grown`` view costs O(1).  ``member`` tests a t that is neither a
-    tuple nor a view with ``in`` instead, and it makes one ``index_of``
-    call, or two when the index is constrained.
+    tuple nor a view with ``in`` instead, and it asks x once for the
+    index of v (``index_or_none``), which also decides membership in x.
     Under a custom ``x.eq`` both test a code against every code of t with
     ``eq``, so ``select`` names only codes that ``member`` allows.
     """
@@ -61,7 +61,8 @@ def _fresh_functional(x: CountableSet, name: str, stride: int = 1,
     scan = SuffixFold(lambda: (set(), 0), fold)
 
     def member(t: Sequence, v: Code) -> bool:
-        if not x.contains(v):
+        i = x.index_or_none(v)
+        if i is None:
             return False
         if x.eq is operator.eq:
             # a list or range is never kept, so a set built from it would
@@ -70,9 +71,6 @@ def _fresh_functional(x: CountableSet, name: str, stride: int = 1,
                 return False
         elif any(x.eq(v, c) for c in t):
             return False
-        if stride == 1 and bound is None:
-            return True
-        i = x.index_of(v)
         return i % stride == 0 and (bound is None or i <= bound * len(t))
 
     def select(t: Sequence) -> Code:

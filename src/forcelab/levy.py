@@ -23,7 +23,6 @@ from .errors import (
     BadBlock,
     BadBlockWitness,
     BadCofinal,
-    IndexScanCap,
     OutOfDomain,
     RangeNotDecidable,
 )
@@ -204,26 +203,19 @@ def transfinite_f_seq(x: CountableSet) -> TransfiniteFunctional:
     codes outside x consume no index.
     """
 
-    def index_or_none(c) -> Optional[int]:
-        """x.index_of(c), or None where ``CountableSet.contains`` reads absent."""
-        try:
-            return x.index_of(c)
-        except (ValueError, IndexScanCap):
-            return None
-
     def usage_of(seq) -> IndexUsage:
         usage = getattr(seq, "usage", None)
         if usage is not None:
             return usage
         if seq.length.is_finite():
-            indices = (index_or_none(seq.at(i)) for i in range(seq.length.to_int()))
+            indices = (x.index_or_none(seq.at(i)) for i in range(seq.length.to_int()))
             return IndexUsage().with_explicit(i for i in indices if i is not None)
         raise RangeNotDecidable(
             f"sequence of length {seq.length} carries no usage record")
 
     def member(seq, v) -> bool:
         usage = usage_of(seq)
-        i = index_or_none(v)
+        i = x.index_or_none(v)
         return i is not None and not usage.contains(i)
 
     def select(seq):

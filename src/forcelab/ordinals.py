@@ -41,9 +41,9 @@ class Ordinal:
     def __post_init__(self):
         prev = None
         for e, c in self.terms:
-            if not (isinstance(e, int) and e >= 0):
+            if not (type(e) is int and e >= 0):
                 raise ValueError(f"bad exponent {e!r}")
-            if not (isinstance(c, int) and c >= 1):
+            if not (type(c) is int and c >= 1):
                 raise ValueError(f"bad coefficient {c!r}")
             if prev is not None and e >= prev:
                 raise ValueError("exponents must be strictly decreasing")
@@ -69,11 +69,11 @@ class Ordinal:
 
     @staticmethod
     def from_int(n: int) -> "Ordinal":
-        if type(n) is int and n >= 0:
+        if type(n) is int:
+            if n < 0:
+                raise ValueError("ordinals are non-negative")
             return Ordinal._of(((0, n),)) if n else ZERO
-        if n < 0:
-            raise ValueError("ordinals are non-negative")
-        return Ordinal(((0, n),) if n else ())
+        return Ordinal(((0, n),))  # refused there: a coefficient is an int
 
     @staticmethod
     def omega(coeff: int = 1) -> "Ordinal":

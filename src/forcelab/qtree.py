@@ -184,6 +184,8 @@ def finite_subset_lattice(x: CountableSet) -> LatticeOracle:
         return s | {x.enum(i)}
 
     def enum(n: int) -> Code:
+        if n < 0:
+            raise ValueError(f"negative enumeration index {n}")
         mask = n + 1  # skip the empty set
         return frozenset(x.enum(i) for i in range(mask.bit_length()) if mask >> i & 1)
 

@@ -189,3 +189,39 @@ def test_mod3_nat_breaks_the_distinct_codes_contract():
     with pytest.raises(AssertionError,
                        match=r"enumerated \(0, 3\) fails the carrier predicate"):
         check_poset_laws(coll_poset(mod3), 120)
+
+
+class TestNegativeIndices:
+    """An enumeration is defined on the naturals only.  A negative n read
+    the item lists from the end: ``enum(-1)`` gave whichever tuple the walk
+    had listed last, and the subset lattice's ``enum(-1)`` was the empty
+    set, outside its carrier."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: coll_poset(nat_set()).enum,
+        lambda: coll_poset(pairs_set()).enum,
+        lambda: t_of_f(nat_set(), evens_functional(nat_set())).enum,
+        lambda: finite_subset_lattice(nat_set()).enum,
+    ])
+    @pytest.mark.parametrize("n", [-1, -2, -31])
+    def test_refused_fresh_and_after_a_walk(self, make, n):
+        enum = make()
+        with pytest.raises(ValueError, match="negative enumeration index"):
+            enum(n)
+        listed = [enum(k) for k in range(31)]
+        with pytest.raises(ValueError, match="negative enumeration index"):
+            enum(n)
+        assert [enum(k) for k in range(31)] == listed
+
+    def test_prefix_enumeration_refuses_before_walking(self):
+        calls = [0]
+
+        def counting(prefix, code):
+            calls[0] += 1
+            return True
+
+        enum = prefix_enumeration(NAT, counting)
+        with pytest.raises(ValueError, match="negative enumeration index -1"):
+            enum(-1)
+        assert calls[0] == 0
+        assert enum(0) == ()

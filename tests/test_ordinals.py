@@ -401,3 +401,45 @@ class TestUncheckedResults:
     def test_checked_constructors_still_refuse(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
+
+
+class TestIntTermsOnly:
+    """Exponents and coefficients are ints and nothing else: a bool or a
+    float term printed as ``True`` or ``w*True``, which ``parse_cnf``
+    cannot read back, and ``from_int`` read ``False`` and ``0.0`` as zero."""
+
+    @pytest.mark.parametrize("n", [True, False, 0.0, 1.0, 2.5])
+    def test_from_int_refuses_bools_and_floats(self, n):
+        with pytest.raises(ValueError, match=f"bad coefficient {n!r}"):
+            Ordinal.from_int(n)
+
+    @pytest.mark.parametrize("n", ["3", None, 3j])
+    def test_from_int_refuses_other_types_with_the_same_error(self, n):
+        with pytest.raises(ValueError, match="bad coefficient"):
+            Ordinal.from_int(n)
+
+    @pytest.mark.parametrize("terms, message", [
+        (((1, True),), "bad coefficient True"),
+        (((0, 1.0),), "bad coefficient 1.0"),
+        (((True, 1),), "bad exponent True"),
+        (((2.0, 1),), "bad exponent 2.0"),
+        (((2, 1), (False, 3)), "bad exponent False"),
+    ])
+    def test_constructor_refuses_bool_and_float_terms(self, terms, message):
+        with pytest.raises(ValueError, match=message):
+            Ordinal(terms)
+
+    @pytest.mark.parametrize("pos", [True, False, 1.0])
+    def test_positions_are_ints_or_ordinals(self, pos):
+        with pytest.raises(ValueError, match="bad coefficient"):
+            TransfiniteSeq.from_items([7, 8]).at(pos)
+        with pytest.raises(ValueError, match="bad coefficient"):
+            ord_of(pos)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**12))
+    def test_ints_still_round_trip(self, n):
+        o = Ordinal.from_int(n)
+        assert o == ord_of(n) and o.to_int() == n
+        assert parse_cnf(format_cnf(o)) == o
+        assert (o is ZERO) == (n == 0)
