@@ -14,6 +14,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional
 
 # Each handler imports the modules beyond these that it alone needs, so a
@@ -199,18 +200,77 @@ def build_config(argv: list[str]) -> RunConfig:
     return RunConfig(ns.command, params, ns.output_path)
 
 
+@functools.lru_cache(maxsize=None)
+def _c_encoder(level: int):
+    """The C encoder for a value at depth ``level``: container members are
+    separated as ``indent=2`` separates them at that depth, keys sorted."""
+    # (markers, default, encoder, indent, key_separator, item_separator,
+    #  sort_keys, skipkeys, allow_nan): no circular check, documents are trees
+    return c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                          None, ": ", ",\n" + "  " * (level + 1), True, False, True)
+
+
+def _emit(o, level: int) -> str:
+    """``o`` as ``json.dumps(o, indent=2, sort_keys=True)`` writes it at depth ``level``.
+
+    A container whose members are all plain scalars is one call to the C
+    encoder, wrapped in its depth's brackets and padding, and so is a list
+    of non-empty rows of scalars, such as ``pairs`` codes: the encoder's
+    separators hold the only raw newlines it writes, and only the end of a
+    row puts "]" before one, so the rows' own brackets are re-padded by
+    one ``replace``.  Other containers that hold containers are walked
+    here.  Documents are trees whose dicts have ``str`` keys, as every CLI
+    document is.  A value ``json`` cannot write raises its ``TypeError``.
+    """
+    if isinstance(o, dict):
+        members, brackets = o.values(), "{}"
+    elif isinstance(o, (list, tuple)):
+        members, brackets = o, "[]"
+    else:
+        return "".join(_c_encoder(level)(o, 0))
+    if not o:
+        return brackets
+    inner = "\n" + "  " * (level + 1)
+    if posets._JSON_SCALARS.issuperset(map(type, members)):
+        body = "".join(_c_encoder(level)(o, 0))[1:-1]
+    elif brackets == "{}":
+        body = ("," + inner).join([encode_basestring_ascii(k) + ": " + _emit(v, level + 1)
+                                   for k, v in sorted(o.items())])
+    elif posets._scalar_rows(o) and all(o):
+        row = inner + "  "
+        rows = "".join(_c_encoder(level + 1)(o, 0))[2:-2]
+        body = ("[" + row + rows.replace("]," + row + "[", inner + "]," + inner + "[" + row)
+                + inner + "]")
+    else:
+        body = ("," + inner).join([_emit(v, level + 1) for v in o])
+    return brackets[0] + inner + body + inner[:-2] + brackets[1]
+
+
+class _Encoder(json.JSONEncoder):
+    """Writes ``indent=2, sort_keys=True`` output through ``_emit``, whatever
+    options it is given; ``_dumps`` passes exactly those."""
+
+    def iterencode(self, o, _one_shot=False):
+        return (_emit(o, 0),)
+
+
+def _dumps(doc: dict) -> str:
+    """A document's text: one ``json.dumps`` call, so a wrapped ``json``
+    module sees every document written."""
+    return json.dumps(doc, cls=_Encoder, indent=2, sort_keys=True) + "\n"
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     cfg = build_config(sys.argv[1:] if argv is None else argv)
     status, doc = run(cfg)
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = _dumps(doc)
     if cfg.output_path:
         try:
             with open(cfg.output_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            doc = {"error": "bad-config",
-                   "detail": f"cannot write the output: {exc}"}
-            sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            sys.stdout.write(_dumps({"error": "bad-config",
+                                     "detail": f"cannot write the output: {exc}"}))
             return 2
     else:
         sys.stdout.write(text)

@@ -62,16 +62,26 @@ class CountableSet:
         return self.index_or_none(code) is not None
 
 
+def _nonnegative(n: int) -> int:
+    """n itself, the identity enumeration; a negative n raises ``ValueError``."""
+    if n < 0:
+        raise ValueError(f"negative enumeration index {n}")
+    return n
+
+
+# A built-in set's codes are ints and pairs of ints; ``type(v) is int``
+# refuses a bool, which ``isinstance`` would take for 0 or 1.
+
 def nat_set() -> CountableSet:
     return CountableSet(
-        "nat", lambda n: n,
-        index=lambda v: v if isinstance(v, int) and v >= 0 else None)
+        "nat", _nonnegative,
+        index=lambda v: v if type(v) is int and v >= 0 else None)
 
 
 def evens_set() -> CountableSet:
     return CountableSet(
-        "evens", lambda n: 2 * n,
-        index=lambda v: v // 2 if isinstance(v, int) and v >= 0 and v % 2 == 0 else None)
+        "evens", lambda n: 2 * _nonnegative(n),
+        index=lambda v: v // 2 if type(v) is int and v >= 0 and v % 2 == 0 else None)
 
 
 def pairs_set() -> CountableSet:
@@ -79,11 +89,11 @@ def pairs_set() -> CountableSet:
 
     def index(v):
         if (isinstance(v, tuple) and len(v) == 2
-                and all(isinstance(c, int) and c >= 0 for c in v)):
+                and all(type(c) is int and c >= 0 for c in v)):
             return cantor_pair(*v)
         return None
 
-    return CountableSet("pairs", cantor_unpair, index=index)
+    return CountableSet("pairs", lambda n: cantor_unpair(_nonnegative(n)), index=index)
 
 
 _BUILTINS = {"nat": nat_set, "evens": evens_set, "pairs": pairs_set}
@@ -136,7 +146,7 @@ def require_injective(items: Sequence[Code],
 
 
 def inj_seq_json(x: CountableSet, s: InjSeq) -> dict:
-    return {"set": x.name, "items": [_jsonable(c) for c in s.items]}
+    return {"set": x.name, "items": _jsonable(s.items)}
 
 
 # ---------------------------------------------------------------------------
@@ -370,5 +380,5 @@ def injection_to_generic(x: CountableSet,
     if len(values) < n:
         raise ValueError(f"injection has {len(values)} values, need {n}")
     require_injective(values, x.eq)
-    met = tuple((i, i) for i in range(n + 1))
+    met = tuple(zip(range(n + 1), range(n + 1)))
     return GenericRun(f"Coll(w,{x.name})", tuple(Grown(values, k) for k in range(n + 1)), met)

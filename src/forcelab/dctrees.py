@@ -363,7 +363,7 @@ def unmark(g: Sequence) -> tuple:
 def witness_json(f: ChoiceFunctional, values: Sequence,
                  markers: "Sequence[int] | None" = None) -> dict:
     doc = {"functional": f.name, "length": len(values),
-           "values": [_jsonable(v) for v in values]}
+           "values": _jsonable(tuple(values))}
     if markers is not None:
         doc["markers"] = list(markers)
     return doc

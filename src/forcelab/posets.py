@@ -257,7 +257,7 @@ def rasiowa_sikorski(p: PosetPresentation, ds: Sequence[DenseSet],
                 f"extender {d.name} output not a member", index=i)
         chain.append(q)
         last = q
-    return GenericRun(p.name, tuple(chain), tuple((i, i + 1) for i in range(n)))
+    return GenericRun(p.name, tuple(chain), tuple(zip(range(n), range(1, n + 1))))
 
 
 def _require_chain(chain: Sequence[Code], leq: Callable[[Code, Code], bool]) -> None:
@@ -364,9 +364,29 @@ def run_trace_json(run: GenericRun) -> dict:
     return {"poset": run.poset, "start": _jsonable(run.chain[0]), "steps": steps}
 
 
+# The exact types JSON writes as scalars; a sequence of these needs no walk.
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+_JSON_ROWS = frozenset((list, tuple))
+
+
+def _scalar_rows(items: Sequence) -> bool:
+    """Whether every member of items is a list or tuple of JSON scalars;
+    C-level scans only."""
+    return (_JSON_ROWS.issuperset(map(type, items))
+            and _JSON_SCALARS.issuperset(map(type, itertools.chain.from_iterable(items))))
+
+
 def _jsonable(code: Code):
+    """The JSON form of a code: tuples and ``Grown`` views as lists,
+    frozensets as sorted lists.  A sequence of scalars, or of rows of
+    scalars such as ``pairs`` codes, is copied without a Python-level walk."""
     if isinstance(code, (tuple, Grown)):
-        return [_jsonable(c) for c in code]
+        items = list(code)
+        if _JSON_SCALARS.issuperset(map(type, items)):
+            return items
+        if _scalar_rows(items):
+            return list(map(list, items))
+        return [_jsonable(c) for c in items]
     if isinstance(code, frozenset):
         return sorted(_jsonable(c) for c in code)
     return code
