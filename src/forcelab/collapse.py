@@ -8,7 +8,6 @@ sequence-tree poset here.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
@@ -23,10 +22,13 @@ _INDEX_SCAN_CAP = 100_000
 class CountableSet:
     """An infinite set presented by an injective enumeration of element codes.
 
-    Injective means that no two indices give codes equal under ``eq``, nor
-    under ``==``, which ``prefix_enumeration`` tests.  ``index`` inverts
-    ``enum`` where available; otherwise membership falls back to a scan of
-    the first ``_INDEX_SCAN_CAP`` codes.  ``index_of`` raises
+    Codes are the set's elements: they compare by ``==`` and hash to
+    match.  Injective means that no two indices give equal codes, which
+    ``prefix_enumeration`` relies on; an ``index`` that accepts a second
+    spelling of a code makes the presentation non-injective, a caller
+    error.  ``index`` inverts ``enum`` where available; otherwise
+    membership falls back to a scan of the first ``_INDEX_SCAN_CAP``
+    codes.  ``index_of`` raises
     ``IndexScanCap`` when the scan gives up, so no caller of it reads the
     cap as an answer.  ``index_or_none`` is the one rule for a failed
     lookup: ``index_of``, or None where it raises ``ValueError`` or
@@ -37,7 +39,6 @@ class CountableSet:
 
     name: str
     enum: Callable[[int], Code]
-    eq: Callable[[Code, Code], bool] = operator.eq
     index: Optional[Callable[[Code], Optional[int]]] = None
 
     def index_of(self, code: Code) -> int:
@@ -47,7 +48,7 @@ class CountableSet:
                 raise ValueError(f"{code!r} is not in {self.name}")
             return i
         for i in range(_INDEX_SCAN_CAP):
-            if self.eq(self.enum(i), code):
+            if self.enum(i) == code:
                 return i
         raise IndexScanCap(
             f"{code!r} not found in the first {_INDEX_SCAN_CAP} codes of {self.name}")
@@ -114,32 +115,28 @@ class InjSeq:
 
 def make_inj_seq(x: CountableSet, items: Sequence[Code]) -> InjSeq:
     items = tuple(items)
-    require_injective(items, x.eq)
+    require_injective(items)
     return InjSeq(items)
 
 
-def first_repeat(items: Sequence[Code],
-                 eq: Callable[[Code, Code], bool] = operator.eq
-                 ) -> Optional[tuple[int, int]]:
-    """The least pair (i, j), i < j, with eq(items[i], items[j]), or None.
+def first_repeat(items: Sequence[Code]) -> Optional[tuple[int, int]]:
+    """The least pair (i, j), i < j, with items[i] == items[j], or None.
 
-    Under ``operator.eq`` a sequence of distinct hashable items is cleared
-    by one C-level ``set`` build; otherwise, or when the set finds a
-    duplicate, the pairs are compared in order.
+    A sequence of distinct items is cleared by one C-level ``set`` build;
+    when the set finds a duplicate, the pairs are compared in order.
     """
-    if eq is operator.eq and len(set(items)) == len(items):
+    if len(set(items)) == len(items):
         return None
     for i in range(len(items)):
         for j in range(i + 1, len(items)):
-            if eq(items[i], items[j]):
+            if items[i] == items[j]:
                 return i, j
     return None
 
 
-def require_injective(items: Sequence[Code],
-                      eq: Callable[[Code, Code], bool] = operator.eq) -> None:
+def require_injective(items: Sequence[Code]) -> None:
     """Raise ``NotInjective`` naming the first repeated pair of positions."""
-    pair = first_repeat(items, eq)
+    pair = first_repeat(items)
     if pair is not None:
         i, j = pair
         raise NotInjective(f"positions {i} and {j} repeat {items[i]!r}")
@@ -179,8 +176,7 @@ def prefix_enumeration(x: CountableSet,
     state = [0, [], []]  # block k, its codes, its valid tuples of the last length
 
     def enum(n: int) -> tuple:
-        if n < 0:
-            raise ValueError(f"negative enumeration index {n}")
+        _nonnegative(n)
         while len(items) <= n:
             k, codes, level = state
             if not level:
@@ -199,23 +195,18 @@ def prefix_enumeration(x: CountableSet,
 
 
 def sequence_tree(name: str, carrier: Callable[[tuple], bool],
-                  enum: Callable[[int], tuple],
-                  eq: Callable[[Code, Code], bool] = operator.eq) -> PosetPresentation:
+                  enum: Callable[[int], tuple]) -> PosetPresentation:
     """The tuples (or ``Grown`` views) that pass ``carrier``, rooted at (),
-    ordered by end-extension under ``eq``; the one presentation of every
-    sequence tree here.
-
-    ``above`` is ``prefixes`` under ``operator.eq``, whose hashing agrees
-    with the order; under any other ``eq`` it is left out and fragment
-    checks fall back to ``leq``.
+    ordered by end-extension; the one presentation of every sequence tree
+    here.  ``above`` is ``prefixes``, whose hashing agrees with the order.
     """
     return PosetPresentation(
         name=name,
         carrier=lambda t: isinstance(t, (tuple, Grown)) and carrier(t),
-        leq=extends if eq is operator.eq else lambda g, f: extends(g, f, eq),
+        leq=extends,
         enum=enum,
         root=(),
-        above=prefixes if eq is operator.eq else None,
+        above=prefixes,
     )
 
 
@@ -224,12 +215,11 @@ def sequence_tree(name: str, carrier: Callable[[tuple], bool],
 # ---------------------------------------------------------------------------
 
 def coll_poset(x: CountableSet) -> PosetPresentation:
-    """Finite injective sequences over x, ordered by end-extension under x.eq."""
+    """Finite injective sequences over x, ordered by end-extension."""
     return sequence_tree(
         f"Coll(w,{x.name})",
-        lambda t: all(x.contains(c) for c in t) and first_repeat(t, x.eq) is None,
-        prefix_enumeration(x, lambda prefix, c: True),
-        x.eq)
+        lambda t: all(x.contains(c) for c in t) and first_repeat(t) is None,
+        prefix_enumeration(x, lambda prefix, c: True))
 
 
 def fresh_bound(x: CountableSet, p: tuple) -> int:
@@ -354,12 +344,11 @@ def level_family(x: CountableSet, n: int) -> Sequence[DenseSet]:
 def generic_to_injection(x: CountableSet, run: GenericRun) -> InjSeq:
     """The union of a descending chain of conditions, as an injective sequence.
 
-    Each link is checked with ``extends`` under ``x.eq``, which on two
-    views of one buffer is O(1).
+    Each link is checked with ``extends``, which on two views of one
+    buffer is O(1).
     """
     chain = run.chain
-    _require_chain(chain, extends if x.eq is operator.eq
-                   else lambda a, b: extends(a, b, x.eq))
+    _require_chain(chain, extends)
     return make_inj_seq(x, chain[-1] if chain else ())
 
 
@@ -379,6 +368,6 @@ def injection_to_generic(x: CountableSet,
     values = [g(i) for i in range(n)] if callable(g) else list(g[:n])
     if len(values) < n:
         raise ValueError(f"injection has {len(values)} values, need {n}")
-    require_injective(values, x.eq)
+    require_injective(values)
     met = tuple(zip(range(n + 1), range(n + 1)))
     return GenericRun(f"Coll(w,{x.name})", tuple(Grown(values, k) for k in range(n + 1)), met)

@@ -10,7 +10,6 @@ the marker counting prior occurrences.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -49,8 +48,6 @@ def _fresh_functional(x: CountableSet, name: str, stride: int = 1,
     on a ``Grown`` view costs O(1).  ``member`` tests a t that is neither a
     tuple nor a view with ``in`` instead, and it asks x once for the
     index of v (``index_or_none``), which also decides membership in x.
-    Under a custom ``x.eq`` both test a code against every code of t with
-    ``eq``, so ``select`` names only codes that ``member`` allows.
     """
 
     def fold(state: tuple, suffix: Sequence) -> tuple:
@@ -64,12 +61,9 @@ def _fresh_functional(x: CountableSet, name: str, stride: int = 1,
         i = x.index_or_none(v)
         if i is None:
             return False
-        if x.eq is operator.eq:
-            # a list or range is never kept, so a set built from it would
-            # only slow its own ``in`` test
-            if v in (scan.fold_state(t)[0] if type(t) in (tuple, Grown) else t):
-                return False
-        elif any(x.eq(v, c) for c in t):
+        # a list or range is never kept, so a set built from it would only
+        # slow its own ``in`` test
+        if v in (scan.fold_state(t)[0] if type(t) in (tuple, Grown) else t):
             return False
         return i % stride == 0 and (bound is None or i <= bound * len(t))
 
@@ -78,9 +72,7 @@ def _fresh_functional(x: CountableSet, name: str, stride: int = 1,
         limit = None if bound is None else bound * len(t)
         while limit is None or i <= limit:
             c = x.enum(i)
-            # codes equal under a custom eq may hash apart
-            if c not in used and (x.eq is operator.eq
-                                  or not any(x.eq(c, u) for u in t)):
+            if c not in used:
                 scan.keep(t, (used, i))
                 return c
             i += stride
@@ -108,7 +100,7 @@ def const_functional(x: CountableSet) -> ChoiceFunctional:
     """The constant singleton: only the first code is ever allowed."""
     c = x.enum(0)
     return ChoiceFunctional(f"const({x.name})",
-                            lambda t, v: x.eq(v, c),
+                            lambda t, v: v == c,
                             lambda t: c,
                             injective_mode=False)
 
@@ -116,7 +108,7 @@ def const_functional(x: CountableSet) -> ChoiceFunctional:
 def cycle_functional(x: CountableSet, period: int) -> ChoiceFunctional:
     """Forces the codes 0..period-1 cyclically; repetitions from step period on."""
     return ChoiceFunctional(f"cycle{period}({x.name})",
-                            lambda t, v: x.eq(v, x.enum(len(t) % period)),
+                            lambda t, v: v == x.enum(len(t) % period),
                             lambda t: x.enum(len(t) % period),
                             injective_mode=False)
 
@@ -261,24 +253,6 @@ def marked_set(x: CountableSet) -> CountableSet:
     return CountableSet(f"{x.name}*w", enum, index=index)
 
 
-class _EqCounts(dict):
-    """base -> occurrences under a custom ``eq``: each ``eq`` class is kept
-    under the first base seen in it, found by one ``eq`` call per class."""
-
-    def __init__(self, eq: Callable[[Code, Code], bool]):
-        super().__init__()
-        self.eq = eq
-
-    def _key(self, b: Code) -> Code:
-        return next((k for k in self if self.eq(k, b)), b)
-
-    def get(self, b: Code, default=None):
-        return super().get(self._key(b), default)
-
-    def __setitem__(self, b: Code, n: int) -> None:
-        super().__setitem__(self._key(b), n)
-
-
 def _marker_walk(u: Sequence, counts: dict) -> bool:
     """Add u's bases to ``counts`` (base -> occurrences so far).
 
@@ -295,27 +269,23 @@ def _marker_walk(u: Sequence, counts: dict) -> bool:
     return True
 
 
-def _marker_tracker(eq: Callable[[Code, Code], bool]) -> SuffixFold:
+def _marker_tracker() -> SuffixFold:
     """``marks(u)``: (bases of u, base -> occurrences, ok), where ok says
-    u's markers are its true occurrence counts under ``eq``.
+    u's markers are its true occurrence counts.
 
-    A ``SuffixFold`` whose fold walks the new suffix with ``_marker_walk``,
-    into a plain dict and a ``Grown`` view of bases under ``operator.eq``,
-    and into an ``_EqCounts`` and a tuple otherwise.  Markers that are
-    wrong on a prefix stay wrong on every extension, so a wrong state folds
-    to itself.
+    A ``SuffixFold`` whose fold walks the new suffix with ``_marker_walk``
+    into a dict and a ``Grown`` view of bases.  Markers that are wrong on
+    a prefix stay wrong on every extension, so a wrong state folds to
+    itself.
     """
 
     def fold(state: tuple, suffix: Sequence) -> tuple:
         bases, counts, ok = state
         if not (ok and _marker_walk(suffix, counts)):
             return (), counts, False
-        new = [m.base for m in suffix]
-        return (grow(bases, new) if plain else bases + tuple(new)), counts, True
+        return grow(bases, [m.base for m in suffix]), counts, True
 
-    plain = eq is operator.eq
-    counts = dict if plain else lambda: _EqCounts(eq)
-    return SuffixFold(lambda: ((), counts(), True), fold)
+    return SuffixFold(lambda: ((), {}, True), fold)
 
 
 def marker_reduction(x: CountableSet, f: ChoiceFunctional) -> ChoiceFunctional:
@@ -329,13 +299,11 @@ def marker_reduction(x: CountableSet, f: ChoiceFunctional) -> ChoiceFunctional:
 
     Cost: the marker state of the last sequence seen is kept (see
     ``_marker_tracker``), so along a growing run a ``member`` or ``select``
-    call walks only the new suffix.  Under ``operator.eq`` f sees one
-    ``Grown`` view of the bases, grown in place, and a step costs O(1).
-    Under a custom ``eq`` f sees a tuple of bases, copied at each step, and
-    each count looked up adds one ``eq`` call per class of bases seen.
+    call walks only the new suffix.  f sees one ``Grown`` view of the
+    bases, grown in place, and a step costs O(1).
     """
     product_seq = f_seq(marked_set(x))
-    marks = _marker_tracker(x.eq).fold_state
+    marks = _marker_tracker().fold_state
 
     def member(u: Sequence, v: Code) -> bool:
         if not isinstance(v, MarkedElement):

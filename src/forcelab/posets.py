@@ -9,7 +9,6 @@ from __future__ import annotations
 import collections.abc
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -121,31 +120,24 @@ def grow(t: Sequence, values: Iterable) -> Grown:
     return Grown(buf, len(buf))
 
 
-def extends(g: Sequence, f: Sequence,
-            eq: Callable[[Code, Code], bool] = operator.eq) -> bool:
+def extends(g: Sequence, f: Sequence) -> bool:
     """True iff g end-extends f: it is at least as long and agrees with f on f.
 
-    The one end-extension check of every sequence-tree order here.  Under
-    ``operator.eq`` two views of one buffer compare by length alone, O(1);
-    other sequences take one slice compare done in C, O(len f) C-level
-    work.  Any other ``eq`` is applied element by element, O(len f)
-    interpreted calls.
+    The one end-extension check of every sequence-tree order here.  Two
+    views of one buffer compare by length alone, O(1); other sequences
+    take one slice compare done in C, O(len f) C-level work.
     """
-    if type(f) is Grown and type(g) is Grown and f.buf is g.buf and eq is operator.eq:
+    if type(f) is Grown and type(g) is Grown and f.buf is g.buf:
         return f.n <= g.n
     n = len(f)
-    if len(g) < n:
-        return False
-    if eq is operator.eq:
-        return g[:n] == f
-    return all(eq(g[i], f[i]) for i in range(n))
+    return len(g) >= n and g[:n] == f
 
 
 def prefixes(t: Sequence) -> list:
     """t[:0], t[:1], ..., t[:len t]: the conditions t end-extends.
 
-    The ``above`` of every sequence-tree order here whose codes compare by
-    ``operator.eq``, since r is among them iff ``extends(t, r)``.
+    The ``above`` of every sequence-tree order here, since r is among them
+    iff ``extends(t, r)``.
     """
     return [t[:k] for k in range(len(t) + 1)]
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .collapse import (CountableSet, InjSeq, prefix_enumeration, require_injective,
-                       sequence_tree)
+from .collapse import (CountableSet, InjSeq, _nonnegative, prefix_enumeration,
+                       require_injective, sequence_tree)
 from .errors import NotAQSeq, NotInLambda
 from .posets import Code, PosetPresentation, _bits, _transpose, check_poset_laws, extends
 
@@ -184,9 +184,7 @@ def finite_subset_lattice(x: CountableSet) -> LatticeOracle:
         return s | {x.enum(i)}
 
     def enum(n: int) -> Code:
-        if n < 0:
-            raise ValueError(f"negative enumeration index {n}")
-        mask = n + 1  # skip the empty set
+        mask = _nonnegative(n) + 1  # skip the empty set
         return frozenset(x.enum(i) for i in range(mask.bit_length()) if mask >> i & 1)
 
     return LatticeOracle(

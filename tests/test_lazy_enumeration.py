@@ -19,7 +19,6 @@ from forcelab.collapse import (CountableSet, coll_poset, nat_set, pairs_set,
                                prefix_enumeration)
 from forcelab.dctrees import bounded_functional, evens_functional, t_of_f
 from forcelab.errors import EnumerationDepthCap
-from forcelab.posets import check_poset_laws
 from forcelab.qtree import finite_subset_lattice, lambda_tree
 
 _ENUM_DEPTH_CAP = 1000
@@ -179,16 +178,6 @@ def test_first_1958_tuples_take_at_most_2400_predicate_calls():
     enum = prefix_enumeration(NAT, counting)
     assert enum(1957) == (6,)
     assert calls[0] <= 2400  # 2,372; the block builder made 16,064
-
-
-def test_mod3_nat_breaks_the_distinct_codes_contract():
-    # codes equal under eq at two indices: coll enumerates tuples its own
-    # carrier rejects, and the law check names the first of them
-    mod3 = CountableSet("nat-mod3", lambda n: n,
-                        eq=lambda a, b: a % 3 == b % 3, index=NAT.index)
-    with pytest.raises(AssertionError,
-                       match=r"enumerated \(0, 3\) fails the carrier predicate"):
-        check_poset_laws(coll_poset(mod3), 120)
 
 
 class TestNegativeIndices:

@@ -7,7 +7,7 @@ reduction that rewalks the whole marked sequence on every call, and the
 (``seq`` with its one-slot cache) and whose members scan t.
 """
 
-import operator
+import dataclasses
 import random
 
 import pytest
@@ -87,16 +87,14 @@ def injection_chain_reference(values, n):
 def generic_to_injection_reference(x, run):
     chain = run.chain
     for a, b in zip(chain[1:], chain):
-        if not collapse.extends(a, b, x.eq):
+        if not collapse.extends(a, b):
             raise NotAChain(f"{a!r} does not extend {b!r}")
     return collapse.make_inj_seq(x, chain[-1] if chain else ())
 
 
 def f_seq_reference(x):
     def member(t, v):
-        if x.eq is operator.eq:
-            return x.contains(v) and v not in t
-        return x.contains(v) and not any(x.eq(v, c) for c in t)
+        return x.contains(v) and v not in t
 
     last = [(), 0]
 
@@ -144,23 +142,19 @@ def bounded_reference(x):
     return dctrees.ChoiceFunctional(f"bounded({x.name})", member, select, True)
 
 
-def _occurrences(bases, v, upto, eq):
-    return sum(1 for j in range(upto) if eq(bases[j], v))
+def _occurrences(bases, v, upto):
+    return sum(1 for j in range(upto) if bases[j] == v)
 
 
-def _consistent_markers_reference(x, u):
+def _consistent_markers_reference(u):
     if not all(isinstance(m, MarkedElement) for m in u):
         return False
-    if x.eq is operator.eq:
-        counts = {}
-        for m in u:
-            if m.marker != counts.get(m.base, 0):
-                return False
-            counts[m.base] = counts.get(m.base, 0) + 1
-        return True
-    bases = [p.base for p in u]
-    return all(m.marker == _occurrences(bases, m.base, i, x.eq)
-               for i, m in enumerate(u))
+    counts = {}
+    for m in u:
+        if m.marker != counts.get(m.base, 0):
+            return False
+        counts[m.base] = counts.get(m.base, 0) + 1
+    return True
 
 
 def marker_reduction_reference(x, f):
@@ -169,17 +163,17 @@ def marker_reduction_reference(x, f):
     def member(u, v):
         if not isinstance(v, MarkedElement):
             return False
-        if _consistent_markers_reference(x, u):
+        if _consistent_markers_reference(u):
             bases = [p.base for p in u]
             return (f.member(bases, v.base)
-                    and v.marker == _occurrences(bases, v.base, len(bases), x.eq))
+                    and v.marker == _occurrences(bases, v.base, len(bases)))
         return product_seq.member(u, v)
 
     def select(u):
-        if _consistent_markers_reference(x, u):
+        if _consistent_markers_reference(u):
             bases = [p.base for p in u]
             b = f.select(bases)
-            return MarkedElement(b, _occurrences(bases, b, len(bases), x.eq))
+            return MarkedElement(b, _occurrences(bases, b, len(bases)))
         return product_seq.select(u)
 
     return dctrees.ChoiceFunctional(f"marked({f.name})", member, select, True)
@@ -189,15 +183,9 @@ def marker_reduction_reference(x, f):
 # walks: grow, shrink, branch, probe with lists
 # ---------------------------------------------------------------------------
 
-def _same(a, b):
-    return a == b
-
-
-CUSTOM_EQ_NAT = CountableSet("nat-eq", lambda n: n, eq=_same, index=NAT.index)
 # every code three times over, so that ``bounded`` can run out of codes
 THRICE = CountableSet("thrice", lambda n: n // 3, index=NAT.index)
-SETS = {"nat": NAT, "pairs": builtin_set("pairs"), "nat-eq": CUSTOM_EQ_NAT,
-        "thrice": THRICE}
+SETS = {"nat": NAT, "pairs": builtin_set("pairs"), "thrice": THRICE}
 
 REFERENCES = {"seq": f_seq_reference, "evens": evens_reference,
               "bounded": bounded_reference}
@@ -291,11 +279,10 @@ def marked_code(k):
 class TestIncrementalMarkers:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(["const", "cycle2", "cycle3", "seq", "evens", "bounded"]),
-           st.sampled_from(["nat", "nat-eq"]), STEPS)
-    def test_marked_walks_match_reference(self, name, xname, steps):
-        x = CUSTOM_EQ_NAT if xname == "nat-eq" else NAT
-        fast = marker_reduction(x, fixture_functional(x, name))
-        slow = marker_reduction_reference(x, fixture_functional(x, name))
+           STEPS)
+    def test_marked_walks_match_reference(self, name, steps):
+        fast = marker_reduction(NAT, fixture_functional(NAT, name))
+        slow = marker_reduction_reference(NAT, fixture_functional(NAT, name))
         walk(fast, slow, steps, marked_code)
 
     @pytest.mark.parametrize("name", ["const", "cycle2", "cycle3"])
@@ -411,8 +398,8 @@ class TestChainView:
             assert run == rasiowa_sikorski_reference(p, ds, start, len(ds))
 
     def test_user_presentation_without_cones_keeps_tuple_chain(self):
-        p = coll_poset(CUSTOM_EQ_NAT)
-        run = rasiowa_sikorski(p, level_family(CUSTOM_EQ_NAT, 5), (), 5)
+        p = dataclasses.replace(coll_poset(NAT), above=None)
+        run = rasiowa_sikorski(p, level_family(NAT, 5), (), 5)
         assert type(run.chain) is tuple
         assert run.chain == ((), (0,), (0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 3, 4))
 

@@ -93,7 +93,7 @@ class TestIndexOrNone:
             i = x.index_or_none(code)
             assert x.contains(code) == (i is not None)
         if i is not None:
-            assert x.eq(x.enum(i), code)
+            assert x.enum(i) == code
 
 
 def test_the_rule_is_written_once():

@@ -2,16 +2,17 @@
 
 * ``ordinals.concat`` has one evaluator over one offset list; the
   two-evaluator version is kept here as an oracle.
-* ``marker_reduction`` folds markers incrementally under any ``eq``; under a
-  custom ``eq`` the old path rewalked the sequence on every call, a cubic
-  number of ``eq`` calls over a run.
 * ``coll_poset``, ``t_of_f`` and ``lambda_tree`` are one
   ``collapse.sequence_tree`` call each; their hand-built presentations are
   kept here as oracles.
+* ``CountableSet`` codes compare by ``==`` alone: the set has no ``eq``
+  field, and every sequence tree is ordered by ``extends`` with
+  ``prefixes`` as its cones.
 * ``perfbench/tracing.py`` wraps the library by name, so a rename that
   breaks it shows up here, not only in the benchmark's self-test.
 """
 
+import dataclasses
 import json
 import operator
 import os
@@ -27,8 +28,7 @@ from hypothesis import strategies as st
 from forcelab import cli, ordinals
 from forcelab.collapse import (CountableSet, builtin_set, coll_poset, first_repeat,
                                prefix_enumeration, sequence_tree)
-from forcelab.dctrees import (bounded_functional, dc_witness, evens_functional, f_seq,
-                              fixture_functional, in_tree, marked_set, marker_reduction,
+from forcelab.dctrees import (bounded_functional, evens_functional, f_seq, in_tree,
                               modified_functional, t_of_f)
 from forcelab.errors import (ContractError, EmptyComponent, MissingLimitLength,
                              OrdinalOverflow)
@@ -189,71 +189,18 @@ class TestConcat:
 
 
 # ---------------------------------------------------------------------------
-# the marker fold under a custom eq
-# ---------------------------------------------------------------------------
-
-def counting_eq_nat():
-    calls = [0]
-
-    def eq(a, b):
-        calls[0] += 1
-        return a == b
-
-    nat = builtin_set("nat")
-    return CountableSet("nat", nat.enum, eq=eq, index=nat.index), calls
-
-
-@pytest.mark.parametrize("n", [50, 100, 200])
-def test_custom_eq_marker_run_makes_linearly_many_eq_calls(n):
-    """Rewalking the sequence on every call made 41,700, 333,400 and
-    2,666,800 ``eq`` calls at n = 50, 100, 200."""
-    x, calls = counting_eq_nat()
-    w = dc_witness(marked_set(x), marker_reduction(x, fixture_functional(x, "cycle3")), n)
-    assert [m.base for m in w] == [i % 3 for i in range(n)]
-    assert [m.marker for m in w] == [i // 3 for i in range(n)]
-    assert calls[0] <= 12 * n
-
-
-def test_custom_eq_counts_by_class():
-    """Codes that are equal under x.eq share one count, whatever they hash to."""
-    x = CountableSet("mod5", lambda n: n, eq=lambda a, b: a % 5 == b % 5,
-                     index=builtin_set("nat").index)
-    g = marker_reduction(x, fixture_functional(x, "const"))
-    u = ()
-    for v in (0, 5, 10, 0):
-        m = g.select(u)
-        assert (m.base, m.marker) == (0, len(u))
-        u += (type(m)(v, len(u)),)
-        assert g.member(u[:-1], u[-1])
-    assert g.select(u).marker == 4
-
-
-def test_custom_eq_functional_sees_a_bases_tuple():
-    seen = []
-    x, _ = counting_eq_nat()
-    const = fixture_functional(x, "const")
-    f = type(const)("probe", lambda t, v: seen.append(t) or const.member(t, v),
-                    const.select)
-    g = marker_reduction(x, f)
-    w = dc_witness(marked_set(x), g, 5)
-    assert [m.marker for m in w] == [0, 1, 2, 3, 4]
-    assert seen and all(type(t) is tuple for t in seen)
-
-
-# ---------------------------------------------------------------------------
 # the three sequence trees against their hand-built presentations
 # ---------------------------------------------------------------------------
 
 def coll_poset_reference(x):
     def carrier(t):
         return (isinstance(t, tuple) and all(x.contains(c) for c in t)
-                and first_repeat(t, x.eq) is None)
+                and first_repeat(t) is None)
 
     return PosetPresentation(
-        name=f"Coll(w,{x.name})", carrier=carrier,
-        leq=lambda g, f: extends(g, f, x.eq),
+        name=f"Coll(w,{x.name})", carrier=carrier, leq=extends,
         enum=prefix_enumeration(x, lambda prefix, c: c not in prefix),
-        root=(), above=prefixes if x.eq is operator.eq else None)
+        root=(), above=prefixes)
 
 
 def t_of_f_reference(x, f):
@@ -278,17 +225,12 @@ def lambda_tree_reference(l):
 
 
 NAT = builtin_set("nat")
-COARSE = CountableSet("nat-mod7", NAT.enum, eq=lambda a, b: a % 7 == b % 7,
-                      index=NAT.index)
-SAME = CountableSet("nat-eq", NAT.enum, eq=lambda a, b: a == b, index=NAT.index)
 SUBSETS = finite_subset_lattice(NAT)
 
 TREES = {
     "coll-nat": (lambda: coll_poset(NAT), lambda: coll_poset_reference(NAT)),
     "coll-pairs": (lambda: coll_poset(builtin_set("pairs")),
                    lambda: coll_poset_reference(builtin_set("pairs"))),
-    "coll-same": (lambda: coll_poset(SAME), lambda: coll_poset_reference(SAME)),
-    "coll-coarse": (lambda: coll_poset(COARSE), lambda: coll_poset_reference(COARSE)),
     "tf-seq": (lambda: t_of_f(NAT, f_seq(NAT)), lambda: t_of_f_reference(NAT, f_seq(NAT))),
     "tf-evens": (lambda: t_of_f(NAT, evens_functional(NAT)),
                  lambda: t_of_f_reference(NAT, evens_functional(NAT))),
@@ -311,7 +253,7 @@ def test_tree_matches_hand_built_presentation(tree):
     frag = [ref.enum(i) for i in range(300)]
     assert [p.enum(i) for i in range(300)] == frag
     assert p.name == ref.name and p.root == ref.root == ()
-    assert p.above is ref.above  # prefixes exactly under operator.eq, else None
+    assert p.above is ref.above
     for t in frag:
         for s in [t] + perturbed(t):
             assert p.carrier(s) == ref.carrier(s), s
@@ -333,8 +275,27 @@ def test_sequence_tree_defaults_to_the_prefix_order():
     p = sequence_tree("t", lambda t: True, lambda n: (n,))
     assert p.leq is extends and p.above is prefixes and p.root == ()
     assert p.carrier(()) and not p.carrier([]) and p.enum(3) == (3,)
-    q = sequence_tree("t", lambda t: True, p.enum, eq=lambda a, b: a % 2 == b % 2)
-    assert q.above is None and q.leq((1, 2), (3,)) and not q.leq((1, 2), (2,))
+
+
+def test_countable_set_has_no_eq():
+    with pytest.raises(TypeError):
+        CountableSet("x", NAT.enum, eq=operator.eq)
+    assert [f.name for f in dataclasses.fields(CountableSet)] == ["name", "enum", "index"]
+
+
+SEQUENCE_TREES = {
+    "coll-nat": lambda: coll_poset(NAT),
+    "coll-evens": lambda: coll_poset(builtin_set("evens")),
+    "coll-pairs": lambda: coll_poset(builtin_set("pairs")),
+    "t_of_f": lambda: t_of_f(NAT, f_seq(NAT)),
+    "lambda_tree": lambda: lambda_tree(SUBSETS),
+}
+
+
+@pytest.mark.parametrize("tree", SEQUENCE_TREES)
+def test_every_sequence_tree_is_ordered_by_extends(tree):
+    p = SEQUENCE_TREES[tree]()
+    assert p.leq is extends and p.above is prefixes
 
 
 @pytest.mark.parametrize("s", [[3], (3,)])

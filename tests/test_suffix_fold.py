@@ -2,8 +2,7 @@
 
 ``posets.SuffixFold`` is checked against its contract with a fold that
 records what it was given.  Its users are checked by counting ``index_of``
-calls on a wrapped ``nat``, and the fresh-code functionals by a set whose
-``eq`` is not ``==``.
+calls on a wrapped ``nat``.
 """
 
 import pytest
@@ -11,8 +10,7 @@ import pytest
 from forcelab import collapse
 from forcelab.cli import RunConfig, run
 from forcelab.collapse import CountableSet, level_dense
-from forcelab.dctrees import (bounded_functional, evens_functional, f_seq,
-                              tree_level_family)
+from forcelab.dctrees import bounded_functional, evens_functional, f_seq
 from forcelab.posets import SuffixFold
 
 
@@ -122,37 +120,6 @@ def test_coll_run_makes_no_index_of_calls(monkeypatch):
     status, doc = run(RunConfig("coll-run", {"set": "nat", "n": 2000}))
     assert status == 0 and doc["items"] == list(range(2000))
     assert calls[0] == 0
-
-
-def _int_index(v):
-    try:
-        i = int(v)
-    except (TypeError, ValueError):
-        return None
-    return i if i >= 0 else None
-
-
-# ints and their decimal strings name the same element
-DECIMALS = CountableSet("decimals", lambda n: n,
-                        eq=lambda a, b: int(a) == int(b), index=_int_index)
-
-
-@pytest.mark.parametrize("build", [f_seq, evens_functional, bounded_functional])
-def test_member_compares_used_codes_with_the_set_eq(build):
-    f = build(DECIMALS)
-    assert not f.member((0,), "0") and not f.member((0, 2), "2")
-    assert f.member((0,), "2") and f.member([0], "2")
-    assert f.select((0,)) == (2 if build is evens_functional else 1)
-
-
-@pytest.mark.parametrize("build", [f_seq, evens_functional, bounded_functional])
-def test_select_skips_codes_equal_under_the_set_eq(build):
-    """"0" and 0 hash apart, so a hash test alone would name 0 after ("0",)."""
-    f = build(DECIMALS)
-    step = 2 if build is evens_functional else 1
-    assert f.select(("0",)) == step
-    assert f.select(("0", str(step))) == 2 * step
-    assert tree_level_family(f, 3)[2].extend(("0",)) == ("0", step, 2 * step)
 
 
 class NoIteration:

@@ -6,6 +6,7 @@ from ``leq`` when a presentation has no ``above``).  The all-pairs ``leq``
 scans they replaced are kept here, verbatim in behaviour, as oracles only.
 """
 
+import dataclasses
 import random
 import zlib
 
@@ -14,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forcelab.collapse import (
-    CountableSet,
     coll_poset,
     level_dense,
     level_family,
@@ -78,24 +78,11 @@ def is_dense_on_truncation_reference(p, d, n):
 NAT = nat_set()
 
 
-def _same(a, b):
-    return a == b
-
-
-def _mod3(a, b):
-    return a % 3 == b % 3
-
-
 POSETS = {
     "coll-nat": coll_poset(NAT),
     "coll-pairs": coll_poset(pairs_set()),
-    # a custom eq leaves the cone out, so leq derives it
-    "coll-custom-eq": coll_poset(CountableSet(
-        "nat-eq", lambda n: n, eq=_same, index=NAT.index)),
-    # under a coarser eq leq is only a preorder; the leq-derived cone is
-    # still exact
-    "coll-mod3": coll_poset(CountableSet(
-        "nat-mod3", lambda n: n, eq=_mod3, index=NAT.index)),
+    # a presentation without a cone, so leq derives it
+    "coll-no-cone": dataclasses.replace(coll_poset(NAT), above=None),
     "tree-evens": t_of_f(NAT, evens_functional(NAT)),
     "tree-bounded": t_of_f(NAT, bounded_functional(NAT)),
     "lambda-tree": lambda_tree(finite_subset_lattice(NAT)),
@@ -152,13 +139,13 @@ def assert_same_report(p, d, n):
 
 
 class TestConeContract:
-    @pytest.mark.parametrize("name", sorted(set(POSETS) - {"coll-mod3"}))
+    @pytest.mark.parametrize("name", sorted(POSETS))
     def test_presentation_laws_include_the_cone(self, name):
         check_poset_laws(POSETS[name], 120)
 
     def test_which_presentations_carry_a_cone(self):
         assert POSETS["coll-nat"].above is prefixes
-        assert POSETS["coll-custom-eq"].above is None
+        assert POSETS["coll-no-cone"].above is None
         assert POSETS["tree-bounded"].above is prefixes
         assert POSETS["lambda-tree"].above is prefixes
         assert table_poset(random_finite_poset(random.Random(0), 5)).above is not None
@@ -199,11 +186,11 @@ class TestDensityMatchesReference:
         assert_same_report(p, d, n)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from(["coll-nat", "coll-pairs", "coll-custom-eq"]),
+    @given(st.sampled_from(["coll-nat", "coll-pairs", "coll-no-cone"]),
            st.integers(0, 4), FRAG_SIZES)
     def test_level_dense(self, name, i, n):
         x = {"coll-nat": NAT, "coll-pairs": pairs_set(),
-             "coll-custom-eq": NAT}[name]
+             "coll-no-cone": NAT}[name]
         assert_same_report(POSETS[name], level_dense(x, i), n)
 
     @settings(max_examples=100, deadline=None)
@@ -226,7 +213,7 @@ class TestDensityMatchesReference:
     @pytest.mark.parametrize("n", [2000, 2500])
     def test_large_fragment_without_a_cone(self, n):
         member = members("exact", 2)
-        p = POSETS["coll-custom-eq"]
+        p = POSETS["coll-no-cone"]
         assert_same_report(p, DenseSet("d", member, extender("refuse", p, member, 0)), n)
 
 
@@ -255,8 +242,8 @@ class TestClosureMatchesReference:
         assert filter_from_chain(p, chain, n) == expected
 
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(["coll-nat", "coll-custom-eq", "coll-mod3", "tree-evens",
-                            "tree-bounded"]), FRAG_SIZES, st.data())
+    @given(st.sampled_from(["coll-nat", "coll-no-cone", "tree-evens", "tree-bounded"]),
+           FRAG_SIZES, st.data())
     def test_sequence_trees(self, name, n, data):
         p = POSETS[name]
         chain = data.draw(chains(p, n))
