@@ -120,6 +120,11 @@ class TestExtends:
         g, f = gf
         assert extends(g, f) == extends_reference(g, f)
 
+    @given(st.sampled_from(SETS), related_pairs())
+    def test_coll_poset_leq_matches_elementwise(self, name, gf):
+        g, f = gf
+        assert coll_poset(builtin_set(name)).leq(g, f) == extends_reference(g, f)
+
 
 # ---------------------------------------------------------------------------
 # the fresh-bound cache of level_family and level_dense

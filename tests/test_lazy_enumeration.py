@@ -19,6 +19,7 @@ from forcelab.collapse import (CountableSet, coll_poset, nat_set, pairs_set,
                                prefix_enumeration)
 from forcelab.dctrees import bounded_functional, evens_functional, t_of_f
 from forcelab.errors import EnumerationDepthCap
+from forcelab.posets import check_poset_laws
 from forcelab.qtree import finite_subset_lattice, lambda_tree
 
 _ENUM_DEPTH_CAP = 1000
@@ -178,6 +179,15 @@ def test_first_1958_tuples_take_at_most_2400_predicate_calls():
     enum = prefix_enumeration(NAT, counting)
     assert enum(1957) == (6,)
     assert calls[0] <= 2400  # 2,372; the block builder made 16,064
+
+
+def test_repeating_enum_breaks_the_distinct_codes_contract():
+    # every code at three indices: coll enumerates the tuple (0,) once per
+    # index of 0, and the law check names the repeat
+    thrice = CountableSet("nat-thrice", lambda n: n // 3, index=NAT.index)
+    with pytest.raises(AssertionError,
+                       match=r"^leq not antisymmetric on \(0,\), \(0,\)$"):
+        check_poset_laws(coll_poset(thrice), 120)
 
 
 class TestNegativeIndices:

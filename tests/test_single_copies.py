@@ -2,6 +2,9 @@
 
 * ``ordinals.concat`` has one evaluator over one offset list; the
   two-evaluator version is kept here as an oracle.
+* ``marker_reduction`` folds markers incrementally, keyed by ``==`` and
+  ``hash``: a run makes linearly many code comparisons, and codes that are
+  equal but not identical share one count.
 * ``coll_poset``, ``t_of_f`` and ``lambda_tree`` are one
   ``collapse.sequence_tree`` call each; their hand-built presentations are
   kept here as oracles.
@@ -28,13 +31,14 @@ from hypothesis import strategies as st
 from forcelab import cli, ordinals
 from forcelab.collapse import (CountableSet, builtin_set, coll_poset, first_repeat,
                                prefix_enumeration, sequence_tree)
-from forcelab.dctrees import (bounded_functional, evens_functional, f_seq, in_tree,
+from forcelab.dctrees import (bounded_functional, dc_witness, evens_functional, f_seq,
+                              fixture_functional, in_tree, marked_set, marker_reduction,
                               modified_functional, t_of_f)
 from forcelab.errors import (ContractError, EmptyComponent, MissingLimitLength,
                              OrdinalOverflow)
 from forcelab.ordinals import (OMEGA, ZERO, Ordinal, TransfiniteSeq, concat, ord_add,
                                ord_sub_left)
-from forcelab.posets import PosetPresentation, extends, prefixes
+from forcelab.posets import Grown, PosetPresentation, extends, prefixes
 from forcelab.qtree import LatticeOracle, finite_subset_lattice, lambda_tree
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -189,6 +193,66 @@ class TestConcat:
 
 
 # ---------------------------------------------------------------------------
+# the marker fold compares codes by ==
+# ---------------------------------------------------------------------------
+
+class Counted:
+    """A code that counts the ``==`` tests made on it; ``enum`` makes a new
+    object on every call, so no test is settled by identity."""
+
+    calls = 0
+    __slots__ = ("n",)
+
+    def __init__(self, n):
+        self.n = n
+
+    def __eq__(self, other):
+        Counted.calls += 1
+        return type(other) is Counted and self.n == other.n
+
+    def __hash__(self):
+        return hash(self.n)
+
+
+COUNTED = CountableSet("counted", Counted,
+                       index=lambda v: v.n if type(v) is Counted and v.n >= 0 else None)
+
+
+@pytest.mark.parametrize("n", [50, 100, 200])
+def test_marker_run_makes_linearly_many_code_comparisons(n):
+    """About 5n at n = 50, 100, 200; rewalking the sequence on every call,
+    as the marker path once did under a custom equality, is cubic."""
+    Counted.calls = 0
+    x = COUNTED
+    w = dc_witness(marked_set(x), marker_reduction(x, fixture_functional(x, "cycle3")), n)
+    assert [m.base.n for m in w] == [i % 3 for i in range(n)]
+    assert [m.marker for m in w] == [i // 3 for i in range(n)]
+    assert Counted.calls <= 6 * n
+
+
+def test_equal_codes_share_one_count():
+    """Codes that are equal but not identical share one count."""
+    g = marker_reduction(COUNTED, fixture_functional(COUNTED, "const"))
+    u = ()
+    for _ in range(4):
+        m = g.select(u)
+        assert (m.base.n, m.marker) == (0, len(u))
+        u += (type(m)(Counted(0), len(u)),)
+        assert g.member(u[:-1], u[-1])
+    assert g.select(u).marker == 4
+
+
+def test_functional_sees_a_grown_view_of_the_bases():
+    seen = []
+    const = fixture_functional(COUNTED, "const")
+    f = type(const)("probe", lambda t, v: seen.append(t) or const.member(t, v),
+                    const.select)
+    w = dc_witness(marked_set(COUNTED), marker_reduction(COUNTED, f), 5)
+    assert [m.marker for m in w] == [0, 1, 2, 3, 4]
+    assert seen and all(type(t) is Grown for t in seen)
+
+
+# ---------------------------------------------------------------------------
 # the three sequence trees against their hand-built presentations
 # ---------------------------------------------------------------------------
 
@@ -226,11 +290,18 @@ def lambda_tree_reference(l):
 
 NAT = builtin_set("nat")
 SUBSETS = finite_subset_lattice(NAT)
+# codes that are strings, not ints
+DECIMALS = CountableSet("decimals", str,
+                        index=lambda v: int(v) if type(v) is str and v.isdigit()
+                        and str(int(v)) == v else None)
 
 TREES = {
     "coll-nat": (lambda: coll_poset(NAT), lambda: coll_poset_reference(NAT)),
     "coll-pairs": (lambda: coll_poset(builtin_set("pairs")),
                    lambda: coll_poset_reference(builtin_set("pairs"))),
+    "coll-evens": (lambda: coll_poset(builtin_set("evens")),
+                   lambda: coll_poset_reference(builtin_set("evens"))),
+    "coll-decimals": (lambda: coll_poset(DECIMALS), lambda: coll_poset_reference(DECIMALS)),
     "tf-seq": (lambda: t_of_f(NAT, f_seq(NAT)), lambda: t_of_f_reference(NAT, f_seq(NAT))),
     "tf-evens": (lambda: t_of_f(NAT, evens_functional(NAT)),
                  lambda: t_of_f_reference(NAT, evens_functional(NAT))),

@@ -2,7 +2,8 @@
 
 ``posets.SuffixFold`` is checked against its contract with a fold that
 records what it was given.  Its users are checked by counting ``index_of``
-calls on a wrapped ``nat``.
+calls on a wrapped ``nat``, and the fresh-code functionals on a set whose
+codes are decimal strings, not ints.
 """
 
 import pytest
@@ -10,7 +11,8 @@ import pytest
 from forcelab import collapse
 from forcelab.cli import RunConfig, run
 from forcelab.collapse import CountableSet, level_dense
-from forcelab.dctrees import bounded_functional, evens_functional, f_seq
+from forcelab.dctrees import (bounded_functional, evens_functional, f_seq,
+                              tree_level_family)
 from forcelab.posets import SuffixFold
 
 
@@ -120,6 +122,32 @@ def test_coll_run_makes_no_index_of_calls(monkeypatch):
     status, doc = run(RunConfig("coll-run", {"set": "nat", "n": 2000}))
     assert status == 0 and doc["items"] == list(range(2000))
     assert calls[0] == 0
+
+
+def _decimal_index(v):
+    return int(v) if type(v) is str and v.isdigit() and str(int(v)) == v else None
+
+
+# code n is the string str(n); the int n is no code of this set
+DECIMALS = CountableSet("decimals", str, index=_decimal_index)
+
+
+@pytest.mark.parametrize("build", [f_seq, evens_functional, bounded_functional])
+def test_member_compares_used_codes_by_equality(build):
+    f = build(DECIMALS)
+    assert not f.member(("0",), "0") and not f.member(("0", "2"), "2")
+    assert f.member(("0",), "2") and f.member(["0"], "2")
+    assert not f.member(("0",), 2) and not f.member(("0",), "02")
+    assert f.select(("0",)) == ("2" if build is evens_functional else "1")
+
+
+@pytest.mark.parametrize("build", [f_seq, evens_functional, bounded_functional])
+def test_select_skips_used_codes(build):
+    f = build(DECIMALS)
+    step = 2 if build is evens_functional else 1
+    assert f.select(("0",)) == str(step)
+    assert f.select(("0", str(step))) == str(2 * step)
+    assert tree_level_family(f, 3)[2].extend(("0",)) == ("0", str(step), str(2 * step))
 
 
 class NoIteration:
