@@ -5,11 +5,15 @@ predecessor property.
 A subset-stage condition records, stage by stage, the set of values seen so
 far; each stage adds exactly one new element.  Reading off the new element
 per stage recovers the injective sequence, and both directions preserve the
-extension order.
+extension order.  The image of an injective sequence holds its stages as
+views of the sequence itself, so both directions take O(L) work done in C.
 """
 
 from __future__ import annotations
 
+import collections.abc
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -19,34 +23,145 @@ from .errors import NotAQSeq, NotInLambda
 from .posets import Code, PosetPresentation, _bits, _transpose, check_poset_laws, extends
 
 
+def _by_length(op, generic):
+    """A comparison that two views of one items tuple make on their n alone."""
+
+    def compare(self, other):
+        if type(other) is Stage and other._items is self._items:
+            return op(self._n, other._n)
+        return generic(self, other)
+
+    return compare
+
+
+class Stage(collections.abc.Set):
+    """The set of the first n items of a ``Stages`` sequence.
+
+    ``in`` is one lookup in the position dict that every stage of the
+    sequence shares.  A stage has the ``==``, hash and ``repr`` of the
+    frozenset of its items, and its set operators (``-``, ``&``, ``|``)
+    return frozensets.  Two views of one items tuple compare by their n
+    alone, O(1).
+    """
+
+    __slots__ = ("_items", "_pos", "_n")
+
+    def __init__(self, items: tuple, pos: dict, n: int):
+        self._items = items
+        self._pos = pos
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self):
+        return itertools.islice(self._items, self._n)
+
+    def __contains__(self, value) -> bool:
+        i = self._pos.get(value)
+        return i is not None and i < self._n
+
+    __eq__ = _by_length(operator.eq, collections.abc.Set.__eq__)
+    __lt__ = _by_length(operator.lt, collections.abc.Set.__lt__)
+    __le__ = _by_length(operator.le, collections.abc.Set.__le__)
+    __gt__ = _by_length(operator.gt, collections.abc.Set.__gt__)
+    __ge__ = _by_length(operator.ge, collections.abc.Set.__ge__)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self))
+
+    def __repr__(self) -> str:
+        return repr(frozenset(self))
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        return frozenset(it)
+
+
+class Stages(collections.abc.Sequence):
+    """The subset stages of an injective sequence: stage i is a ``Stage``
+    view of its first i+1 items.
+
+    The constructor checks the items distinct while it builds the position
+    dict the views share, and raises ``NotInjective`` on a repeat, so a
+    ``Stages`` is a valid stage sequence from the start and ``items`` reads
+    the sequence back.  It compares and hashes as the tuple of frozensets
+    it stands for; a slice is a tuple of views.
+    """
+
+    __slots__ = ("items", "_pos")
+
+    def __init__(self, items: Sequence[Code]):
+        self.items = tuple(items)
+        self._pos = dict(zip(self.items, range(len(self.items))))
+        if len(self._pos) != len(self.items):
+            require_injective(self.items)  # raises: some item repeats
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __getitem__(self, i):
+        if type(i) is slice:
+            return tuple(map(self.__getitem__, range(len(self.items))[i]))
+        self.items[i]  # raises as the same index into a tuple would
+        return Stage(self.items, self._pos, i % len(self.items) + 1)
+
+    def __iter__(self):
+        items, pos = self.items, self._pos
+        return (Stage(items, pos, n) for n in range(1, len(items) + 1))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Stages):
+            return self.items == other.items
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return len(other) == len(self.items) and tuple(self) == other
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class QSeq:
-    """A finite sequence of finite sets, each adding exactly one new element."""
+    """A finite sequence of finite sets, each adding exactly one new element.
 
-    stages: tuple  # tuple of frozensets
+    ``stages`` is a tuple of sets, or the ``Stages`` that ``coll_to_q``
+    makes.
+    """
+
+    stages: Sequence
 
 
-def validate_qseq(t: Sequence[frozenset]) -> None:
-    """Raise unless every stage extends the previous by exactly one element."""
-    q_to_coll(QSeq(tuple(t)))
+def validate_qseq(t: Sequence) -> None:
+    """Raise unless every stage extends the previous by exactly one element.
+
+    A ``Stages`` was checked when it was built.
+    """
+    q_to_coll(QSeq(t if type(t) is Stages else tuple(t)))
 
 
 def coll_to_q(f: InjSeq) -> QSeq:
     """Stage i collects the first i+1 values of the injective sequence."""
-    require_injective(f.items)
-    stages = []
-    acc: frozenset = frozenset()
-    for v in f.items:
-        acc = acc | {v}
-        stages.append(acc)
-    return QSeq(tuple(stages))
+    return QSeq(Stages(f.items))
 
 
 def q_to_coll(t: QSeq) -> InjSeq:
-    """Read off the unique new element of each stage."""
+    """Read off the unique new element of each stage.
+
+    The stages of an image give back their items; other stages are
+    checked one by one.
+    """
+    if type(t.stages) is Stages:
+        return InjSeq(t.stages.items)
     values = []
     seen: frozenset = frozenset()
     for i, stage in enumerate(t.stages):
+        if not isinstance(stage, collections.abc.Set):
+            raise NotAQSeq(f"stage {i} is a {type(stage).__name__}, not a set",
+                           stage=i)
         new = stage - seen
         if len(stage) != len(seen) + 1 or len(new) != 1:
             if not stage >= seen:
@@ -59,7 +174,10 @@ def q_to_coll(t: QSeq) -> InjSeq:
 
 
 def q_extends(t_longer: QSeq, t_shorter: QSeq) -> bool:
-    return extends(t_longer.stages, t_shorter.stages)
+    g, f = t_longer.stages, t_shorter.stages
+    if type(g) is Stages and type(f) is Stages:
+        return extends(g.items, f.items)
+    return extends(g, f)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +275,7 @@ def finite_subset_lattice(x: CountableSet) -> LatticeOracle:
     """
 
     def carrier(s: Code) -> bool:
-        return (isinstance(s, frozenset) and len(s) > 0
+        return (isinstance(s, (frozenset, Stage)) and len(s) > 0
                 and all(x.contains(v) for v in s))
 
     def lt(s: Code, t: Code) -> bool:
@@ -197,12 +315,14 @@ def q_into_lambda(x: CountableSet, t: QSeq) -> tuple:
     """A subset-stage condition, re-checked as a decreasing-sequence tree element.
 
     Stages grow strictly, which is exactly a strictly decreasing sequence in
-    the reverse-inclusion lattice; the embedding is the identity.
+    the reverse-inclusion lattice; the embedding is the identity, and an
+    image comes back as the tuple of its ``Stage`` views.
     """
     tree = lambda_tree(finite_subset_lattice(x))
-    if not tree.carrier(t.stages):
-        raise NotInLambda(f"stages {t.stages!r} are not strictly decreasing")
-    return t.stages
+    stages = tuple(t.stages) if type(t.stages) is Stages else t.stages
+    if not tree.carrier(stages):
+        raise NotInLambda(f"stages {stages!r} are not strictly decreasing")
+    return stages
 
 
 def qseq_json(x: CountableSet, t: QSeq) -> dict:

@@ -65,6 +65,14 @@ class TestIsomorphism:
             q_to_coll(QSeq((fs(1), fs(2))))  # drops 1 at stage 1
         assert exc.value.details["stage"] == 1
 
+    @pytest.mark.parametrize("stage", [[1, 2], (1, 2), 2])
+    def test_a_stage_that_is_no_set_is_named(self, stage):
+        with pytest.raises(NotAQSeq, match=f"stage 1 is a {type(stage).__name__}, not a set") as exc:
+            q_to_coll(QSeq((fs(1), stage)))
+        assert exc.value.details["stage"] == 1
+        with pytest.raises(NotAQSeq):
+            validate_qseq([fs(1), stage])
+
     def test_roundtrips_random(self):
         rng = random.Random(101)
         for _ in range(1000):

@@ -1,0 +1,141 @@
+"""Property tests: the stages of a ``coll_to_q`` image read exactly like
+their frozenset copy.
+
+Each example builds images of a few injective sequences: two prefixes of
+one sequence, an unrelated sequence, and the image rebuilt from a read-back
+(a second ``Stages`` over the same items tuple).  Every stage is compared
+with its frozenset under the set operations, across views of one tuple and
+of different tuples and against plain frozensets, and every image is
+compared with ``QSeq(tuple(map(frozenset, t.stages)))`` under the qtree
+functions that read stages.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from forcelab.collapse import InjSeq, nat_set
+from forcelab.errors import NotAQSeq, NotInjective
+from forcelab.qtree import (
+    QSeq,
+    Stage,
+    Stages,
+    coll_to_q,
+    q_extends,
+    q_into_lambda,
+    q_to_coll,
+    qseq_json,
+    validate_qseq,
+)
+
+NAT = nat_set()
+CODES = st.lists(st.integers(0, 20), unique=True, max_size=6)
+
+
+def frozen(t):
+    return QSeq(tuple(map(frozenset, t.stages)))
+
+
+def outcome(fn, *args):
+    """What fn(*args) returns, or the message and details of its NotAQSeq."""
+    try:
+        return fn(*args)
+    except NotAQSeq as exc:
+        return str(exc), exc.details
+
+
+@st.composite
+def images(draw):
+    base = draw(CODES)
+    i, j = sorted(draw(st.lists(st.integers(0, len(base)), min_size=2, max_size=2)))
+    ts = [coll_to_q(InjSeq(tuple(base[:i]))), coll_to_q(InjSeq(tuple(base[:j]))),
+          coll_to_q(InjSeq(tuple(draw(CODES))))]
+    ts.append(coll_to_q(q_to_coll(ts[1])))
+    return ts
+
+
+@settings(max_examples=150, deadline=None)
+@given(images())
+def test_stages_read_like_their_frozensets(ts):
+    views = [v for t in ts for v in t.stages] + [Stage((), {}, 0)]
+    copies = [frozenset(v) for v in views]
+    probes = set().union(*copies) | {21, -1}
+    for v, c in zip(views, copies):
+        assert hash(v) == hash(c) and repr(v) == repr(c) and len(v) == len(c)
+        assert all((code in v) == (code in c) for code in probes)
+    pairs = list(zip(views, copies))
+    for (v, c), (w, d) in itertools.product(pairs, repeat=2):
+        for left, right in ((v, w), (v, d), (c, w)):
+            assert (left == right) == (c == d) and (left != right) == (c != d)
+            assert (left < right) == (c < d) and (left <= right) == (c <= d)
+            assert (left > right) == (c > d) and (left >= right) == (c >= d)
+            for op in (lambda a, b: a - b, lambda a, b: a & b, lambda a, b: a | b):
+                result = op(left, right)
+                assert type(result) is frozenset and result == op(c, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(images())
+def test_images_read_like_their_frozenset_copies(ts):
+    for t in ts:
+        copy = frozen(t)
+        assert type(t.stages) is Stages
+        assert t.stages == copy.stages and copy.stages == t.stages and t == copy
+        assert hash(t.stages) == hash(copy.stages) and hash(t) == hash(copy)
+        assert repr(t.stages) == repr(copy.stages)
+        assert len(t.stages) == len(copy.stages)
+        for k in range(-len(copy.stages), len(copy.stages)):
+            assert t.stages[k] == copy.stages[k]
+        assert t.stages[1:-1] == copy.stages[1:-1] and t.stages[::2] == copy.stages[::2]
+        with pytest.raises(IndexError):
+            t.stages[len(copy.stages)]
+        assert q_to_coll(t) == q_to_coll(copy)
+        assert outcome(validate_qseq, t.stages) == outcome(validate_qseq, copy.stages)
+        assert q_into_lambda(NAT, t) == q_into_lambda(NAT, copy)
+        assert qseq_json(NAT, t) == qseq_json(NAT, copy)
+    for g, f in itertools.product(ts, repeat=2):
+        expect = q_extends(frozen(g), frozen(f))
+        assert q_extends(g, f) is expect
+        assert q_extends(g, frozen(f)) is expect and q_extends(frozen(g), f) is expect
+
+
+STAGE_LISTS = st.lists(st.frozensets(st.integers(0, 5), max_size=4), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(STAGE_LISTS)
+def test_views_of_other_tuples_take_the_checked_path(stages):
+    """Stages given as views, each over its own tuple, raise what their
+    frozensets raise."""
+    views = tuple(Stages(tuple(s))[-1] if s else s for s in stages)
+    assert outcome(q_to_coll, QSeq(views)) == outcome(q_to_coll, QSeq(tuple(stages)))
+    assert outcome(validate_qseq, views) == outcome(validate_qseq, stages)
+
+
+def test_a_repeated_item_is_rejected_when_built():
+    with pytest.raises(NotInjective, match="positions 1 and 3 repeat 7"):
+        Stages((4, 7, 5, 7))
+    with pytest.raises(NotInjective):
+        coll_to_q(InjSeq((2, 2)))
+
+
+def test_images_compare_without_hashing_their_items():
+    """Two views of one tuple compare by their lengths, and ``q_extends`` on
+    two images compares their items tuples; comparing stages as sets would
+    look each item up, hashing it."""
+    hashes = [0]
+
+    class Code:
+        def __hash__(self):
+            hashes[0] += 1
+            return id(self)
+
+    codes = [Code() for _ in range(6)]
+    t, u = coll_to_q(InjSeq(tuple(codes))), coll_to_q(InjSeq(tuple(codes[:4])))
+    hashes[0] = 0
+    a, b = t.stages[1], t.stages[3]
+    assert a < b and a <= b and not a == b and a != b and b > a and b >= a
+    assert q_extends(t, u) and not q_extends(u, t) and q_extends(t, t)
+    assert hashes[0] == 0

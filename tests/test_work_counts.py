@@ -15,9 +15,9 @@ import tracemalloc
 
 import pytest
 
-from forcelab import collapse, dctrees, levy
+from forcelab import collapse, dctrees, levy, qtree
 from forcelab.cli import RunConfig, run
-from forcelab.collapse import CountableSet
+from forcelab.collapse import CountableSet, InjSeq
 from forcelab.dctrees import dc_witness, f_seq, fixture_functional
 from forcelab.levy import (
     CofinalPresentation,
@@ -187,6 +187,46 @@ def test_run_time_grows_linearly(command, params):
     finally:
         gc.unfreeze()
     assert best[16000] / best[4000] < 8
+
+
+def test_qtree_isomorphism_grows_linearly():
+    """Stages built as one new frozenset each made a round trip 4.8x and
+    4.7x slower per doubling from L = 250 to 1000 (0.93, 4.4 and 20.9 ms),
+    ``q_extends`` on two equal images 5.8x and 3.0x, and ``coll_to_q``'s
+    peak memory 3.9x and 4.0x (1.3, 5.3 and 20.8 MiB).  Views of one
+    checked tuple leave at most 2.3x per doubling.  Timed as
+    ``test_run_time_grows_linearly`` but fastest of seven, each a loop of
+    200 calls; the tracemalloc peak repeats exactly."""
+    images, best, peaks = {}, {}, {}
+    for n in (250, 1000):
+        f = InjSeq(tuple(range(10**6, 10**6 + n)))
+        images[n] = qtree.coll_to_q(f), qtree.coll_to_q(InjSeq(tuple(f.items)))
+        best[n] = {"roundtrip": float("inf"), "q_extends": float("inf")}
+        tracemalloc.start()
+        try:
+            qtree.coll_to_q(f)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    gc.collect()
+    gc.freeze()
+    try:
+        for _ in range(7):
+            for n, (t, u) in images.items():
+                f = qtree.q_to_coll(t)
+                start = time.perf_counter()
+                for _ in range(200):
+                    qtree.q_to_coll(qtree.coll_to_q(f))
+                best[n]["roundtrip"] = min(best[n]["roundtrip"], time.perf_counter() - start)
+                start = time.perf_counter()
+                for _ in range(200):
+                    qtree.q_extends(t, u)
+                best[n]["q_extends"] = min(best[n]["q_extends"], time.perf_counter() - start)
+    finally:
+        gc.unfreeze()
+    for name in ("roundtrip", "q_extends"):
+        assert best[1000][name] / best[250][name] < 2.3 ** 2, name
+    assert peaks[1000] <= 2.3 ** 2 * peaks[250]
 
 
 def test_marker_run_walks_each_marker_at_most_twice(monkeypatch):
