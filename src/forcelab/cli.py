@@ -72,7 +72,7 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
 
 def _cmd_coll_run(params: dict) -> dict:
     x = collapse.builtin_set(params["set"])
-    n = int(params["n"])
+    n = params["n"]
     poset = collapse.coll_poset(x)
     run_ = posets.rasiowa_sikorski(poset, collapse.level_family(x, n), (), n)
     inj = collapse.generic_to_injection(x, run_)
@@ -81,9 +81,9 @@ def _cmd_coll_run(params: dict) -> dict:
 
 def _cmd_iso_roundtrip(params: dict) -> dict:
     from . import qtree
-    rng = random.Random(int(params["seed"]))
-    cases = int(params["cases"])
-    max_len = int(params["len"])
+    rng = random.Random(params["seed"])
+    cases = params["cases"]
+    max_len = params["len"]
     ok = True
     for _ in range(cases):
         items = tuple(rng.sample(range(1000), rng.randint(0, max_len)))
@@ -98,7 +98,7 @@ def _cmd_dc_run(params: dict) -> dict:
     f = dctrees.fixture_functional(x, params["functional"])
     if not f.injective_mode:
         raise ValueError(f"functional {f.name} allows repetition; use marker-run")
-    witness = dctrees.dc_witness(x, f, int(params["n"]))
+    witness = dctrees.dc_witness(x, f, params["n"])
     return dctrees.witness_json(f, witness)
 
 
@@ -107,7 +107,7 @@ def _cmd_marker_run(params: dict) -> dict:
     x = collapse.builtin_set(params["set"])
     f = dctrees.fixture_functional(x, params["functional"])
     g = dctrees.marker_reduction(x, f)
-    marked = dctrees.dc_witness(dctrees.marked_set(x), g, int(params["n"]))
+    marked = dctrees.dc_witness(dctrees.marked_set(x), g, params["n"])
     doc = dctrees.witness_json(g, dctrees.unmark(marked),
                                markers=[m.marker for m in marked])
     doc["passes_original"] = dctrees.check_dc_witness(f, dctrees.unmark(marked))
@@ -128,8 +128,8 @@ def _cmd_density_check(params: dict) -> dict:
     x = collapse.builtin_set(params["set"])
     report = posets.is_dense_on_truncation(
         collapse.coll_poset(x),
-        collapse.level_dense(x, int(params["i"])),
-        int(params["frag"]))
+        collapse.level_dense(x, params["i"]),
+        params["frag"])
     doc = {"dense": report.dense, "fragment": report.fragment}
     if report.dense is None:
         doc["inconclusive"] = True
@@ -140,9 +140,9 @@ def _cmd_density_check(params: dict) -> dict:
 
 
 def _cmd_oracle_check(params: dict) -> dict:
-    rng = random.Random(int(params["seed"]))
-    cases = int(params["cases"])
-    size_cap = int(params["size"])
+    rng = random.Random(params["seed"])
+    cases = params["cases"]
+    size_cap = params["size"]
     agreements = 0
     for _ in range(cases):
         table = posets.random_finite_poset(rng, rng.randint(2, size_cap))

@@ -5,15 +5,14 @@ predecessor property.
 A subset-stage condition records, stage by stage, the set of values seen so
 far; each stage adds exactly one new element.  Reading off the new element
 per stage recovers the injective sequence, and both directions preserve the
-extension order.  The image of an injective sequence holds its stages as
-views of the sequence itself, so both directions take O(L) work done in C.
+extension order.  The image of an injective sequence keeps the sequence
+itself and makes a stage only when one is read, so both directions take
+O(L) work done in C.
 """
 
 from __future__ import annotations
 
 import collections.abc
-import itertools
-import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -23,79 +22,21 @@ from .errors import NotAQSeq, NotInLambda
 from .posets import Code, PosetPresentation, _bits, _transpose, check_poset_laws, extends
 
 
-def _by_length(op, generic):
-    """A comparison that two views of one items tuple make on their n alone."""
-
-    def compare(self, other):
-        if type(other) is Stage and other._items is self._items:
-            return op(self._n, other._n)
-        return generic(self, other)
-
-    return compare
-
-
-class Stage(collections.abc.Set):
-    """The set of the first n items of a ``Stages`` sequence.
-
-    ``in`` is one lookup in the position dict that every stage of the
-    sequence shares.  A stage has the ``==``, hash and ``repr`` of the
-    frozenset of its items, and its set operators (``-``, ``&``, ``|``)
-    return frozensets.  Two views of one items tuple compare by their n
-    alone, O(1).
-    """
-
-    __slots__ = ("_items", "_pos", "_n")
-
-    def __init__(self, items: tuple, pos: dict, n: int):
-        self._items = items
-        self._pos = pos
-        self._n = n
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __iter__(self):
-        return itertools.islice(self._items, self._n)
-
-    def __contains__(self, value) -> bool:
-        i = self._pos.get(value)
-        return i is not None and i < self._n
-
-    __eq__ = _by_length(operator.eq, collections.abc.Set.__eq__)
-    __lt__ = _by_length(operator.lt, collections.abc.Set.__lt__)
-    __le__ = _by_length(operator.le, collections.abc.Set.__le__)
-    __gt__ = _by_length(operator.gt, collections.abc.Set.__gt__)
-    __ge__ = _by_length(operator.ge, collections.abc.Set.__ge__)
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self))
-
-    def __repr__(self) -> str:
-        return repr(frozenset(self))
-
-    @classmethod
-    def _from_iterable(cls, it) -> frozenset:
-        return frozenset(it)
-
-
 class Stages(collections.abc.Sequence):
-    """The subset stages of an injective sequence: stage i is a ``Stage``
-    view of its first i+1 items.
+    """The subset stages of an injective sequence: stage i is
+    ``frozenset(items[:i+1])``, made when it is read.
 
-    The constructor checks the items distinct while it builds the position
-    dict the views share, and raises ``NotInjective`` on a repeat, so a
+    The constructor checks the items with ``require_injective``, so a
     ``Stages`` is a valid stage sequence from the start and ``items`` reads
     the sequence back.  It compares and hashes as the tuple of frozensets
-    it stands for; a slice is a tuple of views.
+    it stands for; a slice is a tuple of frozensets.
     """
 
-    __slots__ = ("items", "_pos")
+    __slots__ = ("items",)
 
     def __init__(self, items: Sequence[Code]):
         self.items = tuple(items)
-        self._pos = dict(zip(self.items, range(len(self.items))))
-        if len(self._pos) != len(self.items):
-            require_injective(self.items)  # raises: some item repeats
+        require_injective(self.items)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -104,11 +45,7 @@ class Stages(collections.abc.Sequence):
         if type(i) is slice:
             return tuple(map(self.__getitem__, range(len(self.items))[i]))
         self.items[i]  # raises as the same index into a tuple would
-        return Stage(self.items, self._pos, i % len(self.items) + 1)
-
-    def __iter__(self):
-        items, pos = self.items, self._pos
-        return (Stage(items, pos, n) for n in range(1, len(items) + 1))
+        return frozenset(self.items[:i % len(self.items) + 1])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Stages):
@@ -274,9 +211,19 @@ def finite_subset_lattice(x: CountableSet) -> LatticeOracle:
     fresh code witnesses the absence of minimal elements.
     """
 
+    asked: dict = {}  # code -> (the code object asked about, answer)
+
+    def contains(v: Code) -> bool:
+        # The stages of a sequence share their codes.  An equal code of
+        # another type (True for 1) may get another answer, so only the
+        # same object reuses one.
+        hit = asked.get(v)
+        if hit is None or hit[0] is not v:
+            hit = asked[v] = (v, x.contains(v))
+        return hit[1]
+
     def carrier(s: Code) -> bool:
-        return (isinstance(s, (frozenset, Stage)) and len(s) > 0
-                and all(x.contains(v) for v in s))
+        return isinstance(s, frozenset) and len(s) > 0 and all(map(contains, s))
 
     def lt(s: Code, t: Code) -> bool:
         return t < s  # proper subset, reversed
@@ -316,7 +263,7 @@ def q_into_lambda(x: CountableSet, t: QSeq) -> tuple:
 
     Stages grow strictly, which is exactly a strictly decreasing sequence in
     the reverse-inclusion lattice; the embedding is the identity, and an
-    image comes back as the tuple of its ``Stage`` views.
+    image comes back as the tuple of its stages.
     """
     tree = lambda_tree(finite_subset_lattice(x))
     stages = tuple(t.stages) if type(t.stages) is Stages else t.stages

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from forcelab.collapse import InjSeq, nat_set
+from forcelab.collapse import InjSeq, nat_set, pairs_set
 from forcelab.errors import NotAQSeq, NotInjective, NotInLambda
 from forcelab.posets import check_poset_laws
 from forcelab.qtree import (
@@ -137,6 +137,15 @@ class TestSubsetLattice:
         assert lat.carrier(fs(3, 5))
         assert not lat.carrier(fs())
         assert not lat.carrier({3})
+
+    @pytest.mark.parametrize("make, code, twin", [(nat_set, 1, True),
+                                                  (pairs_set, (1, 2), (True, 2))])
+    def test_carrier_answers_equal_codes_of_other_types_apart(self, make, code, twin):
+        """``True == 1``, but the builtin sets index ints only: the carrier
+        keeps each answer whichever of the two it meets first."""
+        for order in ((code, twin), (twin, code)):
+            lat = finite_subset_lattice(make())
+            assert [lat.carrier(frozenset({c})) for c in order] == [c is code for c in order]
 
 
 class TestLambdaTree:

@@ -229,6 +229,16 @@ def test_qtree_isomorphism_grows_linearly():
     assert peaks[1000] <= 2.3 ** 2 * peaks[250]
 
 
+@pytest.mark.parametrize("n", [50, 100, 200])
+def test_q_into_lambda_looks_each_code_up_once(n):
+    """The lattice carrier asked the set about every item of every stage of
+    an image of range(n): n(n+1)/2 index calls (1275, 5050 and 20100)."""
+    x, calls = counting_nat()
+    t = qtree.coll_to_q(InjSeq(tuple(range(n))))
+    assert qtree.q_into_lambda(x, t) == tuple(t.stages)
+    assert calls["index"] <= n
+
+
 def test_marker_run_walks_each_marker_at_most_twice(monkeypatch):
     """Rewalking the marked sequence on every call walks about n*n markers."""
     walked = [0]
