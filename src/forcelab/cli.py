@@ -108,9 +108,9 @@ def _cmd_marker_run(params: dict) -> dict:
     f = dctrees.fixture_functional(x, params["functional"])
     g = dctrees.marker_reduction(x, f)
     marked = dctrees.dc_witness(dctrees.marked_set(x), g, params["n"])
-    doc = dctrees.witness_json(g, dctrees.unmark(marked),
-                               markers=[m.marker for m in marked])
-    doc["passes_original"] = dctrees.check_dc_witness(f, dctrees.unmark(marked))
+    witness = dctrees.unmark(marked)
+    doc = dctrees.witness_json(g, witness, markers=[m.marker for m in marked])
+    doc["passes_original"] = dctrees.check_dc_witness(f, witness)
     return doc
 
 

@@ -123,15 +123,13 @@ def first_repeat(items: Sequence[Code]) -> Optional[tuple[int, int]]:
     """The least pair (i, j), i < j, with items[i] == items[j], or None.
 
     A sequence of distinct items is cleared by one C-level ``set`` build;
-    when the set finds a duplicate, the pairs are compared in order.
+    when the set finds a duplicate, one pass pairs each later copy with
+    the first position of its value, and the least such pair is returned.
     """
     if len(set(items)) == len(items):
         return None
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if items[i] == items[j]:
-                return i, j
-    return None
+    seen: dict = {}
+    return min((seen[v], j) for j, v in enumerate(items) if seen.setdefault(v, j) != j)
 
 
 def require_injective(items: Sequence[Code]) -> None:
@@ -355,13 +353,14 @@ def generic_to_injection(x: CountableSet, run: GenericRun) -> InjSeq:
 def injection_to_generic(x: CountableSet,
                          g: "Callable[[int], Code] | Sequence[Code]",
                          n: int) -> GenericRun:
-    """The run of initial restrictions of an injection, meeting level i at position i.
+    """The run of initial restrictions of an injection.
 
     The chain is the n + 1 ``Grown`` views of one list of the first n
-    values, so it takes O(n) memory.  ``met`` pairs ``level_dense(x, i)``
-    with position i (see ``GenericRun``).  A sequence g with fewer than n
-    values raises ``ValueError``: its restrictions cannot meet level n; so
-    does a negative n, since a run always holds its start.
+    values, so it takes O(n) memory.  The restriction to i+1 meets goal i
+    of ``level_family(x, n)`` (length >= i+1), so for g = x.enum this is
+    the engine's run over that family from ().  A sequence g with fewer
+    than n values raises ``ValueError``: its restrictions cannot meet the
+    last goal; so does a negative n, since a run always holds its start.
     """
     if n < 0:
         raise ValueError(f"a run cannot meet {n} levels")
@@ -369,5 +368,4 @@ def injection_to_generic(x: CountableSet,
     if len(values) < n:
         raise ValueError(f"injection has {len(values)} values, need {n}")
     require_injective(values)
-    met = tuple(zip(range(n + 1), range(n + 1)))
-    return GenericRun(f"Coll(w,{x.name})", tuple(Grown(values, k) for k in range(n + 1)), met)
+    return GenericRun(f"Coll(w,{x.name})", tuple(Grown(values, k) for k in range(n + 1)))

@@ -199,20 +199,18 @@ class GenericRun:
     prefix trees these are ``Grown`` views of one shared buffer, apart from
     a plain-tuple start and the steps that return it unchanged, so a chain
     of n steps takes O(n) memory.  The upward closure of the chain is the
-    filter the run denotes.
-
-    ``met`` lists (dense-set index, chain position) pairs.  Each producer
-    states its goal family, and the two built-in ones agree once that is
-    read: ``rasiowa_sikorski`` meets ds[i] at position i+1, the condition
-    ds[i]'s extender returned, so through ``length_levels`` (goal i is
-    length >= i+1) it writes (i, i+1); ``injection_to_generic`` meets
-    ``level_dense(x, i)`` (length >= i) at position i, the restriction to
-    i, and writes (i, i).
+    filter the run denotes.  Every run meets goal i of its family at
+    position i+1, the condition step i returned.
     """
 
     poset: str
     chain: tuple
-    met: tuple[tuple[int, int], ...]
+
+    @property
+    def met(self) -> tuple[tuple[int, int], ...]:
+        """The (goal index, chain position) pairs, made when read."""
+        k = len(self.chain) - 1
+        return tuple(zip(range(k), range(1, k + 1)))
 
 
 def rasiowa_sikorski(p: PosetPresentation, ds: Sequence[DenseSet],
@@ -249,7 +247,7 @@ def rasiowa_sikorski(p: PosetPresentation, ds: Sequence[DenseSet],
                 f"extender {d.name} output not a member", index=i)
         chain.append(q)
         last = q
-    return GenericRun(p.name, tuple(chain), tuple(zip(range(n), range(1, n + 1))))
+    return GenericRun(p.name, tuple(chain))
 
 
 def _require_chain(chain: Sequence[Code], leq: Callable[[Code, Code], bool]) -> None:
@@ -345,14 +343,10 @@ def is_dense_on_truncation(p: PosetPresentation, d: DenseSet,
 
 
 def run_trace_json(run: GenericRun) -> dict:
-    """JSON form of a run: {"poset", "start", "steps": [{"i", "condition", "meets"}]}."""
-    by_pos: dict[int, list[int]] = {}
-    for idx, pos in run.met:
-        by_pos.setdefault(pos, []).append(idx)
-    steps = []
-    for i, cond in enumerate(run.chain[1:]):
-        steps.append({"i": i, "condition": _jsonable(cond),
-                      "meets": sorted(by_pos.get(i + 1, []))})
+    """JSON form of a run: {"poset", "start", "steps": [{"i", "condition", "meets"}]};
+    step i meets goal i."""
+    steps = [{"i": i, "condition": _jsonable(cond), "meets": [i]}
+             for i, cond in enumerate(run.chain[1:])]
     return {"poset": run.poset, "start": _jsonable(run.chain[0]), "steps": steps}
 
 
@@ -626,7 +620,9 @@ class FinitePreorder:
 class GammaPresentation:
     """A pre-order presented as a countable union of finite levels.
 
-    Levels are pairwise disjoint unless ``identify`` glues them explicitly.
+    Levels must be pairwise disjoint unless ``identify`` is set.  Nothing
+    calls ``identify``: setting it only declares that levels may share
+    codes, and ``gamma_check`` then skips its disjointness check.
     """
 
     name: str
@@ -655,7 +651,9 @@ def gamma_check(g: GammaPresentation, depth: int) -> GammaReport:
     (for reflexivity failures the witness repeats the offending element).
     A transitivity witness (a, b, d) has a <= b <= d but not a <= d and is
     the least such triple in the level's element order.  A relation pair
-    naming an element outside its level raises ValueError.
+    naming an element outside its level raises ValueError.  Unless
+    ``g.identify`` is set, a level sharing a code with an earlier one is
+    reported as levels-overlap; ``identify`` itself is never called.
     """
     sizes = []
     seen: set = set()

@@ -3,6 +3,7 @@ at non-negative indices; and the JSON form of codes and runs."""
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 
 import pytest
@@ -62,9 +63,22 @@ class TestMet:
         assert run.met == tuple((i, i + 1) for i in range(n))
 
     @pytest.mark.parametrize("n", [0, 1, 7, 300])
-    def test_injection_meets_level_i_at_position_i(self, n):
+    def test_injection_meets_goal_i_at_position_i_plus_1(self, n):
         run = injection_to_generic(nat_set(), lambda i: i, n)
-        assert run.met == tuple((i, i) for i in range(n + 1))
+        assert run.met == tuple((i, i + 1) for i in range(n))
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 300])
+    @pytest.mark.parametrize("name", ["nat", "evens", "pairs"])
+    def test_injection_run_is_the_engine_run(self, name, n):
+        x = builtin_set(name)
+        inj = injection_to_generic(x, [x.enum(i) for i in range(n)], n)
+        run = posets.rasiowa_sikorski(coll_poset(x), level_family(x, n), (), n)
+        assert inj == run and hash(inj) == hash(run)
+        assert inj.met == run.met == tuple((i, i + 1) for i in range(n))
+        assert posets.run_trace_json(inj) == posets.run_trace_json(run)
+
+    def test_a_run_stores_only_its_poset_and_chain(self):
+        assert [f.name for f in dataclasses.fields(posets.GenericRun)] == ["poset", "chain"]
 
 
 class TestJsonable:

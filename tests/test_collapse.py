@@ -177,7 +177,7 @@ class TestEngineRuns:
 
     def test_not_a_chain_rejected(self, nat):
         from forcelab.posets import GenericRun
-        bad = GenericRun("Coll(w,nat)", ((0,), (1, 2)), ())
+        bad = GenericRun("Coll(w,nat)", ((0,), (1, 2)))
         with pytest.raises(NotAChain):
             generic_to_injection(nat, bad)
 
@@ -186,14 +186,14 @@ class TestInjectionToGeneric:
     def test_zero_steps(self, nat):
         run = injection_to_generic(nat, lambda i: i, 0)
         assert run.chain == ((),)
-        assert run.met == ((0, 0),)
+        assert run.met == ()
 
     def test_restrictions_meet_levels(self, nat):
         run = injection_to_generic(nat, nat.enum, 3)
         assert run.chain == ((), (0,), (0, 1), (0, 1, 2))
-        assert run.met == ((0, 0), (1, 1), (2, 2), (3, 3))
+        assert run.met == ((0, 1), (1, 2), (2, 3))
         for i, pos in run.met:
-            assert level_dense(nat, i).member(run.chain[pos])
+            assert len(run.chain[pos]) >= i + 1
 
     def test_rejects_a_sequence_shorter_than_n(self, nat):
         """Restrictions of one value cannot meet the levels of length 2 and 3."""

@@ -15,7 +15,7 @@ import tracemalloc
 
 import pytest
 
-from forcelab import collapse, dctrees, levy, qtree
+from forcelab import collapse, dctrees, levy, posets, qtree
 from forcelab.cli import RunConfig, run
 from forcelab.collapse import CountableSet, InjSeq
 from forcelab.dctrees import dc_witness, f_seq, fixture_functional
@@ -370,6 +370,44 @@ def test_goal_family_builds_in_constant_memory():
         tracemalloc.stop()
     assert len(family) == 10**6 and family[-1].name == "len>=1000000"
     assert peak < 16 * 1024
+
+
+def test_engine_run_memory_per_step():
+    """A run keeps one ``Grown`` view per step and derives ``met`` from
+    its chain; storing ``met`` as pairs took about 252 bytes a step."""
+    n = 40000
+    x = collapse.nat_set()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run = posets.rasiowa_sikorski(collapse.coll_poset(x), collapse.level_family(x, n), (), n)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(run.chain) == n + 1
+    assert live / n <= 170
+
+
+def test_first_repeat_compares_linearly():
+    """n distinct codes and a copy of the last: the repeat is found in one
+    pass; comparing the pairs in order made about n*n/2 ``==`` calls."""
+    calls = [0]
+
+    class Code:
+        def __init__(self, v):
+            self.v = v
+
+        def __eq__(self, other):
+            calls[0] += 1
+            return self.v == other.v
+
+        def __hash__(self):
+            return hash(self.v)
+
+    n = 2000
+    items = [Code(v) for v in range(n)] + [Code(n - 1)]
+    assert collapse.first_repeat(items) == (n - 1, n)
+    assert calls[0] <= 2 * n
 
 
 def test_cold_deep_lookup_grows_about_linearly():
