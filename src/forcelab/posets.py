@@ -258,27 +258,34 @@ def _require_chain(chain: Sequence[Code], leq: Callable[[Code, Code], bool]) -> 
         raise NotAChain(f"{bad[0]!r} does not extend {bad[1]!r}")
 
 
-def _cones(p: PosetPresentation, frag: Sequence[Code]) -> Callable[[Code], list[int]]:
-    """``cone(m)``: the positions in frag of the elements m extends.
+def _cones(p: PosetPresentation, frag: Sequence[Code]) -> tuple[dict, Callable]:
+    """``(pos, cone)``: the position dict of frag, and ``cone(m)``, the
+    positions in frag of the elements m extends.
 
-    Read off ``p.above`` by hash when the presentation has it, through one
-    position dict of frag built here; else derived from ``leq`` against
-    every fragment element.
+    The cone is read off ``p.above`` through pos, one hash lookup per
+    element, with None for each element of above(m) outside frag; without
+    ``p.above`` it is derived from ``leq`` against every fragment element.
     """
-    if p.above is None:
-        return lambda m: [j for j, b in enumerate(frag) if p.leq(m, b)]
     pos = {q: k for k, q in enumerate(frag)}
-    return lambda m: [pos[r] for r in p.above(m) if r in pos]
+    if p.above is None:
+        return pos, lambda m: [j for j, b in enumerate(frag) if p.leq(m, b)]
+    return pos, lambda m: map(pos.get, p.above(m))
 
 
 def _covered(p: PosetPresentation, frag: Sequence[Code],
-             sources: Iterable[Code]) -> set[int]:
+             sources: Sequence[Code]) -> set[int]:
     """Positions in frag of the elements some source extends: the union of
-    the sources' upward cones (see ``_cones``)."""
-    cone = _cones(p, frag)
-    covered: set[int] = set()
-    for m in sources:
-        covered.update(cone(m))
+    the sources' upward cones (see ``_cones``), taken from the last source
+    back.  A source whose position is already covered is skipped, since by
+    transitivity of ``leq`` (which ``check_poset_laws`` asserts) its cone
+    is inside the covering one; source order changes only the work done,
+    not the answer."""
+    pos, cone = _cones(p, frag)
+    covered: set = set()
+    for m in reversed(sources):
+        if pos.get(m, -1) not in covered:  # -1: m outside frag, never skipped
+            covered.update(cone(m))
+    covered.discard(None)
     return covered
 
 
@@ -321,11 +328,12 @@ def is_dense_on_truncation(p: PosetPresentation, d: DenseSet,
     report is inconclusive.  An extender that raises BadExtender gives no
     such witness.
 
-    Cost: n enum and n member calls, the members' cones and at most one
-    extend and one ``leq`` call.  With ``p.above`` the cones are
-    sum(len(above(m))) hash lookups, O(n * depth) for the prefix trees, so
-    the check is linear in the fragment for the built-in sets; without it
-    they take (number of members) * n ``leq`` calls.
+    Cost: n enum and n member calls, the union of the members' cones and
+    at most one extend and one ``leq`` call.  The union skips a member that
+    a later one extends, by transitivity of ``leq`` (``check_poset_laws``
+    asserts it); member order changes the work, not the report.  A cone is
+    len(above(m)) hash lookups with ``p.above``, O(n * depth) in all on
+    the prefix trees, else n ``leq`` calls.
     """
     frag = [p.enum(k) for k in range(n)]
     covered = _covered(p, frag, [q for q in frag if d.member(q)])
@@ -407,8 +415,8 @@ class FinitePoset:
     def _is_filter_mask(self, mask: int) -> bool:
         """``is_filter`` on the elements of a nonzero mask, read off the rows."""
         up, down, members = self.up, self.down, list(_bits(mask))
-        return (all(down[i] & down[j] & mask for i in members for j in members)
-                and all(not up[i] & ~mask for i in members))
+        return (all(not up[i] & ~mask for i in members)
+                and all(down[i] & down[j] & mask for i in members for j in members))
 
 
 def _bit_rows(elements: Sequence, leq: Callable[[Code, Code], bool]) -> list[int]:
@@ -417,7 +425,11 @@ def _bit_rows(elements: Sequence, leq: Callable[[Code, Code], bool]) -> list[int
 
 
 def _transpose(rows: list[int]) -> list[int]:
-    return [sum(1 << i for i, r in enumerate(rows) if r >> j & 1) for j in range(len(rows))]
+    cols = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in _bits(row):
+            cols[j] |= 1 << i
+    return cols
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -462,13 +474,17 @@ def _closed_table(elements: Sequence, pairs: set) -> FinitePoset:
     rows = [1 << i for i in range(len(elements))]
     for a, b in pairs:
         rows[pos[a]] |= 1 << pos[b]
+    return _closed_rows_table(elements, rows)
+
+
+def _closed_rows_table(elements: Sequence, rows: list[int]) -> FinitePoset:
+    """``_closed_table`` from first bit rows, which it closes in place."""
     for k in range(len(rows)):
         bit = 1 << k
         for i, row in enumerate(rows):
             if row & bit:
                 rows[i] = row | rows[k]
-    closed = frozenset((a, b) for a, row in zip(elements, rows)
-                       for j, b in enumerate(elements) if row >> j & 1)
+    closed = frozenset((a, elements[j]) for a, row in zip(elements, rows) for j in _bits(row))
     table = FinitePoset(tuple(elements), closed)
     vars(table).update(up=rows, down=_transpose(rows))  # fill the cached rows
     return table
@@ -519,9 +535,9 @@ def check_poset_laws(p: PosetPresentation, n: int) -> list[int]:
                 raise AssertionError(
                     f"leq not antisymmetric on {frag[i]!r}, {frag[j]!r}")
     if p.above is not None:
-        cone = _cones(p, frag)
+        _, cone = _cones(p, frag)
         for i, a in enumerate(frag):
-            wrong = rows[i] ^ sum(1 << j for j in set(cone(a)))
+            wrong = rows[i] ^ sum(1 << j for j in set(cone(a)) - {None})
             if wrong:
                 b = frag[(wrong & -wrong).bit_length() - 1]
                 raise AssertionError(
@@ -557,12 +573,12 @@ def brute_force_filter(table: FinitePoset,
 
 def random_finite_poset(rng, size: int) -> FinitePoset:
     """A random partial order on 0..size-1 (random DAG edges, then closure)."""
-    pairs = set()
+    rows = [1 << i for i in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
             if rng.random() < 0.4:
-                pairs.add((j, i))  # higher index extends lower: j <= i
-    return _closed_table(range(size), pairs)
+                rows[j] |= 1 << i  # higher index extends lower: j <= i
+    return _closed_rows_table(range(size), rows)
 
 
 def table_dense_sets(table: FinitePoset, subsets: Sequence[Iterable]) -> list[DenseSet]:
@@ -591,14 +607,15 @@ def is_dense_in_table(table: FinitePoset, subset: Iterable) -> bool:
 
 
 def random_dense_sets(rng, table: FinitePoset, count: int) -> list[frozenset]:
-    """Random subsets of the table that happen to be dense (rejection sampled)."""
+    """Random subsets of the table that happen to be dense (rejection
+    sampled as masks; only an accepted one becomes a frozenset)."""
     out = []
     attempts = 0
     while len(out) < count and attempts < 200:
         attempts += 1
-        s = frozenset(e for e in table.elements if rng.random() < 0.5)
-        if s and is_dense_in_table(table, s):
-            out.append(s)
+        mask = sum([1 << i for i in range(len(table.elements)) if rng.random() < 0.5])
+        if mask and all(row & mask for row in table.down):
+            out.append(frozenset(table.elements[i] for i in _bits(mask)))
     while len(out) < count:
         out.append(frozenset(table.elements))  # whole carrier is always dense
     return out

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from forcelab import cli, posets
 from forcelab.cli import RunConfig, build_config, main, run
 
 DOCUMENTED = [
@@ -192,6 +193,20 @@ class TestValidation:
         doc = json.loads(out)
         assert doc["error"] == "bad-config"
         assert argv[1].lstrip("-") in doc["detail"]
+
+    def test_fragment_past_its_bound_is_refused_unrun(self, monkeypatch, capsys):
+        """The bound keeps a check to about 1 GiB; it admits README's 100000."""
+        def never(*args):
+            raise AssertionError("the density check ran")
+
+        monkeypatch.setattr(posets, "is_dense_on_truncation", never)
+        hi = cli._BOUNDS["frag"][1]
+        assert hi >= 100_000
+        status, out = invoke(["density-check", "--frag", str(hi + 1)], capsys)
+        assert status == 2
+        doc = json.loads(out)
+        assert doc["error"] == "bad-config"
+        assert doc["detail"] == f"frag must be in [1, {hi}], got {hi + 1}"
 
     def test_zero_sizes_still_run(self, capsys):
         status, out = invoke(["coll-run", "--n", "0"], capsys)

@@ -52,6 +52,7 @@ from forcelab.posets import (
     is_dense_in_table,
     is_filter,
     parse_poset_table,
+    random_dense_sets,
     random_finite_poset,
     table_dense_sets,
     table_poset,
@@ -127,6 +128,30 @@ def random_poset_pairs_reference(rng, size):
             if rng.random() < 0.4:
                 pairs.add((j, i))
     return closure_reference(range(size), pairs)
+
+
+def random_finite_poset_reference(rng, size):
+    """``random_finite_poset`` as it drew its edges into a set of pairs."""
+    pairs = set()
+    for i in range(size):
+        for j in range(i + 1, size):
+            if rng.random() < 0.4:
+                pairs.add((j, i))  # higher index extends lower: j <= i
+    return _closed_table(range(size), pairs)
+
+
+def random_dense_sets_reference(rng, table, count):
+    """``random_dense_sets`` as it built a frozenset for every draw."""
+    out = []
+    attempts = 0
+    while len(out) < count and attempts < 200:
+        attempts += 1
+        s = frozenset(e for e in table.elements if rng.random() < 0.5)
+        if s and is_dense_in_table(table, s):
+            out.append(s)
+    while len(out) < count:
+        out.append(frozenset(table.elements))  # whole carrier is always dense
+    return out
 
 
 def first_repeat_reference(items):
@@ -291,6 +316,28 @@ class TestClosure:
         table = random_finite_poset(random.Random(seed), size)
         assert table.elements == tuple(range(size))
         assert table.leq_pairs == random_poset_pairs_reference(random.Random(seed), size)
+
+
+class TestOracleStream:
+    def test_cases_and_rng_state_match_the_loops(self):
+        """oracle-check's draws, three cases on one generator per seed, with
+        size caps from 2 to 20: the same tables and dense sets, and the
+        generator left in the same state after each case."""
+        for seed in range(1200):
+            new, old = random.Random(seed), random.Random(seed)
+            cap = 2 + seed % 19
+            for _ in range(3):
+                size = new.randint(2, cap)
+                assert old.randint(2, cap) == size
+                table = random_finite_poset(new, size)
+                expect = random_finite_poset_reference(old, size)
+                assert table == expect
+                assert (table.up, table.down) == (expect.up, expect.down)
+                count = new.randint(1, 3)
+                assert old.randint(1, 3) == count
+                assert (random_dense_sets(new, table, count)
+                        == random_dense_sets_reference(old, expect, count))
+                assert new.getstate() == old.getstate()
 
 
 # ---------------------------------------------------------------------------

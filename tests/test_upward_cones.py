@@ -28,6 +28,7 @@ from forcelab.posets import (
     DenseSet,
     DensityReport,
     PosetPresentation,
+    _covered,
     _require_chain,
     check_poset_laws,
     filter_from_chain,
@@ -269,3 +270,50 @@ class TestClosureMatchesReference:
     def test_large_fragments(self, n):
         run = rasiowa_sikorski(POSETS["coll-nat"], level_family(NAT, 6), (), 6)
         self.assert_same_closure(POSETS["coll-nat"], run.chain, n)
+
+
+def covered_reference(p, frag, sources):
+    """The plain union of the sources' cones: every fragment element tested
+    against every source with leq."""
+    return {k for k, q in enumerate(frag) if any(p.leq(m, q) for m in sources)}
+
+
+class TestUnionMatchesReference:
+    """``_covered`` skips a source whose position an earlier-taken cone
+    covers; the union must not change, whatever the sources' order, for
+    sources outside the fragment and for cones that leave it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(2, 12), st.booleans(), st.data())
+    def test_random_tables(self, seed, size, derived, data):
+        # table cones branch: they are not chains
+        p = table_poset(random_finite_poset(random.Random(seed), size))
+        if derived:
+            p = dataclasses.replace(p, above=None)
+        n = data.draw(st.integers(1, size))
+        frag = [p.enum(k) for k in range(n)]
+        sources = data.draw(st.lists(st.sampled_from(range(size)), max_size=2 * size))
+        assert _covered(p, frag, sources) == covered_reference(p, frag, sources)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["coll-nat", "coll-pairs", "coll-no-cone"]), FRAG_SIZES,
+           st.data())
+    def test_coll_fragments(self, name, n, data):
+        p = POSETS[name]
+        x = pairs_set() if name == "coll-pairs" else NAT
+        frag = [p.enum(k) for k in range(n)]
+        inside = st.integers(0, n - 1).map(p.enum)
+        # enumerated past the cut, or grown by a code no fragment element uses
+        past = st.integers(n, n + 400).map(p.enum)
+        grown = st.tuples(inside, st.integers(10**6, 10**6 + 50)).map(
+            lambda qc: qc[0] + (x.enum(qc[1]),))
+        sources = data.draw(st.lists(st.one_of(inside, past, grown), max_size=12))
+        assert _covered(p, frag, sources) == covered_reference(p, frag, sources)
+
+    def test_a_source_outside_the_fragment_is_not_skipped(self):
+        # (7, 8)'s cone leaves the fragment [(), (0,)] first; (0, 1) lies
+        # outside it too and must still cover (0,)
+        p = POSETS["coll-nat"]
+        frag = [(), (0,)]
+        assert _covered(p, frag, [(0, 1), (7, 8)]) == {0, 1}
+        assert _covered(p, frag, [(7, 8), (0, 1)]) == {0, 1}

@@ -129,6 +129,44 @@ def test_density_check_reads_cones_not_pairs(i, dense, undecided):
     assert calls[0] <= 2
 
 
+def counted_cones(p):
+    """p with ``above`` and ``leq`` wrapped to count their calls."""
+    calls = {"above": 0, "leq": 0}
+
+    def above(q):
+        calls["above"] += 1
+        return p.above(q)
+
+    def leq(a, b):
+        calls["leq"] += 1
+        return p.leq(a, b)
+
+    return dataclasses.replace(p, above=None if p.above is None else above, leq=leq), calls
+
+
+def test_density_union_skips_covered_members():
+    """Taking the cone of every member calls ``above`` 2,499 times here:
+    once per condition but the root."""
+    x = collapse.nat_set()
+    p, calls = counted_cones(collapse.coll_poset(x))
+    d = collapse.level_dense(x, 1)
+    members = sum(d.member(p.enum(k)) for k in range(2500))
+    assert is_dense_on_truncation(p, d, 2500).dense is True
+    assert calls["above"] <= 0.6 * members
+
+
+@pytest.mark.parametrize("i, n", [(1, 600), (3, 400)])
+def test_density_union_without_a_cone_skips_covered_members(i, n):
+    """A derived cone is n ``leq`` calls, so taking every member's costs
+    members * n calls."""
+    x = collapse.nat_set()
+    p, calls = counted_cones(dataclasses.replace(collapse.coll_poset(x), above=None))
+    d = collapse.level_dense(x, i)
+    members = sum(d.member(p.enum(k)) for k in range(n))
+    is_dense_on_truncation(p, d, n)
+    assert calls["leq"] < members * n
+
+
 def test_lattice_laws_visit_common_bounds_only():
     """Testing every sample element as a bound of every pair makes 2,259,204
     ``lt`` calls on this 100-element sample."""
