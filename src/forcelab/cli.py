@@ -33,10 +33,12 @@ class RunConfig:
 # Inclusive (least, greatest) value of each size, count and level; None is
 # unbounded.  Zero cases or an empty fragment would report a vacuous
 # success, a table needs two elements and the brute-force oracle refuses
-# more than posets._ORACLE_CAP, iso-roundtrip samples its sequences from
-# range(1000), and a fragment of 2,000,000 conditions peaks at 0.7 GiB and
-# takes 13-15 s, within a budget of about 1 GiB and a minute.
-_BOUNDS = {"n": (0, None), "i": (0, None), "frag": (1, 2_000_000),
+# more than posets._ORACLE_CAP, and iso-roundtrip samples its sequences
+# from range(1000).  The other bounds keep a run within about 1 GiB and a
+# minute: a fragment of 2,000,000 conditions peaks at 0.7 GiB, a run of
+# 1,000,000 steps (marker-run over pairs, the largest) at 0.5 GiB in 17 s,
+# and both caps of density-check at once at 0.7 GiB.  Cases cost only time.
+_BOUNDS = {"n": (0, 1_000_000), "i": (0, 2_000_000), "frag": (1, 2_000_000),
            "cases": (1, None), "size": (2, posets._ORACLE_CAP), "len": (0, 1000)}
 
 

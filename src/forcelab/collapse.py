@@ -11,52 +11,41 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
-from .errors import EnumerationDepthCap, IndexScanCap, NotInjective
+from .errors import EnumerationDepthCap, NotInjective
 from .posets import (Code, DenseSet, GenericRun, Grown, PosetPresentation, SuffixFold,
                      _jsonable, _require_chain, extends, grow, prefixes)
-
-_INDEX_SCAN_CAP = 100_000
 
 
 @dataclass(frozen=True)
 class CountableSet:
-    """An infinite set presented by an injective enumeration of element codes.
+    """An infinite set presented by an injective enumeration of element
+    codes and its inverse.
 
     Codes are the set's elements: they compare by ``==`` and hash to
     match.  Injective means that no two indices give equal codes, which
     ``prefix_enumeration`` relies on; an ``index`` that accepts a second
     spelling of a code makes the presentation non-injective, a caller
-    error.  ``index`` inverts ``enum`` where available; otherwise
-    membership falls back to a scan of the first ``_INDEX_SCAN_CAP``
-    codes.  ``index_of`` raises
-    ``IndexScanCap`` when the scan gives up, so no caller of it reads the
-    cap as an answer.  ``index_or_none`` is the one rule for a failed
-    lookup: ``index_of``, or None where it raises ``ValueError`` or
-    ``IndexScanCap``.  ``contains`` and the fresh-code and Lévy
-    functionals ask it, so a code the scan did not find reads as absent,
-    since without ``index`` absence cannot be decided.
+    error.  ``index(code)`` is the code's enumeration index, or None for
+    a non-member, so membership is always decided.  ``index_of`` raises
+    ``ValueError`` on a non-member; ``index_or_none`` is the one rule for
+    a failed lookup: ``index_of``, or None where it raises ``ValueError``.
+    ``contains`` and the fresh-code and Lévy functionals ask it.
     """
 
     name: str
     enum: Callable[[int], Code]
-    index: Optional[Callable[[Code], Optional[int]]] = None
+    index: Callable[[Code], Optional[int]]
 
     def index_of(self, code: Code) -> int:
-        if self.index is not None:
-            i = self.index(code)
-            if i is None:
-                raise ValueError(f"{code!r} is not in {self.name}")
-            return i
-        for i in range(_INDEX_SCAN_CAP):
-            if self.enum(i) == code:
-                return i
-        raise IndexScanCap(
-            f"{code!r} not found in the first {_INDEX_SCAN_CAP} codes of {self.name}")
+        i = self.index(code)
+        if i is None:
+            raise ValueError(f"{code!r} is not in {self.name}")
+        return i
 
     def index_or_none(self, code: Code) -> Optional[int]:
         try:
             return self.index_of(code)
-        except (ValueError, IndexScanCap):
+        except ValueError:
             return None
 
     def contains(self, code: Code) -> bool:
@@ -159,8 +148,10 @@ def prefix_enumeration(x: CountableSet,
     the family; a code already in prefix is never offered.  Tuples are
     listed in blocks: block k holds the valid tuples over the first k codes
     that use code k-1, ordered by length then by index-lexicographic order.
-    Prefix-closure makes pruning sound.  The codes of x must be distinct
-    under ``==``, which is what ``in`` tests on the tuples.
+    Prefix-closure makes pruning sound.  Only ``x.enum`` is read, so any
+    object with an injective ``enum``, a ``LatticeOracle`` for one, will
+    do.  Its codes must be distinct under ``==``, which is what ``in``
+    tests on the tuples.
 
     ``enum(n)`` walks block k one length at a time, from the valid tuples
     of the last length listed, until item n is listed: the tuples past it

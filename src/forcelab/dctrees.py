@@ -46,8 +46,8 @@ def _fresh_functional(x: CountableSet, name: str, stride: int = 1,
     in only the new suffix and tries O(1) candidates amortised, and the
     ``member`` call that checks its answer reads the same set, so a step
     on a ``Grown`` view costs O(1).  ``member`` tests a t that is neither a
-    tuple nor a view with ``in`` instead, and it asks x once for the
-    index of v (``index_or_none``), which also decides membership in x.
+    tuple nor a view with ``in`` instead, and it asks x's ``index`` once
+    for v (``index_or_none``), which decides membership in x as well.
     """
 
     def fold(state: tuple, suffix: Sequence) -> tuple:
@@ -234,7 +234,8 @@ class MarkedElement:
 
 
 def marked_set(x: CountableSet) -> CountableSet:
-    """The product of x with the naturals, diagonally enumerated."""
+    """The product of x with the naturals, diagonally enumerated; a
+    marker is an ``int`` (not a ``bool``), as a built-in set's codes are."""
     from .ordinals import cantor_pair, cantor_unpair  # here: dc-run loads no ordinals
 
     def enum(n: int) -> MarkedElement:
@@ -242,13 +243,10 @@ def marked_set(x: CountableSet) -> CountableSet:
         return MarkedElement(x.enum(a), b)
 
     def index(v) -> Optional[int]:
-        if not isinstance(v, MarkedElement) or v.marker < 0:
+        if not (isinstance(v, MarkedElement) and type(v.marker) is int and v.marker >= 0):
             return None
-        try:
-            a = x.index_of(v.base)
-        except ValueError:
-            return None
-        return cantor_pair(a, v.marker)
+        a = x.index_or_none(v.base)
+        return None if a is None else cantor_pair(a, v.marker)
 
     return CountableSet(f"{x.name}*w", enum, index=index)
 
@@ -311,7 +309,8 @@ def marker_reduction(x: CountableSet, f: ChoiceFunctional) -> ChoiceFunctional:
         bases, counts, ok = marks(u)
         if not ok:
             return product_seq.member(u, v)
-        return f.member(bases, v.base) and v.marker == counts.get(v.base, 0)
+        return (f.member(bases, v.base) and type(v.marker) is int
+                and v.marker == counts.get(v.base, 0))
 
     def select(u: Sequence) -> Code:
         bases, counts, ok = marks(u)

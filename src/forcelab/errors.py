@@ -65,10 +65,6 @@ class NotInLambda(ContractError):
     code = "not-in-lambda"
 
 
-class IndexScanCap(ContractError):
-    code = "index-scan-cap"
-
-
 class EnumerationDepthCap(ContractError):
     code = "enumeration-depth-cap"
 

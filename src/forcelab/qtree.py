@@ -193,8 +193,7 @@ def lambda_tree(l: LatticeOracle) -> PosetPresentation:
                 and all(l.lt(s[j + 1], s[j]) for j in range(len(s) - 1)))
 
     if l.enum is not None:
-        enum = prefix_enumeration(CountableSet(l.name, l.enum),
-                                  lambda prefix, c: l.lt(c, prefix[-1]) if prefix else True)
+        enum = prefix_enumeration(l, lambda prefix, c: l.lt(c, prefix[-1]) if prefix else True)
     else:
         def enum(_n: int) -> Code:
             raise ValueError(f"lattice {l.name} carries no enumeration")

@@ -208,6 +208,24 @@ class TestValidation:
         assert doc["error"] == "bad-config"
         assert doc["detail"] == f"frag must be in [1, {hi}], got {hi + 1}"
 
+    @pytest.mark.parametrize("command,flag", [("coll-run", "n"), ("dc-run", "n"),
+                                              ("marker-run", "n"), ("density-check", "i")])
+    def test_size_past_its_bound_is_refused_unrun(self, monkeypatch, capsys, command, flag):
+        """A run of 1,000,000 steps or a level of 2,000,000 stays within
+        about 1 GiB; both admit every README and benchmark size."""
+        def never(params):
+            raise AssertionError(f"{command} ran")
+
+        monkeypatch.setitem(cli._COMMANDS, command, (never, cli._COMMANDS[command][1]))
+        hi = cli._BOUNDS[flag][1]
+        assert hi >= 20_000
+        status, out = invoke([command, f"--{flag}", str(hi + 1)], capsys)
+        assert status == 2
+        assert json.loads(out) == {"error": "bad-config",
+                                   "detail": f"{flag} must be in [0, {hi}], got {hi + 1}"}
+        with pytest.raises(AssertionError, match="ran"):
+            invoke([command, f"--{flag}", str(hi)], capsys)
+
     def test_zero_sizes_still_run(self, capsys):
         status, out = invoke(["coll-run", "--n", "0"], capsys)
         assert status == 0

@@ -53,12 +53,6 @@ class TestCountableSets:
         with pytest.raises(KeyError):
             builtin_set("reals")
 
-    def test_index_scan_fallback(self):
-        from forcelab.collapse import CountableSet
-        x = CountableSet("squares", lambda n: n * n)
-        assert x.index_of(49) == 7
-        assert not x.contains(3)
-
 
 class TestCollPoset:
     def test_extension_order(self, nat_poset):

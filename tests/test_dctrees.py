@@ -220,6 +220,25 @@ class TestMarkerReduction:
         for n in (0, 7, 55, 1999):
             assert mx.index_of(mx.enum(n)) == n
 
+    @pytest.mark.parametrize("code", [MarkedElement(0, 1.5), MarkedElement(2, 0.0),
+                                      MarkedElement(0, True), MarkedElement(1, False),
+                                      MarkedElement(0, -1), MarkedElement(-1, 0)])
+    def test_marked_set_refuses_markers_that_are_not_naturals(self, nat, code):
+        """1.5 read as index 2.5, 0.0 as 3.0 and True as 2, for codes that
+        are not in the set or are a second spelling of a code that is."""
+        mx = marked_set(nat)
+        assert not mx.contains(code)
+        assert mx.index_or_none(code) is None
+        with pytest.raises(ValueError):
+            mx.index_of(code)
+
+    @pytest.mark.parametrize("marker", [True, 1.0])
+    def test_reduction_allows_only_int_counts(self, nat, marker):
+        G = marker_reduction(nat, const_functional(nat))
+        u = (MarkedElement(0, 0),)
+        assert G.member(u, MarkedElement(0, 1))
+        assert not G.member(u, MarkedElement(0, marker))
+
 
 class TestWitnessJson:
     def test_schema_plain(self, nat):

@@ -1,15 +1,18 @@
-"""The cached argument parser and the named errors of the two internal caps."""
+"""The cached argument parser, the named error of the enumeration depth cap,
+and no named error that nothing raises."""
 
+import ast
 import contextlib
 import io
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from forcelab import cli, collapse
-from forcelab.collapse import CountableSet, nat_set, prefix_enumeration
-from forcelab.errors import ContractError, EnumerationDepthCap, IndexScanCap
+from forcelab import cli, collapse, errors
+from forcelab.collapse import nat_set, prefix_enumeration
+from forcelab.errors import ContractError, EnumerationDepthCap
 
 ARGVS = [
     ["coll-run", "--set", "nat", "--n", "5"],
@@ -65,38 +68,6 @@ def main_doc(argv):
     return status, json.loads(buf.getvalue())
 
 
-def index_less_nat():
-    return CountableSet("nat", lambda n: n)
-
-
-class TestIndexScanCap:
-    def test_index_of_raises_named_error(self, monkeypatch):
-        monkeypatch.setattr(collapse, "_INDEX_SCAN_CAP", 50)
-        squares = CountableSet("squares", lambda n: n * n)
-        assert squares.index_of(49 * 49) == 49
-        with pytest.raises(IndexScanCap) as err:
-            squares.index_of(50 * 50)
-        assert err.value.code == "index-scan-cap"
-        assert isinstance(err.value, ContractError)
-        assert not isinstance(err.value, ValueError)
-
-    def test_fresh_bound_does_not_read_the_cap_as_an_answer(self, monkeypatch):
-        monkeypatch.setattr(collapse, "_INDEX_SCAN_CAP", 5)
-        with pytest.raises(IndexScanCap):
-            collapse.fresh_bound(index_less_nat(), (2, 6))
-        assert collapse.fresh_bound(index_less_nat(), (2, 4)) == 5
-
-    def test_cli_exit_1_with_code(self, monkeypatch):
-        """The extender of an undecided condition needs the index of code 6."""
-        monkeypatch.setattr(collapse, "_INDEX_SCAN_CAP", 5)
-        monkeypatch.setitem(collapse._BUILTINS, "nat", index_less_nat)
-        status, doc = main_doc(["density-check", "--i", "3", "--frag", "2000"])
-        assert (status, doc["error"]) == (1, "index-scan-cap")
-        monkeypatch.setattr(collapse, "_INDEX_SCAN_CAP", 100_000)
-        status, doc = main_doc(["density-check", "--i", "3", "--frag", "2000"])
-        assert (status, doc["undecided"]) == (0, [6])
-
-
 class TestEnumerationDepthCap:
     def test_finite_family_raises_named_error(self):
         enum = prefix_enumeration(nat_set(), lambda prefix, c: False)
@@ -113,3 +84,18 @@ class TestEnumerationDepthCap:
         assert (status, doc["error"]) == (1, "enumeration-depth-cap")
         status, doc = main_doc(["density-check", "--i", "1", "--frag", "65"])
         assert (status, doc["dense"]) == (0, True)
+
+
+def test_every_named_error_is_raised():
+    """Each ``ContractError`` subclass in ``errors.py`` is named by a
+    ``raise`` in ``src/forcelab``, so no error code is dead."""
+    raised = set()
+    for path in (Path(__file__).resolve().parents[1] / "src" / "forcelab").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(ast.unparse(exc).rsplit(".", 1)[-1])
+    named = {c.__name__ for c in vars(errors).values()
+             if isinstance(c, type) and issubclass(c, errors.ContractError)
+             and c is not errors.ContractError}
+    assert "NotInjective" in named and sorted(named - raised) == []

@@ -85,8 +85,7 @@ def _trees():
         trees[f"T({name})"] = (lambda f=f: t_of_f(NAT, f).enum,
                                block_builder_enumeration(NAT, f.member))
     trees["lattice"] = (lambda: lambda_tree(lat).enum,
-                        block_builder_enumeration(CountableSet(lat.name, lat.enum),
-                                                  _lattice_ok(lat)))
+                        block_builder_enumeration(lat, _lattice_ok(lat)))
     return trees
 
 
@@ -154,7 +153,7 @@ class TestRetryAfterARaise:
                 raise RuntimeError("flaky enum")
             return i
 
-        enum = prefix_enumeration(CountableSet("flaky", enum_once), _coll_ok)
+        enum = prefix_enumeration(CountableSet("flaky", enum_once, index=NAT.index), _coll_ok)
         with pytest.raises(RuntimeError, match="flaky"):
             enum(1957)
         assert [enum(n) for n in range(2000)] == list(coll_oracle("nat")[:2000])

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forcelab.collapse import (
-    CountableSet,
     InjSeq,
     builtin_set,
     coll_poset,
@@ -227,8 +226,7 @@ def _families():
         "tree-evens": (nat, lambda prefix, c: evens_functional(nat).member(prefix, c)),
         "tree-bounded": (nat, lambda prefix, c: bounded_functional(nat).member(prefix, c)),
         "lambda-tree": (
-            CountableSet(lattice.name, lattice.enum),
-            lambda prefix, c: lattice.lt(c, prefix[-1]) if prefix else True),
+            lattice, lambda prefix, c: lattice.lt(c, prefix[-1]) if prefix else True),
     }
 
 

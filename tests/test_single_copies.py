@@ -282,8 +282,7 @@ def lambda_tree_reference(l):
             return False
         return all(l.lt(s[j + 1], s[j]) for j in range(len(s) - 1))
 
-    enum = prefix_enumeration(CountableSet(l.name, l.enum),
-                              lambda prefix, c: l.lt(c, prefix[-1]) if prefix else True)
+    enum = prefix_enumeration(l, lambda prefix, c: l.lt(c, prefix[-1]) if prefix else True)
     return PosetPresentation(name=f"tree({l.name})", carrier=carrier, leq=extends,
                              enum=enum, root=(), above=prefixes)
 

@@ -384,15 +384,16 @@ def test_f_seq_records_a_finite_sequence_with_one_index_of_per_code(monkeypatch)
         return lookup(self, code)
 
     monkeypatch.setattr(CountableSet, "index_of", counting)
-    f = transfinite_f_seq(CountableSet("nat-scan", lambda n: n))
+    x, index_calls = counting_nat()
+    f = transfinite_f_seq(x)
     seq = TransfiniteSeq.from_items([*range(99), -1])  # -1 is outside the set
     assert f.member(seq, 99) and not f.member(seq, 98)
-    calls[0] = 0
+    calls[0] = index_calls["index"] = 0
     assert f.member(seq, 200)
-    assert calls[0] == 101
-    calls[0] = 0
+    assert calls[0] == index_calls["index"] == 101
+    calls[0] = index_calls["index"] = 0
     assert f.select(seq) == 99
-    assert calls[0] == 100
+    assert calls[0] == index_calls["index"] == 100
 
 
 def test_goal_family_builds_in_constant_memory():
