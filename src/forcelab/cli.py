@@ -35,7 +35,7 @@ class RunConfig:
 # success, a table needs two elements and the brute-force oracle refuses
 # more than posets._ORACLE_CAP, and iso-roundtrip samples its sequences
 # from range(1000).  The other bounds keep a run within about 1 GiB and a
-# minute: a fragment of 2,000,000 conditions peaks at 0.7 GiB, a run of
+# minute: a fragment of 2,000,000 conditions peaks at 0.6 GiB, a run of
 # 1,000,000 steps (marker-run over pairs, the largest) at 0.5 GiB in 17 s,
 # and both caps of density-check at once at 0.7 GiB.  Cases cost only time.
 _BOUNDS = {"n": (0, 1_000_000), "i": (0, 2_000_000), "frag": (1, 2_000_000),

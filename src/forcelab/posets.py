@@ -258,35 +258,12 @@ def _require_chain(chain: Sequence[Code], leq: Callable[[Code, Code], bool]) -> 
         raise NotAChain(f"{bad[0]!r} does not extend {bad[1]!r}")
 
 
-def _cones(p: PosetPresentation, frag: Sequence[Code]) -> tuple[dict, Callable]:
-    """``(pos, cone)``: the position dict of frag, and ``cone(m)``, the
-    positions in frag of the elements m extends.
-
-    The cone is read off ``p.above`` through pos, one hash lookup per
-    element, with None for each element of above(m) outside frag; without
-    ``p.above`` it is derived from ``leq`` against every fragment element.
-    """
-    pos = {q: k for k, q in enumerate(frag)}
+def _cone(p: PosetPresentation, frag: Sequence[Code], m: Code) -> Iterable[Code]:
+    """The conditions m extends: ``p.above(m)``, which may reach past frag,
+    or without ``p.above`` the elements b of frag with leq(m, b)."""
     if p.above is None:
-        return pos, lambda m: [j for j, b in enumerate(frag) if p.leq(m, b)]
-    return pos, lambda m: map(pos.get, p.above(m))
-
-
-def _covered(p: PosetPresentation, frag: Sequence[Code],
-             sources: Sequence[Code]) -> set[int]:
-    """Positions in frag of the elements some source extends: the union of
-    the sources' upward cones (see ``_cones``), taken from the last source
-    back.  A source whose position is already covered is skipped, since by
-    transitivity of ``leq`` (which ``check_poset_laws`` asserts) its cone
-    is inside the covering one; source order changes only the work done,
-    not the answer."""
-    pos, cone = _cones(p, frag)
-    covered: set = set()
-    for m in reversed(sources):
-        if pos.get(m, -1) not in covered:  # -1: m outside frag, never skipped
-            covered.update(cone(m))
-    covered.discard(None)
-    return covered
+        return [b for b in frag if p.leq(m, b)]
+    return p.above(m)
 
 
 def filter_from_chain(p: PosetPresentation, chain: Sequence[Code],
@@ -296,13 +273,14 @@ def filter_from_chain(p: PosetPresentation, chain: Sequence[Code],
     Once the chain is checked, transitivity makes its upward closure the
     cone of its last entry (an empty chain closes to the empty set).
     Cost: ``truncation`` enum calls, len(chain) - 1 ``leq`` calls for the
-    chain check and that one cone: len(above(last)) hash lookups with
-    ``p.above``, else ``truncation`` ``leq`` calls.
+    chain check and that one cone: len(above(last)) hashes and
+    ``truncation`` lookups with ``p.above``, else ``truncation`` ``leq``
+    calls.
     """
     _require_chain(chain, p.leq)
     frag = [p.enum(k) for k in range(truncation)]
-    covered = _covered(p, frag, chain[-1:])
-    return {q for k, q in enumerate(frag) if k in covered}
+    cone = set(_cone(p, frag, chain[-1])) if chain else set()
+    return {q for q in frag if q in cone}
 
 
 @dataclass(frozen=True)
@@ -328,17 +306,24 @@ def is_dense_on_truncation(p: PosetPresentation, d: DenseSet,
     report is inconclusive.  An extender that raises BadExtender gives no
     such witness.
 
-    Cost: n enum and n member calls, the union of the members' cones and
-    at most one extend and one ``leq`` call.  The union skips a member that
-    a later one extends, by transitivity of ``leq`` (``check_poset_laws``
-    asserts it); member order changes the work, not the report.  A cone is
-    len(above(m)) hash lookups with ``p.above``, O(n * depth) in all on
-    the prefix trees, else n ``leq`` calls.
+    Cost: n enum calls, then one walk from the last element back that
+    asks ``member`` only of an element no cone taken so far covers and
+    adds the cone of each member it finds.  Skipping a covered element is
+    sound: a member m' extends it, so by transitivity of ``leq``
+    (``check_poset_laws`` asserts it) its cone lies inside the cone of m';
+    order changes the work, not the report.  A cone is len(above(m))
+    hashes with ``p.above``, O(n * depth) in all on the prefix trees, else
+    n ``leq`` calls.  Then one lookup per element finds the first one left
+    uncovered, and at most one extend, ``member`` and ``leq`` call judge
+    it.  Memory: the fragment and the set of covered conditions.
     """
     frag = [p.enum(k) for k in range(n)]
-    covered = _covered(p, frag, [q for q in frag if d.member(q)])
-    for k, q in enumerate(frag):
-        if k not in covered:
+    covered: set = set()
+    for m in reversed(frag):
+        if m not in covered and d.member(m):
+            covered.update(_cone(p, frag, m))
+    for q in frag:
+        if q not in covered:
             try:
                 r = d.extend(q)
                 witnessed = d.member(r) and p.leq(r, q)
@@ -535,9 +520,9 @@ def check_poset_laws(p: PosetPresentation, n: int) -> list[int]:
                 raise AssertionError(
                     f"leq not antisymmetric on {frag[i]!r}, {frag[j]!r}")
     if p.above is not None:
-        _, cone = _cones(p, frag)
+        pos = {q: k for k, q in enumerate(frag)}
         for i, a in enumerate(frag):
-            wrong = rows[i] ^ sum(1 << j for j in set(cone(a)) - {None})
+            wrong = rows[i] ^ sum(1 << j for j in set(map(pos.get, p.above(a))) - {None})
             if wrong:
                 b = frag[(wrong & -wrong).bit_length() - 1]
                 raise AssertionError(

@@ -1,9 +1,11 @@
 """Differential tests: fragment checks read from upward cones.
 
-``is_dense_on_truncation`` and ``filter_from_chain`` build the set of
-fragment elements above their sources from ``PosetPresentation.above`` (or
-from ``leq`` when a presentation has no ``above``).  The all-pairs ``leq``
-scans they replaced are kept here, verbatim in behaviour, as oracles only.
+``is_dense_on_truncation`` collects the conditions its members extend, and
+``filter_from_chain`` those the chain's last entry extends, from
+``PosetPresentation.above`` (or from ``leq`` when a presentation has no
+``above``); the density check asks ``member`` only of a condition no cone
+taken so far covers.  The all-pairs ``leq`` scans they replaced are kept
+here, verbatim in behaviour, as oracles only.
 """
 
 import dataclasses
@@ -28,7 +30,6 @@ from forcelab.posets import (
     DenseSet,
     DensityReport,
     PosetPresentation,
-    _covered,
     _require_chain,
     check_poset_laws,
     filter_from_chain,
@@ -195,11 +196,13 @@ class TestDensityMatchesReference:
         assert_same_report(POSETS[name], level_dense(x, i), n)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 10**6), st.integers(2, 12), st.data())
-    def test_random_tables(self, seed, size, data):
+    @given(st.integers(0, 10**6), st.integers(2, 12), st.booleans(), st.data())
+    def test_random_tables(self, seed, size, derived, data):
         rng = random.Random(seed)
         table = random_finite_poset(rng, size)
         p = table_poset(table)
+        if derived:
+            p = dataclasses.replace(p, above=None)
         s = frozenset(data.draw(st.sets(st.sampled_from(table.elements))))
         member = s.__contains__
         kind = data.draw(EXTENDER_KINDS)
@@ -272,28 +275,35 @@ class TestClosureMatchesReference:
         self.assert_same_closure(POSETS["coll-nat"], run.chain, n)
 
 
-def covered_reference(p, frag, sources):
-    """The plain union of the sources' cones: every fragment element tested
-    against every source with leq."""
-    return {k for k, q in enumerate(frag) if any(p.leq(m, q) for m in sources)}
+def descending_chain(table, data, max_len):
+    """A descending chain of table elements drawn one step down at a time;
+    a step may stay put, since leq is reflexive."""
+    chain = [data.draw(st.sampled_from(table.elements))]
+    for _ in range(data.draw(st.integers(0, max_len - 1))):
+        below = [e for e in table.elements if table.leq(e, chain[-1])]
+        chain.append(data.draw(st.sampled_from(below)))
+    return chain
 
 
 class TestUnionMatchesReference:
-    """``_covered`` skips a source whose position an earlier-taken cone
-    covers; the union must not change, whatever the sources' order, for
-    sources outside the fragment and for cones that leave it."""
+    """The density check skips a condition an earlier-taken cone covers,
+    and a closure reads the cone of a chain's last entry, which may leave
+    the fragment or lie outside it; neither answer may change."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10**6), st.integers(2, 12), st.booleans(), st.data())
     def test_random_tables(self, seed, size, derived, data):
         # table cones branch: they are not chains
-        p = table_poset(random_finite_poset(random.Random(seed), size))
+        table = random_finite_poset(random.Random(seed), size)
+        p = table_poset(table)
         if derived:
             p = dataclasses.replace(p, above=None)
         n = data.draw(st.integers(1, size))
-        frag = [p.enum(k) for k in range(n)]
-        sources = data.draw(st.lists(st.sampled_from(range(size)), max_size=2 * size))
-        assert _covered(p, frag, sources) == covered_reference(p, frag, sources)
+        member = frozenset(data.draw(st.sets(st.sampled_from(table.elements)))).__contains__
+        d = DenseSet("s", member, extender(data.draw(EXTENDER_KINDS), p, member, size))
+        assert_same_report(p, d, n)
+        TestClosureMatchesReference.assert_same_closure(
+            p, descending_chain(table, data, 2 * size), n)
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(["coll-nat", "coll-pairs", "coll-no-cone"]), FRAG_SIZES,
@@ -301,19 +311,21 @@ class TestUnionMatchesReference:
     def test_coll_fragments(self, name, n, data):
         p = POSETS[name]
         x = pairs_set() if name == "coll-pairs" else NAT
-        frag = [p.enum(k) for k in range(n)]
         inside = st.integers(0, n - 1).map(p.enum)
         # enumerated past the cut, or grown by a code no fragment element uses
         past = st.integers(n, n + 400).map(p.enum)
         grown = st.tuples(inside, st.integers(10**6, 10**6 + 50)).map(
             lambda qc: qc[0] + (x.enum(qc[1]),))
-        sources = data.draw(st.lists(st.one_of(inside, past, grown), max_size=12))
-        assert _covered(p, frag, sources) == covered_reference(p, frag, sources)
+        last = data.draw(st.one_of(inside, past, grown))
+        TestClosureMatchesReference.assert_same_closure(p, prefixes(last), n)
+        member = frozenset(data.draw(st.lists(inside, max_size=12))).__contains__
+        d = DenseSet("s", member, extender(data.draw(EXTENDER_KINDS), p, member, n))
+        assert_same_report(p, d, n)
 
-    def test_a_source_outside_the_fragment_is_not_skipped(self):
-        # (7, 8)'s cone leaves the fragment [(), (0,)] first; (0, 1) lies
-        # outside it too and must still cover (0,)
+    def test_a_chain_ending_outside_the_fragment(self):
+        # (0, 1) lies past the fragment [(), (0,)] and closes to all of it;
+        # the cone of (7, 8) leaves the fragment and keeps only ()
         p = POSETS["coll-nat"]
-        frag = [(), (0,)]
-        assert _covered(p, frag, [(0, 1), (7, 8)]) == {0, 1}
-        assert _covered(p, frag, [(7, 8), (0, 1)]) == {0, 1}
+        assert filter_from_chain(p, [(), (0,), (0, 1)], 2) == {(), (0,)}
+        assert filter_from_chain(p, [(), (7,), (7, 8)], 2) == {()}
+        assert filter_from_chain(p, [(0, 1)], 2) == {(), (0,)}

@@ -155,6 +155,23 @@ def test_density_union_skips_covered_members():
     assert calls["above"] <= 0.6 * members
 
 
+def test_density_check_asks_member_only_of_uncovered_conditions():
+    """Asking every condition makes 2,500 ``member`` calls here."""
+    x = collapse.nat_set()
+    d = collapse.level_dense(x, 1)
+    calls = [0]
+
+    def member(q):
+        calls[0] += 1
+        return d.member(q)
+
+    n = 2500
+    report = is_dense_on_truncation(collapse.coll_poset(x),
+                                    dataclasses.replace(d, member=member), n)
+    assert report.dense is True
+    assert calls[0] <= n / 2
+
+
 @pytest.mark.parametrize("i, n", [(1, 600), (3, 400)])
 def test_density_union_without_a_cone_skips_covered_members(i, n):
     """A derived cone is n ``leq`` calls, so taking every member's costs
