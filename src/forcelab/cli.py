@@ -78,7 +78,7 @@ def _cmd_coll_run(params: dict) -> dict:
     n = params["n"]
     poset = collapse.coll_poset(x)
     run_ = posets.rasiowa_sikorski(poset, collapse.level_family(x, n), (), n)
-    inj = collapse.generic_to_injection(x, run_)
+    inj = collapse.generic_to_injection(run_)
     return collapse.inj_seq_json(x, inj)
 
 

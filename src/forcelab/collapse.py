@@ -97,15 +97,18 @@ def builtin_set(name: str) -> CountableSet:
 
 @dataclass(frozen=True)
 class InjSeq:
-    """A finite injective sequence of element codes."""
+    """A finite injective sequence of element codes.
+
+    Building one makes ``items`` a tuple and checks it with
+    ``require_injective``, so every ``InjSeq`` is injective.
+    """
 
     items: tuple
 
-
-def make_inj_seq(x: CountableSet, items: Sequence[Code]) -> InjSeq:
-    items = tuple(items)
-    require_injective(items)
-    return InjSeq(items)
+    def __post_init__(self):
+        items = tuple(self.items)
+        require_injective(items)
+        object.__setattr__(self, "items", items)
 
 
 def first_repeat(items: Sequence[Code]) -> Optional[tuple[int, int]]:
@@ -330,7 +333,7 @@ def level_family(x: CountableSet, n: int) -> Sequence[DenseSet]:
     return length_levels(n, _fresh_appender(x))
 
 
-def generic_to_injection(x: CountableSet, run: GenericRun) -> InjSeq:
+def generic_to_injection(run: GenericRun) -> InjSeq:
     """The union of a descending chain of conditions, as an injective sequence.
 
     Each link is checked with ``extends``, which on two views of one
@@ -338,7 +341,7 @@ def generic_to_injection(x: CountableSet, run: GenericRun) -> InjSeq:
     """
     chain = run.chain
     _require_chain(chain, extends)
-    return make_inj_seq(x, chain[-1] if chain else ())
+    return InjSeq(chain[-1] if chain else ())
 
 
 def injection_to_generic(x: CountableSet,

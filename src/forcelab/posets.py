@@ -482,13 +482,13 @@ def format_poset_table(table: FinitePoset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def table_poset(table: FinitePoset, name: str = "finite") -> PosetPresentation:
-    """Present a finite table as a PosetPresentation."""
+def table_poset(table: FinitePoset) -> PosetPresentation:
+    """Present a finite table as a PosetPresentation named "finite"."""
     elems = table.elements
     maxima = [p for p, row in zip(elems, table.down) if row.bit_count() == len(elems)]
     ups = {a: [elems[j] for j in _bits(row)] for a, row in zip(elems, table.up)}
     return PosetPresentation(
-        name=name,
+        name="finite",
         carrier=lambda c: c in elems,
         leq=table.leq,
         enum=lambda k: elems[k],

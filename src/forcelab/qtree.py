@@ -5,9 +5,9 @@ predecessor property.
 A subset-stage condition records, stage by stage, the set of values seen so
 far; each stage adds exactly one new element.  Reading off the new element
 per stage recovers the injective sequence, and both directions preserve the
-extension order.  The image of an injective sequence keeps the sequence
-itself and makes a stage only when one is read, so both directions take
-O(L) work done in C.
+extension order.  A subset-stage condition keeps its injective sequence,
+checked once when it is built, and makes a stage only when one is read, so
+neither direction repeats that check.
 """
 
 from __future__ import annotations
@@ -16,43 +16,42 @@ import collections.abc
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .collapse import (CountableSet, InjSeq, _nonnegative, prefix_enumeration,
-                       require_injective, sequence_tree)
+from .collapse import CountableSet, InjSeq, _nonnegative, prefix_enumeration, sequence_tree
 from .errors import NotAQSeq, NotInLambda
 from .posets import Code, PosetPresentation, _bits, _transpose, check_poset_laws, extends
 
 
 class Stages(collections.abc.Sequence):
     """The subset stages of an injective sequence: stage i is
-    ``frozenset(items[:i+1])``, made when it is read.
+    ``frozenset(seq.items[:i+1])``, made when it is read.
 
-    The constructor checks the items with ``require_injective``, so a
-    ``Stages`` is a valid stage sequence from the start and ``items`` reads
+    It keeps the ``InjSeq`` it is built from, which checked itself, so a
+    ``Stages`` is a valid stage sequence from the start and ``seq`` reads
     the sequence back.  It compares and hashes as the tuple of frozensets
     it stands for; a slice is a tuple of frozensets.
     """
 
-    __slots__ = ("items",)
+    __slots__ = ("seq",)
 
-    def __init__(self, items: Sequence[Code]):
-        self.items = tuple(items)
-        require_injective(self.items)
+    def __init__(self, seq: InjSeq):
+        self.seq = seq
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.seq.items)
 
     def __getitem__(self, i):
+        items = self.seq.items
         if type(i) is slice:
-            return tuple(map(self.__getitem__, range(len(self.items))[i]))
-        self.items[i]  # raises as the same index into a tuple would
-        return frozenset(self.items[:i % len(self.items) + 1])
+            return tuple(map(self.__getitem__, range(len(items))[i]))
+        items[i]  # raises as the same index into a tuple would
+        return frozenset(items[:i % len(items) + 1])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Stages):
-            return self.items == other.items
+            return self.seq.items == other.seq.items
         if not isinstance(other, tuple):
             return NotImplemented
-        return len(other) == len(self.items) and tuple(self) == other
+        return len(other) == len(self.seq.items) and tuple(self) == other
 
     def __hash__(self) -> int:
         return hash(tuple(self))
@@ -65,56 +64,46 @@ class Stages(collections.abc.Sequence):
 class QSeq:
     """A finite sequence of finite sets, each adding exactly one new element.
 
-    ``stages`` is a tuple of sets, or the ``Stages`` that ``coll_to_q``
-    makes.
+    ``stages`` is always a ``Stages``.  Stages of any other type are read
+    once, when the ``QSeq`` is built: the unique new element of each is
+    taken, and a stage that is not a set, or does not add exactly one
+    element, raises ``NotAQSeq`` naming it.
     """
 
     stages: Sequence
 
-
-def validate_qseq(t: Sequence) -> None:
-    """Raise unless every stage extends the previous by exactly one element.
-
-    A ``Stages`` was checked when it was built.
-    """
-    q_to_coll(QSeq(t if type(t) is Stages else tuple(t)))
+    def __post_init__(self):
+        if type(self.stages) is Stages:
+            return
+        values = []
+        seen: frozenset = frozenset()
+        for i, stage in enumerate(self.stages):
+            if not isinstance(stage, collections.abc.Set):
+                raise NotAQSeq(f"stage {i} is a {type(stage).__name__}, not a set",
+                               stage=i)
+            new = stage - seen
+            if len(stage) != len(seen) + 1 or len(new) != 1:
+                if not stage >= seen:
+                    raise NotAQSeq(f"stage {i} drops earlier elements", stage=i)
+                raise NotAQSeq(f"stage {i} adds {len(new)} elements, not 1",
+                               stage=i)
+            values.append(next(iter(new)))
+            seen = stage
+        object.__setattr__(self, "stages", Stages(InjSeq(values)))
 
 
 def coll_to_q(f: InjSeq) -> QSeq:
     """Stage i collects the first i+1 values of the injective sequence."""
-    return QSeq(Stages(f.items))
+    return QSeq(Stages(f))
 
 
 def q_to_coll(t: QSeq) -> InjSeq:
-    """Read off the unique new element of each stage.
-
-    The stages of an image give back their items; other stages are
-    checked one by one.
-    """
-    if type(t.stages) is Stages:
-        return InjSeq(t.stages.items)
-    values = []
-    seen: frozenset = frozenset()
-    for i, stage in enumerate(t.stages):
-        if not isinstance(stage, collections.abc.Set):
-            raise NotAQSeq(f"stage {i} is a {type(stage).__name__}, not a set",
-                           stage=i)
-        new = stage - seen
-        if len(stage) != len(seen) + 1 or len(new) != 1:
-            if not stage >= seen:
-                raise NotAQSeq(f"stage {i} drops earlier elements", stage=i)
-            raise NotAQSeq(f"stage {i} adds {len(new)} elements, not 1",
-                           stage=i)
-        values.append(next(iter(new)))
-        seen = stage
-    return InjSeq(tuple(values))
+    """The unique new element of each stage: the sequence its stages hold."""
+    return t.stages.seq
 
 
 def q_extends(t_longer: QSeq, t_shorter: QSeq) -> bool:
-    g, f = t_longer.stages, t_shorter.stages
-    if type(g) is Stages and type(f) is Stages:
-        return extends(g.items, f.items)
-    return extends(g, f)
+    return extends(q_to_coll(t_longer).items, q_to_coll(t_shorter).items)
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +250,14 @@ def q_into_lambda(x: CountableSet, t: QSeq) -> tuple:
     """A subset-stage condition, re-checked as a decreasing-sequence tree element.
 
     Stages grow strictly, which is exactly a strictly decreasing sequence in
-    the reverse-inclusion lattice; the embedding is the identity, and an
-    image comes back as the tuple of its stages.
+    the reverse-inclusion lattice; the embedding is the identity, and the
+    condition comes back as the tuple of its stages.  Only a code outside
+    x can keep it out of the tree.
     """
     tree = lambda_tree(finite_subset_lattice(x))
-    stages = tuple(t.stages) if type(t.stages) is Stages else t.stages
+    stages = tuple(t.stages)
     if not tree.carrier(stages):
-        raise NotInLambda(f"stages {stages!r} are not strictly decreasing")
+        raise NotInLambda(f"stages {stages!r} are not in {tree.name}")
     return stages
 
 

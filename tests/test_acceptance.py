@@ -85,7 +85,7 @@ def test_criterion_1_generic_engine_collapse():
     poset = coll_poset(NAT)
     start = time.perf_counter()
     run = rasiowa_sikorski(poset, level_family(NAT, 1000), (), 1000)
-    injection = generic_to_injection(NAT, run)
+    injection = generic_to_injection(run)
     elapsed = time.perf_counter() - start
     assert len(injection.items) >= 1000
     assert len(set(injection.items)) == len(injection.items)  # exhaustive

@@ -9,8 +9,8 @@ import sys
 import pytest
 
 from forcelab import dctrees, posets
-from forcelab.collapse import (builtin_set, coll_poset, evens_set, inj_seq_json,
-                               injection_to_generic, level_family, make_inj_seq, nat_set,
+from forcelab.collapse import (InjSeq, builtin_set, coll_poset, evens_set, inj_seq_json,
+                               injection_to_generic, level_family, nat_set,
                                pairs_set)
 from forcelab.posets import Grown, _jsonable, grow
 
@@ -99,7 +99,7 @@ class TestJsonable:
         assert _jsonable(Grown(view.buf, 2)) == [5, 6]
 
     @pytest.mark.parametrize("make_doc", [
-        lambda: inj_seq_json(nat_set(), make_inj_seq(nat_set(), range(2000))),
+        lambda: inj_seq_json(nat_set(), InjSeq(range(2000))),
         lambda: dctrees.witness_json(dctrees.f_seq(nat_set()), tuple(range(2000))),
     ])
     def test_one_jsonable_call_for_a_sequence_of_scalars(self, make_doc):
@@ -119,5 +119,5 @@ class TestJsonable:
 
     def test_pairs_items_are_lists(self):
         x = pairs_set()
-        doc = inj_seq_json(x, make_inj_seq(x, [x.enum(i) for i in range(5)]))
+        doc = inj_seq_json(x, InjSeq([x.enum(i) for i in range(5)]))
         assert doc == {"set": "pairs", "items": [list(x.enum(i)) for i in range(5)]}

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from forcelab.collapse import (
+    InjSeq,
     builtin_set,
     coll_poset,
     evens_set,
@@ -12,7 +13,6 @@ from forcelab.collapse import (
     inj_seq_json,
     level_dense,
     level_family,
-    make_inj_seq,
     nat_set,
     pairs_set,
 )
@@ -155,25 +155,25 @@ class TestEngineRuns:
 
     def test_generic_to_injection(self, nat, nat_poset):
         run = rasiowa_sikorski(nat_poset, level_family(nat, 100), (), 100)
-        inj = generic_to_injection(nat, run)
+        inj = generic_to_injection(run)
         assert len(inj.items) >= 100
         assert len(set(inj.items)) == len(inj.items)
 
     def test_run_from_nonempty_start(self, nat, nat_poset):
         run = rasiowa_sikorski(nat_poset, level_family(nat, 6), (7, 2), 6)
-        inj = generic_to_injection(nat, run)
+        inj = generic_to_injection(run)
         assert inj.items[:2] == (7, 2)
         assert len(inj.items) >= 6
 
     def test_union_of_chain_of_restrictions(self, nat):
         run = injection_to_generic(nat, [4, 9, 1], 3)
-        assert generic_to_injection(nat, run).items == (4, 9, 1)
+        assert generic_to_injection(run).items == (4, 9, 1)
 
     def test_not_a_chain_rejected(self, nat):
         from forcelab.posets import GenericRun
         bad = GenericRun("Coll(w,nat)", ((0,), (1, 2)))
         with pytest.raises(NotAChain):
-            generic_to_injection(nat, bad)
+            generic_to_injection(bad)
 
 
 class TestInjectionToGeneric:
@@ -208,9 +208,9 @@ class TestInjectionToGeneric:
 
     def test_roundtrip_with_engine(self, nat, nat_poset):
         run = rasiowa_sikorski(nat_poset, level_family(nat, 8), (), 8)
-        inj = generic_to_injection(nat, run)
+        inj = generic_to_injection(run)
         run2 = injection_to_generic(nat, inj.items, len(inj.items))
-        assert generic_to_injection(nat, run2).items == inj.items
+        assert generic_to_injection(run2).items == inj.items
 
     def test_random_roundtrip_exact(self, nat):
         rng = random.Random(5)
@@ -218,16 +218,16 @@ class TestInjectionToGeneric:
             n = rng.randint(0, 20)
             vals = rng.sample(range(100), n)
             run = injection_to_generic(nat, vals, n)
-            assert generic_to_injection(nat, run).items == tuple(vals)
+            assert generic_to_injection(run).items == tuple(vals)
 
 
 class TestJson:
     def test_inj_seq_schema(self, nat):
-        doc = inj_seq_json(nat, make_inj_seq(nat, (3, 1, 4)))
+        doc = inj_seq_json(nat, InjSeq((3, 1, 4)))
         assert doc == {"set": "nat", "items": [3, 1, 4]}
 
     def test_pairs_become_lists(self):
         x = pairs_set()
-        doc = inj_seq_json(x, make_inj_seq(x, (x.enum(0), x.enum(3))))
+        doc = inj_seq_json(x, InjSeq((x.enum(0), x.enum(3))))
         assert doc["set"] == "pairs"
         assert all(isinstance(item, list) for item in doc["items"])

@@ -100,7 +100,7 @@ class TestDcWitness:
         run = rasiowa_sikorski(tree, tree_level_family(f, 40), (), 40)
         assert len(run.chain[-1]) >= 40
         assert check_dc_witness(f, run.chain[-1])
-        inj = generic_to_injection(nat, run)
+        inj = generic_to_injection(run)
         assert len(set(inj.items)) == len(inj.items)
 
     def test_f_seq_witness_equals_collapse_injection(self, nat):
@@ -110,7 +110,7 @@ class TestDcWitness:
         n = 25
         witness = dc_witness(nat, f, n)
         coll_run = rasiowa_sikorski(coll_poset(nat), level_family(nat, n), (), n)
-        assert witness == generic_to_injection(nat, coll_run).items[:n]
+        assert witness == generic_to_injection(coll_run).items[:n]
 
     def test_bad_selector_detected(self, nat):
         lying = ChoiceFunctional(

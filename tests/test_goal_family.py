@@ -43,6 +43,7 @@ class TestSequenceProtocol:
             assert isinstance(family[i], DenseSet)
             assert family[i].name == f"len>={i + 1}"
             assert family[i - 7].name == family[i].name
+        assert not hasattr(family[0], "no_such_field")
 
     @pytest.mark.parametrize("i", [7, 8, 100, -8, -9, -100])
     def test_index_error_past_either_end(self, make, i):

@@ -81,6 +81,8 @@ def test_views_differ_from_other_types():
     assert grow(view, ()) == view and grow((), ()) == ()
     with pytest.raises(TypeError):
         view + [3]
+    with pytest.raises(TypeError):
+        [3] + view
 
 
 def test_same_buffer_extension_is_read_off_the_lengths():

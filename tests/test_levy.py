@@ -273,6 +273,8 @@ class TestChecker:
         g = levy_lift(standard_cofinal(W), transfinite_f_seq(nat))
         with pytest.raises(RangeNotDecidable):
             g.restrict(W)
+        with pytest.raises(IndexError, match="cannot restrict length w\\*1 to w\\*1 \\+ 1"):
+            g.restrict(ord_add(W, fin(1)))
 
     def test_finite_sequences_checked_by_scan(self, nat):
         f = transfinite_f_seq(nat)
@@ -299,6 +301,8 @@ class TestBuilders:
 
         with pytest.raises(BadBlock):
             levy_lift(standard_cofinal(W), f, builder=stub).at(0)
+        with pytest.raises(BadBlock, match="must return a BuiltBlock"):
+            levy_lift(standard_cofinal(W), f, builder=lambda *args: None).at(0)
 
     def test_disallowed_value_rejected(self, nat):
         f = transfinite_f_seq(nat)
@@ -344,6 +348,12 @@ class TestBuilders:
         with pytest.raises(RangeNotDecidable):
             build(fin(1), transfinite_f_seq(nat), TransfiniteSeq.from_items(()))
 
+    def test_standard_builder_takes_finite_and_w_blocks_only(self, nat):
+        build = standard_block_builder(nat)
+        empty = UsageSeq(ZERO, TransfiniteSeq.from_items(()).at, usage=IndexUsage())
+        with pytest.raises(BadBlock, match="block length w\\*2 unsupported"):
+            build(parse_cnf("w*2"), transfinite_f_seq(nat), empty)
+
     def test_custom_builder_over_evens(self):
         ev = evens_set()
         f = transfinite_f_seq(ev)
@@ -373,6 +383,15 @@ def growing_blocks_ladder():
 
 
 class TestLongerFiniteBlocks:
+    def test_samples_split_a_finite_first_block(self, nat):
+        """A first block of finite length l >= 2 is sampled at l // 2."""
+        cof = CofinalPresentation(W, TransfiniteSeq(W, lambda xi: fin(3 * xi.to_int())))
+        f = transfinite_f_seq(nat)
+        g = levy_lift(cof, f)
+        samples = [fin(n) for n in (0, 1, 3, 6, 9, 12, 15)]
+        assert default_samples(cof) == g.default_samples() == samples
+        assert check_transfinite_witness(f, g, samples)
+
     def test_values_checks_and_restrictions(self, nat):
         cof = growing_blocks_ladder()
         f = transfinite_f_seq(nat)

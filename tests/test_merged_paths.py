@@ -20,7 +20,6 @@ from forcelab.collapse import (
     builtin_set,
     coll_poset,
     first_repeat,
-    make_inj_seq,
     prefix_enumeration,
     require_injective,
 )
@@ -58,11 +57,8 @@ from forcelab.posets import (
 from forcelab.qtree import (
     check_lattice,
     QSeq,
-    coll_to_q,
     finite_subset_lattice,
     lambda_tree,
-    q_to_coll,
-    validate_qseq,
 )
 
 # ---------------------------------------------------------------------------
@@ -357,8 +353,8 @@ class TestInjectivity:
         expect = None if pair is None else (
             NotInjective, f"positions {pair[0]} and {pair[1]} repeat {items[pair[0]]!r}", {})
         assert raised(require_injective, items) == expect
-        assert raised(make_inj_seq, builtin_set("nat"), items) == expect
-        assert raised(coll_to_q, InjSeq(tuple(items))) == expect
+        assert raised(InjSeq, items) == expect
+        assert raised(InjSeq, tuple(items)) == expect
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(("nat", "evens", "pairs")),
@@ -383,8 +379,8 @@ class TestQSeq:
     @given(STAGES)
     def test_errors_match_reference(self, stages):
         expect = raised(validate_qseq_reference, stages)
-        assert raised(validate_qseq, stages) == expect
-        assert raised(q_to_coll, QSeq(tuple(stages))) == expect
+        assert raised(QSeq, stages) == expect
+        assert raised(QSeq, tuple(stages)) == expect
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,7 @@ class TestArithmetic:
         assert ord_add(ONE, W) == W
         assert ord_add(W, ONE) == parse_cnf("w*1 + 1")
         assert ord_add(W, ONE) != W
+        assert ONE + W == W and W + ONE == ord_add(W, ONE)  # ``+`` is ord_add
 
     def test_mixed_sum_example(self):
         # independent oracle: sympy agrees that (w*2+3) + (w+1) = w*3 + 1
@@ -111,6 +114,7 @@ class TestTextFormat:
                                       "w^2*3 + w*1 + 4", "w^5*1 + 2"])
     def test_roundtrip_exact(self, text):
         assert format_cnf(parse_cnf(text)) == text
+        assert repr(parse_cnf(text)) == f"Ordinal({text!r})"
 
     def test_roundtrip_random(self):
         rng = random.Random(19)
@@ -154,6 +158,11 @@ class TestSsup:
     def test_limit_case(self):
         assert ssup(OrdinalsBelow(W)) == W
         assert ssup(OrdinalsBelow(fin(3))) == fin(3)
+
+    def test_iteration_lists_the_members_in_order(self):
+        assert list(OrdinalsBelow(fin(3))) == [fin(0), fin(1), fin(2)]
+        assert list(OrdinalsBelow(ZERO)) == []
+        assert list(itertools.islice(OrdinalsBelow(W), 4)) == [fin(n) for n in range(4)]
 
     def test_two_cases_brute(self):
         # brute force over the definition: least ordinal above both elements
@@ -282,6 +291,8 @@ class TestOmegaBijection:
         for n in range(100):
             assert bij.forward(fin(n)) == n
             assert bij.backward(n) == fin(n)
+        with pytest.raises(ValueError, match="negative index"):
+            bij.backward(-1)
 
     def test_omega_times_two_interleaves(self):
         bij = omega_bijection(Ordinal.omega(2))
@@ -435,6 +446,11 @@ class TestIntTermsOnly:
             TransfiniteSeq.from_items([7, 8]).at(pos)
         with pytest.raises(ValueError, match="bad coefficient"):
             ord_of(pos)
+
+    @pytest.mark.parametrize("text", ["w*1", "w*2 + 3", "w^2*1"])
+    def test_infinite_ordinals_have_no_int(self, text):
+        with pytest.raises(ValueError, match=re.escape(f"{text} is infinite")):
+            parse_cnf(text).to_int()
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**12))

@@ -74,6 +74,8 @@ class TestFiniteTables:
             parse_poset_table("elem a\nb <= a")
         with pytest.raises(ValueError):
             parse_poset_table("what is this")
+        with pytest.raises(ValueError, match="duplicate element 'a'"):
+            parse_poset_table("elem a\nelem b\nelem a")
 
     def test_presentation_laws(self, seven):
         p = table_poset(seven)
@@ -161,6 +163,11 @@ class TestEngine:
     def test_negative_length_rejected(self, seven):
         with pytest.raises(ValueError):
             rasiowa_sikorski(table_poset(seven), [], "0", -1)
+
+    def test_family_shorter_than_n_rejected(self, seven):
+        ds = table_dense_sets(seven, [frozenset("56")])
+        with pytest.raises(ValueError, match="family has 1 dense sets, need 2"):
+            rasiowa_sikorski(table_poset(seven), ds, "0", 2)
 
 
 class TestFilterFromChain:

@@ -16,7 +16,6 @@ from forcelab.qtree import (
     q_into_lambda,
     q_to_coll,
     qseq_json,
-    validate_qseq,
 )
 
 
@@ -71,14 +70,14 @@ class TestIsomorphism:
             q_to_coll(QSeq((fs(1), stage)))
         assert exc.value.details["stage"] == 1
         with pytest.raises(NotAQSeq):
-            validate_qseq([fs(1), stage])
+            QSeq([fs(1), stage])
 
     def test_roundtrips_random(self):
         rng = random.Random(101)
         for _ in range(1000):
             f = random_inj(rng)
             t = coll_to_q(f)
-            validate_qseq(t.stages)
+            assert QSeq(tuple(t.stages)) == t
             assert q_to_coll(t).items == f.items
             assert coll_to_q(q_to_coll(t)).stages == t.stages
 
@@ -221,8 +220,10 @@ class TestQIntoLambda:
             assert tree.carrier(stages)
 
     def test_violation_rejected(self, nat):
-        with pytest.raises(NotInLambda):
-            q_into_lambda(nat, QSeq((fs(1), fs(1))))
+        with pytest.raises(NotAQSeq):
+            QSeq((fs(1), fs(1)))  # rejected when built
+        with pytest.raises(NotInLambda, match="not in tree"):
+            q_into_lambda(nat, QSeq((fs(1), fs(1, -2))))  # -2 is not in nat
 
 
 def test_qseq_json(nat):

@@ -3,10 +3,11 @@ copy.
 
 Each example builds images of a few injective sequences: two prefixes of
 one sequence, an unrelated sequence, and the image rebuilt from a read-back
-(a second ``Stages`` over the same items tuple).  Every stage an image
-gives, by index, iteration or slice, is a frozenset, and every image is
-compared with ``QSeq(tuple(map(frozenset, t.stages)))`` under the qtree
-functions that read stages.
+(a second ``Stages`` over the same sequence).  Every stage an image gives,
+by index, iteration or slice, is a frozenset, and every image is compared
+with ``QSeq(tuple(map(frozenset, t.stages)))``, the same stages read through
+the checked path when the ``QSeq`` is built, under the qtree functions that
+read stages.
 """
 
 import itertools
@@ -25,7 +26,6 @@ from forcelab.qtree import (
     q_into_lambda,
     q_to_coll,
     qseq_json,
-    validate_qseq,
 )
 
 NAT = nat_set()
@@ -61,6 +61,7 @@ def test_images_read_like_their_frozenset_copies(ts):
         copy = frozen(t)
         assert type(t.stages) is Stages
         assert t.stages == copy.stages and copy.stages == t.stages and t == copy
+        assert t.stages != list(copy.stages) and list(copy.stages) != t.stages
         assert hash(t.stages) == hash(copy.stages) and hash(t) == hash(copy)
         assert repr(t.stages) == repr(copy.stages)
         assert len(t.stages) == len(copy.stages)
@@ -71,8 +72,7 @@ def test_images_read_like_their_frozenset_copies(ts):
         assert all(type(s) is frozenset for s in t.stages[1:-1] + t.stages[::2])
         with pytest.raises(IndexError):
             t.stages[len(copy.stages)]
-        assert q_to_coll(t) == q_to_coll(copy)
-        assert outcome(validate_qseq, t.stages) == outcome(validate_qseq, copy.stages)
+        assert type(copy.stages) is Stages and q_to_coll(t) == q_to_coll(copy)
         assert q_into_lambda(NAT, t) == q_into_lambda(NAT, copy)
         assert qseq_json(NAT, t) == qseq_json(NAT, copy)
     for g, f in itertools.product(ts, repeat=2):
@@ -88,17 +88,33 @@ STAGE_LISTS = st.lists(st.frozensets(st.integers(0, 5), max_size=4), max_size=6)
 @given(STAGE_LISTS)
 def test_views_of_other_tuples_take_the_checked_path(stages):
     """Stages read off other images, one image each, raise what the same
-    frozensets raise."""
-    views = tuple(Stages(tuple(s))[-1] if s else s for s in stages)
-    assert outcome(q_to_coll, QSeq(views)) == outcome(q_to_coll, QSeq(tuple(stages)))
-    assert outcome(validate_qseq, views) == outcome(validate_qseq, stages)
+    frozensets raise; stages that pass build the image of their items."""
+    views = tuple(Stages(InjSeq(s))[-1] if s else s for s in stages)
+    t = outcome(QSeq, stages)
+    assert outcome(QSeq, views) == t
+    if isinstance(t, QSeq):
+        image = coll_to_q(InjSeq(q_to_coll(t).items))
+        assert type(t.stages) is Stages
+        assert t == image and image == t and hash(t) == hash(image)
+
+
+@settings(max_examples=200, deadline=None)
+@given(CODES, st.sampled_from((tuple, list)))
+def test_checked_stages_equal_the_image_of_their_items(codes, kind):
+    t = QSeq(kind(frozenset(codes[:i + 1]) for i in range(len(codes))))
+    image = coll_to_q(InjSeq(codes))
+    assert type(t.stages) is Stages
+    assert t == image and image == t and hash(t) == hash(image)
+    assert q_to_coll(t) == q_to_coll(image) == InjSeq(codes)
 
 
 def test_a_repeated_item_is_rejected_when_built():
+    with pytest.raises(NotInjective, match="positions 0 and 2 repeat 1"):
+        InjSeq((1, 2, 1))
     with pytest.raises(NotInjective, match="positions 1 and 3 repeat 7"):
-        Stages((4, 7, 5, 7))
-    with pytest.raises(NotInjective):
-        coll_to_q(InjSeq((2, 2)))
+        InjSeq([4, 7, 5, 7])
+    with pytest.raises(NotAQSeq, match="stage 1 adds 0 elements, not 1"):
+        QSeq((frozenset({1}), frozenset({1})))
 
 
 def test_images_compare_without_hashing_their_items():

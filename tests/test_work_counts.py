@@ -466,6 +466,24 @@ def test_first_repeat_compares_linearly():
     assert calls[0] <= 2 * n
 
 
+@pytest.mark.parametrize("cases, length", [(1, 0), (7, 1), (25, 40)])
+def test_iso_roundtrip_checks_each_case_once(monkeypatch, cases, length):
+    """Every injectivity check goes through ``first_repeat``; a round trip
+    that checked its sequence again while building the image or reading it
+    back would make two calls per case."""
+    calls = [0]
+    first_repeat = collapse.first_repeat
+
+    def counted(items):
+        calls[0] += 1
+        return first_repeat(items)
+
+    monkeypatch.setattr(collapse, "first_repeat", counted)
+    status, doc = run(RunConfig("iso-roundtrip", {"seed": 3, "cases": cases, "len": length}))
+    assert status == 0 and doc == {"ok": True, "cases": cases}
+    assert calls[0] == cases
+
+
 def test_cold_deep_lookup_grows_about_linearly():
     """Under w^2 the usage at block k lies over k layers; a lookup that
     walked them all made a cold value and its check at w*k + 30 about 11x
