@@ -248,7 +248,9 @@ def level_dense(x: CountableSet, i: int) -> DenseSet:
 
     The extender appends the block of i enumeration codes starting at the
     least bound covering the condition's range; the output is injective,
-    extends the input, and lands in the level.
+    extends the input, and lands in the level.  The block is i codes at any
+    length, a fixed recipe; a ``length_levels`` goal appends only the
+    t - len(p) missing codes, so that a run through n goals grows by n.
     """
     append = _fresh_appender(x)
     return DenseSet(f"L_{i}", lambda f: len(f) >= i, lambda p: append(p, i))

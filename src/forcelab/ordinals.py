@@ -284,10 +284,6 @@ class TransfiniteSeq:
                               lambda p: data[p.to_int()])
 
 
-def constant_seq(length: "Ordinal | int", item: Any) -> TransfiniteSeq:
-    return TransfiniteSeq(ord_of(length), lambda _p: item)
-
-
 def _sigma_offsets(t: TransfiniteSeq, upto: int) -> list[Ordinal]:
     """First offsets of the concatenation: sigma_0 = 0, sigma_{i+1} = sigma_i + len(t_i)."""
     sigmas = [ZERO]

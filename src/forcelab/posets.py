@@ -622,14 +622,13 @@ class FinitePreorder:
 class GammaPresentation:
     """A pre-order presented as a countable union of finite levels.
 
-    Levels must be pairwise disjoint unless ``identify`` is set.  Nothing
-    calls ``identify``: setting it only declares that levels may share
-    codes, and ``gamma_check`` then skips its disjointness check.
+    Levels must be pairwise disjoint unless ``shared_codes`` declares that
+    they may share codes; ``gamma_check`` then skips its disjointness check.
     """
 
     name: str
     levels: Callable[[int], FinitePreorder]
-    identify: Optional[Callable[[Code], Code]] = None
+    shared_codes: bool = False
 
 
 @dataclass(frozen=True)
@@ -654,8 +653,8 @@ def gamma_check(g: GammaPresentation, depth: int) -> GammaReport:
     A transitivity witness (a, b, d) has a <= b <= d but not a <= d and is
     the least such triple in the level's element order.  A relation pair
     naming an element outside its level raises ValueError.  Unless
-    ``g.identify`` is set, a level sharing a code with an earlier one is
-    reported as levels-overlap; ``identify`` itself is never called.
+    ``g.shared_codes`` is set, a level sharing a code with an earlier one
+    is reported as levels-overlap.
     """
     sizes = []
     seen: set = set()
@@ -681,7 +680,7 @@ def gamma_check(g: GammaPresentation, depth: int) -> GammaReport:
                     d = (missing & -missing).bit_length() - 1
                     return GammaReport(False, tuple(sizes), PreorderViolation(
                         lv, "not-a-preorder", (elems[i], elems[j], elems[d])))
-        if g.identify is None:
+        if not g.shared_codes:
             overlap = seen & inside
             if overlap:
                 x = sorted(map(str, overlap))[0]

@@ -12,6 +12,7 @@ neither direction repeats that check.
 
 from __future__ import annotations
 
+import bisect
 import collections.abc
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -195,23 +196,12 @@ def finite_subset_lattice(x: CountableSet) -> LatticeOracle:
 
     Strictly below means strictly larger as a set, so decreasing sequences
     grow; meet is union, join is intersection where nonempty.  Proper
-    nonempty subsets make predecessor lists finite, and adding the next
-    fresh code witnesses the absence of minimal elements.
+    nonempty subsets make predecessor lists finite, and adding the least
+    code a set lacks witnesses the absence of minimal elements.
     """
 
-    asked: dict = {}  # code -> (the code object asked about, answer)
-
-    def contains(v: Code) -> bool:
-        # The stages of a sequence share their codes.  An equal code of
-        # another type (True for 1) may get another answer, so only the
-        # same object reuses one.
-        hit = asked.get(v)
-        if hit is None or hit[0] is not v:
-            hit = asked[v] = (v, x.contains(v))
-        return hit[1]
-
     def carrier(s: Code) -> bool:
-        return isinstance(s, frozenset) and len(s) > 0 and all(map(contains, s))
+        return isinstance(s, frozenset) and len(s) > 0 and all(map(x.contains, s))
 
     def lt(s: Code, t: Code) -> bool:
         return t < s  # proper subset, reversed
@@ -247,19 +237,29 @@ def finite_subset_lattice(x: CountableSet) -> LatticeOracle:
 
 
 def q_into_lambda(x: CountableSet, t: QSeq) -> tuple:
-    """A subset-stage condition, re-checked as a decreasing-sequence tree element.
+    """A subset-stage condition as a decreasing-sequence tree element.
 
     Stages grow strictly, which is exactly a strictly decreasing sequence in
     the reverse-inclusion lattice; the embedding is the identity, and the
-    condition comes back as the tuple of its stages.  Only a code outside
-    x can keep it out of the tree.
+    condition comes back as the tuple of its stages.  The ``QSeq`` checked
+    that growth when built, so x is asked only whether it holds each item.
     """
-    tree = lambda_tree(finite_subset_lattice(x))
     stages = tuple(t.stages)
-    if not tree.carrier(stages):
-        raise NotInLambda(f"stages {stages!r} are not in {tree.name}")
+    if not all(map(x.contains, q_to_coll(t).items)):
+        raise NotInLambda(f"stages {stages!r} are not in tree(finite-subsets({x.name}))")
     return stages
 
 
 def qseq_json(x: CountableSet, t: QSeq) -> dict:
-    return {"stages": [sorted(stage, key=x.index_of) for stage in t.stages]}
+    """Each stage's codes in index order: stage i+1 is stage i with item
+    i+1 inserted at its index rank, so each code is looked up once."""
+    keys: list = []
+    codes: list = []
+    stages = []
+    for v in q_to_coll(t).items:
+        k = x.index_of(v)
+        i = bisect.bisect(keys, k)
+        keys.insert(i, k)
+        codes.insert(i, v)
+        stages.append(codes[:])
+    return {"stages": stages}

@@ -56,6 +56,15 @@ class TestCommands:
         assert json.loads(out) == {"dense": None, "inconclusive": True,
                                    "undecided": [6], "fragment": 2000}
 
+    def test_density_check_names_a_counterexample(self, monkeypatch):
+        """No built-in level is ever not dense, so a level that holds only
+        the empty condition stands in for one."""
+        level = posets.DenseSet("dom0", lambda f: len(f) == 0, lambda q: q)
+        monkeypatch.setattr(cli.collapse, "level_dense", lambda x, i: level)
+        status, doc = run(RunConfig("density-check", {"set": "nat", "i": 3, "frag": 50}))
+        assert status == 0
+        assert doc == {"dense": False, "fragment": 50, "counterexample": [0]}
+
     def test_dc_run(self, capsys):
         status, out = invoke(
             ["dc-run", "--set", "nat", "--functional", "seq", "--n", "4"], capsys)

@@ -3,8 +3,9 @@
 The replaced copies are kept here, verbatim in behaviour, as test oracles
 only: the DFS-and-set-difference prefix enumeration, the fixed-point pair
 closure, the pairwise repeat loops, the stand-alone QSeq validator, the
-concatenation-based evaluator of a lifted witness, and the finite-table
-loops over ``leq`` that the bit rows replaced.
+concatenation-based evaluator of a lifted witness, the finite-table
+loops over ``leq`` that the bit rows replaced, and the subset-stage
+outputs that re-walked every stage.
 """
 
 import dataclasses
@@ -24,7 +25,7 @@ from forcelab.collapse import (
     require_injective,
 )
 from forcelab.dctrees import bounded_functional, evens_functional, t_of_f
-from forcelab.errors import BadExtender, NotAQSeq, NotInjective
+from forcelab.errors import BadExtender, NotAQSeq, NotInjective, NotInLambda
 from forcelab.levy import levy_lift, standard_cofinal, transfinite_f_seq
 from forcelab.ordinals import (
     OMEGA,
@@ -57,8 +58,11 @@ from forcelab.posets import (
 from forcelab.qtree import (
     check_lattice,
     QSeq,
+    coll_to_q,
     finite_subset_lattice,
     lambda_tree,
+    q_into_lambda,
+    qseq_json,
 )
 
 # ---------------------------------------------------------------------------
@@ -177,6 +181,20 @@ def validate_qseq_reference(t):
             new = len(stage - seen)
             raise NotAQSeq(f"stage {i} adds {new} elements, not 1", stage=i)
         seen = stage
+
+
+def q_into_lambda_reference(x, t):
+    """Every stage through the carrier of the decreasing-sequence tree."""
+    tree = lambda_tree(finite_subset_lattice(x))
+    stages = tuple(t.stages)
+    if not tree.carrier(stages):
+        raise NotInLambda(f"stages {stages!r} are not in {tree.name}")
+    return stages
+
+
+def qseq_json_reference(x, t):
+    """Each stage sorted by index on its own."""
+    return {"stages": [sorted(stage, key=x.index_of) for stage in t.stages]}
 
 
 def lifted_at_reference(g, pos):
@@ -374,6 +392,24 @@ class TestInjectivity:
 STAGES = st.lists(st.frozensets(st.integers(0, 5), max_size=4), max_size=6)
 
 
+# codes outside every built-in set; True equals 1 but is no int code
+OUTSIDE = (-2, True, "a", (1, -1))
+
+
+@st.composite
+def qseqs_over_sets(draw):
+    """A built-in set and a QSeq over its first codes, with at most two codes
+    from outside it inserted, built from its items or from its stages."""
+    x = builtin_set(draw(st.sampled_from(("nat", "evens", "pairs"))))
+    items = [x.enum(i) for i in draw(st.lists(st.integers(0, 20), unique=True, max_size=8))]
+    for code in draw(st.lists(st.sampled_from(OUTSIDE), unique=True, max_size=2)):
+        if code not in items:
+            items.insert(draw(st.integers(0, len(items))), code)
+    if draw(st.booleans()):
+        return x, QSeq(tuple(frozenset(items[:i + 1]) for i in range(len(items))))
+    return x, coll_to_q(InjSeq(items))
+
+
 class TestQSeq:
     @settings(max_examples=300, deadline=None)
     @given(STAGES)
@@ -381,6 +417,13 @@ class TestQSeq:
         expect = raised(validate_qseq_reference, stages)
         assert raised(QSeq, stages) == expect
         assert raised(QSeq, tuple(stages)) == expect
+
+    @settings(max_examples=300, deadline=None)
+    @given(qseqs_over_sets())
+    def test_outputs_match_stage_walks(self, case):
+        x, t = case
+        assert outcome(q_into_lambda, x, t) == outcome(q_into_lambda_reference, x, t)
+        assert outcome(qseq_json, x, t) == outcome(qseq_json_reference, x, t)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +597,7 @@ def gamma_check_reference(g, depth):
                     d = (missing & -missing).bit_length() - 1
                     return (False, tuple(sizes),
                             (lv, "not-a-preorder", (elems[i], elems[j], elems[d])))
-        if g.identify is None:
+        if not g.shared_codes:
             overlap = seen & set(elems)
             if overlap:
                 x = sorted(map(str, overlap))[0]
@@ -608,7 +651,7 @@ def outcome(fn, *args):
     """What fn(*args) returned, or the type and message of what it raised."""
     try:
         return "returned", fn(*args)
-    except (AssertionError, BadExtender, ValueError) as exc:
+    except (AssertionError, BadExtender, NotInLambda, ValueError) as exc:
         return type(exc), str(exc)
 
 
@@ -723,7 +766,7 @@ class TestFiniteTables:
             if data.draw(st.integers(0, 3)):
                 rel |= {(x, x) for x in elems}
             levels.append(FinitePreorder(elems, frozenset(rel)))
-        g = GammaPresentation("drawn", levels.__getitem__, (lambda c: c) if glued else None)
+        g = GammaPresentation("drawn", levels.__getitem__, glued)
         got = outcome(gamma_check, g, depth)
         if got[0] == "returned":
             report = got[1]

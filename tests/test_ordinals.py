@@ -24,7 +24,6 @@ from forcelab.ordinals import (
     OrdinalsBelow,
     TransfiniteSeq,
     concat,
-    constant_seq,
     format_cnf,
     omega_bijection,
     ord_add,
@@ -348,7 +347,6 @@ class TestOmegaBijection:
 def test_ord_of_coercion():
     assert ord_of(5) == fin(5)
     assert ord_of(W) is W
-    assert constant_seq(3, "k").materialize() == ["k", "k", "k"]
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,18 @@ class TestEngineOracleAgreement:
             assert all(oracle & s for s in subsets)
 
 
+def test_random_dense_sets_fall_back_to_the_whole_carrier():
+    """An rng whose every coin says "leave it out" draws only empty sets,
+    which are never dense, so every set is the whole carrier."""
+
+    class Tails:
+        def random(self):
+            return 0.99
+
+    table = random_finite_poset(random.Random(5), 4)
+    assert random_dense_sets(Tails(), table, 3) == [frozenset(table.elements)] * 3
+
+
 class TestRunTraceJson:
     def test_schema(self, seven):
         p = table_poset(seven)
@@ -352,7 +364,7 @@ class TestGamma:
         level = FinitePreorder(("a",), frozenset({("a", "a")}))
         g = GammaPresentation("overlap", lambda n: level)
         assert not gamma_check(g, 2).ok
-        glued = GammaPresentation("glued", lambda n: level, identify=lambda c: c)
+        glued = GammaPresentation("glued", lambda n: level, shared_codes=True)
         assert gamma_check(glued, 2).ok
 
     def test_pre_orders_allow_cycles(self):
@@ -361,7 +373,7 @@ class TestGamma:
             ("a", "b"),
             frozenset({("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")}))
         report = gamma_check(GammaPresentation("cyc", lambda n: level,
-                                               identify=lambda c: c), 1)
+                                               shared_codes=True), 1)
         assert report.ok
 
     def test_least_transitivity_witness(self):

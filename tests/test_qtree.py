@@ -119,6 +119,7 @@ class TestSubsetLattice:
         lat = finite_subset_lattice(nat)
         assert lat.has_lower(fs(0)) == fs(0, 1)
         assert lat.has_lower(fs(0, 1, 2)) == fs(0, 1, 2, 3)
+        assert lat.has_lower(fs(1)) == fs(0, 1)  # the least code it lacks
 
     def test_meet_join(self, nat):
         lat = finite_subset_lattice(nat)

@@ -62,6 +62,9 @@ def test_images_read_like_their_frozenset_copies(ts):
         assert type(t.stages) is Stages
         assert t.stages == copy.stages and copy.stages == t.stages and t == copy
         assert t.stages != list(copy.stages) and list(copy.stages) != t.stages
+        other = tuple(s | {-1} for s in copy.stages)  # same length, other contents
+        if other:
+            assert t.stages != other and other != t.stages
         assert hash(t.stages) == hash(copy.stages) and hash(t) == hash(copy)
         assert repr(t.stages) == repr(copy.stages)
         assert len(t.stages) == len(copy.stages)

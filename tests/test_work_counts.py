@@ -294,6 +294,15 @@ def test_q_into_lambda_looks_each_code_up_once(n):
     assert calls["index"] <= n
 
 
+@pytest.mark.parametrize("n", [50, 100, 200])
+def test_qseq_json_looks_each_code_up_once(n):
+    """Sorting every stage by index made n(n+1)/2 index calls."""
+    x, calls = counting_nat()
+    t = qtree.coll_to_q(InjSeq(tuple(range(n))))
+    assert qtree.qseq_json(x, t) == {"stages": [list(range(i + 1)) for i in range(n)]}
+    assert calls["index"] <= n
+
+
 def test_marker_run_walks_each_marker_at_most_twice(monkeypatch):
     """Rewalking the marked sequence on every call walks about n*n markers."""
     walked = [0]
