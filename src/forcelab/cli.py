@@ -3,15 +3,15 @@
 Every run is deterministic given its flags (seeded randomness, no clocks),
 so identical invocations produce byte-identical output.  Exit codes:
 0 success, 1 named contract violation (the code appears in the JSON),
-2 bad configuration.
+2 bad configuration or argv (read as by argparse 3.11; ``--flag=--`` is "--").
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
@@ -53,7 +53,7 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
         return 2, {"error": "bad-config",
                    "detail": f"unknown keys {sorted(unknown)}"}
     for key, value in cfg.params.items():
-        # argparse turns "--n=--" into an empty list
+        # a library caller's config may hold a value of any type
         if type(value) is not type(spec[key]):
             return 2, {"error": "bad-config",
                        "detail": f"{key} must be {type(spec[key]).__name__}, got {value!r}"}
@@ -176,31 +176,56 @@ _COMMANDS = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process.
-
-    Building it costs about a millisecond, most of an in-process run of a
-    small command; ``parse_args`` keeps no state between calls.
-    """
-    parser = argparse.ArgumentParser(
-        prog="forcelab",
-        description="Run forcing-poset constructions and emit JSON traces.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, (_, defaults) in _COMMANDS.items():
-        p = sub.add_parser(name)
-        p.add_argument("--out", dest="output_path", default=None)
-        for flag, default in defaults.items():
-            p.add_argument(f"--{flag}", type=type(default), default=None)
-    return parser
+def _option(token: str, flags: dict) -> Optional[tuple]:
+    """How argparse reads ``token``: None for a value, else (flag or None if
+    unknown, text after "=" or None).  An ambiguous prefix raises ValueError."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token[1] == "h":  # -h, -hh... and -h=h... are help; help refuses other text
+        rest = token[2:].removeprefix("=")
+        return "help", rest if rest.strip("h") or token == "-h=" else None
+    if token[1] == "-":
+        name, eq, value = token[2:].partition("=")
+        found = [name] if name in flags else [f for f in flags if f.startswith(name)]
+        if len(found) > 1:
+            raise ValueError(f"ambiguous option {token!r}: --{', --'.join(found)}")
+        if found:
+            return found[0], value if eq else None
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token else (None, None)
 
 
 def build_config(argv: list[str]) -> RunConfig:
-    ns = _parser().parse_args(argv)
-    params = {k: v for k, v in vars(ns).items()
-              if k not in ("command", "output_path") and v is not None}
-    return RunConfig(ns.command, params, ns.output_path)
+    """``argv`` as argparse read it; before a command, only help is read."""
+    command = argv[0] if argv else None
+    known = command in _COMMANDS
+    flags = {"help": None, "out": "", **_COMMANDS[command][1]} if known else {"help": None}
+    tokens = argv[1:] if known else argv[:1]
+    end = tokens.index("--") if "--" in tokens else len(tokens)  # no flag from "--" on
+    values, extra = {}, list(tokens[end:])
+    try:
+        pairs = iter(zip(tokens, [_option(t, flags) for t in tokens[:end]]))
+        for token, option in pairs:
+            flag, value = option or (None, None)
+            if flag == "help":
+                if value is not None:
+                    raise ValueError(f"help takes no value, got {value!r}")
+                print("usage: forcelab", command if known else "{%s}" % ",".join(_COMMANDS),
+                      "[-h]", *[f"[--{f} {f.upper()}]" for f in flags if f != "help"])
+                raise SystemExit(0)
+            if flag is None:
+                extra.append(token)
+                continue
+            if value is None:  # the next token, if it is a value
+                value, option = next(pairs, ("", ()))
+                if option is not None:
+                    raise ValueError(f"--{flag} needs a value")
+            values[flag] = type(flags[flag])(value)
+        if extra or not known:
+            raise ValueError(f"unrecognized {extra}" if known else f"no command in {argv[:1]}")
+    except ValueError as exc:
+        sys.stderr.write(f"forcelab: error: {exc}\n")
+        raise SystemExit(2) from None
+    return RunConfig(command, values, values.pop("out", None))
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,7 +7,7 @@ unknown flags and unknown commands.  ``--out`` is left out, since it writes
 a file, and so are prefixes of ``--help``, which prints help.  Each outcome
 must be one of:
 
-* argparse's own rejection: exit 2 and nothing on stdout;
+* a refusal by ``cli.build_config``: exit 2 and nothing on stdout;
 * exit 0 with one JSON document that names no error and claims no success
   over zero cases or an empty fragment;
 * exit 1 with the code of an ``errors.ContractError`` subclass;
@@ -98,7 +98,7 @@ def argvs(draw):
 
 
 def outcome(argv):
-    """(exit status, stdout, whether argparse refused the argv)."""
+    """(exit status, stdout, whether ``build_config`` refused the argv)."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
@@ -146,18 +146,20 @@ def test_edges_answer_as_the_fuzz_expects(argv, status):
     assert check_outcome(argv)[0] == status
 
 
-@pytest.mark.parametrize("argv", [
-    ["coll-run", "--n=--"],
-    ["density-check", "--frag=--"],
-    ["dc-run", "--set=--"],
-    ["levy-run", "--alpha=--"],
+@pytest.mark.parametrize("argv, refused", [
+    (["coll-run", "--n=--"], True),
+    (["density-check", "--frag=--"], True),
+    (["dc-run", "--set=--"], False),
+    (["levy-run", "--alpha=--"], False),
 ])
-def test_an_empty_list_from_argparse_is_bad_config(argv):
-    """argparse drops a "--" value given with "=" and hands the handler an
-    empty list, which raised a raw ``TypeError`` or ``AttributeError``."""
+def test_dashes_after_equals_are_the_value(argv, refused):
+    """``--flag=--`` gives the value "--", as ``--flag=x`` gives "x": an int
+    flag refuses it, and a string flag hands it to the command, which
+    answers ``bad-config``."""
     status, text = check_outcome(argv)
-    assert status == 2
-    assert json.loads(text)["detail"].endswith("got []")
+    assert (status, outcome(argv)[2]) == (2, refused)
+    if not refused:
+        assert "'--'" in json.loads(text)["detail"]
 
 
 @pytest.mark.parametrize("params", [{"n": "5"}, {"n": 5.0}, {"n": True}, {"set": None}])

@@ -1,4 +1,4 @@
-"""A fresh process loads only the modules its command runs.
+"""A fresh process loads only the modules its command runs, and never argparse.
 
 ``forcelab`` resolves its re-exported names and submodules on first access
 (PEP 562), and each CLI handler imports the modules beyond ``collapse``,
@@ -69,29 +69,33 @@ if argv is not None:
         assert main(argv) == 0
 else:
     import forcelab
-print(json.dumps(sorted(m.split(".", 1)[1] for m in sys.modules
-                        if m.startswith("forcelab."))))
+print(json.dumps([sorted(m.split(".", 1)[1] for m in sys.modules
+                         if m.startswith("forcelab.")), "argparse" in sys.modules]))
 """
 
 
-def loaded_after(argv) -> set[str]:
+def loaded_after(argv) -> tuple[set[str], bool]:
     """The forcelab submodules a fresh interpreter holds after running argv
-    in-process (after a bare ``import forcelab`` when argv is None)."""
+    in-process (after a bare ``import forcelab`` when argv is None), and
+    whether it holds ``argparse``."""
     done = subprocess.run([sys.executable, "-c", LOADED_AFTER, json.dumps(argv)],
                           env=ENV, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr[-2000:]
-    return set(json.loads(done.stdout))
+    modules, argparse_loaded = json.loads(done.stdout)
+    return set(modules), argparse_loaded
 
 
 def test_bare_import_loads_no_submodule():
-    assert loaded_after(None) == set()
+    assert loaded_after(None) == (set(), False)
 
 
 @pytest.mark.parametrize("argv", [shlex.split(line, comments=True)[1:]
                                   for line in command_lines()]
                          + list(SETUP_ARGV.values()), ids=" ".join)
 def test_command_loads_only_its_modules(argv):
-    assert loaded_after(argv) <= ALLOWED[argv[0]]
+    modules, argparse_loaded = loaded_after(argv)
+    assert modules <= ALLOWED[argv[0]]
+    assert not argparse_loaded
 
 
 # ---------------------------------------------------------------------------
