@@ -7,7 +7,6 @@ Order convention throughout: smaller is stronger, so leq(q, p) reads
 from __future__ import annotations
 
 import collections.abc
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -377,25 +376,33 @@ def _jsonable(code: Code):
 
 @dataclass(frozen=True)
 class FinitePoset:
-    """A finite poset as an explicit table; leq holds the reflexive closure."""
+    """A finite poset as bit rows: bit j of up[i] iff elements[i] <= elements[j].
+
+    Rows are reflexive.  ``down`` (the transposed rows) and the position map
+    are not fields, so ``==`` and ``hash`` read elements and rows only.
+    """
 
     elements: tuple
-    leq_pairs: frozenset
+    up: tuple
+
+    def __post_init__(self):
+        n = len(self.elements)
+        pos = {e: i for i, e in enumerate(self.elements)}
+        if len(pos) != n or type(self.up) is not tuple or len(self.up) != n or not all(
+                type(row) is int and 0 <= row < 1 << n and row >> i & 1
+                for i, row in enumerate(self.up)):
+            raise ValueError(f"need {n} distinct elements, {n} reflexive int rows < 2**{n}")
+        object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "down", _transpose(self.up))
 
     def leq(self, a, b) -> bool:
-        return a == b or (a, b) in self.leq_pairs
+        if a == b:
+            return True
+        i, j = self._pos.get(a), self._pos.get(b)
+        return i is not None and j is not None and self.up[i] >> j & 1 == 1
 
-    @functools.cached_property
-    def up(self) -> list[int]:
-        """Bit j of up[i], and bit i of down[j], iff leq(elements[i], elements[j])."""
-        return _bit_rows(self.elements, self.leq)
-
-    @functools.cached_property
-    def down(self) -> list[int]:
-        return _transpose(self.up)
-
-    def _mask(self, s) -> int:
-        return sum(1 << i for i, e in enumerate(self.elements) if e in s)
+    def _mask(self, s: set) -> int:
+        return sum(1 << i for i in map(self._pos.get, s) if i is not None)
 
     def _is_filter_mask(self, mask: int) -> bool:
         """``is_filter`` on the elements of a nonzero mask, read off the rows."""
@@ -430,17 +437,16 @@ def parse_poset_table(text: str) -> FinitePoset:
     pairs: list = []
     for raw in text.splitlines():
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("elem "):
             name = line[5:].strip()
+            if "<=" in name or name.partition(" ")[0] == "elem":
+                raise ValueError(f"cannot parse line {raw!r}")  # no relation line names it
             if name in elements:
                 raise ValueError(f"duplicate element {name!r}")
             elements.append(name)
         elif "<=" in line:
-            a, b = (s.strip() for s in line.split("<=", 1))
-            pairs.append((a, b))
-        else:
+            pairs.append(tuple(s.strip() for s in line.split("<=", 1)))
+        elif line:
             raise ValueError(f"cannot parse line {raw!r}")
     for a, b in pairs:
         if a not in elements or b not in elements:
@@ -450,11 +456,7 @@ def parse_poset_table(text: str) -> FinitePoset:
 
 
 def _closed_table(elements: Sequence, pairs: set) -> FinitePoset:
-    """The table of the reflexive-transitive closure of pairs, by Warshall on bit rows.
-
-    Every element of a pair must be one of elements.  The first rows set
-    one bit per element and one per pair.
-    """
+    """The table whose rows close pairs of elements reflexively and transitively."""
     pos = {e: i for i, e in enumerate(elements)}
     rows = [1 << i for i in range(len(elements))]
     for a, b in pairs:
@@ -469,10 +471,7 @@ def _closed_rows_table(elements: Sequence, rows: list[int]) -> FinitePoset:
         for i, row in enumerate(rows):
             if row & bit:
                 rows[i] = row | rows[k]
-    closed = frozenset((a, elements[j]) for a, row in zip(elements, rows) for j in _bits(row))
-    table = FinitePoset(tuple(elements), closed)
-    vars(table).update(up=rows, down=_transpose(rows))  # fill the cached rows
-    return table
+    return FinitePoset(tuple(elements), tuple(rows))
 
 
 def format_poset_table(table: FinitePoset) -> str:

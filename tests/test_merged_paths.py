@@ -4,8 +4,9 @@ The replaced copies are kept here, verbatim in behaviour, as test oracles
 only: the DFS-and-set-difference prefix enumeration, the fixed-point pair
 closure, the pairwise repeat loops, the stand-alone QSeq validator, the
 concatenation-based evaluator of a lifted witness, the finite-table
-loops over ``leq`` that the bit rows replaced, and the subset-stage
-outputs that re-walked every stage.
+loops over ``leq`` that the bit rows replaced, the pair set a finite table
+kept beside its rows, and the subset-stage outputs that re-walked every
+stage.
 """
 
 import dataclasses
@@ -105,6 +106,21 @@ def prefix_enumeration_reference(x, extends_ok):
         return items[n]
 
     return enum
+
+
+def pairs_of(table):
+    """The pairs a table's rows hold, diagonal included: the pair set a
+    table once kept beside its rows."""
+    return frozenset((a, table.elements[j]) for a, row in zip(table.elements, table.up)
+                     for j in range(len(table.elements)) if row >> j & 1)
+
+
+def table_of(elems, pairs):
+    """The table of a relation as it stands, not closed: its rows hold the
+    pairs and the diagonal, as leq adds equality."""
+    return FinitePoset(tuple(elems), tuple(
+        sum(1 << j for j, b in enumerate(elems) if a == b or (a, b) in pairs)
+        for a in elems))
 
 
 def closure_reference(elements, pairs):
@@ -305,10 +321,12 @@ class TestClosure:
         elems, pairs = case
         table = _closed_table(elems, pairs)
         assert table.elements == tuple(elems)
-        assert table.leq_pairs == closure_reference(elems, pairs)
+        closed = closure_reference(elems, pairs)
+        assert pairs_of(table) == closed
         # the rows Warshall closed are the rows of the closed pairs
-        fresh = FinitePoset(table.elements, table.leq_pairs)
-        assert (table.up, table.down) == (fresh.up, fresh.down)
+        assert table == table_of(elems, closed)
+        assert table.down == [sum(1 << i for i, a in enumerate(elems) if (a, b) in closed)
+                              for b in elems]
 
     @settings(max_examples=60, deadline=None)
     @given(pair_sets())
@@ -319,14 +337,14 @@ class TestClosure:
         text += "".join(f"e{a} <= e{b}\n" for a, b in sorted(pairs))
         table = parse_poset_table(text)
         expect = closure_reference(names, {(f"e{a}", f"e{b}") for a, b in pairs})
-        assert table.leq_pairs == expect
+        assert pairs_of(table) == expect
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000), st.integers(0, 12))
     def test_random_poset_matches_fixed_point(self, seed, size):
         table = random_finite_poset(random.Random(seed), size)
         assert table.elements == tuple(range(size))
-        assert table.leq_pairs == random_poset_pairs_reference(random.Random(seed), size)
+        assert pairs_of(table) == random_poset_pairs_reference(random.Random(seed), size)
 
 
 class TestOracleStream:
@@ -521,7 +539,7 @@ def table_root_reference(table):
 
 def table_ups_reference(table):
     ups = {e: [e] for e in table.elements}
-    for a, b in table.leq_pairs:
+    for a, b in pairs_of(table):
         if a != b:
             ups.setdefault(a, [a]).append(b)
     return ups
@@ -530,7 +548,7 @@ def table_ups_reference(table):
 def format_poset_table_reference(table):
     lines = [f"elem {e}" for e in table.elements]
     order = {e: i for i, e in enumerate(table.elements)}
-    rels = sorted((a, b) for a, b in table.leq_pairs if a != b)
+    rels = sorted((a, b) for a, b in pairs_of(table) if a != b)
     lines += [f"{a} <= {b}" for a, b in sorted(rels, key=lambda ab: (order[ab[0]], order[ab[1]]))]
     return "\n".join(lines) + "\n"
 
@@ -676,7 +694,7 @@ def tables(draw):
     pairs = draw(st.sets(st.tuples(st.sampled_from(elems), st.sampled_from(elems)))
                  if size else st.just(set()))
     closed = draw(st.booleans())
-    return _closed_table(elems, pairs) if closed else FinitePoset(elems, frozenset(pairs))
+    return _closed_table(elems, pairs) if closed else table_of(elems, pairs)
 
 
 def subsets_of(draw, table):
@@ -685,7 +703,33 @@ def subsets_of(draw, table):
     return draw(st.sets(st.sampled_from(pool)))
 
 
+def leq_outcome(leq, a, b):
+    try:
+        return leq(a, b)
+    except TypeError as exc:
+        return TypeError, str(exc)
+
+
 class TestFiniteTables:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_leq_is_equality_or_a_pair(self, data):
+        """On closed and unclosed tables, and for codes outside them (an
+        unhashable one too), leq answers as the pair set it replaced."""
+        size = data.draw(st.integers(0, 6))
+        elems = tuple(range(size)) if data.draw(st.booleans()) else tuple(
+            f"e{i}" for i in range(size))
+        drawn = data.draw(st.sets(st.tuples(st.sampled_from(elems), st.sampled_from(elems)))
+                          if size else st.just(set()))
+        closed = data.draw(st.booleans())
+        table = _closed_table(elems, drawn) if closed else table_of(elems, drawn)
+        pairs = closure_reference(elems, drawn) if closed else frozenset(drawn)
+        codes = list(elems) + [FOREIGN, size, -1, True, None, (0,), [0]]
+        for a in codes:
+            for b in codes:
+                assert leq_outcome(table.leq, a, b) == leq_outcome(
+                    lambda a, b: a == b or (a, b) in pairs, a, b)
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_is_filter_matches_loops(self, data):
@@ -710,12 +754,16 @@ class TestFiniteTables:
         (d,) = table_dense_sets(table, [subset])
         for p in table.elements + (FOREIGN,):
             assert outcome(d.extend, p) == outcome(table_extend_reference, table, subset, p)
+        # an unhashable code is outside the table too, not a TypeError
+        assert outcome(d.extend, [0]) == (
+            BadExtender, f"no extension of [0] into {sorted(map(str, subset))}")
 
     @settings(max_examples=200, deadline=None)
     @given(tables())
     def test_presentation_and_text_match_loops(self, table):
         pres = table_poset(table)
         assert pres.root == table_root_reference(table)
+        assert not pres.carrier(FOREIGN) and not pres.carrier([0])
         ups = table_ups_reference(table)
         for q in table.elements:
             assert sorted(map(str, pres.above(q))) == sorted(map(str, ups[q]))
@@ -727,13 +775,15 @@ class TestFiniteTables:
     @settings(max_examples=500, deadline=None)
     @given(tables(), st.data())
     def test_poset_laws_match_loops(self, table, data):
-        # leq is the table's, or its bare relation with no reflexive pairs
-        # added; above lists the cones of the same table, of another
-        # relation's closure, or is absent; one element may fail the carrier
+        # leq is the table's, the pairs of its rows, or a bare relation with
+        # no reflexive pairs added; above lists the cones of the same table,
+        # of that relation's closure, or is absent; one element may fail the
+        # carrier
         elems = table.elements
-        leq = data.draw(st.sampled_from([table.leq, lambda a, b: (a, b) in table.leq_pairs]))
         pairs = data.draw(st.sets(st.tuples(st.sampled_from(elems), st.sampled_from(elems)))
                           if elems else st.just(set()))
+        leq = data.draw(st.sampled_from([table.leq, lambda a, b: (a, b) in pairs_of(table),
+                                         lambda a, b: (a, b) in pairs]))
         other = _closed_table(elems, pairs) if data.draw(st.booleans()) else table
         above = data.draw(st.sampled_from([None, table, other]))
         outside = data.draw(st.sampled_from(elems)) if elems and data.draw(

@@ -1,10 +1,14 @@
+import dataclasses
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forcelab.collapse import coll_poset, level_dense, nat_set
 from forcelab.errors import BadExtender, NotAChain, OracleLimit
@@ -13,6 +17,7 @@ from forcelab.posets import (
     FinitePoset,
     FinitePreorder,
     GammaPresentation,
+    _closed_table,
     brute_force_filter,
     check_poset_laws,
     filter_from_chain,
@@ -84,9 +89,15 @@ class TestFiniteTables:
 
     def test_format_lists_relations_in_element_order_without_sorting(self):
         # elements of different types cannot be sorted together
-        table = FinitePoset(("a", 1, "b"), frozenset({("a", 1), (1, "b"), ("a", "b")}))
+        table = FinitePoset(("a", 1, "b"), (0b111, 0b110, 0b100))
         assert format_poset_table(table) == (
             "elem a\nelem 1\nelem b\na <= 1\na <= b\n1 <= b\n")
+
+    @pytest.mark.parametrize("name", ["a<=b", "a <= b", "<=", "elem", "elem a", "elem a<=b"])
+    def test_parse_refuses_names_no_relation_line_can_name(self, name):
+        # "x <= y" with x one of these would read as another elem line
+        with pytest.raises(ValueError, match="cannot parse line"):
+            parse_poset_table(f"elem {name}\nelem c")
 
     def test_undeclared_element_error_independent_of_hash_seed(self):
         script = (
@@ -254,7 +265,7 @@ class TestDensityReports:
 
 class TestBruteForce:
     def test_disjoint_cones_have_no_filter(self):
-        antichain = FinitePoset(("a", "b", "c"), frozenset())
+        antichain = FinitePoset(("a", "b", "c"), (0b001, 0b010, 0b100))
         result = brute_force_filter(antichain, [{"a"}, {"b"}, {"c"}])
         assert result is None
 
@@ -263,7 +274,7 @@ class TestBruteForce:
         assert brute_force_filter(chain, [{"2"}]) == frozenset("012")
 
     def test_size_cap(self):
-        big = FinitePoset(tuple(range(21)), frozenset())
+        big = FinitePoset(tuple(range(21)), tuple(1 << i for i in range(21)))
         with pytest.raises(OracleLimit):
             brute_force_filter(big, [])
 
@@ -309,6 +320,96 @@ def test_random_dense_sets_fall_back_to_the_whole_carrier():
     assert random_dense_sets(Tails(), table, 3) == [frozenset(table.elements)] * 3
 
 
+NAMES = st.one_of(
+    st.text("ab <=\telm", min_size=1, max_size=6).map(str.strip).filter(bool),
+    st.sampled_from(["elem", "elem a", "elem\ta", "a<=b", "<", "=", " a", "a\nb", ""]))
+
+
+def readable(name):
+    """Whether parse_poset_table can read name back off a line of its own text."""
+    return (name.splitlines() == [name] and name == name.strip() and "<=" not in name
+            and name.partition(" ")[0] != "elem")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(NAMES, max_size=5, unique=True), st.data())
+def test_string_tables_read_back_or_are_refused(names, data):
+    """A closed table over stripped one-line names reads back from its own
+    text when every name is readable, and is refused as unparseable when one
+    is not; no text reads back as another table."""
+    pairs = data.draw(st.sets(st.tuples(st.sampled_from(names), st.sampled_from(names)))
+                      if names else st.just(set()))
+    table = _closed_table(names, pairs)
+    text = format_poset_table(table)
+    if all(map(readable, names)):
+        assert parse_poset_table(text) == table
+    elif all(n.splitlines() == [n] and n == n.strip() for n in names):
+        with pytest.raises(ValueError, match="cannot parse line"):
+            parse_poset_table(text)
+
+
+def test_random_dense_sets_draw_at_most_200_times():
+    """The 200th draw is still taken when dense, and no 201st is made."""
+
+    class Coins:
+        calls = 0
+
+        def random(self):
+            # two coins per draw: every draw leaves both elements out but
+            # the 200th, which takes "b", the least element
+            self.calls += 1
+            return 0.0 if self.calls == 400 else 0.99
+
+    coins = Coins()
+    table = parse_poset_table("elem a\nelem b\nb <= a")
+    assert random_dense_sets(coins, table, 2) == [frozenset("b"), frozenset("ab")]
+    assert coins.calls == 400
+
+
+class TestRowTables:
+    """A table is its elements and one reflexive int row per element."""
+
+    @pytest.mark.parametrize("up", [
+        (0b01,),                                   # too few rows
+        (0b01, 0b10, 0b100),                       # too many rows
+        [0b01, 0b10],                              # rows in a list
+        (0b01, "0b10"),                            # a row that is not an int
+        (0b01, 2.0),
+        (True, 0b10),                              # a bool is no row
+        (0b01, -0b10),                             # a negative row
+        (0b101, 0b10),                             # a bit past the elements
+        (0b10, 0b10),                              # a row without its own bit
+        frozenset({("a", "b"), ("b", "a")}),       # a pair set of the right size
+    ])
+    def test_malformed_rows_are_refused(self, up):
+        with pytest.raises(ValueError, match="reflexive int rows"):
+            FinitePoset(("a", "b"), up)
+
+    def test_empty_pair_set_and_duplicate_elements_are_refused(self):
+        with pytest.raises(ValueError):
+            FinitePoset((), frozenset())
+        with pytest.raises(ValueError, match="2 distinct elements"):
+            FinitePoset(("a", "a"), (0b01, 0b10))
+        with pytest.raises(ValueError):
+            FinitePoset((1, True), (0b01, 0b10))  # equal codes
+
+    def test_fields_equality_and_hash_read_elements_and_rows(self):
+        assert [f.name for f in dataclasses.fields(FinitePoset)] == ["elements", "up"]
+        a = FinitePoset(("a", "b"), (0b11, 0b10))
+        b = parse_poset_table("elem a\nelem b\na <= b")
+        assert a == b and hash(a) == hash(b)
+        assert a != FinitePoset(("a", "b"), (0b01, 0b10))
+        assert a.down == [0b01, 0b11]
+
+    def test_leq_reads_the_rows_and_adds_equality(self):
+        t = FinitePoset(("a", 1, "b"), (0b111, 0b110, 0b100))
+        assert t.leq("a", "b") and t.leq(1, "b") and t.leq(True, "b")
+        assert not t.leq("b", "a") and not t.leq("b", "x") and not t.leq("x", "a")
+        assert t.leq("x", "x") and t.leq([0], [0])
+        with pytest.raises(TypeError):
+            t.leq("x", [0])
+
+
 class TestRunTraceJson:
     def test_schema(self, seven):
         p = table_poset(seven)
@@ -342,6 +443,12 @@ class TestGamma:
         report = gamma_check(GammaPresentation("one", levels), 5)
         assert report.ok
         assert report.size_profile == (2, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize("pair", [("z", "a"), ("a", "z")])
+    def test_pair_outside_the_level_is_refused(self, pair):
+        level = FinitePreorder(("a",), frozenset({("a", "a"), pair}))
+        with pytest.raises(ValueError, match=re.escape(f"relates {pair!r} outside")):
+            gamma_check(GammaPresentation("foreign", lambda n: level), 1)
 
     def test_non_transitive_triple_rejected(self):
         level = FinitePreorder(
