@@ -437,6 +437,8 @@ def parse_poset_table(text: str) -> FinitePoset:
     pairs: list = []
     for raw in text.splitlines():
         line = raw.strip()
+        if not line:
+            continue
         if line.startswith("elem "):
             name = line[5:].strip()
             if "<=" in name or name.partition(" ")[0] == "elem":
@@ -445,8 +447,9 @@ def parse_poset_table(text: str) -> FinitePoset:
                 raise ValueError(f"duplicate element {name!r}")
             elements.append(name)
         elif "<=" in line:
-            pairs.append(tuple(s.strip() for s in line.split("<=", 1)))
-        elif line:
+            a, b = (s.strip() for s in line.split("<=", 1))
+            pairs.append((a, b))
+        else:
             raise ValueError(f"cannot parse line {raw!r}")
     for a, b in pairs:
         if a not in elements or b not in elements:
@@ -456,7 +459,11 @@ def parse_poset_table(text: str) -> FinitePoset:
 
 
 def _closed_table(elements: Sequence, pairs: set) -> FinitePoset:
-    """The table whose rows close pairs of elements reflexively and transitively."""
+    """The table whose rows are the reflexive-transitive closure of pairs, by Warshall.
+
+    Every element of a pair must be one of elements.  The first rows set
+    one bit per element and one per pair.
+    """
     pos = {e: i for i, e in enumerate(elements)}
     rows = [1 << i for i in range(len(elements))]
     for a, b in pairs:

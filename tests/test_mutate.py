@@ -12,8 +12,9 @@ mutate = sys.modules.setdefault(_spec.name, importlib.util.module_from_spec(_spe
 _spec.loader.exec_module(mutate)
 
 SOURCE = '''\
-def kept(x: int = 0) -> int:  # annotations are not mutated
-    return x
+def kept(x: 1 < 2 = 0) -> 3 | 4:  # only the default is a site
+    y: 5 + 6 = x
+    return y
 
 
 def f(a, b):
@@ -25,54 +26,46 @@ def f(a, b):
     return b
 '''
 
+# f with each site changed, in the order the sites are numbered
+EXPECTED = [
+    (8, "boolop", "or", "and", lambda a, b: b ^ a),
+    (8, "compare", "in", "not in", lambda a, b: (a < b) and a + 3 | b if a not in range(b)
+     else b ^ a),
+    (9, "compare", "is", "is not", lambda a, b: (a < b) and a + 3 | b),
+    (10, "boolop", "and", "or", lambda a, b: (a < b) or a + 3 | b if a in range(b) else b ^ a),
+    (10, "compare", "<", ">=", lambda a, b: (a >= b) and a + 3 | b if a in range(b) else b ^ a),
+    (10, "binop", "|", "&", lambda a, b: (a < b) and a + 3 & b if a in range(b) else b ^ a),
+    (10, "binop", "+", "-", lambda a, b: (a < b) and a - 3 | b if a in range(b) else b ^ a),
+    (10, "const", "3", "4", lambda a, b: (a < b) and a + 4 | b if a in range(b) else b ^ a),
+    (11, "binop", "^=", "|=", lambda a, b: (a < b) and a + 3 | b if a in range(b) else b | a),
+]
+CASES = [(a, b) for a in (0, 1, 2, 5) for b in (0, 1, 3, 6)]
 
-def run(source, a, b):
+
+def load(source, name):
     space = {}
     exec(source, space)
-    return space["f"](a, b)
+    return space[name]
 
 
-def test_each_operator_mutates_one_site():
+def test_each_operator_changes_one_site():
     found = mutate.mutants(SOURCE, "f")
-    assert [(m.line, m.operator, m.old, m.new) for m in found] == [
-        (7, "compare", "in", "not in"),
-        (7, "boolop", "or", "and"),
-        (8, "compare", "is", "is not"),
-        (9, "compare", "<", ">="),
-        (9, "boolop", "and", "or"),
-        (9, "binop", "+", "-"),
-        (9, "const", "3", "4"),
-        (9, "binop", "|", "&"),
-        (10, "binop", "^=", "|="),
-    ]
-    for m in found:
-        # one site changed, the comments and every other line kept
-        changed = [(x, y) for x, y in zip(SOURCE.splitlines(), m.source.splitlines()) if x != y]
-        assert len(changed) == 1 and changed[0][0].count("#") == changed[0][1].count("#")
-    by_site = {(m.line, m.old): m.source for m in found}
-    assert "(a not in range(b) or  # or\n" in by_site[7, "in"]
-    assert "(a in range(b) and  # or\n" in by_site[7, "or"]
-    assert "            a is not None):" in by_site[8, "is"]
-    assert "return (a >= b) and a + 3 | b" in by_site[9, "<"]
-    assert "return (a < b) or a + 3 | b" in by_site[9, "and"]
-    assert "return (a < b) and a - 3 | b" in by_site[9, "+"]
-    assert "return (a < b) and a + 4 | b" in by_site[9, "3"]
-    assert "return (a < b) and a + 3 & b" in by_site[9, "|"]
-    assert "    b |= a\n" in by_site[10, "^="]
-    # every mutant is a program that answers differently somewhere
-    cases = [(a, b) for a in (0, 1, 2, 5) for b in (0, 1, 3, 6)]
-    for m in found:
-        assert any(run(m.source, a, b) != run(SOURCE, a, b) for a, b in cases), m
+    assert [(m.line, m.operator, m.old, m.new) for m in found] == [e[:4] for e in EXPECTED]
+    original = load(SOURCE, "f")
+    for m, (*_, expected) in zip(found, EXPECTED):
+        f = load(m.source, "f")
+        assert [f(a, b) for a, b in CASES] == [expected(a, b) for a, b in CASES], m
+        assert any(f(a, b) != original(a, b) for a, b in CASES), m
 
 
-def test_whole_text_and_a_missing_start():
-    # kept() adds its default, and nothing of its annotations
-    assert [m.old for m in mutate.mutants(SOURCE)][:2] == ["0", "in"]
-    assert len(mutate.mutants(SOURCE)) == 10
-    assert mutate.mutants("x = -1 << 2\n") == [
-        mutate.Mutant(1, "const", "1", "2", "x = -2 << 2\n"),
-        mutate.Mutant(1, "binop", "<<", ">>", "x = -1 >> 2\n"),
-        mutate.Mutant(1, "const", "2", "3", "x = -1 << 3\n"),
-    ]
+def test_annotations_whole_text_and_a_missing_start():
+    kept = mutate.mutants(SOURCE, "kept")
+    assert [(m.line, m.operator, m.old, m.new) for m in kept[:1]] == [(1, "const", "0", "1")]
+    assert load(kept[0].source, "kept")() == 1
+    assert len(kept) == len(mutate.mutants(SOURCE)) == 1 + len(EXPECTED)
+    # operands over a backslash continuation
+    values = [load(m.source + "\ndef get():\n    return x\n", "get")()
+              for m in mutate.mutants("x = -1 \\\n    << 2\n")]
+    assert values == [-1 >> 2, -2 << 2, -1 << 3]
     with pytest.raises(ValueError, match="named 'absent'"):
         mutate.mutants(SOURCE, "absent")

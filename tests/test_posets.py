@@ -81,6 +81,9 @@ class TestFiniteTables:
             parse_poset_table("what is this")
         with pytest.raises(ValueError, match="duplicate element 'a'"):
             parse_poset_table("elem a\nelem b\nelem a")
+        # a relation line splits at its first "<=" only
+        with pytest.raises(ValueError, match="relation 'a' <= 'b <= a' uses undeclared"):
+            parse_poset_table("elem a\nelem b\na <= b <= a")
 
     def test_presentation_laws(self, seven):
         p = table_poset(seven)

@@ -8,11 +8,14 @@ Each mutant changes one site of a module by one of four operators:
 - ``const``: add 1 to an int constant;
 - ``binop``: swap an arithmetic or bit operator, augmented assignments too.
 
-The edit is made in the source text, so the rest of the file (comments and
-line numbers included) stays as it was.  Type annotations are not mutated.
-A mutant survives when the tests still pass on it.  A run that takes three
-times as long as on the unmutated code (and at least 60 s) is stopped and
-counted as a timeout; each run may use 2 GiB of address space.  Usage::
+The sites are numbered in the module's syntax tree; a mutant is the tree
+with one site changed, written back out by ``ast.unparse`` (so without
+comments).  Type annotations are not mutated.  The unmutated tree, written
+out the same way, must pass the tests first.  A mutant survives when the
+tests still pass on it.  A run that takes three times as long as the
+unmutated one (and at least 60 s) is stopped and counted as a timeout;
+each run may use 2 GiB of address space, and starts with no Hypothesis
+example database.  Usage::
 
     python tools/mutate.py src/forcelab/posets.py --from FinitePoset \\
         tests/test_posets.py tests/test_merged_paths.py
@@ -27,10 +30,7 @@ from __future__ import annotations
 
 import argparse
 import ast
-import bisect
-import json
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -68,59 +68,42 @@ class Mutant:
     source: str
 
 
-def _pattern(text: str) -> str:
-    """A regex for an operator's text: words whole, spaces any whitespace.
-
-    It is searched for between two operands, where it is the only operator.
-    """
-    if text[0].isalpha():
-        return r"\b" + r"\s+".join(text.split()) + r"\b"
-    return re.escape(text)
-
-
 class _Sites(ast.NodeVisitor):
-    """Collect (operator, byte span, old text, new text) per site."""
+    """Number the sites in visiting order, and change the one numbered target."""
 
-    def __init__(self, offsets: list[int], data: bytes):
-        self.offsets, self.data, self.sites = offsets, data, []
+    def __init__(self, target: int = -1):
+        self.target, self.found = target, []
 
-    def at(self, line: int, col: int) -> int:
-        return self.offsets[line - 1] + col
+    def site(self, node, operator: str, old: str, new: str) -> bool:
+        self.found.append((node.lineno, operator, old, new))
+        return len(self.found) - 1 == self.target
 
-    def op_between(self, kind, left, right, op, suffix=""):
-        """The site of op, found in the text between its two operands."""
-        start = self.at(left.end_lineno, left.end_col_offset)
-        gap = self.data[start:self.at(right.lineno, right.col_offset)].decode()
-        code = re.sub(r"#[^\n]*", lambda m: " " * len(m.group()), gap)
-        found = re.search(_pattern(_TEXT[type(op)] + suffix), code)
-        lo, hi = start + len(gap[:found.start()].encode()), start + len(gap[:found.end()].encode())
-        self.sites.append((kind, lo, hi, found.group(), _TEXT[_SWAPS[type(op)]] + suffix))
+    def swap(self, node, operator: str, suffix: str = ""):
+        op = type(node.op)
+        if op in _SWAPS and self.site(node, operator, _TEXT[op] + suffix,
+                                      _TEXT[_SWAPS[op]] + suffix):
+            node.op = _SWAPS[op]()
+        self.generic_visit(node)
 
     def visit_Compare(self, node):
-        for left, op, right in zip([node.left, *node.comparators], node.ops, node.comparators):
-            self.op_between("compare", left, right, op)
+        for k, op in enumerate(map(type, node.ops)):
+            if self.site(node, "compare", _TEXT[op], _TEXT[_SWAPS[op]]):
+                node.ops[k] = _SWAPS[op]()
         self.generic_visit(node)
 
     def visit_BoolOp(self, node):
-        for left, right in zip(node.values, node.values[1:]):
-            self.op_between("boolop", left, right, node.op)
-        self.generic_visit(node)
+        self.swap(node, "boolop")
 
     def visit_BinOp(self, node):
-        if type(node.op) in _SWAPS:
-            self.op_between("binop", node.left, node.right, node.op)
-        self.generic_visit(node)
+        self.swap(node, "binop")
 
     def visit_AugAssign(self, node):
-        if type(node.op) in _SWAPS:
-            self.op_between("binop", node.target, node.value, node.op, "=")
-        self.generic_visit(node)
+        self.swap(node, "binop", "=")
 
     def visit_Constant(self, node):
-        if type(node.value) is int:
-            lo, hi = (self.at(node.lineno, node.col_offset),
-                      self.at(node.end_lineno, node.end_col_offset))
-            self.sites.append(("const", lo, hi, self.data[lo:hi].decode(), str(node.value + 1)))
+        if type(node.value) is int and self.site(node, "const", str(node.value),
+                                                 str(node.value + 1)):
+            node.value += 1
 
     def visit_arg(self, node):
         pass  # an annotation only
@@ -138,8 +121,9 @@ class _Sites(ast.NodeVisitor):
 
 
 def mutants(source: str, start: str | None = None) -> list[Mutant]:
-    """Every mutant of source, in text order, from the top-level definition
-    named start (its decorators included) to the end, or of the whole text."""
+    """Every mutant of source, in visiting order, from the top-level
+    definition named start (its decorators included) to the end, or of the
+    whole text."""
     tree = ast.parse(source)
     first = 1
     if start is not None:
@@ -148,16 +132,15 @@ def mutants(source: str, start: str | None = None) -> list[Mutant]:
             raise ValueError(f"no single top-level definition named {start!r}")
         node = named[0]
         first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-    data = source.encode()
-    offsets, total = [], 0
-    for line in data.splitlines(keepends=True):
-        offsets.append(total)
-        total += len(line)
-    sites = _Sites(offsets, data)
+    sites = _Sites()
     sites.visit(tree)
-    return [Mutant(line, kind, old, new, (data[:lo] + new.encode() + data[hi:]).decode())
-            for kind, lo, hi, old, new in sorted(sites.sites, key=lambda s: s[1])
-            for line in [bisect.bisect_right(offsets, lo)] if line >= first]
+    out = []
+    for k, (line, operator, old, new) in enumerate(sites.found):
+        if line >= first:
+            tree = ast.parse(source)
+            _Sites(k).visit(tree)
+            out.append(Mutant(line, operator, old, new, ast.unparse(tree)))
+    return out
 
 
 # A mutant may loop and grow, so each test run caps its own address space
@@ -177,6 +160,9 @@ def _run_tests(work: Path, tests: list[str], timeout: float | None) -> tuple[str
         verdict = "survived" if done.returncode == 0 else "killed"
     except subprocess.TimeoutExpired:
         verdict = "timeout"
+    finally:
+        # an example saved on one run would be replayed first on the next
+        shutil.rmtree(work / ".hypothesis", ignore_errors=True)
     return verdict, time.perf_counter() - began
 
 
@@ -188,7 +174,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--only", help="comma-separated mutant numbers to run")
     ap.add_argument("--list", action="store_true", help="list the mutants and stop")
     ap.add_argument("--jobs", type=int, default=1, help="mutants run at once")
-    ap.add_argument("--json", help="write every result to this file")
     args = ap.parse_intermixed_args(argv)
 
     module = Path(args.module).resolve()
@@ -206,42 +191,39 @@ def main(argv: list[str] | None = None) -> int:
 
     scratch = Path(tempfile.mkdtemp(prefix="mutate-"))
     works: Queue = Queue()
+    target = module.relative_to(repo)
     try:
         for j in range(max(1, args.jobs)):
             work = scratch / str(j)
             shutil.copytree(repo, work, ignore=shutil.ignore_patterns(
                 ".git", "__pycache__", ".hypothesis", ".pytest_cache"))
+            (work / target).write_text(ast.unparse(ast.parse(original)))
             works.put(work)
         baseline, took = _run_tests(scratch / "0", args.tests, None)
         if baseline != "survived":
             print("the tests fail on the unmutated code", file=sys.stderr)
             return 2
         limit = max(60.0, 3 * took)
-        target = module.relative_to(repo)
 
-        def run(item):
+        def run(item) -> str:
             k, m = item
             work = works.get()
             try:
                 (work / target).write_text(m.source)
                 verdict, secs = _run_tests(work, args.tests, limit)
             finally:
-                (work / target).write_text(original)
                 works.put(work)
             print(f"{k:4d} {verdict:8s} {name}:{m.line} {m.operator} {m.old!r} -> {m.new!r}"
                   f" ({secs:.1f} s)", flush=True)
-            return {"id": k, "line": m.line, "operator": m.operator, "old": m.old,
-                    "new": m.new, "verdict": verdict}
+            return verdict
 
         with ThreadPoolExecutor(max(1, args.jobs)) as pool:
-            results = list(pool.map(run, found))
+            verdicts = list(pool.map(run, found))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    survivors = [r for r in results if r["verdict"] == "survived"]
-    print(f"{len(results)} mutants, {len(survivors)} survived: "
-          + (",".join(str(r["id"]) for r in survivors) or "none"))
-    if args.json:
-        Path(args.json).write_text(json.dumps(results, indent=2) + "\n")
+    survivors = [str(k) for (k, _), v in zip(found, verdicts) if v == "survived"]
+    print(f"{len(found)} mutants, {len(survivors)} survived: "
+          + (",".join(survivors) or "none"))
     return 0
 
 
