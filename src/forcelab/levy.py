@@ -65,7 +65,9 @@ class OmegaLayer:
     ``(runs, d)`` drops the ranks in ``runs``, keeps those whose low d bits
     are all ones and shifts them right by d (d layers with no runs between).
     A lookup costs O(levels with runs * runs), O(1) interpreted steps on
-    the standard ladders, where ``below`` is one pair.
+    the standard ladders, where ``below`` is one pair.  ``below`` determines
+    the base, so layers compare and hash by it: one flat tuple, with no
+    walk down the chain of layers.
     """
 
     def __init__(self, base: "IndexUsage"):
@@ -75,6 +77,14 @@ class OmegaLayer:
             self.below = below[:-1] + ((below[-1][0], below[-1][1] + 1),)
         else:
             self.below = below + ((base.taken, 1),)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OmegaLayer):
+            return NotImplemented
+        return self.below == other.below
+
+    def __hash__(self) -> int:
+        return hash(self.below)
 
     def contains(self, k: int) -> bool:
         rank = self.base.fresh_rank(k)

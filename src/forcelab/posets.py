@@ -530,7 +530,7 @@ def check_poset_laws(p: PosetPresentation, n: int) -> list[int]:
         for i, a in enumerate(frag):
             wrong = rows[i] ^ sum(1 << j for j in set(map(pos.get, p.above(a))) - {None})
             if wrong:
-                b = frag[(wrong & -wrong).bit_length() - 1]
+                b = frag[next(_bits(wrong))]
                 raise AssertionError(
                     f"above({a!r}) and leq disagree on {b!r}")
     return rows
@@ -586,7 +586,7 @@ def table_dense_sets(table: FinitePoset, subsets: Sequence[Iterable]) -> list[De
             below = m & table.down[table.elements.index(p)] if p in table.elements else 0
             if not below:
                 raise BadExtender(f"no extension of {p!r} into {sorted(map(str, s))}")
-            return table.elements[(below & -below).bit_length() - 1]
+            return table.elements[next(_bits(below))]
 
         out.append(DenseSet(f"D{i}", lambda q, s=s: q in s, extend))
     return out
@@ -683,7 +683,7 @@ def gamma_check(g: GammaPresentation, depth: int) -> GammaReport:
             for j in _bits(row):
                 missing = rows[j] & ~row
                 if missing:
-                    d = (missing & -missing).bit_length() - 1
+                    d = next(_bits(missing))
                     return GammaReport(False, tuple(sizes), PreorderViolation(
                         lv, "not-a-preorder", (elems[i], elems[j], elems[d])))
         if not g.shared_codes:

@@ -5,8 +5,8 @@ predecessor property.
 A subset-stage condition records, stage by stage, the set of values seen so
 far; each stage adds exactly one new element.  Reading off the new element
 per stage recovers the injective sequence, and both directions preserve the
-extension order.  A subset-stage condition keeps its injective sequence,
-checked once when it is built, and makes a stage only when one is read, so
+extension order.  So a subset-stage condition is its injective sequence,
+checked once when it is built, and builds its stages when they are read;
 neither direction repeats that check.
 """
 
@@ -22,63 +22,23 @@ from .errors import NotAQSeq, NotInLambda
 from .posets import Code, PosetPresentation, _bits, _transpose, check_poset_laws, extends
 
 
-class Stages(collections.abc.Sequence):
-    """The subset stages of an injective sequence: stage i is
-    ``frozenset(seq.items[:i+1])``, made when it is read.
-
-    It keeps the ``InjSeq`` it is built from, which checked itself, so a
-    ``Stages`` is a valid stage sequence from the start and ``seq`` reads
-    the sequence back.  It compares and hashes as the tuple of frozensets
-    it stands for; a slice is a tuple of frozensets.
-    """
-
-    __slots__ = ("seq",)
-
-    def __init__(self, seq: InjSeq):
-        self.seq = seq
-
-    def __len__(self) -> int:
-        return len(self.seq.items)
-
-    def __getitem__(self, i):
-        items = self.seq.items
-        if type(i) is slice:
-            return tuple(map(self.__getitem__, range(len(items))[i]))
-        items[i]  # raises as the same index into a tuple would
-        return frozenset(items[:i % len(items) + 1])
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Stages):
-            return self.seq.items == other.seq.items
-        if not isinstance(other, tuple):
-            return NotImplemented
-        return len(other) == len(self.seq.items) and tuple(self) == other
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QSeq:
     """A finite sequence of finite sets, each adding exactly one new element.
 
-    ``stages`` is always a ``Stages``.  Stages of any other type are read
-    once, when the ``QSeq`` is built: the unique new element of each is
-    taken, and a stage that is not a set, or does not add exactly one
-    element, raises ``NotAQSeq`` naming it.
+    The condition is ``seq``, the injective sequence of the new elements,
+    checked once when the ``QSeq`` is built: the unique new element of each
+    stage is taken, and a stage that is not a set, or does not add exactly
+    one element, raises ``NotAQSeq`` naming it.  ``stages`` builds the
+    stages from ``seq`` each time it is read.
     """
 
-    stages: Sequence
+    seq: InjSeq
 
-    def __post_init__(self):
-        if type(self.stages) is Stages:
-            return
+    def __init__(self, stages: Sequence):
         values = []
         seen: frozenset = frozenset()
-        for i, stage in enumerate(self.stages):
+        for i, stage in enumerate(stages):
             if not isinstance(stage, collections.abc.Set):
                 raise NotAQSeq(f"stage {i} is a {type(stage).__name__}, not a set",
                                stage=i)
@@ -90,17 +50,29 @@ class QSeq:
                                stage=i)
             values.append(next(iter(new)))
             seen = stage
-        object.__setattr__(self, "stages", Stages(InjSeq(values)))
+        _set_field(self, "seq", InjSeq(values))
+
+    @property
+    def stages(self) -> tuple:
+        """Stage i is ``frozenset(seq.items[:i+1])``."""
+        items = self.seq.items
+        return tuple(frozenset(items[:i + 1]) for i in range(len(items)))
+
+
+_new_qseq = object.__new__
+_set_field = object.__setattr__  # past the frozen ``__setattr__``
 
 
 def coll_to_q(f: InjSeq) -> QSeq:
     """Stage i collects the first i+1 values of the injective sequence."""
-    return QSeq(Stages(f))
+    t = _new_qseq(QSeq)
+    _set_field(t, "seq", f)
+    return t
 
 
 def q_to_coll(t: QSeq) -> InjSeq:
-    """The unique new element of each stage: the sequence its stages hold."""
-    return t.stages.seq
+    """The unique new element of each stage: the sequence the condition is."""
+    return t.seq
 
 
 def q_extends(t_longer: QSeq, t_shorter: QSeq) -> bool:
@@ -244,10 +216,9 @@ def q_into_lambda(x: CountableSet, t: QSeq) -> tuple:
     condition comes back as the tuple of its stages.  The ``QSeq`` checked
     that growth when built, so x is asked only whether it holds each item.
     """
-    stages = tuple(t.stages)
     if not all(map(x.contains, q_to_coll(t).items)):
-        raise NotInLambda(f"stages {stages!r} are not in tree(finite-subsets({x.name}))")
-    return stages
+        raise NotInLambda(f"stages {t.stages!r} are not in tree(finite-subsets({x.name}))")
+    return t.stages
 
 
 def qseq_json(x: CountableSet, t: QSeq) -> dict:

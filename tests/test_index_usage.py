@@ -328,6 +328,10 @@ class TestComposition:
         u = IndexUsage().with_explicit((0, 2))
         same = IndexUsage().with_explicit((2, 0))  # equal in value, not identity
         assert u.with_layer(OmegaLayer(same)).least_fresh() == 3
+        u, v = (IndexUsage().with_layer(OmegaLayer(IndexUsage())) for _ in range(2))
+        assert u == v and hash(u) == hash(v)  # layered: equal in value, not identity
+        assert u.with_layer(OmegaLayer(v)) == v.with_layer(OmegaLayer(u))
+        assert OmegaLayer(u) != OmegaLayer(u.with_explicit((1,)))
 
     def test_layer_block_over_a_foreign_base_is_bad_block(self):
         nat = nat_set()
@@ -345,6 +349,30 @@ class TestComposition:
         g = levy_lift(standard_cofinal(Ordinal.omega(2)), f, builder=foreign_layer)
         with pytest.raises(BadBlock):
             g.at(0)
+
+    def test_layer_block_over_an_equal_copy_is_accepted(self):
+        """A layer over a usage rebuilt with new layer objects lies over
+        the prefix's usage: layers compare by value."""
+        nat = nat_set()
+        standard = standard_block_builder(nat)
+
+        def rebuilt(u):
+            layer = OmegaLayer(rebuilt(u.layer.base)) if u.layer is not None else None
+            return IndexUsage(layer, u.taken)
+
+        def copied_layer(gamma, f_, prefix):
+            if gamma != OMEGA:
+                return standard(gamma, f_, prefix)
+            usage = rebuilt(prefix.usage)
+            layer = OmegaLayer(usage)
+            seq = TransfiniteSeq(OMEGA, lambda j: nat.enum(layer.nth_index(j.to_int())))
+            return BuiltBlock(seq, usage.with_layer(layer), layer=layer)
+
+        cof = standard_cofinal(parse_cnf("w^2"))
+        g = levy_lift(cof, transfinite_f_seq(nat), builder=copied_layer)
+        h = levy_lift(cof, transfinite_f_seq(nat))
+        for p in map(parse_cnf, ("5", "w*1 + 5", "w*3 + 5")):
+            assert g.at(p) == h.at(p) and g.restrict(p).usage == h.restrict(p).usage
 
 
 class TestRestrictions:

@@ -3,8 +3,9 @@ copy.
 
 Each example builds images of a few injective sequences: two prefixes of
 one sequence, an unrelated sequence, and the image rebuilt from a read-back
-(a second ``Stages`` over the same sequence).  Every stage an image gives,
-by index, iteration or slice, is a frozenset, and every image is compared
+(a second image of the same sequence).  An image's stages are a tuple, and
+every stage it gives, by index, iteration or slice, is a frozenset; every
+image is compared
 with ``QSeq(tuple(map(frozenset, t.stages)))``, the same stages read through
 the checked path when the ``QSeq`` is built, under the qtree functions that
 read stages.
@@ -20,7 +21,6 @@ from forcelab.collapse import InjSeq, nat_set
 from forcelab.errors import NotAQSeq, NotInjective
 from forcelab.qtree import (
     QSeq,
-    Stages,
     coll_to_q,
     q_extends,
     q_into_lambda,
@@ -59,7 +59,7 @@ def images(draw):
 def test_images_read_like_their_frozenset_copies(ts):
     for t in ts:
         copy = frozen(t)
-        assert type(t.stages) is Stages
+        assert type(t.stages) is tuple
         assert t.stages == copy.stages and copy.stages == t.stages and t == copy
         assert t.stages != list(copy.stages) and list(copy.stages) != t.stages
         other = tuple(s | {-1} for s in copy.stages)  # same length, other contents
@@ -75,7 +75,7 @@ def test_images_read_like_their_frozenset_copies(ts):
         assert all(type(s) is frozenset for s in t.stages[1:-1] + t.stages[::2])
         with pytest.raises(IndexError):
             t.stages[len(copy.stages)]
-        assert type(copy.stages) is Stages and q_to_coll(t) == q_to_coll(copy)
+        assert type(copy.stages) is tuple and q_to_coll(t) == q_to_coll(copy)
         assert q_into_lambda(NAT, t) == q_into_lambda(NAT, copy)
         assert qseq_json(NAT, t) == qseq_json(NAT, copy)
     for g, f in itertools.product(ts, repeat=2):
@@ -92,12 +92,12 @@ STAGE_LISTS = st.lists(st.frozensets(st.integers(0, 5), max_size=4), max_size=6)
 def test_views_of_other_tuples_take_the_checked_path(stages):
     """Stages read off other images, one image each, raise what the same
     frozensets raise; stages that pass build the image of their items."""
-    views = tuple(Stages(InjSeq(s))[-1] if s else s for s in stages)
+    views = tuple(coll_to_q(InjSeq(s)).stages[-1] if s else s for s in stages)
     t = outcome(QSeq, stages)
     assert outcome(QSeq, views) == t
     if isinstance(t, QSeq):
         image = coll_to_q(InjSeq(q_to_coll(t).items))
-        assert type(t.stages) is Stages
+        assert type(t.stages) is tuple
         assert t == image and image == t and hash(t) == hash(image)
 
 
@@ -106,7 +106,7 @@ def test_views_of_other_tuples_take_the_checked_path(stages):
 def test_checked_stages_equal_the_image_of_their_items(codes, kind):
     t = QSeq(kind(frozenset(codes[:i + 1]) for i in range(len(codes))))
     image = coll_to_q(InjSeq(codes))
-    assert type(t.stages) is Stages
+    assert type(t.stages) is tuple
     assert t == image and image == t and hash(t) == hash(image)
     assert q_to_coll(t) == q_to_coll(image) == InjSeq(codes)
 

@@ -248,15 +248,18 @@ def test_qtree_isomorphism_grows_linearly():
     """Stages built as one new frozenset each made a round trip 4.8x and
     4.7x slower per doubling from L = 250 to 1000 (0.93, 4.4 and 20.9 ms),
     ``q_extends`` on two equal images 5.8x and 3.0x, and ``coll_to_q``'s
-    peak memory 3.9x and 4.0x (1.3, 5.3 and 20.8 MiB).  Views of one
-    checked tuple leave at most 2.3x per doubling.  Timed as
+    peak memory 3.9x and 4.0x (1.3, 5.3 and 20.8 MiB).  Hashing a fresh
+    image through a view that hashed its stages took 7.6x and 4.3x (1.1,
+    8.0 and 34.6 ms).  An image that is its checked sequence leaves at
+    most 2.3x per doubling.  Timed as
     ``test_run_time_grows_linearly`` but fastest of seven, each a loop of
     200 calls; the tracemalloc peak repeats exactly."""
     images, best, peaks = {}, {}, {}
     for n in (250, 1000):
         f = InjSeq(tuple(range(10**6, 10**6 + n)))
         images[n] = qtree.coll_to_q(f), qtree.coll_to_q(InjSeq(tuple(f.items)))
-        best[n] = {"roundtrip": float("inf"), "q_extends": float("inf")}
+        best[n] = {"roundtrip": float("inf"), "q_extends": float("inf"),
+                   "hash": float("inf")}
         tracemalloc.start()
         try:
             qtree.coll_to_q(f)
@@ -277,9 +280,13 @@ def test_qtree_isomorphism_grows_linearly():
                 for _ in range(200):
                     qtree.q_extends(t, u)
                 best[n]["q_extends"] = min(best[n]["q_extends"], time.perf_counter() - start)
+                start = time.perf_counter()
+                for _ in range(200):
+                    hash(qtree.coll_to_q(f))
+                best[n]["hash"] = min(best[n]["hash"], time.perf_counter() - start)
     finally:
         gc.unfreeze()
-    for name in ("roundtrip", "q_extends"):
+    for name in ("roundtrip", "q_extends", "hash"):
         assert best[1000][name] / best[250][name] < 2.3 ** 2, name
     assert peaks[1000] <= 2.3 ** 2 * peaks[250]
 
