@@ -36,6 +36,11 @@ from .ordinals import (
     ord_sub_left,
 )
 
+# Per-block values are built past the frozen ``__init__``, as ``Ordinal._of``
+# builds an Ordinal; no dataclass here has a ``__post_init__`` to skip.
+_new, _set_field = object.__new__, object.__setattr__
+
+
 # ---------------------------------------------------------------------------
 # structural bookkeeping of consumed enumeration indices
 # ---------------------------------------------------------------------------
@@ -43,6 +48,8 @@ from .ordinals import (
 
 def _skip_taken(taken: tuple, n: int) -> int:
     """The n-th (from 0) natural outside the runs ``taken``, by bisection."""
+    if len(taken) <= 2:  # at most one run: no prefix sums to build
+        return n + taken[1] - taken[0] if taken and n >= taken[0] else n
     # the naturals below each run's start that no run takes
     free = list(accumulate(map(sub, taken[::2], (0,) + taken[1::2])))
     i = 2 * bisect_right(free, n)  # the runs below the answer end at taken[i - 1]
@@ -130,8 +137,8 @@ class IndexUsage:
             return k
         return _rank_outside(self.taken, k)
 
-    def nth_fresh(self, n: int) -> int:
-        """The n-th (from 0) fresh index in increasing order."""
+    def nth_fresh(self, n: int = 0) -> int:
+        """The n-th (from 0) fresh index in increasing order; the least by default."""
         if self.taken:
             n = _skip_taken(self.taken, n)
         for runs, d in reversed(self.layer.below) if self.layer is not None else ():
@@ -140,11 +147,12 @@ class IndexUsage:
                 n = _skip_taken(runs, n)
         return n
 
-    def contains(self, k: int) -> bool:
-        return self.fresh_rank(k) is None
+    least_fresh = nth_fresh
 
-    def least_fresh(self) -> int:
-        return self.nth_fresh(0)
+    def contains(self, k: int) -> bool:
+        """Whether k is consumed: outside the level space, or in a run."""
+        k = self._level_rank(k)
+        return k is None or bisect_right(self.taken, k) & 1 == 1
 
     def with_fresh(self, ranks) -> "IndexUsage":
         """Also consume the fresh indices at the given fresh ranks."""
@@ -172,9 +180,13 @@ class IndexUsage:
             return self
         taken = self.taken
         if len(added) == 1 and taken and taken[-1] in added:
-            return IndexUsage(self.layer, taken[:-1] + (taken[-1] + 1,))
-        bounds = set(taken) ^ added ^ {k + 1 for k in added}
-        return IndexUsage(self.layer, tuple(sorted(bounds)))
+            taken = taken[:-1] + (taken[-1] + 1,)
+        else:
+            taken = tuple(sorted(set(taken) ^ added ^ {k + 1 for k in added}))
+        usage = _new(IndexUsage)
+        _set_field(usage, "layer", self.layer)
+        _set_field(usage, "taken", taken)
+        return usage
 
     def with_layer(self, layer: OmegaLayer) -> "IndexUsage":
         """Also consume an omega layer, which must lie over this usage."""
@@ -213,10 +225,9 @@ def transfinite_f_seq(x: CountableSet) -> TransfiniteFunctional:
     codes outside x consume no index.
     """
 
-    def usage_of(seq) -> IndexUsage:
-        usage = getattr(seq, "usage", None)
-        if usage is not None:
-            return usage
+    def recorded(seq) -> IndexUsage:
+        """The usage of a sequence without a usage record (a usage is never
+        falsy, so ``or`` asks this only of such a sequence)."""
         if seq.length.is_finite():
             indices = (x.index_or_none(seq.at(i)) for i in range(seq.length.to_int()))
             return IndexUsage().with_explicit(i for i in indices if i is not None)
@@ -224,12 +235,12 @@ def transfinite_f_seq(x: CountableSet) -> TransfiniteFunctional:
             f"sequence of length {seq.length} carries no usage record")
 
     def member(seq, v) -> bool:
-        usage = usage_of(seq)
+        usage = getattr(seq, "usage", None) or recorded(seq)
         i = x.index_or_none(v)
         return i is not None and not usage.contains(i)
 
     def select(seq):
-        return x.enum(usage_of(seq).least_fresh())
+        return x.enum((getattr(seq, "usage", None) or recorded(seq)).least_fresh())
 
     return TransfiniteFunctional(f"seq({x.name})", member, select, set=x)
 
@@ -273,7 +284,7 @@ def standard_cofinal(alpha: Ordinal) -> CofinalPresentation:
 
     def stage(xi: Ordinal) -> Ordinal:
         # w*m + (n - m), where m stops at k - 1 under w*k
-        n = xi.to_int()
+        n = xi.terms[0][1] if xi.terms else 0  # xi.to_int(), as xi < w
         m = n if k is None else min(n, k - 1)
         return Ordinal._of(((1, m),) * (m > 0) + ((0, n - m),) * (n > m))
 
@@ -340,22 +351,30 @@ def standard_block_builder(x: CountableSet) -> Callable:
         if usage is None:
             raise RangeNotDecidable(
                 "standard builder needs a prefix with a usage record")
-        if gamma.is_finite():
+        if not gamma.terms or not gamma.terms[0][0]:  # finite: () or ((0, n),)
+            n = gamma.terms[0][1] if gamma.terms else 0
             values, indices, cur = [], [], usage
-            plen = prefix.length
+            if n > 1:  # later values see the prefix, then the values so far
+                plen = prefix.length
 
-            def splice(pos: Ordinal):  # reads values as they grow
-                return (prefix.at(pos) if pos < plen
-                        else values[ord_sub_left(plen, pos).to_int()])
+                def splice(pos: Ordinal):
+                    return (prefix.at(pos) if pos < plen
+                            else values[ord_sub_left(plen, pos).to_int()])
 
-            for j in range(gamma.to_int()):
+            for j in range(n):
                 working = (UsageSeq(ord_add(prefix.length, Ordinal.from_int(j)),
                                     splice, usage=cur) if j else prefix)
                 values.append(f.select(working))
                 indices.append(x.index_of(values[-1]))
                 cur = cur.with_explicit(indices[-1:])
-            return BuiltBlock(TransfiniteSeq.from_items(values), cur,
-                              indices=tuple(indices))
+            items, seq, block = tuple(values), _new(TransfiniteSeq), _new(BuiltBlock)
+            _set_field(seq, "length", gamma)  # a block over the values, of length gamma
+            _set_field(seq, "evaluator", lambda p: items[p.to_int()])
+            _set_field(block, "seq", seq)
+            _set_field(block, "usage_after", cur)
+            _set_field(block, "indices", tuple(indices))
+            _set_field(block, "layer", None)
+            return block
         if gamma == OMEGA:
             layer = OmegaLayer(usage)
             seq = TransfiniteSeq(OMEGA, lambda j: x.enum(layer.nth_index(j.to_int())))
@@ -399,33 +418,39 @@ class LiftedWitness:
 
     # -- block construction -------------------------------------------
 
-    def _grow_stages(self, goal: object) -> None:
-        """Evaluate the next ladder stage into ``self._stages``, the one
-        stage list of the lift; ``goal``, formatted only for the error,
-        names what the caller waits for."""
-        stages = self._stages
-        if len(stages) > ordinals._SCAN_CAP + 1:
-            raise BadCofinal(f"ladder never passes {goal}")
-        stages.append(self.cof.stage(len(stages)))
+    def _grow_stages(self, pos: Optional[Ordinal] = None,
+                     block: Optional[int] = None) -> None:
+        """Evaluate ladder stages into ``self._stages``, the one stage list
+        of the lift, until the last lies past ``pos``, or until block
+        ``block`` has its end stage."""
+        stages, stage = self._stages, self.cof.stage
+        while (not pos.terms < stages[-1].terms if block is None
+               else len(stages) <= block + 1):
+            if len(stages) > ordinals._SCAN_CAP + 1:
+                raise BadCofinal("ladder never passes " + (
+                    str(pos) if block is None else f"the end of block {block}"))
+            stages.append(stage(len(stages)))
 
     def _block(self, xi: int) -> BuiltBlock:
         stages = self._stages
-        while len(self._blocks) <= xi:
-            nxt = len(self._blocks)
-            while len(stages) <= nxt + 1:
-                self._grow_stages(f"the end of block {nxt}")
+        for nxt in range(len(self._blocks), xi + 1):  # each turn appends a block or raises
+            if len(stages) <= nxt + 1:
+                self._grow_stages(block=nxt)
             # the ladder evaluator is pure, so this is cof.gamma(nxt)
             gamma = ord_sub_left(stages[nxt], stages[nxt + 1])
             prefix = self._next_prefix
             block = self.builder(gamma, self.functional, prefix)
             if not isinstance(block, BuiltBlock):
                 raise BadBlock("builder must return a BuiltBlock")
-            if block.seq.length != gamma:
-                raise BadBlock(
-                    f"block {nxt} has length {block.seq.length}, expected {gamma}")
+            length = block.seq.length
+            if length is not gamma and length != gamma:
+                raise BadBlock(f"block {nxt} has length {length}, expected {gamma}")
             if block.layer is not None and block.layer.base != prefix.usage:
                 raise BadBlock(f"block {nxt} has a layer over a foreign usage")
-            after = UsageSeq(stages[nxt + 1], self.at, usage=block.usage_after)
+            after = _new(UsageSeq)
+            _set_field(after, "length", stages[nxt + 1])
+            _set_field(after, "evaluator", self.at)
+            _set_field(after, "usage", block.usage_after)
             self._blocks.append(block)  # the functional may read the block's values
             try:
                 self._verify_block(nxt, block, prefix, after)
@@ -442,7 +467,7 @@ class LiftedWitness:
         since restrictions inside the block read them."""
         gamma = block.seq.length
         base, member = prefix.usage, self.functional.member
-        n = gamma.to_int() if gamma.is_finite() else None
+        n = None if gamma.terms and gamma.terms[0][0] else gamma.to_int()  # None: infinite
         for j in _OMEGA_BLOCK_PROBES if n is None else range(min(n, _FINITE_CHECK_CAP)):
             working = (UsageSeq(ord_add(prefix.length, Ordinal.from_int(j)), self.at,
                                 usage=block.partial_usage(j, base)) if j else prefix)
@@ -472,7 +497,7 @@ class LiftedWitness:
         if not p < self.length:
             raise IndexError(f"position {p} not below {self.length}")
         stages = self._stages
-        while not p < stages[-1]:
+        if not p.terms < stages[-1].terms:
             self._grow_stages(p)
         # Ordinals compare as their terms; comparing those is done in C
         xi = bisect_right(stages, p.terms, key=_terms) - 1

@@ -134,6 +134,40 @@ class TestCofinal:
         with pytest.raises(BadCofinal):
             validate_cofinal(too_long)
 
+    def test_validate_names_the_block_of_another_length(self):
+        """Block 1 of 0, 1, w*4, w*6, ... is [1, w*4), of type w*4."""
+        wide = CofinalPresentation(
+            parse_cnf("w^2"),
+            TransfiniteSeq(W, lambda xi: fin(xi.to_int()) if xi.to_int() < 2
+                           else Ordinal.omega(2 * xi.to_int())))
+        with pytest.raises(BadCofinal, match=r"^block 1 has length w\*4, not finite or w$"):
+            validate_cofinal(wide)
+
+    def test_default_samples_read_six_stages(self):
+        calls = []
+        base = standard_cofinal(parse_cnf("w*3"))
+        cof = CofinalPresentation(base.alpha, TransfiniteSeq(
+            W, lambda xi: calls.append(xi) or base.stages.evaluator(xi)))
+        assert default_samples(cof) == default_samples(base)
+        assert calls == [fin(i) for i in range(6)]
+
+    @pytest.mark.parametrize("first, mid", [(2, 1), (4, 2), (5, 2)])
+    def test_default_samples_split_a_short_first_block(self, first, mid):
+        cof = CofinalPresentation(
+            Ordinal.omega(1), TransfiniteSeq(W, lambda xi: fin(first * xi.to_int())))
+        assert default_samples(cof) == sorted({ZERO, fin(mid)} | {fin(first * i)
+                                                                   for i in range(1, 6)})
+
+    def test_default_samples_add_both_limits_below_alpha(self):
+        """Stages 0, 1, w^2 + 1, w^2*2 + 1, ... to w^3 pass neither w nor
+        w*2, so both limits come from the limit rule."""
+        cof = CofinalPresentation(
+            Ordinal.omega_power(3),
+            TransfiniteSeq(W, lambda xi: ord_add(Ordinal.omega_power(2, xi.to_int() - 1), fin(1))
+                           if xi.to_int() else ZERO))
+        stages = [cof.stage(i) for i in range(1, 6)]
+        assert default_samples(cof) == sorted([ZERO, W, Ordinal.omega(2), *stages])
+
     def test_a_lift_built_directly_checks_its_ladder(self, nat):
         flat = CofinalPresentation(Ordinal.omega(2), TransfiniteSeq(W, lambda xi: ZERO))
         with pytest.raises(BadCofinal, match="not strictly increasing at 1"):
@@ -342,6 +376,45 @@ class TestBuilders:
                 g.at(parse_cnf("w + 5"))
             assert exc.type is BadBlock and message in str(exc.value)
         assert "block 1 " in str(exc.value)
+
+    @pytest.mark.parametrize("bad", [0, 1, 2, 5, 13])
+    def test_omega_block_probes(self, nat, bad):
+        """An infinite block is probed at offsets 0, 1, 2, 5 and 13; a code
+        outside the set at any of them is refused."""
+        std = standard_block_builder(nat)
+
+        def outside_at(gamma, f, prefix):
+            b = std(gamma, f, prefix)
+            if gamma != W:
+                return b
+            seq = TransfiniteSeq(W, lambda j: -1 if j == fin(bad) else b.seq.at(j))
+            return BuiltBlock(seq, b.usage_after, layer=b.layer)
+
+        g = levy_lift(standard_cofinal(parse_cnf("w*2")), transfinite_f_seq(nat),
+                      builder=outside_at)
+        with pytest.raises(BadBlockWitness, match=f"block 0 value at offset {bad} is not"):
+            g.at(0)
+
+    def test_a_long_finite_block_makes_64_probes(self, nat):
+        """Each probe asks ``member`` twice: allowed before, refused after."""
+        plain = transfinite_f_seq(nat)
+        calls = [0]
+
+        def member(seq, v):
+            calls[0] += 1
+            return plain.member(seq, v)
+
+        f = TransfiniteFunctional("counted", member, plain.select, set=nat)
+        cof = CofinalPresentation(W, TransfiniteSeq(W, lambda xi: fin(100 * xi.to_int())))
+        g = levy_lift(cof, f)
+        assert g.at(99) == 99 and calls[0] == 2 * 64
+
+    def test_standard_builder_gives_an_empty_block_for_length_0(self, nat):
+        build = standard_block_builder(nat)
+        prefix = UsageSeq(fin(2), lambda p: p.to_int(), usage=IndexUsage().with_explicit((0, 1)))
+        block = build(ZERO, transfinite_f_seq(nat), prefix)
+        assert block.seq.length == ZERO and block.indices == ()
+        assert block.usage_after == prefix.usage
 
     def test_builder_needs_usage(self, nat):
         build = standard_block_builder(nat)

@@ -10,6 +10,7 @@ oracle call, so one test pins the growth of wall time instead.
 
 import dataclasses
 import gc
+import sys
 import time
 import tracemalloc
 
@@ -581,3 +582,36 @@ def test_cold_lift_blocks_build_no_checked_ordinals(monkeypatch):
 
     assert cold_query(150) == cold_query(300)
     assert updates[0] >= 450 and skips[0] == 0
+
+
+def test_cold_lift_unit_block_python_calls():
+    """A unit block of a cold lift under w*2 (its ladder stage, its length,
+    the build and the block check) makes at most 48 Python-level calls.
+    Built through the frozen ``__init__``s, ``from_items`` and three- and
+    four-frame rank queries it made 64.  Garbage collection is off while
+    counting, so no finalizer's calls are counted."""
+
+    def calls(n):
+        f = transfinite_f_seq(collapse.nat_set())
+        g = levy_lift(standard_cofinal(parse_cnf("w*2")), f)
+        pos = parse_cnf(f"w + {n}")
+        count = [0]
+
+        def profile(frame, event, arg):
+            if event == "call":
+                count[0] += 1
+
+        collecting = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        sys.setprofile(profile)
+        try:
+            value, ok = g.at(pos), check_transfinite_witness(f, g, [pos])
+        finally:
+            sys.setprofile(None)
+            if collecting:
+                gc.enable()
+        assert value == 2 * n + 1 and ok
+        return count[0]
+
+    assert (calls(300) - calls(150)) / 150 <= 48
