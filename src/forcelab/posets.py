@@ -208,8 +208,7 @@ class GenericRun:
     @property
     def met(self) -> tuple[tuple[int, int], ...]:
         """The (goal index, chain position) pairs, made when read."""
-        k = len(self.chain) - 1
-        return tuple(zip(range(k), range(1, k + 1)))
+        return tuple(enumerate(range(1, len(self.chain))))
 
 
 def rasiowa_sikorski(p: PosetPresentation, ds: Sequence[DenseSet],
@@ -371,7 +370,7 @@ def _jsonable(code: Code):
 
 
 # ---------------------------------------------------------------------------
-# finite posets: text format, law checks, brute-force oracle
+# finite posets: law checks, brute-force oracle
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -431,61 +430,14 @@ def _bits(mask: int) -> Iterable[int]:
         mask &= mask - 1
 
 
-def parse_poset_table(text: str) -> FinitePoset:
-    """Parse lines of the form ``elem p`` and ``p <= q``."""
-    elements: list = []
-    pairs: list = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("elem "):
-            name = line[5:].strip()
-            if "<=" in name or name.partition(" ")[0] == "elem":
-                raise ValueError(f"cannot parse line {raw!r}")  # no relation line names it
-            if name in elements:
-                raise ValueError(f"duplicate element {name!r}")
-            elements.append(name)
-        elif "<=" in line:
-            a, b = (s.strip() for s in line.split("<=", 1))
-            pairs.append((a, b))
-        else:
-            raise ValueError(f"cannot parse line {raw!r}")
-    for a, b in pairs:
-        if a not in elements or b not in elements:
-            raise ValueError(f"relation {a!r} <= {b!r} uses undeclared elements")
-    # reflexive-transitive closure so tables may list only generators
-    return _closed_table(elements, set(pairs))
-
-
-def _closed_table(elements: Sequence, pairs: set) -> FinitePoset:
-    """The table whose rows are the reflexive-transitive closure of pairs, by Warshall.
-
-    Every element of a pair must be one of elements.  The first rows set
-    one bit per element and one per pair.
-    """
-    pos = {e: i for i, e in enumerate(elements)}
-    rows = [1 << i for i in range(len(elements))]
-    for a, b in pairs:
-        rows[pos[a]] |= 1 << pos[b]
-    return _closed_rows_table(elements, rows)
-
-
 def _closed_rows_table(elements: Sequence, rows: list[int]) -> FinitePoset:
-    """``_closed_table`` from first bit rows, which it closes in place."""
+    """The table of the reflexive-transitive closure of first bit rows (Warshall, in place)."""
     for k in range(len(rows)):
         bit = 1 << k
         for i, row in enumerate(rows):
             if row & bit:
                 rows[i] = row | rows[k]
     return FinitePoset(tuple(elements), tuple(rows))
-
-
-def format_poset_table(table: FinitePoset) -> str:
-    lines = [f"elem {e}" for e in table.elements]
-    lines += [f"{a} <= {b}" for a, row in zip(table.elements, table.up)
-              for j, b in enumerate(table.elements) if row >> j & 1 and a != b]
-    return "\n".join(lines) + "\n"
 
 
 def table_poset(table: FinitePoset) -> PosetPresentation:
@@ -590,11 +542,6 @@ def table_dense_sets(table: FinitePoset, subsets: Sequence[Iterable]) -> list[De
 
         out.append(DenseSet(f"D{i}", lambda q, s=s: q in s, extend))
     return out
-
-
-def is_dense_in_table(table: FinitePoset, subset: Iterable) -> bool:
-    inside = table._mask(frozenset(subset))
-    return all(row & inside for row in table.down)
 
 
 def random_dense_sets(rng, table: FinitePoset, count: int) -> list[frozenset]:

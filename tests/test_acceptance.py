@@ -115,12 +115,19 @@ def test_criterion_2_density_extender_exhaustive():
 
 def test_criterion_3_isomorphism_roundtrips(iso_corpus):
     start = time.perf_counter()
-    images = []
+    images, stages_of = [], []
     for f in iso_corpus:
         t = coll_to_q(f)
+        assert q_to_coll(t).items == f.items
+        # the image read by Q's definition: one set per item, each stage
+        # holding the one before it and adding exactly that item
+        stages, seen = t.stages, frozenset()
+        assert len(stages) == len(f.items)
+        for item, stage in zip(f.items, stages):
+            assert type(stage) is frozenset and stage == seen | {item}
+            seen = stage
         images.append(t)
-        assert q_to_coll(t).items == f.items          # one direction
-        assert coll_to_q(q_to_coll(t)).stages == t.stages  # the other
+        stages_of.append(stages)
     rng = random.Random(77)
     n = len(iso_corpus)
     for _ in range(10_000):
@@ -130,14 +137,18 @@ def test_criterion_3_isomorphism_roundtrips(iso_corpus):
             cut = rng.randint(0, len(g.items))
             f = InjSeq(g.items[:cut])  # g genuinely extends f
             t_f, expected = coll_to_q(f), True
+            f_stages = t_f.stages
         else:
             j = rng.randrange(n)
             f, t_f, expected = iso_corpus[j], images[j], None
+            f_stages = stages_of[j]
         f_ext = (len(g.items) >= len(f.items)
                  and g.items[:len(f.items)] == f.items)
         if expected is not None:
             assert f_ext is expected
-        assert q_extends(t_g, t_f) is f_ext
+        # Q's order: the longer condition's stages begin with the shorter's
+        stage_ext = stages_of[i][:len(f_stages)] == f_stages
+        assert q_extends(t_g, t_f) is f_ext and stage_ext is f_ext
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     report(3, f"10^4 round trips and 10^4 extension pairs in {elapsed:.2f}s")

@@ -7,8 +7,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from forcelab.collapse import coll_poset, level_dense, nat_set
 from forcelab.errors import BadExtender, NotAChain, OracleLimit
@@ -17,16 +15,13 @@ from forcelab.posets import (
     FinitePoset,
     FinitePreorder,
     GammaPresentation,
-    _closed_table,
+    _closed_rows_table,
     brute_force_filter,
     check_poset_laws,
     filter_from_chain,
-    format_poset_table,
     gamma_check,
-    is_dense_in_table,
     is_dense_on_truncation,
     is_filter,
-    parse_poset_table,
     random_dense_sets,
     random_finite_poset,
     rasiowa_sikorski,
@@ -35,27 +30,14 @@ from forcelab.posets import (
     table_poset,
 )
 
-SEVEN_TABLE = """
-elem 0
-elem 1
-elem 2
-elem 3
-elem 4
-elem 5
-elem 6
-1 <= 0
-2 <= 0
-3 <= 1
-4 <= 1
-5 <= 2
-6 <= 3
-6 <= 4
-"""
+# The covers of each of "0" to "6": 1, 2 <= 0; 3, 4 <= 1; 5 <= 2; 6 <= 3, 4.
+SEVEN_COVERS = ("", "0", "0", "1", "1", "2", "34")
 
 
 @pytest.fixture
 def seven():
-    return parse_poset_table(SEVEN_TABLE)
+    rows = [1 << i | sum(1 << int(c) for c in covers) for i, covers in enumerate(SEVEN_COVERS)]
+    return _closed_rows_table("0123456", rows)
 
 
 def upward_closure_oracle(table, seeds):
@@ -64,59 +46,16 @@ def upward_closure_oracle(table, seeds):
 
 
 class TestFiniteTables:
-    def test_parse_takes_closure(self, seven):
+    def test_rows_are_closed(self, seven):
         assert seven.leq("6", "0")
         assert seven.leq("5", "0")
         assert not seven.leq("5", "1")
         assert not seven.leq("0", "6")
 
-    def test_format_parse_roundtrip(self, seven):
-        again = parse_poset_table(format_poset_table(seven))
-        assert again == seven
-
-    def test_parse_rejects_bad_lines(self):
-        with pytest.raises(ValueError):
-            parse_poset_table("elem a\nb <= a")
-        with pytest.raises(ValueError):
-            parse_poset_table("what is this")
-        with pytest.raises(ValueError, match="duplicate element 'a'"):
-            parse_poset_table("elem a\nelem b\nelem a")
-        # a relation line splits at its first "<=" only
-        with pytest.raises(ValueError, match="relation 'a' <= 'b <= a' uses undeclared"):
-            parse_poset_table("elem a\nelem b\na <= b <= a")
-
     def test_presentation_laws(self, seven):
         p = table_poset(seven)
         check_poset_laws(p, len(seven.elements))
         assert p.root == "0"
-
-    def test_format_lists_relations_in_element_order_without_sorting(self):
-        # elements of different types cannot be sorted together
-        table = FinitePoset(("a", 1, "b"), (0b111, 0b110, 0b100))
-        assert format_poset_table(table) == (
-            "elem a\nelem 1\nelem b\na <= 1\na <= b\n1 <= b\n")
-
-    @pytest.mark.parametrize("name", ["a<=b", "a <= b", "<=", "elem", "elem a", "elem a<=b"])
-    def test_parse_refuses_names_no_relation_line_can_name(self, name):
-        # "x <= y" with x one of these would read as another elem line
-        with pytest.raises(ValueError, match="cannot parse line"):
-            parse_poset_table(f"elem {name}\nelem c")
-
-    def test_undeclared_element_error_independent_of_hash_seed(self):
-        script = (
-            "from forcelab.posets import parse_poset_table\n"
-            "try:\n"
-            "    parse_poset_table('elem a\\nx <= a\\ny <= a\\nz <= a')\n"
-            "except ValueError as exc:\n"
-            "    print(exc)\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        outs = set()
-        for seed in range(1, 7):
-            env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
-            done = subprocess.run([sys.executable, "-c", script], env=env,
-                                  capture_output=True, text=True, check=True)
-            outs.add(done.stdout)
-        assert outs == {"relation 'x' <= 'a' uses undeclared elements\n"}
 
 
 class TestEngine:
@@ -128,9 +67,10 @@ class TestEngine:
 
     def test_seven_element_run_matches_oracle(self, seven):
         d0, d1 = frozenset("56"), frozenset("156")
-        assert is_dense_in_table(seven, d0) and is_dense_in_table(seven, d1)
         p = table_poset(seven)
-        run = rasiowa_sikorski(p, table_dense_sets(seven, [d0, d1]), "0", 2)
+        ds = table_dense_sets(seven, [d0, d1])
+        assert all(is_dense_on_truncation(p, d, 7).dense for d in ds)
+        run = rasiowa_sikorski(p, ds, "0", 2)
         assert run.chain == ("0", "5", "5")
         closure = filter_from_chain(p, run.chain, len(seven.elements))
         assert closure == upward_closure_oracle(seven, run.chain)
@@ -273,7 +213,7 @@ class TestBruteForce:
         assert result is None
 
     def test_chain_filter(self):
-        chain = parse_poset_table("elem 0\nelem 1\nelem 2\n2 <= 1\n1 <= 0")
+        chain = FinitePoset(tuple("012"), (0b001, 0b011, 0b111))  # 2 <= 1 <= 0
         assert brute_force_filter(chain, [{"2"}]) == frozenset("012")
 
     def test_size_cap(self):
@@ -323,34 +263,6 @@ def test_random_dense_sets_fall_back_to_the_whole_carrier():
     assert random_dense_sets(Tails(), table, 3) == [frozenset(table.elements)] * 3
 
 
-NAMES = st.one_of(
-    st.text("ab <=\telm", min_size=1, max_size=6).map(str.strip).filter(bool),
-    st.sampled_from(["elem", "elem a", "elem\ta", "a<=b", "<", "=", " a", "a\nb", ""]))
-
-
-def readable(name):
-    """Whether parse_poset_table can read name back off a line of its own text."""
-    return (name.splitlines() == [name] and name == name.strip() and "<=" not in name
-            and name.partition(" ")[0] != "elem")
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(NAMES, max_size=5, unique=True), st.data())
-def test_string_tables_read_back_or_are_refused(names, data):
-    """A closed table over stripped one-line names reads back from its own
-    text when every name is readable, and is refused as unparseable when one
-    is not; no text reads back as another table."""
-    pairs = data.draw(st.sets(st.tuples(st.sampled_from(names), st.sampled_from(names)))
-                      if names else st.just(set()))
-    table = _closed_table(names, pairs)
-    text = format_poset_table(table)
-    if all(map(readable, names)):
-        assert parse_poset_table(text) == table
-    elif all(n.splitlines() == [n] and n == n.strip() for n in names):
-        with pytest.raises(ValueError, match="cannot parse line"):
-            parse_poset_table(text)
-
-
 def test_random_dense_sets_draw_at_most_200_times():
     """The 200th draw is still taken when dense, and no 201st is made."""
 
@@ -364,7 +276,7 @@ def test_random_dense_sets_draw_at_most_200_times():
             return 0.0 if self.calls == 400 else 0.99
 
     coins = Coins()
-    table = parse_poset_table("elem a\nelem b\nb <= a")
+    table = FinitePoset(("a", "b"), (0b01, 0b11))  # b <= a
     assert random_dense_sets(coins, table, 2) == [frozenset("b"), frozenset("ab")]
     assert coins.calls == 400
 
@@ -399,7 +311,7 @@ class TestRowTables:
     def test_fields_equality_and_hash_read_elements_and_rows(self):
         assert [f.name for f in dataclasses.fields(FinitePoset)] == ["elements", "up"]
         a = FinitePoset(("a", "b"), (0b11, 0b10))
-        b = parse_poset_table("elem a\nelem b\na <= b")
+        b = _closed_rows_table(["a", "b"], [0b11, 0b10])
         assert a == b and hash(a) == hash(b)
         assert a != FinitePoset(("a", "b"), (0b01, 0b10))
         assert a.down == [0b01, 0b11]
