@@ -326,6 +326,17 @@ class TestClosure:
                               for b in elems]
 
     @settings(max_examples=60, deadline=None)
+    @given(pair_sets())
+    def test_named_table_matches_fixed_point(self, case):
+        """Closure reads positions only: over names it relates the names of
+        the positions it relates."""
+        elems, pairs = case
+        names = [f"e{i}" for i in elems]
+        table = _closed_rows_table(names, list(table_of(elems, pairs).up))
+        expect = closure_reference(names, {(f"e{a}", f"e{b}") for a, b in pairs})
+        assert pairs_of(table) == expect
+
+    @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000), st.integers(0, 12))
     def test_random_poset_matches_fixed_point(self, seed, size):
         table = random_finite_poset(random.Random(seed), size)

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forcelab.collapse import coll_poset, level_dense, nat_set
 from forcelab.errors import BadExtender, NotAChain, OracleLimit
@@ -56,6 +58,47 @@ class TestFiniteTables:
         p = table_poset(seven)
         check_poset_laws(p, len(seven.elements))
         assert p.root == "0"
+
+    def test_closing_closed_rows_changes_nothing(self, seven):
+        assert _closed_rows_table(seven.elements, list(seven.up)) == seven
+
+    def test_mixed_type_elements_keep_their_order(self):
+        # elements of different types cannot be sorted together
+        table = FinitePoset(("a", 1, "b"), (0b111, 0b110, 0b100))
+        p = table_poset(table)
+        assert p.root == "b"
+        assert [p.above(q) for q in table.elements] == [["a", 1, "b"], [1, "b"], ["b"]]
+        assert check_poset_laws(p, 3) == list(table.up)
+        assert brute_force_filter(table, [{"a"}]) == frozenset(("a", 1, "b"))
+        assert brute_force_filter(table, [{1}]) == frozenset((1, "b"))
+
+    @pytest.mark.parametrize("name", ["a<=b", "a <= b", "<=", "elem", "elem a", "elem a<=b"])
+    def test_a_name_that_reads_as_a_relation_is_an_element(self, name):
+        table = _closed_rows_table((name, "c"), [0b11, 0b10])  # name <= c
+        assert table.leq(name, "c") and not table.leq("c", name)
+        assert table_poset(table).root == "c"
+        assert brute_force_filter(table, [{name}]) == frozenset({name, "c"})
+        assert not is_filter(table, {name})
+
+    def test_oracle_and_run_independent_of_hash_seed(self):
+        script = (
+            "import random\n"
+            "from forcelab.posets import (FinitePoset, brute_force_filter, random_dense_sets,\n"
+            "    random_finite_poset, rasiowa_sikorski, table_dense_sets, table_poset)\n"
+            "names = tuple(f'n{i}' for i in range(8))\n"
+            "table = FinitePoset(names, random_finite_poset(random.Random(4), 8).up)\n"
+            "ds = random_dense_sets(random.Random(9), table, 3)\n"
+            "print(sorted(map(sorted, ds)), sorted(brute_force_filter(table, ds)))\n"
+            "run = rasiowa_sikorski(table_poset(table), table_dense_sets(table, ds), 'n0', 3)\n"
+            "print(run.chain)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = set()
+        for seed in range(1, 6):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            outs.add(done.stdout)
+        assert len(outs) == 1
 
 
 class TestEngine:
@@ -261,6 +304,32 @@ def test_random_dense_sets_fall_back_to_the_whole_carrier():
 
     table = random_finite_poset(random.Random(5), 4)
     assert random_dense_sets(Tails(), table, 3) == [frozenset(table.elements)] * 3
+
+
+NAMES = st.text("ab <=\telm\n", max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(NAMES, max_size=5, unique=True), st.data())
+def test_string_tables_match_their_index_tables(names, data):
+    """A table reads its elements as opaque codes: over any distinct strings
+    it relates, presents and filters as the same rows over 0..n-1 do."""
+    n = len(names)
+    rows = [1 << i | data.draw(st.integers(0, (1 << n) - 1)) for i in range(n)]
+    named = _closed_rows_table(names, list(rows))
+    index = _closed_rows_table(range(n), list(rows))
+    assert named.up == index.up
+    p, q = table_poset(named), table_poset(index)
+    assert p.root == (None if q.root is None else names[q.root])
+    for i, a in enumerate(names):
+        assert p.above(a) == [names[j] for j in q.above(i)]
+        for j, b in enumerate(names):
+            assert named.leq(a, b) == index.leq(i, j)
+    dense = data.draw(st.lists(st.sets(st.integers(0, n - 1)) if n else st.just(set()),
+                               max_size=3))
+    found = brute_force_filter(index, dense)
+    assert brute_force_filter(named, [{names[i] for i in d} for d in dense]) == (
+        None if found is None else frozenset(names[i] for i in found))
 
 
 def test_random_dense_sets_draw_at_most_200_times():
