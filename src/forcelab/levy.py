@@ -252,17 +252,11 @@ def transfinite_f_seq(x: CountableSet) -> TransfiniteFunctional:
 
 @dataclass(frozen=True)
 class CofinalPresentation:
-    """An increasing ladder of length w starting at 0 with supremum alpha."""
+    """An increasing ladder of length w starting at 0 with supremum alpha:
+    ``stage(n)`` is its n-th stage, for every natural n."""
 
     alpha: Ordinal
-    stages: TransfiniteSeq
-
-    def stage(self, xi: int) -> Ordinal:
-        return self.stages.at(xi)
-
-    def gamma(self, xi: int) -> Ordinal:
-        """Order type of the interval [stage(xi), stage(xi+1))."""
-        return ord_sub_left(self.stage(xi), self.stage(xi + 1))
+    stage: Callable[[int], Ordinal]
 
 
 def standard_cofinal(alpha: Ordinal) -> CofinalPresentation:
@@ -282,19 +276,16 @@ def standard_cofinal(alpha: Ordinal) -> CofinalPresentation:
         raise BadCofinal(
             f"no ladder with finite-or-w blocks reaches {alpha}")
 
-    def stage(xi: Ordinal) -> Ordinal:
+    def stage(n: int) -> Ordinal:
         # w*m + (n - m), where m stops at k - 1 under w*k
-        n = xi.terms[0][1] if xi.terms else 0  # xi.to_int(), as xi < w
         m = n if k is None else min(n, k - 1)
         return Ordinal._of(((1, m),) * (m > 0) + ((0, n - m),) * (n > m))
 
-    return CofinalPresentation(alpha, TransfiniteSeq(OMEGA, stage))
+    return CofinalPresentation(alpha, stage)
 
 
 def validate_cofinal(cof: CofinalPresentation) -> list[Ordinal]:
     """Check ladder invariants on the first ``_VALIDATE_STAGES`` stages; return those."""
-    if cof.stages.length != OMEGA:
-        raise BadCofinal("ladder must have length w")
     stages = [cof.stage(0)]
     if not stages[0].is_zero():
         raise BadCofinal("ladder must start at 0")
@@ -436,7 +427,7 @@ class LiftedWitness:
         for nxt in range(len(self._blocks), xi + 1):  # each turn appends a block or raises
             if len(stages) <= nxt + 1:
                 self._grow_stages(block=nxt)
-            # the ladder evaluator is pure, so this is cof.gamma(nxt)
+            # the order type of block nxt, between its two stages
             gamma = ord_sub_left(stages[nxt], stages[nxt + 1])
             prefix = self._next_prefix
             block = self.builder(gamma, self.functional, prefix)
@@ -524,9 +515,23 @@ class LiftedWitness:
         return [self._block(xi).seq.length for xi in range(upto)]
 
     def default_samples(self) -> list[Ordinal]:
-        """``default_samples(self.cof)``, read off the stages the lift has
-        already evaluated, so the ladder is not asked again."""
-        return _samples_on(self.length, self._stages)
+        """0, a mid-block point, the first five ladder boundaries, and the
+        two least limit ordinals below alpha when they exist, read off the
+        stages the lift has evaluated, so the ladder is not asked again."""
+        stages, samples = self._stages, {ZERO}
+        gamma0 = ord_sub_left(stages[0], stages[1])
+        if gamma0 == OMEGA:
+            samples.add(Ordinal.from_int(3))
+        elif gamma0.to_int() >= 2:
+            samples.add(Ordinal.from_int(gamma0.to_int() // 2))
+        for stage in stages[1:6]:
+            if stage < self.length:
+                samples.add(stage)
+        for k in (1, 2):
+            limit = Ordinal.omega(k)
+            if limit < self.length:
+                samples.add(limit)
+        return sorted(samples)
 
 
 def levy_lift(cof: CofinalPresentation, f: TransfiniteFunctional,
@@ -557,30 +562,6 @@ def check_transfinite_witness(f: TransfiniteFunctional, g,
                               samples: Sequence) -> bool:
     """True iff g(beta) is allowed by f after g's restriction, at every sample."""
     return all(_sample_ok(f, g, beta) for beta in samples)
-
-
-def default_samples(cof: CofinalPresentation) -> list[Ordinal]:
-    """0, a mid-block point, the first five ladder boundaries, and the two
-    least limit ordinals below alpha when they exist."""
-    return _samples_on(cof.alpha, [cof.stage(xi) for xi in range(6)])
-
-
-def _samples_on(alpha: Ordinal, stages: Sequence[Ordinal]) -> list[Ordinal]:
-    """``default_samples`` of a ladder to alpha, given its first six or more stages."""
-    samples = {ZERO}
-    gamma0 = ord_sub_left(stages[0], stages[1])
-    if gamma0 == OMEGA:
-        samples.add(Ordinal.from_int(3))
-    elif gamma0.to_int() >= 2:
-        samples.add(Ordinal.from_int(gamma0.to_int() // 2))
-    for stage in stages[1:6]:
-        if stage < alpha:
-            samples.add(stage)
-    for k in (1, 2):
-        limit = Ordinal.omega(k)
-        if limit < alpha:
-            samples.add(limit)
-    return sorted(samples)
 
 
 def sample_report(f: TransfiniteFunctional, g,

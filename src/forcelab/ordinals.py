@@ -272,11 +272,6 @@ class TransfiniteSeq:
             raise IndexError(f"cannot restrict length {self.length} to {l}")
         return TransfiniteSeq(l, self.evaluator)
 
-    def materialize(self) -> list:
-        """List of all items; only for finite lengths."""
-        n = self.length.to_int()
-        return [self.at(i) for i in range(n)]
-
     @staticmethod
     def from_items(items: Iterable[Any]) -> "TransfiniteSeq":
         data = tuple(items)

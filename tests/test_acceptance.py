@@ -31,7 +31,6 @@ from forcelab.dctrees import (
 )
 from forcelab.levy import (
     check_transfinite_witness,
-    default_samples,
     levy_lift,
     standard_cofinal,
     transfinite_f_seq,
@@ -206,15 +205,14 @@ def test_criterion_7_levy_lifting():
         alpha = Ordinal.omega(k)
         cof = standard_cofinal(alpha)
         witness = levy_lift(cof, f)
-        samples = default_samples(cof)
+        samples = witness.default_samples()
         assert {str(s) for s in samples} >= {"0", str(OMEGA)}
         assert check_transfinite_witness(f, witness, samples)
+        sigma = ZERO  # block xi has the type of [stage(xi), stage(xi + 1))
         for xi, length in enumerate(witness.block_lengths(51)):
-            assert length == cof.gamma(xi)
-        sigma = ZERO
-        for xi in range(51):
             assert sigma == cof.stage(xi)
-            sigma = ord_add(sigma, cof.gamma(xi))
+            sigma = ord_add(sigma, length)
+        assert sigma == cof.stage(51)
     report(7, "w*2 and w*3 lifts verified at boundaries, limits and "
               "mid-block points; block types match for xi <= 50")
 

@@ -389,8 +389,7 @@ class TestRestrictions:
         g = levy_lift(standard_cofinal(parse_cnf(alpha)), transfinite_f_seq(nat_set()))
         xi, offset = g.locate(parse_cnf(pos))
         below = set()
-        for b in range(xi + 1):
-            gamma = g.cof.gamma(b)
+        for b, gamma in enumerate(g.block_lengths(xi + 1)):
             # a value at offset j is at least j, so j < 400 covers PROBE
             stop = (offset.to_int() if b == xi
                     else gamma.to_int() if gamma.is_finite() else len(PROBE))

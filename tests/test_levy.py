@@ -20,7 +20,6 @@ from forcelab.levy import (
     TransfiniteFunctional,
     UsageSeq,
     check_transfinite_witness,
-    default_samples,
     levy_lift,
     run_report_json,
     sample_report,
@@ -78,34 +77,34 @@ class TestCofinal:
     def test_standard_omega(self):
         cof = standard_cofinal(W)
         assert [cof.stage(i) for i in range(4)] == [ZERO, fin(1), fin(2), fin(3)]
-        assert cof.gamma(0) == fin(1)
         validate_cofinal(cof)
 
     def test_standard_omega_times_2(self):
         cof = standard_cofinal(Ordinal.omega(2))
         assert [str(cof.stage(i)) for i in range(4)] == ["0", "w*1", "w*1 + 1",
                                                          "w*1 + 2"]
-        assert cof.gamma(0) == W
-        assert cof.gamma(1) == fin(1)
         validate_cofinal(cof)
 
     def test_standard_omega_times_3(self):
         cof = standard_cofinal(Ordinal.omega(3))
-        assert [str(cof.gamma(i)) for i in range(4)] == ["w*1", "w*1", "1", "1"]
+        assert [str(cof.stage(i)) for i in range(5)] == ["0", "w*1", "w*2", "w*2 + 1",
+                                                         "w*2 + 2"]
         validate_cofinal(cof)
 
     def test_standard_omega_squared(self):
         cof = standard_cofinal(parse_cnf("w^2"))
-        assert all(cof.gamma(i) == W for i in range(10))
+        assert [cof.stage(i) for i in range(10)] == [ZERO] + [Ordinal.omega(i)
+                                                            for i in range(1, 10)]
         validate_cofinal(cof)
 
-    def test_block_order_types_match_interval_types(self):
-        # gamma is the order type of [stage(xi), stage(xi+1)): verify the
-        # defining identity stage(xi) + gamma = stage(xi+1) for xi <= 50
+    def test_block_order_types_match_interval_types(self, nat):
+        # block xi has the order type gamma of [stage(xi), stage(xi+1)):
+        # verify the defining identity stage(xi) + gamma = stage(xi+1) for xi <= 50
         for alpha in (Ordinal.omega(2), Ordinal.omega(3), parse_cnf("w^2")):
             cof = standard_cofinal(alpha)
-            for xi in range(51):
-                assert ord_add(cof.stage(xi), cof.gamma(xi)) == cof.stage(xi + 1)
+            g = levy_lift(cof, transfinite_f_seq(nat))
+            for xi, gamma in enumerate(g.block_lengths(51)):
+                assert ord_add(cof.stage(xi), gamma) == cof.stage(xi + 1)
 
     def test_successor_alpha_rejected(self):
         with pytest.raises(BadCofinal):
@@ -118,70 +117,60 @@ class TestCofinal:
             standard_cofinal(parse_cnf("w^2*1 + w*2"))
 
     def test_validate_catches_bad_ladders(self):
-        flat = CofinalPresentation(Ordinal.omega(2),
-                                   TransfiniteSeq(W, lambda xi: ZERO))
+        flat = CofinalPresentation(Ordinal.omega(2), lambda n: ZERO)
         with pytest.raises(BadCofinal):
             validate_cofinal(flat)
-        not_zero = CofinalPresentation(
-            Ordinal.omega(2),
-            TransfiniteSeq(W, lambda xi: fin(xi.to_int() + 1)))
+        not_zero = CofinalPresentation(Ordinal.omega(2), lambda n: fin(n + 1))
         with pytest.raises(BadCofinal):
             validate_cofinal(not_zero)
-        too_long = CofinalPresentation(
-            parse_cnf("w^2*2"),
-            TransfiniteSeq(W, lambda xi: Ordinal.omega_power(2, xi.to_int())
-                           if xi.to_int() else ZERO))
+        too_long = CofinalPresentation(parse_cnf("w^2*2"),
+                                       lambda n: Ordinal.omega_power(2, n))
         with pytest.raises(BadCofinal):
             validate_cofinal(too_long)
 
     def test_validate_names_the_block_of_another_length(self):
         """Block 1 of 0, 1, w*4, w*6, ... is [1, w*4), of type w*4."""
         wide = CofinalPresentation(
-            parse_cnf("w^2"),
-            TransfiniteSeq(W, lambda xi: fin(xi.to_int()) if xi.to_int() < 2
-                           else Ordinal.omega(2 * xi.to_int())))
+            parse_cnf("w^2"), lambda n: fin(n) if n < 2 else Ordinal.omega(2 * n))
         with pytest.raises(BadCofinal, match=r"^block 1 has length w\*4, not finite or w$"):
             validate_cofinal(wide)
 
-    def test_default_samples_read_six_stages(self):
+    def test_default_samples_ask_the_ladder_nothing(self, nat):
         calls = []
         base = standard_cofinal(parse_cnf("w*3"))
-        cof = CofinalPresentation(base.alpha, TransfiniteSeq(
-            W, lambda xi: calls.append(xi) or base.stages.evaluator(xi)))
-        assert default_samples(cof) == default_samples(base)
-        assert calls == [fin(i) for i in range(6)]
+        cof = CofinalPresentation(base.alpha, lambda n: calls.append(n) or base.stage(n))
+        g = levy_lift(cof, transfinite_f_seq(nat))
+        assert calls == list(range(51))  # the lift's check of its first stages
+        assert g.default_samples() == [ZERO, fin(3), W, Ordinal.omega(2),
+                                       *(parse_cnf(f"w*2 + {i}") for i in range(1, 4))]
+        assert calls == list(range(51))
 
     @pytest.mark.parametrize("first, mid", [(2, 1), (4, 2), (5, 2)])
-    def test_default_samples_split_a_short_first_block(self, first, mid):
-        cof = CofinalPresentation(
-            Ordinal.omega(1), TransfiniteSeq(W, lambda xi: fin(first * xi.to_int())))
-        assert default_samples(cof) == sorted({ZERO, fin(mid)} | {fin(first * i)
-                                                                   for i in range(1, 6)})
+    def test_default_samples_split_a_short_first_block(self, nat, first, mid):
+        cof = CofinalPresentation(W, lambda n: fin(first * n))
+        g = levy_lift(cof, transfinite_f_seq(nat))
+        assert g.default_samples() == sorted({ZERO, fin(mid)} | {fin(first * i)
+                                                                 for i in range(1, 6)})
 
-    def test_default_samples_add_both_limits_below_alpha(self):
-        """Stages 0, 1, w^2 + 1, w^2*2 + 1, ... to w^3 pass neither w nor
-        w*2, so both limits come from the limit rule."""
+    def test_default_samples_add_both_limits_below_alpha(self, nat):
+        """Stages 0, 1, ..., 10, w, w*2, w*2 + 1, ... to w*3: the first six
+        pass neither w nor w*2, so both limits come from the limit rule."""
         cof = CofinalPresentation(
-            Ordinal.omega_power(3),
-            TransfiniteSeq(W, lambda xi: ord_add(Ordinal.omega_power(2, xi.to_int() - 1), fin(1))
-                           if xi.to_int() else ZERO))
-        stages = [cof.stage(i) for i in range(1, 6)]
-        assert default_samples(cof) == sorted([ZERO, W, Ordinal.omega(2), *stages])
+            Ordinal.omega(3),
+            lambda n: fin(n) if n <= 10 else ord_add(Ordinal.omega(min(n - 10, 2)),
+                                                     fin(max(n - 12, 0))))
+        g = levy_lift(cof, transfinite_f_seq(nat))
+        assert g.block_lengths(13) == [fin(1)] * 10 + [W, W, fin(1)]
+        stages = [fin(i) for i in range(1, 6)]
+        assert g.default_samples() == sorted([ZERO, W, Ordinal.omega(2), *stages])
 
     def test_a_lift_built_directly_checks_its_ladder(self, nat):
-        flat = CofinalPresentation(Ordinal.omega(2), TransfiniteSeq(W, lambda xi: ZERO))
+        flat = CofinalPresentation(Ordinal.omega(2), lambda n: ZERO)
         with pytest.raises(BadCofinal, match="not strictly increasing at 1"):
             LiftedWitness(flat, transfinite_f_seq(nat), standard_block_builder(nat))
 
-    def test_validate_refuses_a_ladder_of_another_length(self):
-        short = CofinalPresentation(Ordinal.omega(2), TransfiniteSeq(fin(5), lambda xi: xi))
-        with pytest.raises(BadCofinal, match="ladder must have length w"):
-            validate_cofinal(short)
-
     def test_validate_refuses_a_stage_that_reaches_alpha(self):
-        overshoot = CofinalPresentation(
-            Ordinal.omega(2),
-            TransfiniteSeq(W, lambda xi: Ordinal.omega_power(1, xi.to_int())))
+        overshoot = CofinalPresentation(Ordinal.omega(2), lambda n: Ordinal.omega_power(1, n))
         with pytest.raises(BadCofinal, match=r"stage 2 reaches w\*2"):
             validate_cofinal(overshoot)
 
@@ -189,13 +178,12 @@ class TestCofinal:
         # stages 0, 1, 2, ... lie below w*2 but never pass w
         monkeypatch.setattr(ordinals, "_SCAN_CAP", 60)
         asked = []
-        finite = CofinalPresentation(Ordinal.omega(2),
-                                     TransfiniteSeq(W, lambda xi: asked.append(xi) or xi))
+        finite = CofinalPresentation(Ordinal.omega(2), lambda n: asked.append(n) or fin(n))
         g = levy_lift(finite, transfinite_f_seq(nat))
         assert g.at(59) == 59
         with pytest.raises(BadCofinal, match="ladder never passes w"):
             g.at(W)
-        assert max(asked) == fin(61)
+        assert max(asked) == 61
 
 
 class TestLiftOmega:
@@ -227,7 +215,7 @@ class TestLiftOmegaTimes2:
         f, g = lifted
         pts = [ZERO, fin(5), W, ord_add(W, fin(7)), ord_add(W, fin(50))]
         assert check_transfinite_witness(f, g, pts)
-        assert check_transfinite_witness(f, g, default_samples(g.cof))
+        assert check_transfinite_witness(f, g, g.default_samples())
 
     def test_fresh_after_the_whole_block(self, lifted):
         f, g = lifted
@@ -249,7 +237,7 @@ class TestLiftOmegaTimes2:
 
     def test_samples_in_report(self, lifted):
         f, g = lifted
-        report = sample_report(f, g, default_samples(g.cof))
+        report = sample_report(f, g, g.default_samples())
         assert all(entry["ok"] for entry in report)
         assert report[0]["beta"] == "0"
 
@@ -261,15 +249,9 @@ class TestLiftOmegaTimes3:
         assert [at_block(g, 0, i) for i in range(4)] == [0, 2, 4, 6]
         assert [at_block(g, 1, i) for i in range(4)] == [1, 5, 9, 13]
         assert [at_block(g, 2, i) for i in range(4)] == [3, 7, 11, 15]
-        assert check_transfinite_witness(f, g, default_samples(g.cof))
+        assert check_transfinite_witness(f, g, g.default_samples())
         lengths = g.block_lengths(50)
         assert lengths[:2] == [W, W] and set(lengths[2:]) == {fin(1)}
-
-    def test_block_order_types_match_gammas(self, nat):
-        cof = standard_cofinal(Ordinal.omega(3))
-        g = levy_lift(cof, transfinite_f_seq(nat))
-        for xi, length in enumerate(g.block_lengths(50)):
-            assert length == cof.gamma(xi)
 
 
 class TestChecker:
@@ -405,7 +387,7 @@ class TestBuilders:
             return plain.member(seq, v)
 
         f = TransfiniteFunctional("counted", member, plain.select, set=nat)
-        cof = CofinalPresentation(W, TransfiniteSeq(W, lambda xi: fin(100 * xi.to_int())))
+        cof = CofinalPresentation(W, lambda n: fin(100 * n))
         g = levy_lift(cof, f)
         assert g.at(99) == 99 and calls[0] == 2 * 64
 
@@ -433,7 +415,7 @@ class TestBuilders:
         g = levy_lift(standard_cofinal(Ordinal.omega(2)), f)
         assert g.at(0) == 0
         assert g.at(W) == 2
-        assert check_transfinite_witness(f, g, default_samples(g.cof))
+        assert check_transfinite_witness(f, g, g.default_samples())
 
     def test_functional_without_set_needs_builder(self, nat):
         from forcelab.levy import TransfiniteFunctional
@@ -448,28 +430,27 @@ class TestBuilders:
 
 def growing_blocks_ladder():
     """Under w*2: first w, then finite blocks of lengths 3, 4, 5, ..."""
-    def stage(xi):
-        n = xi.to_int()
+    def stage(n):
         return ord_add(W, fin((n - 1) * (n + 4) // 2)) if n else ZERO
 
-    return CofinalPresentation(Ordinal.omega(2), TransfiniteSeq(W, stage))
+    return CofinalPresentation(Ordinal.omega(2), stage)
 
 
 class TestLongerFiniteBlocks:
     def test_samples_split_a_finite_first_block(self, nat):
         """A first block of finite length l >= 2 is sampled at l // 2."""
-        cof = CofinalPresentation(W, TransfiniteSeq(W, lambda xi: fin(3 * xi.to_int())))
+        cof = CofinalPresentation(W, lambda n: fin(3 * n))
         f = transfinite_f_seq(nat)
         g = levy_lift(cof, f)
         samples = [fin(n) for n in (0, 1, 3, 6, 9, 12, 15)]
-        assert default_samples(cof) == g.default_samples() == samples
+        assert g.default_samples() == samples
         assert check_transfinite_witness(f, g, samples)
 
     def test_values_checks_and_restrictions(self, nat):
         cof = growing_blocks_ladder()
         f = transfinite_f_seq(nat)
         g = levy_lift(cof, f)
-        assert [str(cof.gamma(xi)) for xi in range(4)] == ["w*1", "3", "4", "5"]
+        assert [str(length) for length in g.block_lengths(4)] == ["w*1", "3", "4", "5"]
         positions = [ord_add(W, fin(i)) for i in range(30)]
         assert [g.at(p) for p in positions] == list(range(1, 60, 2))
         assert check_transfinite_witness(f, g, positions)
@@ -507,7 +488,7 @@ class TestReport:
         cof = standard_cofinal(Ordinal.omega(2))
         g = levy_lift(cof, f)
         doc = run_report_json(cof, f, g, blocks=3,
-                              samples=default_samples(cof))
+                              samples=g.default_samples())
         assert doc["alpha"] == "w*2"
         assert doc["blocks"] == [{"xi": 0, "gamma": "w*1"},
                                  {"xi": 1, "gamma": "1"},

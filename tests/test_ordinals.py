@@ -198,7 +198,7 @@ class TestTransfiniteSeq:
     def test_restrict(self):
         s = seq_of(1, 2, 3)
         r = s.restrict(2)
-        assert r.materialize() == [1, 2]
+        assert r.length == fin(2) and [r.at(i) for i in range(2)] == [1, 2]
         with pytest.raises(IndexError):
             s.restrict(5)
 
@@ -208,7 +208,7 @@ class TestConcat:
         t = seq_of(seq_of("a", "b"), seq_of("c"))
         c = concat(t)
         assert c.length == fin(3)
-        assert c.materialize() == ["a", "b", "c"]
+        assert [c.at(i) for i in range(3)] == ["a", "b", "c"]
 
     def test_finite_random_against_lists(self):
         rng = random.Random(23)
@@ -219,7 +219,8 @@ class TestConcat:
                 [TransfiniteSeq.from_items(ch) for ch in chunks])
             c = concat(t)
             flat = [v for ch in chunks for v in ch]
-            assert c.materialize() == flat
+            assert c.length == fin(len(flat))
+            assert [c.at(i) for i in range(len(flat))] == flat
 
     def test_constant_blocks_of_length_one(self):
         t = TransfiniteSeq(W, lambda p: seq_of("x"))

@@ -203,8 +203,7 @@ class TestWithLevelRanks:
 
 def triangular():
     """The ladder 0, 1, 3, 6, 10, ... to w: finite blocks of lengths 1, 2, 3, ..."""
-    return CofinalPresentation(
-        OMEGA, TransfiniteSeq(OMEGA, lambda xi: Ordinal.from_int(xi.to_int() * (xi.to_int() + 1) // 2)))
+    return CofinalPresentation(OMEGA, lambda n: Ordinal.from_int(n * (n + 1) // 2))
 
 
 class TestBlocks:
@@ -234,7 +233,7 @@ class TestBlocks:
         f = transfinite_f_seq(nat_set())
         prefix = UsageSeq(Ordinal.from_int(0), lambda p: None, usage=IndexUsage())
         block = build(Ordinal.from_int(3), f, prefix)
-        assert block.seq.materialize() == [0, 1, 2] and block.indices == (0, 1, 2)
+        assert [block.seq.at(j) for j in range(3)] == [0, 1, 2] and block.indices == (0, 1, 2)
         with pytest.raises(IndexError):
             block.seq.at(3)
 
@@ -251,8 +250,7 @@ class TestBlocks:
             return std.select(seq)
 
         f = levy.TransfiniteFunctional("reading", std.member, select, set=x)
-        g = levy_lift(CofinalPresentation(
-            OMEGA, TransfiniteSeq(OMEGA, lambda xi: Ordinal.from_int(3 * xi.to_int()))), f)
+        g = levy_lift(CofinalPresentation(OMEGA, lambda n: Ordinal.from_int(3 * n)), f)
         assert [g.at(i) for i in range(6)] == [0, 1, 2, 3, 4, 5]
         assert seen == [[], [0], [0, 1], [0, 1, 2], [0, 1, 2, 3], [0, 1, 2, 3, 4]]
 

@@ -70,11 +70,11 @@ def test_warm_lift_query_makes_no_ladder_calls():
     base = standard_cofinal(parse_cnf("w*2"))
     calls = {"stage": 0}
 
-    def stage(xi):
+    def stage(n):
         calls["stage"] += 1
-        return base.stages.evaluator(xi)
+        return base.stage(n)
 
-    cof = CofinalPresentation(base.alpha, TransfiniteSeq(base.stages.length, stage))
+    cof = CofinalPresentation(base.alpha, stage)
     f = transfinite_f_seq(collapse.nat_set())
     g = levy_lift(cof, f)
     pos = parse_cnf("w + 300")
@@ -363,11 +363,11 @@ def test_cold_lift_evaluates_each_ladder_stage_once():
     base = standard_cofinal(parse_cnf("w*2"))
     calls = {"stage": 0}
 
-    def stage(xi):
+    def stage(n):
         calls["stage"] += 1
-        return base.stages.evaluator(xi)
+        return base.stage(n)
 
-    cof = CofinalPresentation(base.alpha, TransfiniteSeq(base.stages.length, stage))
+    cof = CofinalPresentation(base.alpha, stage)
     f = transfinite_f_seq(collapse.nat_set())
     g = levy_lift(cof, f)
     probe = calls["stage"]  # the lift's check of its first stages
@@ -381,28 +381,24 @@ def test_cold_lift_evaluates_each_ladder_stage_once():
 def test_levy_run_evaluates_each_ladder_stage_once(monkeypatch, alpha):
     """``levy-run`` takes its samples' first block and stages 1 to 5 from
     the 51 stages its lift checked; asking the ladder again made 58 calls.
-    The samples are those of ``default_samples``, which holds only the
-    ladder, and the document is unchanged."""
+    The document is unchanged."""
     calls = {"stage": 0}
     standard = levy.standard_cofinal
 
     def counted_cofinal(a):
         base = standard(a)
 
-        def stage(xi):
+        def stage(n):
             calls["stage"] += 1
-            return base.stages.evaluator(xi)
+            return base.stage(n)
 
-        return CofinalPresentation(base.alpha, TransfiniteSeq(base.stages.length, stage))
+        return CofinalPresentation(base.alpha, stage)
 
     config = RunConfig("levy-run", {"set": "nat", "alpha": alpha})
     plain = run(config)
     monkeypatch.setattr(levy, "standard_cofinal", counted_cofinal)
     assert run(config) == plain
     assert calls["stage"] == 51
-    cof = standard(parse_cnf(alpha))
-    assert levy_lift(cof, transfinite_f_seq(collapse.nat_set())).default_samples() \
-        == levy.default_samples(cof)
 
 
 def test_f_seq_records_a_finite_sequence_with_one_index_of_per_code(monkeypatch):
@@ -584,34 +580,56 @@ def test_cold_lift_blocks_build_no_checked_ordinals(monkeypatch):
     assert updates[0] >= 450 and skips[0] == 0
 
 
+def python_calls(fn, *args):
+    """``fn(*args)`` and the number of Python-level calls it made, itself
+    included.  Garbage collection is off while counting, so no finalizer's
+    calls are counted."""
+    count = [0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            count[0] += 1
+
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return result, count[0]
+
+
+def test_standard_ladder_stage_reads_in_two_frames():
+    """A stage of ``standard_cofinal`` is its evaluator and one unchecked
+    Ordinal.  Read through a ``TransfiniteSeq`` of length w at an
+    ``Ordinal`` position, it took six frames."""
+    for alpha, stage_300 in [("w", "300"), ("w*2", "w*1 + 299"), ("w*7", "w*6 + 294"),
+                             ("w^2", "w*300")]:
+        cof = standard_cofinal(parse_cnf(alpha))
+        for n in (0, 1, 5, 300):
+            value, frames = python_calls(cof.stage, n)
+            assert frames <= 2
+        assert str(value) == stage_300
+
+
 def test_cold_lift_unit_block_python_calls():
     """A unit block of a cold lift under w*2 (its ladder stage, its length,
-    the build and the block check) makes at most 48 Python-level calls.
+    the build and the block check) makes at most 38 Python-level calls.
     Built through the frozen ``__init__``s, ``from_items`` and three- and
-    four-frame rank queries it made 64.  Garbage collection is off while
-    counting, so no finalizer's calls are counted."""
+    four-frame rank queries it made 64; built past them, with the stage
+    read through a ``TransfiniteSeq`` of length w, 41.  Now it makes 37."""
 
     def calls(n):
         f = transfinite_f_seq(collapse.nat_set())
         g = levy_lift(standard_cofinal(parse_cnf("w*2")), f)
         pos = parse_cnf(f"w + {n}")
-        count = [0]
-
-        def profile(frame, event, arg):
-            if event == "call":
-                count[0] += 1
-
-        collecting = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        sys.setprofile(profile)
-        try:
-            value, ok = g.at(pos), check_transfinite_witness(f, g, [pos])
-        finally:
-            sys.setprofile(None)
-            if collecting:
-                gc.enable()
+        (value, ok), count = python_calls(
+            lambda: (g.at(pos), check_transfinite_witness(f, g, [pos])))
         assert value == 2 * n + 1 and ok
-        return count[0]
+        return count
 
-    assert (calls(300) - calls(150)) / 150 <= 48
+    assert (calls(300) - calls(150)) / 150 <= 38
