@@ -28,7 +28,7 @@ class CountableSet:
     error.  ``index(code)`` is the code's enumeration index, or None for
     a non-member, so membership is always decided.  ``index_of`` raises
     ``ValueError`` on a non-member; ``index_or_none`` is the one rule for
-    a failed lookup: ``index_of``, or None where it raises ``ValueError``.
+    a failed lookup: ``index``, with its ``ValueError`` read as None.
     ``contains`` and the fresh-code and Lévy functionals ask it.
     """
 
@@ -44,7 +44,7 @@ class CountableSet:
 
     def index_or_none(self, code: Code) -> Optional[int]:
         try:
-            return self.index_of(code)
+            return self.index(code)
         except ValueError:
             return None
 
@@ -226,7 +226,8 @@ def _fresh_appender(x: CountableSet) -> Callable[[Sequence, int], Sequence]:
     The fresh bound is a ``SuffixFold``, and every view the appender
     returns is kept with its bound (the old bound plus k, since enum(b + j)
     has index b + j).  An input that *is* that view costs O(k): ``grow``
-    appends in place and no ``index_of`` call is made.  An extension of it
+    appends ``map(x.enum, ...)`` in place, with no ``index_of`` call and no
+    frame beyond ``x.enum``'s (five in all at k = 1).  An extension of it
     pays one ``index_of`` call per code of the suffix; any other input one
     per code, plus a copy.
     """
@@ -236,7 +237,7 @@ def _fresh_appender(x: CountableSet) -> Callable[[Sequence, int], Sequence]:
         if k <= 0:
             return p
         b = bound.fold_state(p)
-        q = grow(p, [x.enum(b + j) for j in range(k)])
+        q = grow(p, map(x.enum, range(b, b + k)))
         bound.keep(q, b + k)
         return q
 
@@ -265,14 +266,14 @@ class _LengthGoal(DenseSet):
     its ``__dict__``, no closure, and a ``name`` formatted only when read.
     A copy made by ``dataclasses.replace`` is built by that ``__init__``,
     so the fields it was given, stored on the instance, win over these
-    methods.
+    methods.  A ``Grown`` view's length is its ``n``, read with no frame.
     """
 
     def member(self, f: Sequence) -> bool:
-        return len(f) >= self.t
+        return (f.n if type(f) is Grown else len(f)) >= self.t
 
     def extend(self, p: Sequence) -> Sequence:
-        return self.append(p, self.t - len(p))
+        return self.append(p, self.t - (p.n if type(p) is Grown else len(p)))
 
     def __getattr__(self, attr: str) -> Any:
         if attr == "name":  # only a goal made by _LengthLevels has no name field

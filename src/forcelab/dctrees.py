@@ -11,12 +11,16 @@ the marker counting prior occurrences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
 from .collapse import CountableSet, length_levels, prefix_enumeration, sequence_tree
 from .errors import BadSelector, NotInTree
 from .posets import (Code, DenseSet, Grown, PosetPresentation, SuffixFold, _jsonable, grow,
                      rasiowa_sikorski)
+
+_base = attrgetter("base")
+_new, _set_field = object.__new__, object.__setattr__  # past a frozen __init__
 
 
 @dataclass(frozen=True)
@@ -40,22 +44,22 @@ def _fresh_functional(x: CountableSet, name: str, stride: int = 1,
     ``stride`` and, with ``bound``, at most bound * len(t); select names the
     one of least index.
 
-    Its state is a ``SuffixFold`` of t into the set of codes t uses and the
-    index where the last scan stopped: every candidate below it is used, and
-    stays used on every extension.  Along a growing run a ``select`` folds
-    in only the new suffix and tries O(1) candidates amortised, and the
-    ``member`` call that checks its answer reads the same set, so a step
-    on a ``Grown`` view costs O(1).  ``member`` tests a t that is neither a
-    tuple nor a view with ``in`` instead, and it asks x's ``index`` once
-    for v (``index_or_none``), which decides membership in x as well.
+    Its state is a ``SuffixFold`` of t into the set of codes t uses, the
+    index where the last scan stopped and the code there: every candidate
+    below it is used, and stays used on every extension.  Along a growing
+    run a ``select`` folds in only the new suffix and draws one code (the
+    one it named last is kept), and the ``member`` call that checks its
+    answer reads the same set, so a step on a ``Grown`` view costs O(1).
+    ``member`` tests a t that is neither a tuple nor a view with ``in``
+    instead, and it asks x's ``index`` once for v (``index_or_none``),
+    which decides membership in x as well.
     """
 
-    def fold(state: tuple, suffix: Sequence) -> tuple:
-        used, stop = state
-        used.update(suffix)
-        return used, stop
+    def fold(state: list, suffix: Sequence) -> list:
+        state[0].update(suffix)
+        return state
 
-    scan = SuffixFold(lambda: (set(), 0), fold)
+    scan = SuffixFold(lambda: [set(), 0, x.enum(0)], fold)
 
     def member(t: Sequence, v: Code) -> bool:
         i = x.index_or_none(v)
@@ -68,15 +72,15 @@ def _fresh_functional(x: CountableSet, name: str, stride: int = 1,
         return i % stride == 0 and (bound is None or i <= bound * len(t))
 
     def select(t: Sequence) -> Code:
-        used, i = scan.fold_state(t)
-        limit = None if bound is None else bound * len(t)
-        while limit is None or i <= limit:
-            c = x.enum(i)
-            if c not in used:
-                scan.keep(t, (used, i))
-                return c
+        state = scan.fold_state(t)
+        used, i, c = state
+        while c in used:  # t is finite, so some candidate is unused
             i += stride
-        raise BadSelector(f"no unused code of index <= {limit}")
+            c = x.enum(i)
+        if bound is not None and i > bound * len(t):
+            raise BadSelector(f"no unused code of index <= {bound * len(t)}")
+        state[1:] = i, c  # t's own state, so the next call starts here
+        return c
 
     return ChoiceFunctional(f"{name}({x.name})", member, select, injective_mode=True)
 
@@ -107,9 +111,10 @@ def const_functional(x: CountableSet) -> ChoiceFunctional:
 
 def cycle_functional(x: CountableSet, period: int) -> ChoiceFunctional:
     """Forces the codes 0..period-1 cyclically; repetitions from step period on."""
+    codes = [x.enum(i) for i in range(period)]  # drawn once, not on every call
     return ChoiceFunctional(f"cycle{period}({x.name})",
-                            lambda t, v: v == x.enum(len(t) % period),
-                            lambda t: x.enum(len(t) % period),
+                            lambda t, v: v == codes[len(t) % period],
+                            lambda t: codes[len(t) % period],
                             injective_mode=False)
 
 
@@ -134,11 +139,15 @@ def fixture_functional(x: CountableSet, name: str) -> ChoiceFunctional:
 def in_tree(f: ChoiceFunctional, t: Sequence) -> bool:
     """True iff every value of t is allowed by f on the values before it.
 
-    The restrictions are ``Grown`` views of one copy of t, so each is
-    built in O(1) and f's resumable oracles fold each value once.
+    Each restriction is the one before it grown by a value, so all are
+    views of one buffer and f's resumable oracles fold each value once.
     """
-    buf = list(t)
-    return all(f.member(Grown(buf, i), v) for i, v in enumerate(buf))
+    u = grow((), ())
+    for v in t:
+        if not f.member(u, v):
+            return False
+        u = grow(u, (v,))
+    return True
 
 
 def t_of_f(x: CountableSet, f: ChoiceFunctional) -> PosetPresentation:
@@ -251,37 +260,24 @@ def marked_set(x: CountableSet) -> CountableSet:
     return CountableSet(f"{x.name}*w", enum, index=index)
 
 
-def _marker_walk(u: Sequence, counts: dict) -> bool:
-    """Add u's bases to ``counts`` (base -> occurrences so far).
-
-    False, with ``counts`` left part-way, unless every element of u is a
-    MarkedElement carrying its base's count up to it.
-    """
-    if not all(isinstance(m, MarkedElement) for m in u):
-        return False
-    for m in u:
-        n = counts.get(m.base, 0)
-        if m.marker != n:
-            return False
-        counts[m.base] = n + 1
-    return True
-
-
 def _marker_tracker() -> SuffixFold:
     """``marks(u)``: (bases of u, base -> occurrences, ok), where ok says
     u's markers are its true occurrence counts.
 
-    A ``SuffixFold`` whose fold walks the new suffix with ``_marker_walk``
-    into a dict and a ``Grown`` view of bases.  Markers that are wrong on
-    a prefix stay wrong on every extension, so a wrong state folds to
-    itself.
+    A ``SuffixFold`` whose fold walks the new suffix into a dict and a
+    ``Grown`` view of bases; on the first element that is no
+    ``MarkedElement`` carrying its base's count so far it gives up, with
+    the dict left part-way.  Markers that are wrong on a prefix stay wrong
+    on every extension, so a wrong state folds to itself.
     """
 
     def fold(state: tuple, suffix: Sequence) -> tuple:
         bases, counts, ok = state
-        if not (ok and _marker_walk(suffix, counts)):
-            return (), counts, False
-        return grow(bases, [m.base for m in suffix]), counts, True
+        for m in suffix if ok else ():
+            if not isinstance(m, MarkedElement) or m.marker != counts.get(m.base, 0):
+                return (), counts, False
+            counts[m.base] = counts.get(m.base, 0) + 1
+        return (grow(bases, map(_base, suffix)), counts, True) if ok else state
 
     return SuffixFold(lambda: ((), {}, True), fold)
 
@@ -298,7 +294,8 @@ def marker_reduction(x: CountableSet, f: ChoiceFunctional) -> ChoiceFunctional:
     Cost: the marker state of the last sequence seen is kept (see
     ``_marker_tracker``), so along a growing run a ``member`` or ``select``
     call walks only the new suffix.  f sees one ``Grown`` view of the
-    bases, grown in place, and a step costs O(1).
+    bases, grown in place, and a step costs O(1); the ``MarkedElement``
+    that ``select`` names is built past its frozen ``__init__``.
     """
     product_seq = f_seq(marked_set(x))
     marks = _marker_tracker().fold_state
@@ -316,15 +313,17 @@ def marker_reduction(x: CountableSet, f: ChoiceFunctional) -> ChoiceFunctional:
         bases, counts, ok = marks(u)
         if not ok:
             return product_seq.select(u)
-        b = f.select(bases)
-        return MarkedElement(b, counts.get(b, 0))
+        b, m = f.select(bases), _new(MarkedElement)
+        _set_field(m, "base", b)
+        _set_field(m, "marker", counts.get(b, 0))
+        return m
 
     return ChoiceFunctional(f"marked({f.name})", member, select, injective_mode=True)
 
 
 def unmark(g: Sequence) -> tuple:
     """First projection: drop the markers."""
-    return tuple(m.base for m in g)
+    return tuple(map(_base, g))
 
 
 def witness_json(f: ChoiceFunctional, values: Sequence,

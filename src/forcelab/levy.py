@@ -46,14 +46,19 @@ _new, _set_field = object.__new__, object.__setattr__
 # ---------------------------------------------------------------------------
 
 
-def _skip_taken(taken: tuple, n: int) -> int:
-    """The n-th (from 0) natural outside the runs ``taken``, by bisection."""
+def _free_below(taken: tuple) -> list:
+    """For each run of ``taken``, the naturals below its start that no run takes."""
+    return list(accumulate(map(sub, taken[::2], (0,) + taken[1::2])))
+
+
+def _skip_taken(taken: tuple, n: int, free: Optional[list] = None) -> int:
+    """The n-th (from 0) natural outside the runs ``taken``, by bisection over
+    ``free``, ``_free_below(taken)``, which a caller asking many n passes."""
     if len(taken) <= 2:  # at most one run: no prefix sums to build
         return n + taken[1] - taken[0] if taken and n >= taken[0] else n
-    # the naturals below each run's start that no run takes
-    free = list(accumulate(map(sub, taken[::2], (0,) + taken[1::2])))
-    i = 2 * bisect_right(free, n)  # the runs below the answer end at taken[i - 1]
-    return n + sum(taken[1:i:2]) - sum(taken[:i:2])
+    free = _free_below(taken) if free is None else free
+    j = bisect_right(free, n)  # the runs below the answer, the last ending at taken[2j - 1]
+    return n + taken[2 * j - 1] - free[j - 1] if j else n
 
 
 def _rank_outside(taken: tuple, k: int) -> Optional[int]:
@@ -156,7 +161,8 @@ class IndexUsage:
 
     def with_fresh(self, ranks) -> "IndexUsage":
         """Also consume the fresh indices at the given fresh ranks."""
-        return self._with_level_ranks({_skip_taken(self.taken, r) for r in ranks})
+        free = _free_below(self.taken)  # once per call, not once per rank
+        return self._with_level_ranks({_skip_taken(self.taken, r, free) for r in ranks})
 
     def with_explicit(self, indices) -> "IndexUsage":
         """Also consume the given indices; consumed ones are ignored."""
@@ -284,13 +290,20 @@ def standard_cofinal(alpha: Ordinal) -> CofinalPresentation:
     return CofinalPresentation(alpha, stage)
 
 
+def _stage(cof: CofinalPresentation, n: int) -> Ordinal:
+    """Stage n of the ladder, or ``BadCofinal`` naming n if it is no ``Ordinal``."""
+    if isinstance(xi := cof.stage(n), Ordinal):
+        return xi
+    raise BadCofinal(f"stage {n} is {xi!r}, not an Ordinal")
+
+
 def validate_cofinal(cof: CofinalPresentation) -> list[Ordinal]:
     """Check ladder invariants on the first ``_VALIDATE_STAGES`` stages; return those."""
-    stages = [cof.stage(0)]
+    stages = [_stage(cof, 0)]
     if not stages[0].is_zero():
         raise BadCofinal("ladder must start at 0")
     for xi in range(1, _VALIDATE_STAGES + 1):
-        prev, cur = stages[-1], cof.stage(xi)
+        prev, cur = stages[-1], _stage(cof, xi)
         if not prev < cur:
             raise BadCofinal(f"ladder not strictly increasing at {xi}")
         if not cur < cof.alpha:
@@ -414,13 +427,13 @@ class LiftedWitness:
         """Evaluate ladder stages into ``self._stages``, the one stage list
         of the lift, until the last lies past ``pos``, or until block
         ``block`` has its end stage."""
-        stages, stage = self._stages, self.cof.stage
+        stages = self._stages
         while (not pos.terms < stages[-1].terms if block is None
                else len(stages) <= block + 1):
             if len(stages) > ordinals._SCAN_CAP + 1:
                 raise BadCofinal("ladder never passes " + (
                     str(pos) if block is None else f"the end of block {block}"))
-            stages.append(stage(len(stages)))
+            stages.append(_stage(self.cof, len(stages)))
 
     def _block(self, xi: int) -> BuiltBlock:
         stages = self._stages

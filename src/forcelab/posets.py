@@ -109,14 +109,16 @@ def grow(t: Sequence, values: Iterable) -> Grown:
     A view that ends at its buffer's end is grown in place, O(len values);
     any other t, a tuple or a view some earlier ``grow`` already extended
     (a branch), is copied first.  So a run that grows its own last
-    condition never copies it.
+    condition never copies it; the view is built past ``__init__``.
     """
     if type(t) is Grown and t.n == len(t.buf):
         buf = t.buf
     else:
         buf = list(t)
     buf.extend(values)
-    return Grown(buf, len(buf))
+    view = object.__new__(Grown)
+    view.buf, view.n = buf, len(buf)
+    return view
 
 
 def extends(g: Sequence, f: Sequence) -> bool:
@@ -149,13 +151,13 @@ class SuffixFold:
     ``t[len(last):]`` into the kept state, O(len suffix) interpreted work
     plus the ``extends`` test, and a view grown from the kept one reads
     that suffix off the shared buffer with no test; any other is folded
-    from ``start()``.  A list is folded but never
-    kept, since it may change in place.  ``fold`` may update the kept
-    state in place, so a state is valid until the next call; a fold that
-    raises leaves nothing kept, the empty tuple included, which CPython
-    shares between all callers.  ``keep(t, value)`` records the state of a
-    sequence the caller has just built, so the next call with it costs
-    nothing.
+    from ``start()``.  A list is folded but never kept, since it may change
+    in place.  ``fold``, and the caller, may update the returned state
+    (t's kept state) in place, so a state is valid until the next call; a
+    fold that raises leaves nothing kept, the empty tuple included, which
+    CPython shares between all callers.  ``keep(t, value)`` records the
+    state of a sequence the caller has just built, so the next call with
+    it costs nothing.
     """
 
     __slots__ = ("start", "fold", "last", "state")

@@ -182,17 +182,13 @@ def test_python_m_forcelab_is_the_cli(argv):
 # ---------------------------------------------------------------------------
 
 
-def test_member_looks_each_value_up_once(monkeypatch):
+def test_member_looks_each_value_up_once():
+    """One call of the set's ``index`` per value."""
     calls = []
-    lookup = CountableSet.index_of
-
-    def counting(self, code):
-        calls.append(code)
-        return lookup(self, code)
-
-    monkeypatch.setattr(CountableSet, "index_of", counting)
+    nat = nat_set()
+    x = CountableSet("nat", nat.enum, index=lambda code: calls.append(code) or nat.index(code))
     seq = types.SimpleNamespace(usage=IndexUsage().with_explicit([1, 3]))
-    f = transfinite_f_seq(nat_set())
+    f = transfinite_f_seq(x)
     for v, want in [(2, True), (3, False), (-1, False)]:
         calls.clear()
         assert f.member(seq, v) is want, v

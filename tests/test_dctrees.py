@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from forcelab.collapse import coll_poset, generic_to_injection, nat_set, pairs_set
+from forcelab.collapse import CountableSet, coll_poset, generic_to_injection, nat_set, pairs_set
 from forcelab.dctrees import (
     ChoiceFunctional,
     MarkedElement,
@@ -205,6 +205,22 @@ class TestMarkerReduction:
         assert len(set(u)) == 50  # injective pairs
         projected = unmark(u)
         assert check_dc_witness(f, projected)
+
+    @pytest.mark.parametrize("name, period", [("cycle2", 2), ("cycle3", 3)])
+    def test_cycle_fixture_repeats_its_period(self, name, period):
+        x = pairs_set()
+        u = dc_witness(marked_set(x), marker_reduction(x, fixture_functional(x, name)), 12)
+        assert unmark(u) == tuple(x.enum(i % period) for i in range(12))
+
+    def test_cycle_draws_its_codes_once(self, nat):
+        drawn = []
+        x = CountableSet("nat", lambda n: drawn.append(n) or nat.enum(n), index=nat.index)
+        f = cycle_functional(x, 3)
+        assert drawn == [0, 1, 2]
+        assert [f.select((0,) * k) for k in range(7)] == [0, 1, 2, 0, 1, 2, 0]
+        assert all(f.member((0,) * k, k % 3) for k in range(7))
+        assert not f.member((), 1)
+        assert drawn == [0, 1, 2]
 
     def test_markers_equal_occurrence_counts(self, nat):
         f = cycle_functional(nat, 2)

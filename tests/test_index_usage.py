@@ -7,6 +7,7 @@ the interval runs replaced.  Random usage histories go through all of them,
 and every answer must agree.
 """
 
+import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forcelab import levy
 from forcelab.collapse import nat_set
 from forcelab.errors import BadBlock
 from forcelab.levy import (
@@ -319,6 +321,40 @@ class TestDeepChains:
         probes = sorted({k + e for k in fresh for e in (-1, 0, 1)} - {-1})
         assert [runs.fresh_rank(k) for k in probes] == [tup.fresh_rank(k) for k in probes]
         assert [runs.contains(k) for k in probes] == [tup.contains(k) for k in probes]
+
+
+class TestManyRuns:
+    """``with_fresh`` over a base of 1,500 runs (the even indices below
+    3,000) builds the prefix sums of the runs once per call; it built them
+    once per rank, O(ranks * runs) work for a restriction inside an
+    omega-block."""
+
+    EVENS = range(0, 3000, 2)
+
+    def test_agrees_with_the_sorted_tuple(self):
+        rnd = random.Random(79)
+        runs, tup = IndexUsage().with_explicit(self.EVENS), TupleUsage().with_explicit(self.EVENS)
+        assert len(runs.taken) == 3000
+        probes = range(6000)
+        for ranks in (range(0, 1000, 2), rnd.sample(range(3000), 400), [0, 1499, 1500, 1501, 4000]):
+            got, want = runs.with_fresh(ranks), tup.with_fresh(ranks)
+            assert [got.contains(k) for k in probes] == [want.contains(k) for k in probes]
+            assert [got.nth_fresh(r) for r in range(0, 3000, 7)] == [
+                want.nth_fresh(r) for r in range(0, 3000, 7)]
+
+    def test_prefix_sums_are_built_once_per_call(self, monkeypatch):
+        built = [0]
+        accumulate = levy.accumulate
+
+        def counting(*args):
+            built[0] += 1
+            return accumulate(*args)
+
+        monkeypatch.setattr(levy, "accumulate", counting)
+        runs = IndexUsage().with_explicit(self.EVENS)
+        assert built[0] == 0
+        runs.with_fresh(range(0, 1000, 2))
+        assert built[0] == 1
 
 
 class TestComposition:

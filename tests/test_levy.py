@@ -174,6 +174,25 @@ class TestCofinal:
         with pytest.raises(BadCofinal, match=r"stage 2 reaches w\*2"):
             validate_cofinal(overshoot)
 
+    @pytest.mark.parametrize("value", [0, 3, "w", None, 1.0])
+    def test_a_stage_that_is_no_ordinal_is_refused(self, nat, value):
+        """A ladder of ints, strings or None is a ``BadCofinal`` naming the
+        stage; it escaped as a raw ``AttributeError`` from ``is_zero``."""
+        with pytest.raises(BadCofinal, match=f"^stage 0 is {value!r}, not an Ordinal$"):
+            levy_lift(CofinalPresentation(W, lambda n: value), transfinite_f_seq(nat))
+        with pytest.raises(BadCofinal, match="^stage 0 is 0, not an Ordinal$"):
+            levy_lift(CofinalPresentation(W, lambda n: n), transfinite_f_seq(nat))
+
+    def test_a_later_stage_that_is_no_ordinal_is_refused(self, nat):
+        """Stages past the checked ones are read as blocks are built, and
+        each is checked as it is read."""
+        base = standard_cofinal(Ordinal.omega(2))
+        cof = CofinalPresentation(base.alpha, lambda n: base.stage(n) if n <= 60 else n)
+        g = levy_lift(cof, transfinite_f_seq(nat))
+        assert g.at(parse_cnf("w + 58")) == 117
+        with pytest.raises(BadCofinal, match="^stage 61 is 61, not an Ordinal$"):
+            g.at(parse_cnf("w + 60"))
+
     def test_lift_shares_the_offset_walk_cap(self, nat, monkeypatch):
         # stages 0, 1, 2, ... lie below w*2 but never pass w
         monkeypatch.setattr(ordinals, "_SCAN_CAP", 60)

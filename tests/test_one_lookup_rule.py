@@ -1,11 +1,14 @@
 """One rule for a failed lookup in a countable set.
 
-``CountableSet.index_or_none`` is ``index_of`` with its ``ValueError`` (the
-set's ``index`` does not list the code) read as None.  ``contains``, the
-Lévy functional and the fresh-code functionals ask it, and it calls through
-``index_of``, so a wrapped or patched ``index_of`` still sees every lookup.
-Every set carries ``index``, so a lookup is always decided.
+``CountableSet.index_or_none`` is the set's ``index`` with a ``ValueError``
+read as None, the two answers ``index_of`` turns into its ``ValueError``.
+``contains``, the Lévy functional and the fresh-code functionals ask it,
+and it calls ``index`` directly, one frame per lookup, so a counting
+``index`` sees every lookup.  Every set carries ``index``, so a lookup is
+always decided.
 """
+
+import dataclasses
 
 import ast
 import contextlib
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forcelab import cli
+from forcelab import cli, collapse
 from forcelab.collapse import CountableSet, evens_set, nat_set, pairs_set
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "forcelab"
@@ -41,19 +44,20 @@ class TestIndexOrNone:
         with pytest.raises(error):
             x.contains(3)
 
-    def test_calls_through_index_of(self, monkeypatch):
+    def test_calls_index_once_per_lookup(self):
         seen = []
-        lookup = CountableSet.index_of
-
-        def recording(self, code):
-            seen.append(code)
-            return lookup(self, code)
-
-        monkeypatch.setattr(CountableSet, "index_of", recording)
-        x = nat_set()
+        nat = nat_set()
+        x = CountableSet("nat", nat.enum, index=lambda code: seen.append(code) or nat.index(code))
         assert x.index_or_none(4) == 4 and x.index_or_none(-4) is None
         assert x.contains(5) and not x.contains(-5)
         assert seen == [4, -4, 5, -5]
+
+    def test_a_value_error_of_index_reads_as_none(self):
+        def index(v):
+            raise ValueError("not listed")
+
+        x = CountableSet("refusing", lambda n: n, index=index)
+        assert x.index_or_none(3) is None and not x.contains(3)
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(["nat", "evens", "pairs"]),
@@ -82,8 +86,9 @@ def _catches_value_error(handler: ast.ExceptHandler) -> bool:
 
 
 def test_the_rule_is_written_once():
-    """``index_or_none`` is the only handler in ``src/`` of ``index_of``'s
-    ``ValueError``: no other ``try`` that calls ``index_of`` catches it."""
+    """``index_or_none`` is the only handler in ``src/`` of a lookup's
+    ``ValueError``: no other ``try`` that calls ``index_of`` or ``index``
+    catches it."""
     handlers = []
 
     def visit(node, module, function):
@@ -92,7 +97,7 @@ def test_the_rule_is_written_once():
         if isinstance(node, ast.Try):
             called = {n.func.attr for stmt in node.body for n in ast.walk(stmt)
                       if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
-            if "index_of" in called and any(map(_catches_value_error, node.handlers)):
+            if called & {"index_of", "index"} and any(map(_catches_value_error, node.handlers)):
                 handlers.append((module, function))
         for child in ast.iter_child_nodes(node):
             visit(child, module, function)
@@ -106,15 +111,21 @@ def test_the_rule_is_written_once():
 @pytest.mark.parametrize("name", ["nat", "evens", "pairs"])
 def test_dc_run_asks_once_per_member_call(monkeypatch, functional, name):
     """``dc-run --n 300`` checks each selected code with one ``member``
-    call, which asks x once; ``evens`` and ``bounded`` asked twice (600)."""
+    call, which asks x's ``index`` once; ``evens`` and ``bounded`` asked
+    twice (600)."""
     calls = [0]
-    lookup = CountableSet.index_of
+    builtin = collapse.builtin_set
 
-    def counting(self, code):
-        calls[0] += 1
-        return lookup(self, code)
+    def counting(set_name):
+        x = builtin(set_name)
 
-    monkeypatch.setattr(CountableSet, "index_of", counting)
+        def index(code):
+            calls[0] += 1
+            return x.index(code)
+
+        return dataclasses.replace(x, index=index)
+
+    monkeypatch.setattr(collapse, "builtin_set", counting)
     with contextlib.redirect_stdout(io.StringIO()):
         status = cli.main(["dc-run", "--set", name, "--functional", functional,
                            "--n", "300"])
