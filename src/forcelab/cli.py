@@ -13,7 +13,6 @@ import json
 import random
 import re
 import sys
-from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional
 
@@ -21,13 +20,31 @@ from typing import Optional
 # fresh process loads only what its command runs.
 from . import collapse, posets
 from .errors import ContractError
+from .records import Record
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
+    """A command, its parameters and the file to write its document to (None: stdout)."""
+
+    __slots__ = ("command", "params", "output_path")
     command: str
-    params: dict = field(default_factory=dict)
-    output_path: Optional[str] = None
+    params: dict
+    output_path: Optional[str]
+
+    def __init__(self, command: str, params: Optional[dict] = None,
+                 output_path: Optional[str] = None):
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "params", {} if params is None else params)
+        object.__setattr__(self, "output_path", output_path)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.command, self.params, self.output_path)
+                    == (other.command, other.params, other.output_path))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.command, self.params, self.output_path))
 
 
 # Inclusive (least, greatest) value of each size, count and level; None is

@@ -8,16 +8,17 @@ sequence-tree poset here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from .errors import EnumerationDepthCap, NotInjective
 from .posets import (Code, DenseSet, GenericRun, Grown, PosetPresentation, SuffixFold,
                      _jsonable, _require_chain, extends, grow, prefixes)
+from .records import Record
+
+_set_field = object.__setattr__  # a value class's fields, past its refusing __setattr__
 
 
-@dataclass(frozen=True)
-class CountableSet:
+class CountableSet(Record):
     """An infinite set presented by an injective enumeration of element
     codes and its inverse.
 
@@ -32,9 +33,24 @@ class CountableSet:
     ``contains`` and the fresh-code and Lévy functionals ask it.
     """
 
+    __slots__ = ("name", "enum", "index")
     name: str
     enum: Callable[[int], Code]
     index: Callable[[Code], Optional[int]]
+
+    def __init__(self, name: str, enum: Callable[[int], Code],
+                 index: Callable[[Code], Optional[int]]):
+        _set_field(self, "name", name)
+        _set_field(self, "enum", enum)
+        _set_field(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.enum, self.index) == (other.name, other.enum, other.index)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.enum, self.index))
 
     def index_of(self, code: Code) -> int:
         i = self.index(code)
@@ -95,20 +111,28 @@ def builtin_set(name: str) -> CountableSet:
     return _BUILTINS[name]()
 
 
-@dataclass(frozen=True)
-class InjSeq:
+class InjSeq(Record):
     """A finite injective sequence of element codes.
 
     Building one makes ``items`` a tuple and checks it with
     ``require_injective``, so every ``InjSeq`` is injective.
     """
 
+    __slots__ = ("items",)
     items: tuple
 
-    def __post_init__(self):
-        items = tuple(self.items)
+    def __init__(self, items: Sequence[Code]):
+        items = tuple(items)
         require_injective(items)
-        object.__setattr__(self, "items", items)
+        _set_field(self, "items", items)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.items == other.items
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.items,))
 
 
 def first_repeat(items: Sequence[Code]) -> Optional[tuple[int, int]]:
@@ -261,12 +285,14 @@ class _LengthGoal(DenseSet):
     """Goal t of a ``length_levels`` family: the conditions of length at
     least t, reached by ``append(p, t - len(p))``.
 
-    ``_LengthLevels`` makes one as ``Ordinal._of`` makes an ``Ordinal``:
-    past the frozen ``__init__``, with ``t`` and ``append`` written into
-    its ``__dict__``, no closure, and a ``name`` formatted only when read.
-    A copy made by ``dataclasses.replace`` is built by that ``__init__``,
-    so the fields it was given, stored on the instance, win over these
-    methods.  A ``Grown`` view's length is its ``n``, read with no frame.
+    ``_LengthLevels`` makes one past the ``__init__`` of ``DenseSet``, a
+    frozen dataclass still, since the benchmark's tracer copies dense
+    sets with ``dataclasses.replace``: with ``t`` and ``append`` written
+    into its ``__dict__``, no closure, and a ``name`` formatted only when
+    read.  A copy made by ``dataclasses.replace`` is built by that
+    ``__init__``, so the fields it was given, stored on the instance, win
+    over these methods.  A ``Grown`` view's length is its ``n``, read with
+    no frame.
     """
 
     def member(self, f: Sequence) -> bool:
@@ -319,7 +345,7 @@ def length_levels(n: int, append: Callable[[Sequence, int], Sequence]) -> Sequen
     (``len``, indexing from either end, iteration) that makes goal i, a
     ``DenseSet`` holding (i+1, append), each time it is read.  So building
     it costs O(1) time and memory whatever n is, and a goal costs no
-    dataclass ``__init__`` and no closure.
+    ``__init__`` call and no closure.
     """
     return _LengthLevels(n, append)
 

@@ -18,9 +18,10 @@ from .collapse import CountableSet, length_levels, prefix_enumeration, sequence_
 from .errors import BadSelector, NotInTree
 from .posets import (Code, DenseSet, Grown, PosetPresentation, SuffixFold, _jsonable, grow,
                      rasiowa_sikorski)
+from .records import Record
 
 _base = attrgetter("base")
-_new, _set_field = object.__new__, object.__setattr__  # past a frozen __init__
+_new, _set_field = object.__new__, object.__setattr__  # a value built with no __init__ frame
 
 
 @dataclass(frozen=True)
@@ -234,12 +235,24 @@ def modified_functional(f: ChoiceFunctional, t: Sequence) -> ChoiceFunctional:
 # marker reduction: repetition-allowing functionals become injective ones
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MarkedElement:
+class MarkedElement(Record):
     """An element code paired with how many times it already occurred."""
 
+    __slots__ = ("base", "marker")
     base: Code
     marker: int
+
+    def __init__(self, base: Code, marker: int):
+        _set_field(self, "base", base)
+        _set_field(self, "marker", marker)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.marker) == (other.base, other.marker)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.base, self.marker))
 
 
 def marked_set(x: CountableSet) -> CountableSet:
@@ -295,7 +308,7 @@ def marker_reduction(x: CountableSet, f: ChoiceFunctional) -> ChoiceFunctional:
     ``_marker_tracker``), so along a growing run a ``member`` or ``select``
     call walks only the new suffix.  f sees one ``Grown`` view of the
     bases, grown in place, and a step costs O(1); the ``MarkedElement``
-    that ``select`` names is built past its frozen ``__init__``.
+    that ``select`` names is built past its ``__init__``, with no frame.
     """
     product_seq = f_seq(marked_set(x))
     marks = _marker_tracker().fold_state

@@ -35,9 +35,11 @@ from .ordinals import (
     ord_of,
     ord_sub_left,
 )
+from .records import Record
 
-# Per-block values are built past the frozen ``__init__``, as ``Ordinal._of``
-# builds an Ordinal; no dataclass here has a ``__post_init__`` to skip.
+# A value class's fields are written past its refusing ``__setattr__``; per-block
+# values are built with no ``__init__`` frame at all, as ``Ordinal._of`` builds
+# an Ordinal, since no ``__init__`` here checks anything.
 _new, _set_field = object.__new__, object.__setattr__
 
 
@@ -107,8 +109,7 @@ class OmegaLayer:
         return self.base.nth_fresh(2 * j)
 
 
-@dataclass(frozen=True)
-class IndexUsage:
+class IndexUsage(Record):
     """A decidable set of consumed enumeration indices.
 
     The fresh indices are the odd-ranked fresh indices of ``layer.base``
@@ -121,8 +122,21 @@ class IndexUsage:
     interpreted steps on the standard ladders, through ``layer.below``.
     """
 
-    layer: Optional[OmegaLayer] = None
-    taken: tuple = ()
+    __slots__ = ("layer", "taken")
+    layer: Optional[OmegaLayer]
+    taken: tuple
+
+    def __init__(self, layer: Optional[OmegaLayer] = None, taken: tuple = ()):
+        _set_field(self, "layer", layer)
+        _set_field(self, "taken", taken)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.layer, self.taken) == (other.layer, other.taken)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.layer, self.taken))
 
     def _level_rank(self, k: int) -> Optional[int]:
         """Rank of k in the space ``taken`` counts in, ``layer.below``'s
@@ -201,11 +215,29 @@ class IndexUsage:
         return IndexUsage(layer)
 
 
-@dataclass(frozen=True)
+_EMPTY_USAGE = IndexUsage()
+
+
 class UsageSeq(TransfiniteSeq):
     """A transfinite sequence that knows which enumeration indices it uses."""
 
-    usage: IndexUsage = IndexUsage()
+    __slots__ = ("usage",)
+    usage: IndexUsage
+
+    def __init__(self, length: Ordinal, evaluator: Callable[[Ordinal], Any],
+                 usage: IndexUsage = _EMPTY_USAGE):
+        _set_field(self, "length", length)
+        _set_field(self, "evaluator", evaluator)
+        _set_field(self, "usage", usage)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.length, self.evaluator, self.usage)
+                    == (other.length, other.evaluator, other.usage))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.length, self.evaluator, self.usage))
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +288,25 @@ def transfinite_f_seq(x: CountableSet) -> TransfiniteFunctional:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CofinalPresentation:
+class CofinalPresentation(Record):
     """An increasing ladder of length w starting at 0 with supremum alpha:
     ``stage(n)`` is its n-th stage, for every natural n."""
 
+    __slots__ = ("alpha", "stage")
     alpha: Ordinal
     stage: Callable[[int], Ordinal]
+
+    def __init__(self, alpha: Ordinal, stage: Callable[[int], Ordinal]):
+        _set_field(self, "alpha", alpha)
+        _set_field(self, "stage", stage)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.alpha, self.stage) == (other.alpha, other.stage)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.alpha, self.stage))
 
 
 def standard_cofinal(alpha: Ordinal) -> CofinalPresentation:
@@ -320,14 +364,30 @@ def validate_cofinal(cof: CofinalPresentation) -> list[Ordinal]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BuiltBlock:
+class BuiltBlock(Record):
     """A block plus the bookkeeping to restrict or extend its usage."""
 
+    __slots__ = ("seq", "usage_after", "indices", "layer")
     seq: TransfiniteSeq
-    usage_after: IndexUsage          # usage of prefix + this whole block
-    indices: Optional[tuple] = None  # finite block: consumed indices in order
-    layer: Optional[OmegaLayer] = None
+    usage_after: IndexUsage    # usage of prefix + this whole block
+    indices: Optional[tuple]   # finite block: consumed indices in order
+    layer: Optional[OmegaLayer]
+
+    def __init__(self, seq: TransfiniteSeq, usage_after: IndexUsage,
+                 indices: Optional[tuple] = None, layer: Optional[OmegaLayer] = None):
+        _set_field(self, "seq", seq)
+        _set_field(self, "usage_after", usage_after)
+        _set_field(self, "indices", indices)
+        _set_field(self, "layer", layer)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.seq, self.usage_after, self.indices, self.layer)
+                    == (other.seq, other.usage_after, other.indices, other.layer))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.seq, self.usage_after, self.indices, self.layer))
 
     def partial_usage(self, offset: int, base: IndexUsage) -> IndexUsage:
         if self.indices is not None:

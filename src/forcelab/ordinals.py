@@ -24,11 +24,14 @@ from .errors import (
     OrdinalOverflow,
     SsupOfEmpty,
 )
+from .records import Record
+
+_new_ordinal = object.__new__
+_set_field = object.__setattr__  # a value class's fields, past its refusing __setattr__
 
 
 @functools.total_ordering
-@dataclass(frozen=True, slots=True)
-class Ordinal:
+class Ordinal(Record):
     """An ordinal below w^w in Cantor normal form.
 
     ``terms`` is a tuple of (exponent, coefficient) pairs with exponents
@@ -36,11 +39,13 @@ class Ordinal:
     Tuple comparison of ``terms`` is exactly the ordinal order.
     """
 
-    terms: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("terms",)
+    terms: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
+    def __init__(self, terms: tuple[tuple[int, int], ...] = ()):
+        _set_field(self, "terms", terms)
         prev = None
-        for e, c in self.terms:
+        for e, c in terms:
             if not (type(e) is int and e >= 0):
                 raise ValueError(f"bad exponent {e!r}")
             if not (type(c) is int and c >= 1):
@@ -49,11 +54,19 @@ class Ordinal:
                 raise ValueError("exponents must be strictly decreasing")
             prev = e
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.terms,))
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def _of(terms: tuple) -> "Ordinal":
-        """An Ordinal on ``terms`` without the checks of ``__post_init__``.
+        """An Ordinal on ``terms`` without the checks of ``__init__``.
 
         Only for terms that are valid CNF by construction, such as the
         results of arithmetic on valid Ordinals; ``Ordinal(...)``,
@@ -134,8 +147,6 @@ class Ordinal:
         return f"Ordinal({format_cnf(self)!r})"
 
 
-_new_ordinal = object.__new__
-_set_field = object.__setattr__  # past the frozen ``__setattr__``
 ZERO = Ordinal.zero()
 ONE = Ordinal.from_int(1)
 OMEGA = Ordinal.omega()
@@ -210,15 +221,26 @@ def parse_cnf(text: str) -> Ordinal:
 # strong suprema
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrdinalsBelow:
+class OrdinalsBelow(Record):
     """The set {o : o < bound}, a lazily enumerable set of ordinals.
 
     Stands in for infinite inputs to ``ssup``: the set is presented by its
     bound rather than by an (impossible) exhaustive listing.
     """
 
+    __slots__ = ("bound",)
     bound: Ordinal
+
+    def __init__(self, bound: Ordinal):
+        _set_field(self, "bound", bound)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.bound,) == (other.bound,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.bound,))
 
     def __iter__(self) -> Iterator[Ordinal]:
         # finite bounds enumerate exactly; infinite ones yield 0, 1, 2, ...
@@ -249,16 +271,28 @@ def ssup(ys: "Iterable[Ordinal] | OrdinalsBelow") -> Ordinal:
 # transfinite sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransfiniteSeq:
+class TransfiniteSeq(Record):
     """A sequence indexed by ordinals below ``length``.
 
     ``evaluator`` must be pure and defined on every position below
     ``length``; positions are bounds-checked here.
     """
 
+    __slots__ = ("length", "evaluator")
     length: Ordinal
     evaluator: Callable[[Ordinal], Any]
+
+    def __init__(self, length: Ordinal, evaluator: Callable[[Ordinal], Any]):
+        _set_field(self, "length", length)
+        _set_field(self, "evaluator", evaluator)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.length, self.evaluator) == (other.length, other.evaluator)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.length, self.evaluator))
 
     def at(self, pos: "Ordinal | int") -> Any:
         p = pos if isinstance(pos, Ordinal) else Ordinal.from_int(pos)

@@ -1,7 +1,12 @@
-"""Poset presentations, dense sets, the generic-filter engine, and oracles.
+"""Poset presentations, dense sets, the generic-filter engine, and fragment checks.
 
 Order convention throughout: smaller is stronger, so leq(q, p) reads
 "q extends p".  A filter is upward closed and downward directed.
+
+The finite tables, their brute-force oracle, the law checks and the
+countable unions of finite pre-orders live in ``forcelab.tables``; each
+of their names read off this module loads it there (PEP 562), so only
+the commands that use them pay for it.
 """
 
 from __future__ import annotations
@@ -11,9 +16,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .errors import BadExtender, NotAChain, OracleLimit
+from .errors import BadExtender, NotAChain
+from .records import Record
 
 Code = Any
+_set_field = object.__setattr__  # a value class's fields, past its refusing __setattr__
 
 
 @dataclass(frozen=True)
@@ -192,8 +199,7 @@ class SuffixFold:
             self.last, self.state = t, value
 
 
-@dataclass(frozen=True)
-class GenericRun:
+class GenericRun(Record):
     """A finite descending chain together with the dense sets it met.
 
     ``chain`` is the tuple of the conditions the run visited.  On the
@@ -204,8 +210,21 @@ class GenericRun:
     position i+1, the condition step i returned.
     """
 
+    __slots__ = ("poset", "chain")
     poset: str
     chain: tuple
+
+    def __init__(self, poset: str, chain: tuple):
+        _set_field(self, "poset", poset)
+        _set_field(self, "chain", chain)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.poset, self.chain) == (other.poset, other.chain)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.poset, self.chain))
 
     @property
     def met(self) -> tuple[tuple[int, int], ...]:
@@ -283,18 +302,34 @@ def filter_from_chain(p: PosetPresentation, chain: Sequence[Code],
     return {q for q in frag if q in cone}
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(Record):
     """Density evidence on an enumeration fragment; not a proof for the full poset.
 
     ``dense`` is None when the fragment cannot decide: ``undecided`` has no
     extension in d among the fragment, but d's extender gives one outside it.
     """
 
+    __slots__ = ("dense", "fragment", "counterexample", "undecided")
     dense: Optional[bool]
     fragment: int
-    counterexample: Optional[Code] = None
-    undecided: Optional[Code] = None
+    counterexample: Optional[Code]
+    undecided: Optional[Code]
+
+    def __init__(self, dense: Optional[bool], fragment: int,
+                 counterexample: Optional[Code] = None, undecided: Optional[Code] = None):
+        _set_field(self, "dense", dense)
+        _set_field(self, "fragment", fragment)
+        _set_field(self, "counterexample", counterexample)
+        _set_field(self, "undecided", undecided)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.dense, self.fragment, self.counterexample, self.undecided)
+                    == (other.dense, other.fragment, other.counterexample, other.undecided))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.dense, self.fragment, self.counterexample, self.undecided))
 
 
 def is_dense_on_truncation(p: PosetPresentation, d: DenseSet,
@@ -372,274 +407,23 @@ def _jsonable(code: Code):
 
 
 # ---------------------------------------------------------------------------
-# finite posets: law checks, brute-force oracle
+# the finite tables, in ``tables``
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FinitePoset:
-    """A finite poset as bit rows: bit j of up[i] iff elements[i] <= elements[j].
-
-    Rows are reflexive.  ``down`` (the transposed rows) and the position map
-    are not fields, so ``==`` and ``hash`` read elements and rows only.
-    """
-
-    elements: tuple
-    up: tuple
-
-    def __post_init__(self):
-        n = len(self.elements)
-        pos = {e: i for i, e in enumerate(self.elements)}
-        if len(pos) != n or type(self.up) is not tuple or len(self.up) != n or not all(
-                type(row) is int and 0 <= row < 1 << n and row >> i & 1
-                for i, row in enumerate(self.up)):
-            raise ValueError(f"need {n} distinct elements, {n} reflexive int rows < 2**{n}")
-        object.__setattr__(self, "_pos", pos)
-        object.__setattr__(self, "down", _transpose(self.up))
-
-    def leq(self, a, b) -> bool:
-        if a == b:
-            return True
-        i, j = self._pos.get(a), self._pos.get(b)
-        return i is not None and j is not None and self.up[i] >> j & 1 == 1
-
-    def _mask(self, s: set) -> int:
-        return sum(1 << i for i in map(self._pos.get, s) if i is not None)
-
-    def _is_filter_mask(self, mask: int) -> bool:
-        """``is_filter`` on the elements of a nonzero mask, read off the rows."""
-        up, down, members = self.up, self.down, list(_bits(mask))
-        return (all(not up[i] & ~mask for i in members)
-                and all(down[i] & down[j] & mask for i in members for j in members))
-
-
-def _bit_rows(elements: Sequence, leq: Callable[[Code, Code], bool]) -> list[int]:
-    """One int per element: bit j of row i iff leq(elements[i], elements[j])."""
-    return [sum(1 << j for j, b in enumerate(elements) if leq(a, b)) for a in elements]
-
-
-def _transpose(rows: list[int]) -> list[int]:
-    cols = [0] * len(rows)
-    for i, row in enumerate(rows):
-        for j in _bits(row):
-            cols[j] |= 1 << i
-    return cols
-
-
-def _bits(mask: int) -> Iterable[int]:
-    """The positions of the set bits of mask, least first; O(popcount) steps."""
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-
-
-def _closed_rows_table(elements: Sequence, rows: list[int]) -> FinitePoset:
-    """The table of the reflexive-transitive closure of first bit rows (Warshall, in place)."""
-    for k in range(len(rows)):
-        bit = 1 << k
-        for i, row in enumerate(rows):
-            if row & bit:
-                rows[i] = row | rows[k]
-    return FinitePoset(tuple(elements), tuple(rows))
-
-
-def table_poset(table: FinitePoset) -> PosetPresentation:
-    """Present a finite table as a PosetPresentation named "finite"."""
-    elems = table.elements
-    maxima = [p for p, row in zip(elems, table.down) if row.bit_count() == len(elems)]
-    ups = {a: [elems[j] for j in _bits(row)] for a, row in zip(elems, table.up)}
-    return PosetPresentation(
-        name="finite",
-        carrier=lambda c: c in elems,
-        leq=table.leq,
-        enum=lambda k: elems[k],
-        root=maxima[0] if maxima else None,
-        above=lambda q: ups.get(q, [q]),
-    )
-
-
-def check_poset_laws(p: PosetPresentation, n: int) -> list[int]:
-    """Assert reflexivity, transitivity and antisymmetry of leq on the first n elements.
-
-    When the presentation has ``above``, also assert its contract there:
-    above(a) meets the fragment in exactly the b with leq(a, b).  Returns
-    the fragment's bit rows: bit j of row i iff leq(enum(i), enum(j)).
-    """
-    frag = [p.enum(k) for k in range(n)]
-    for q in frag:
-        if not p.carrier(q):
-            raise AssertionError(f"enumerated {q!r} fails the carrier predicate")
-    rows = _bit_rows(frag, p.leq)
-    for i in range(n):
-        if not rows[i] >> i & 1:
-            raise AssertionError(f"leq not reflexive at {frag[i]!r}")
-        for j in _bits(rows[i]):
-            if rows[j] & ~rows[i]:
-                raise AssertionError(
-                    f"leq not transitive at {frag[i]!r} <= {frag[j]!r}")
-            if rows[j] >> i & 1 and i != j:
-                raise AssertionError(
-                    f"leq not antisymmetric on {frag[i]!r}, {frag[j]!r}")
-    if p.above is not None:
-        pos = {q: k for k, q in enumerate(frag)}
-        for i, a in enumerate(frag):
-            wrong = rows[i] ^ sum(1 << j for j in set(map(pos.get, p.above(a))) - {None})
-            if wrong:
-                b = frag[next(_bits(wrong))]
-                raise AssertionError(
-                    f"above({a!r}) and leq disagree on {b!r}")
-    return rows
-
-
+# The brute-force oracle's largest carrier; ``cli`` bounds --size by it at import.
 _ORACLE_CAP = 20
 
-
-def is_filter(table: FinitePoset, subset: Iterable) -> bool:
-    """Nonempty, upward closed, downward directed, and made of table elements."""
-    s = set(subset)
-    mask = table._mask(s)
-    return 0 < mask.bit_count() == len(s) and table._is_filter_mask(mask)
-
-
-def brute_force_filter(table: FinitePoset,
-                       dense: Sequence[Iterable]) -> Optional[frozenset]:
-    """Exhaustively search for a filter meeting every listed set.
-
-    Returns the first such filter in bitmask order over the element list,
-    or None when none exists.  Carriers above 20 elements are refused.
-    """
-    if len(table.elements) > _ORACLE_CAP:
-        raise OracleLimit(f"carrier of size {len(table.elements)} exceeds {_ORACLE_CAP}")
-    targets = [table._mask(frozenset(d)) for d in dense]
-    for mask in range(1, 1 << len(table.elements)):
-        if all(mask & t for t in targets) and table._is_filter_mask(mask):
-            return frozenset(table.elements[i] for i in _bits(mask))
-    return None
+# The names ``tables`` defines, each loaded from there when first read here.
+_TABLE_NAMES = frozenset("""
+    FinitePoset _bit_rows _transpose _bits _closed_rows_table table_poset
+    check_poset_laws is_filter brute_force_filter random_finite_poset
+    table_dense_sets random_dense_sets FinitePreorder GammaPresentation
+    PreorderViolation GammaReport gamma_check""".split())
 
 
-def random_finite_poset(rng, size: int) -> FinitePoset:
-    """A random partial order on 0..size-1 (random DAG edges, then closure)."""
-    rows = [1 << i for i in range(size)]
-    for i in range(size):
-        for j in range(i + 1, size):
-            if rng.random() < 0.4:
-                rows[j] |= 1 << i  # higher index extends lower: j <= i
-    return _closed_rows_table(range(size), rows)
-
-
-def table_dense_sets(table: FinitePoset, subsets: Sequence[Iterable]) -> list[DenseSet]:
-    """Honest DenseSets for subsets known to be dense in the table.
-
-    The extender picks the first listed element below its input that lies
-    in the subset.
-    """
-    out = []
-    for i, subset in enumerate(subsets):
-        s = frozenset(subset)
-
-        def extend(p, s=s, m=table._mask(s)):
-            below = m & table.down[table.elements.index(p)] if p in table.elements else 0
-            if not below:
-                raise BadExtender(f"no extension of {p!r} into {sorted(map(str, s))}")
-            return table.elements[next(_bits(below))]
-
-        out.append(DenseSet(f"D{i}", lambda q, s=s: q in s, extend))
-    return out
-
-
-def random_dense_sets(rng, table: FinitePoset, count: int) -> list[frozenset]:
-    """Random subsets of the table that happen to be dense (rejection
-    sampled as masks; only an accepted one becomes a frozenset)."""
-    out = []
-    attempts = 0
-    while len(out) < count and attempts < 200:
-        attempts += 1
-        mask = sum([1 << i for i in range(len(table.elements)) if rng.random() < 0.5])
-        if mask and all(row & mask for row in table.down):
-            out.append(frozenset(table.elements[i] for i in _bits(mask)))
-    while len(out) < count:
-        out.append(frozenset(table.elements))  # whole carrier is always dense
-    return out
-
-
-# ---------------------------------------------------------------------------
-# countable unions of finite pre-orders
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FinitePreorder:
-    """A finite pre-order level: explicit carrier plus relation table."""
-
-    elements: tuple
-    relation: frozenset
-
-
-@dataclass(frozen=True)
-class GammaPresentation:
-    """A pre-order presented as a countable union of finite levels.
-
-    Levels must be pairwise disjoint unless ``shared_codes`` declares that
-    they may share codes; ``gamma_check`` then skips its disjointness check.
-    """
-
-    name: str
-    levels: Callable[[int], FinitePreorder]
-    shared_codes: bool = False
-
-
-@dataclass(frozen=True)
-class PreorderViolation:
-    level: int
-    law: str
-    witness: tuple
-
-
-@dataclass(frozen=True)
-class GammaReport:
-    ok: bool
-    size_profile: tuple[int, ...]
-    violation: Optional[PreorderViolation] = None
-
-
-def gamma_check(g: GammaPresentation, depth: int) -> GammaReport:
-    """Verify the first ``depth`` levels are finite pre-orders; report sizes.
-
-    A failing level is reported as not-a-preorder with a witness triple
-    (for reflexivity failures the witness repeats the offending element).
-    A transitivity witness (a, b, d) has a <= b <= d but not a <= d and is
-    the least such triple in the level's element order.  A relation pair
-    naming an element outside its level raises ValueError.  Unless
-    ``g.shared_codes`` is set, a level sharing a code with an earlier one
-    is reported as levels-overlap.
-    """
-    sizes = []
-    seen: set = set()
-    for lv in range(depth):
-        level = g.levels(lv)
-        elems = level.elements
-        rel = level.relation
-        sizes.append(len(elems))
-        for x in elems:
-            if (x, x) not in rel:
-                return GammaReport(False, tuple(sizes),
-                                   PreorderViolation(lv, "not-a-preorder", (x, x, x)))
-        inside = set(elems)
-        foreign = [ab for ab in rel if ab[0] not in inside or ab[1] not in inside]
-        if foreign:
-            raise ValueError(
-                f"level {lv} relates {min(map(repr, foreign))} outside its elements")
-        rows = _bit_rows(elems, lambda a, b: (a, b) in rel)
-        for i, row in enumerate(rows):
-            for j in _bits(row):
-                missing = rows[j] & ~row
-                if missing:
-                    d = next(_bits(missing))
-                    return GammaReport(False, tuple(sizes), PreorderViolation(
-                        lv, "not-a-preorder", (elems[i], elems[j], elems[d])))
-        if not g.shared_codes:
-            overlap = seen & inside
-            if overlap:
-                x = sorted(map(str, overlap))[0]
-                return GammaReport(False, tuple(sizes),
-                                   PreorderViolation(lv, "levels-overlap", (x, x, x)))
-            seen |= inside
-    return GammaReport(True, tuple(sizes))
+def __getattr__(name):
+    if name not in _TABLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import tables
+    value = globals()[name] = getattr(tables, name)  # stored: later reads skip this
+    return value

@@ -14,16 +14,19 @@ from __future__ import annotations
 
 import bisect
 import collections.abc
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .collapse import CountableSet, InjSeq, _nonnegative, prefix_enumeration, sequence_tree
 from .errors import NotAQSeq, NotInLambda
-from .posets import Code, PosetPresentation, _bits, _transpose, check_poset_laws, extends
+from .posets import Code, PosetPresentation, extends
+from .records import Record
+from .tables import _bits, _transpose, check_poset_laws
 
 
-@dataclass(frozen=True, init=False)
-class QSeq:
+_set_field = object.__setattr__  # a value class's fields, past its refusing __setattr__
+
+
+class QSeq(Record):
     """A finite sequence of finite sets, each adding exactly one new element.
 
     The condition is ``seq``, the injective sequence of the new elements,
@@ -33,6 +36,7 @@ class QSeq:
     stages from ``seq`` each time it is read.
     """
 
+    __slots__ = ("seq",)
     seq: InjSeq
 
     def __init__(self, stages: Sequence):
@@ -52,6 +56,14 @@ class QSeq:
             seen = stage
         _set_field(self, "seq", InjSeq(values))
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.seq == other.seq
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.seq,))
+
     @property
     def stages(self) -> tuple:
         """Stage i is ``frozenset(seq.items[:i+1])``."""
@@ -60,7 +72,6 @@ class QSeq:
 
 
 _new_qseq = object.__new__
-_set_field = object.__setattr__  # past the frozen ``__setattr__``
 
 
 def coll_to_q(f: InjSeq) -> QSeq:
@@ -83,8 +94,7 @@ def q_extends(t_longer: QSeq, t_shorter: QSeq) -> bool:
 # strict lattices with the finite predecessor property
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LatticeOracle:
+class LatticeOracle(Record):
     """A strict lattice presented by predicates and finite predecessor lists.
 
     ``lt(p, q)`` reads "p is strictly below q".  ``uppers(p)`` lists every
@@ -94,6 +104,7 @@ class LatticeOracle:
     the carrier so trees over the lattice can present their own carriers.
     """
 
+    __slots__ = ("name", "carrier", "lt", "meet", "join", "uppers", "has_lower", "enum")
     name: str
     carrier: Callable[[Code], bool]
     lt: Callable[[Code, Code], bool]
@@ -101,7 +112,34 @@ class LatticeOracle:
     join: Callable[[Code, Code], Optional[Code]]
     uppers: Callable[[Code], list]
     has_lower: Callable[[Code], Code]
-    enum: Optional[Callable[[int], Code]] = None
+    enum: Optional[Callable[[int], Code]]
+
+    def __init__(self, name: str, carrier: Callable[[Code], bool],
+                 lt: Callable[[Code, Code], bool],
+                 meet: Callable[[Code, Code], Optional[Code]],
+                 join: Callable[[Code, Code], Optional[Code]],
+                 uppers: Callable[[Code], list], has_lower: Callable[[Code], Code],
+                 enum: Optional[Callable[[int], Code]] = None):
+        _set_field(self, "name", name)
+        _set_field(self, "carrier", carrier)
+        _set_field(self, "lt", lt)
+        _set_field(self, "meet", meet)
+        _set_field(self, "join", join)
+        _set_field(self, "uppers", uppers)
+        _set_field(self, "has_lower", has_lower)
+        _set_field(self, "enum", enum)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.name, self.carrier, self.lt, self.meet, self.join, self.uppers,
+                     self.has_lower, self.enum)
+                    == (other.name, other.carrier, other.lt, other.meet, other.join,
+                        other.uppers, other.has_lower, other.enum))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.carrier, self.lt, self.meet, self.join, self.uppers,
+                     self.has_lower, self.enum))
 
 
 def check_lattice(l: LatticeOracle, sample: Sequence[Code]) -> None:

@@ -3,7 +3,6 @@ at non-negative indices; and the JSON form of codes and runs."""
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 
 import pytest
@@ -78,7 +77,10 @@ class TestMet:
         assert posets.run_trace_json(inj) == posets.run_trace_json(run)
 
     def test_a_run_stores_only_its_poset_and_chain(self):
-        assert [f.name for f in dataclasses.fields(posets.GenericRun)] == ["poset", "chain"]
+        run = posets.GenericRun(poset="Coll(w,nat)", chain=((), (0,)))
+        assert run == posets.GenericRun("Coll(w,nat)", ((), (0,)))
+        with pytest.raises(TypeError):
+            posets.GenericRun("Coll(w,nat)", ((), (0,)), ((0, 1),))
 
 
 class TestJsonable:

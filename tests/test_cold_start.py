@@ -2,12 +2,17 @@
 
 ``forcelab`` resolves its re-exported names and submodules on first access
 (PEP 562), and each CLI handler imports the modules beyond ``collapse``,
-``posets`` and ``errors`` that it alone needs.  The pins here read
-``sys.modules`` in a fresh interpreter; none of them reads a clock.
+``posets``, ``records`` and ``errors`` that it alone needs.  ``posets``
+loads ``tables`` when one of its names is first read there, and the value
+types are plain classes, apart from the few dataclasses the benchmark's
+tracer needs.  The pins here read ``sys.modules`` in a fresh interpreter;
+none of them reads a clock.
 """
 
 from __future__ import annotations
 
+import ast
+import importlib
 import json
 import os
 import runpy
@@ -20,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import forcelab
+from forcelab import posets, tables
 from forcelab.collapse import CountableSet, nat_set
 from forcelab.levy import IndexUsage, transfinite_f_seq
 from test_readme_commands import command_lines
@@ -49,16 +55,24 @@ EXPORTS = {
 }
 NAMES = [name for names in EXPORTS.values() for name in names]
 
-BASE = {"cli", "collapse", "errors", "posets"}
+BASE = {"cli", "collapse", "errors", "posets", "records"}
 ALLOWED = {
     "coll-run": BASE,
     "density-check": BASE,
-    "oracle-check": BASE,
-    "iso-roundtrip": BASE | {"qtree"},
+    "oracle-check": BASE | {"tables"},
+    "iso-roundtrip": BASE | {"qtree", "tables"},
     "dc-run": BASE | {"dctrees"},
     "marker-run": BASE | {"dctrees", "ordinals"},
     "levy-run": BASE | {"levy", "ordinals"},
 }
+
+# The finite tables are read by the oracle and by qtree's lattice check alone.
+LOADS_TABLES = {"oracle-check", "iso-roundtrip"}
+
+# The value types that stay dataclasses: perfbench/tracing.py rewraps them
+# with ``dataclasses.replace``.  Every other value type is a plain class.
+TRACER_DATACLASSES = ("PosetPresentation", "DenseSet", "ChoiceFunctional",
+                      "TransfiniteFunctional", "OmegaBijection")
 
 LOADED_AFTER = """
 import contextlib, io, json, sys
@@ -69,33 +83,76 @@ if argv is not None:
         assert main(argv) == 0
 else:
     import forcelab
-print(json.dumps([sorted(m.split(".", 1)[1] for m in sys.modules
-                         if m.startswith("forcelab.")), "argparse" in sys.modules]))
+modules = [m for name, m in list(sys.modules.items()) if name.startswith("forcelab.")]
+print(json.dumps([sorted(m.__name__.split(".", 1)[1] for m in modules),
+                  "argparse" in sys.modules,
+                  sorted(c.__name__ for m in modules for c in vars(m).values()
+                         if isinstance(c, type) and c.__module__ == m.__name__
+                         and "__dataclass_fields__" in vars(c))]))
 """
 
 
-def loaded_after(argv) -> tuple[set[str], bool]:
+def loaded_after(argv) -> tuple[set[str], bool, list[str]]:
     """The forcelab submodules a fresh interpreter holds after running argv
-    in-process (after a bare ``import forcelab`` when argv is None), and
-    whether it holds ``argparse``."""
+    in-process (after a bare ``import forcelab`` when argv is None), whether
+    it holds ``argparse``, and the dataclasses those submodules define."""
     done = subprocess.run([sys.executable, "-c", LOADED_AFTER, json.dumps(argv)],
                           env=ENV, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr[-2000:]
-    modules, argparse_loaded = json.loads(done.stdout)
-    return set(modules), argparse_loaded
+    modules, argparse_loaded, dataclass_names = json.loads(done.stdout)
+    return set(modules), argparse_loaded, dataclass_names
 
 
 def test_bare_import_loads_no_submodule():
-    assert loaded_after(None) == (set(), False)
+    assert loaded_after(None) == (set(), False, [])
 
 
 @pytest.mark.parametrize("argv", [shlex.split(line, comments=True)[1:]
                                   for line in command_lines()]
                          + list(SETUP_ARGV.values()), ids=" ".join)
 def test_command_loads_only_its_modules(argv):
-    modules, argparse_loaded = loaded_after(argv)
+    modules, argparse_loaded, dataclass_names = loaded_after(argv)
     assert modules <= ALLOWED[argv[0]]
+    assert ("tables" in modules) == (argv[0] in LOADS_TABLES)
     assert not argparse_loaded
+    assert set(dataclass_names) <= set(TRACER_DATACLASSES)
+
+
+def test_only_the_tracers_value_types_are_dataclasses():
+    modules = [importlib.import_module(f"forcelab.{path.stem}")
+               for path in sorted((ROOT / "src" / "forcelab").glob("[!_]*.py"))]
+    defined = [c.__name__ for m in modules for c in vars(m).values()
+               if isinstance(c, type) and c.__module__ == m.__name__
+               and "__dataclass_fields__" in vars(c)]
+    assert sorted(defined) == sorted(TRACER_DATACLASSES)
+
+
+# ---------------------------------------------------------------------------
+# the finite tables behind posets
+# ---------------------------------------------------------------------------
+
+# The names perfbench/tracing.py wraps on posets; it replaces each in
+# ``vars(posets)``, so each must be stored there once read.
+TRACED_ON_POSETS = ("rasiowa_sikorski", "is_dense_on_truncation", "brute_force_filter",
+                    "is_filter", "random_finite_poset", "random_dense_sets", "table_poset",
+                    "table_dense_sets", "filter_from_chain")
+
+
+@pytest.mark.parametrize("name", TRACED_ON_POSETS)
+def test_traced_names_resolve_and_are_stored_on_posets(name):
+    value = getattr(posets, name)
+    assert callable(value) and vars(posets)[name] is value
+    if name in posets._TABLE_NAMES:
+        assert value is getattr(tables, name)
+
+
+def test_posets_forwards_every_definition_of_tables():
+    tree = ast.parse((ROOT / "src" / "forcelab" / "tables.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert posets._TABLE_NAMES == defined
+    with pytest.raises(AttributeError, match="no_such_name"):
+        posets.no_such_name
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,7 @@ class TestEnumerationDepthCap:
         with pytest.raises(EnumerationDepthCap) as err:
             enum(1)
         assert err.value.code == "enumeration-depth-cap"
+        assert "more than 1000 codes" in str(err.value)  # the cap README names
         assert isinstance(err.value, ContractError)
 
     def test_cli_exit_1_with_code(self, monkeypatch):

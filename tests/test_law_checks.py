@@ -10,15 +10,13 @@ with the two-branch stage formula it replaced, kept here as an oracle.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from forcelab.collapse import nat_set
 from forcelab.errors import BadCofinal
 from forcelab.levy import standard_cofinal
 from forcelab.ordinals import ZERO, Ordinal, ord_add, parse_cnf
-from forcelab.qtree import check_lattice, finite_subset_lattice
+from forcelab.qtree import LatticeOracle, check_lattice, finite_subset_lattice
 
 LAT = finite_subset_lattice(nat_set())
 SAMPLE = [LAT.enum(n) for n in range(40)]
@@ -29,7 +27,10 @@ def fs(*xs):
 
 
 def broken(**fields):
-    return dataclasses.replace(LAT, **fields)
+    """LAT with the given callables in place of its own."""
+    kept = {name: getattr(LAT, name) for name in
+            ("name", "carrier", "lt", "meet", "join", "uppers", "has_lower", "enum")}
+    return LatticeOracle(**{**kept, **fields})
 
 
 class TestCheckLattice:

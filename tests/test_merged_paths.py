@@ -5,11 +5,10 @@ only: the DFS-and-set-difference prefix enumeration, the fixed-point pair
 closure, the pairwise repeat loops, the stand-alone QSeq validator, the
 concatenation-based evaluator of a lifted witness, the finite-table
 loops over ``leq`` that the bit rows replaced, the pair set a finite table
-kept beside its rows, and the subset-stage outputs that re-walked every
-stage.
+kept beside its rows, the row scan that tested each drawn mask for density,
+and the subset-stage outputs that re-walked every stage.
 """
 
-import dataclasses
 import itertools
 import random
 
@@ -54,6 +53,7 @@ from forcelab.posets import (
     table_poset,
 )
 from forcelab.qtree import (
+    LatticeOracle,
     check_lattice,
     QSeq,
     coll_to_q,
@@ -162,6 +162,21 @@ def random_dense_sets_reference(rng, table, count):
             out.append(s)
     while len(out) < count:
         out.append(frozenset(table.elements))  # whole carrier is always dense
+    return out
+
+
+def random_dense_sets_row_scan_reference(rng, table, count):
+    """``random_dense_sets`` as it tested each mask against every down row."""
+    out = []
+    attempts = 0
+    while len(out) < count and attempts < 200:
+        attempts += 1
+        mask = sum([1 << i for i in range(len(table.elements)) if rng.random() < 0.5])
+        if mask and all(row & mask for row in table.down):
+            out.append(frozenset(table.elements[i] for i in range(len(table.elements))
+                                 if mask >> i & 1))
+    while len(out) < count:
+        out.append(frozenset(table.elements))
     return out
 
 
@@ -693,6 +708,33 @@ def subsets_of(draw, table):
     return draw(st.sets(st.sampled_from(pool)))
 
 
+@st.composite
+def partial_orders(draw):
+    """The closure of random edges that each run from a later to an earlier
+    element of a random order of the elements: a partial order whose
+    minimal elements lie anywhere in the element list."""
+    size = draw(st.integers(0, 9))
+    rank = draw(st.permutations(range(size)))
+    rows = [1 << i for i in range(size)]
+    for i, j in draw(st.sets(st.tuples(st.integers(0, max(size - 1, 0)),
+                                       st.integers(0, max(size - 1, 0))))):
+        if size and rank[i] > rank[j]:
+            rows[i] |= 1 << j  # a later element extends an earlier one
+    return _closed_rows_table(range(size), rows)
+
+
+class TestDenseMasks:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(partial_orders(), tables()), st.integers(0, 2**32), st.integers(0, 4))
+    def test_minimal_elements_decide_as_the_row_scan(self, table, seed, count):
+        """On partial orders and on tables of any relation: the same draws,
+        the same sets and the generator left alike."""
+        new, old = random.Random(seed), random.Random(seed)
+        assert (random_dense_sets(new, table, count)
+                == random_dense_sets_row_scan_reference(old, table, count))
+        assert new.getstate() == old.getstate()
+
+
 def leq_outcome(leq, a, b):
     try:
         return leq(a, b)
@@ -758,6 +800,7 @@ class TestFiniteTables:
         ups = table_ups_reference(table)
         for q in table.elements:
             assert sorted(map(str, pres.above(q))) == sorted(map(str, ups[q]))
+        assert pres.above(FOREIGN) == [FOREIGN]
         n = len(table.elements)
         assert law_failure(check_poset_laws, pres, n) == law_failure(
             check_poset_laws_reference, pres, n)
@@ -858,7 +901,9 @@ def lattice_variant(draw):
     if field == "none":
         return sound
     variants = broken[field]
-    return dataclasses.replace(sound, **{field: variants[draw(st.sampled_from(sorted(variants)))]})
+    kept = {name: getattr(sound, name) for name in
+            ("name", "carrier", "lt", "meet", "join", "uppers", "has_lower", "enum")}
+    return LatticeOracle(**{**kept, field: variants[draw(st.sampled_from(sorted(variants)))]})
 
 
 class TestLatticeLaws:

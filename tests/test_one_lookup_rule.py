@@ -8,7 +8,6 @@ and it calls ``index`` directly, one frame per lookup, so a counting
 always decided.
 """
 
-import dataclasses
 
 import ast
 import contextlib
@@ -123,7 +122,7 @@ def test_dc_run_asks_once_per_member_call(monkeypatch, functional, name):
             calls[0] += 1
             return x.index(code)
 
-        return dataclasses.replace(x, index=index)
+        return CountableSet(x.name, x.enum, index)
 
     monkeypatch.setattr(collapse, "builtin_set", counting)
     with contextlib.redirect_stdout(io.StringIO()):

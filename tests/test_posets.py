@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import random
 import re
@@ -378,8 +377,9 @@ class TestRowTables:
             FinitePoset((1, True), (0b01, 0b10))  # equal codes
 
     def test_fields_equality_and_hash_read_elements_and_rows(self):
-        assert [f.name for f in dataclasses.fields(FinitePoset)] == ["elements", "up"]
-        a = FinitePoset(("a", "b"), (0b11, 0b10))
+        with pytest.raises(TypeError):
+            FinitePoset(("a", "b"), (0b11, 0b10), [0b01, 0b11])
+        a = FinitePoset(elements=("a", "b"), up=(0b11, 0b10))
         b = _closed_rows_table(["a", "b"], [0b11, 0b10])
         assert a == b and hash(a) == hash(b)
         assert a != FinitePoset(("a", "b"), (0b01, 0b10))

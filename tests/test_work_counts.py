@@ -29,7 +29,7 @@ from forcelab.levy import (
 )
 from forcelab.ordinals import Ordinal, TransfiniteSeq, parse_cnf
 from forcelab.posets import PosetPresentation, check_poset_laws, is_dense_on_truncation
-from forcelab.qtree import check_lattice, finite_subset_lattice
+from forcelab.qtree import LatticeOracle, check_lattice, finite_subset_lattice
 
 N = 2000
 
@@ -195,7 +195,9 @@ def test_lattice_laws_visit_common_bounds_only():
         calls[0] += 1
         return lattice.lt(s, t)
 
-    check_lattice(dataclasses.replace(lattice, lt=lt), [lattice.enum(n) for n in range(100)])
+    counted = LatticeOracle(lattice.name, lattice.carrier, lt, lattice.meet, lattice.join,
+                            lattice.uppers, lattice.has_lower, lattice.enum)
+    check_lattice(counted, [lattice.enum(n) for n in range(100)])
     assert calls[0] <= 150_000
 
 
@@ -546,12 +548,12 @@ def test_cold_lift_blocks_build_no_checked_ordinals(monkeypatch):
     block's usage update maps each index to its rank once, and never back
     through ``_skip_taken``."""
     checked, skips, updating, updates = [0], [0], [0], [0]
-    post_init, skip, with_explicit = (Ordinal.__post_init__, levy._skip_taken,
-                                      levy.IndexUsage.with_explicit)
+    init, skip, with_explicit = (Ordinal.__init__, levy._skip_taken,
+                                 levy.IndexUsage.with_explicit)
 
-    def counting_post_init(self):
+    def counting_init(self, *args, **kwargs):
         checked[0] += 1
-        post_init(self)
+        init(self, *args, **kwargs)
 
     def counting_skip(taken, n):
         skips[0] += updating[0] > 0
@@ -565,7 +567,7 @@ def test_cold_lift_blocks_build_no_checked_ordinals(monkeypatch):
         finally:
             updating[0] -= 1
 
-    monkeypatch.setattr(Ordinal, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Ordinal, "__init__", counting_init)
     monkeypatch.setattr(levy, "_skip_taken", counting_skip)
     monkeypatch.setattr(levy.IndexUsage, "with_explicit", tracked_with_explicit)
 

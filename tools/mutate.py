@@ -17,10 +17,10 @@ unmutated one (and at least 60 s) is stopped and counted as a timeout;
 each run may use 2 GiB of address space, and starts with no Hypothesis
 example database.  Usage::
 
-    python tools/mutate.py src/forcelab/posets.py --from FinitePoset \\
+    python tools/mutate.py src/forcelab/tables.py --from table_poset \\
         tests/test_posets.py tests/test_merged_paths.py
 
-runs each mutant of posets.py from ``FinitePoset`` to the end against the
+runs each mutant of tables.py from ``table_poset`` to the end against the
 two test files, in a copy of the repository, and lists the survivors.
 ``--list`` only lists the mutants; ``--only 3,17`` runs the numbered ones.
 With no test files the whole suite runs.
