@@ -11,10 +11,10 @@ infinite ordinal below w^w and the naturals.
 from __future__ import annotations
 
 import functools
-import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import isqrt
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import (
@@ -392,36 +392,9 @@ def cantor_pair(x: int, y: int) -> int:
 
 
 def cantor_unpair(z: int) -> tuple[int, int]:
-    s = (math.isqrt(8 * z + 1) - 1) // 2
+    s = (isqrt(8 * z + 1) - 1) // 2
     y = z - s * (s + 1) // 2
     return s - y, y
-
-
-def _encode_tuple(coords: tuple[int, ...]) -> int:
-    acc = coords[-1]
-    for c in reversed(coords[:-1]):
-        acc = cantor_pair(c, acc)
-    return acc
-
-
-def _decode_tuple(n: int, dim: int) -> tuple[int, ...]:
-    coords = []
-    for _ in range(dim - 1):
-        c, n = cantor_unpair(n)
-        coords.append(c)
-    coords.append(n)
-    return tuple(coords)
-
-
-def _coords_below_power(r: Ordinal, dim: int) -> tuple[int, ...]:
-    """Coefficient vector (a_{dim-1}, ..., a_0) of r < w^dim, zeros allowed."""
-    coeffs = dict(r.terms)
-    return tuple(coeffs.get(e, 0) for e in range(dim - 1, -1, -1))
-
-
-def _power_of_coords(coords: tuple[int, ...]) -> Ordinal:
-    dim = len(coords)
-    return Ordinal._of(tuple((dim - 1 - i, c) for i, c in enumerate(coords) if c))
 
 
 @dataclass(frozen=True)
@@ -433,49 +406,83 @@ class OmegaBijection:
     backward: Callable[[int], Ordinal]
 
 
-def omega_bijection(a: Ordinal) -> OmegaBijection:
+def omega_bijection(a: "Ordinal | int") -> OmegaBijection:
     """Canonical bijection between {o : o < a} and the naturals, for w <= a.
 
     Layout: ordinals in the finite tail of a map to the first naturals;
-    the rest of {o : o < a} splits into blocks [base, base + w^e) along the
-    CNF of a, each block coding its ordinals by coefficient vectors through
-    iterated diagonal pairing, and the blocks interleave round-robin.
+    the rest of {o : o < a} splits into blocks [b, b + w^e) along the
+    CNF of a, one per unit of each infinite term w^e*c, and the blocks
+    interleave round-robin.  Within a block, b + r (r < w^e) codes the
+    coefficient vector (r_{e-1}, ..., r_0) of r by iterated diagonal
+    pairing, r_0 innermost.  Every exponent of b is at least e, above
+    every exponent of r, so the terms of b + r are b's followed by r's:
+    both maps work on ``terms`` tuples and build no intermediate Ordinal.
+
+    ``a`` and the argument of ``forward`` are what ``ord_of`` takes;
+    ``backward`` takes an ``int`` (not a ``bool``).
     """
+    a = ord_of(a)
     if a < OMEGA:
         raise NoOmegaBijection(f"{a} is finite")
 
-    blocks: list[tuple[Ordinal, int]] = []  # (base offset, exponent)
-    base = ZERO
+    top = a.terms
+    starts: list[tuple] = []  # each block's first position, as terms
+    exps: list[int] = []  # each block's exponent e
     fin_count = 0
     fin_base = ZERO
-    for e, c in a.terms:
+    for t, (e, c) in enumerate(top):
+        head = top[:t]
         if e == 0:
             fin_count = c
-            fin_base = base
+            fin_base = Ordinal._of(head)
             break
-        for _ in range(c):
-            blocks.append((base, e))
-            base = ord_add(base, Ordinal.omega_power(e))
-    k = len(blocks)
-    starts = [b.terms for b, _e in blocks]  # Ordinals compare as their terms
+        starts.append(head)
+        starts.extend(head + ((e, j),) for j in range(1, c))
+        exps.extend([e] * c)
+    fin_start = fin_base.terms
+    k = len(starts)
 
-    def forward(o: Ordinal) -> int:
-        if not o < a:
+    def forward(o: "Ordinal | int") -> int:
+        if o.__class__ is not Ordinal:
+            o = ord_of(o)
+        t = o.terms
+        if not t < top:
             raise ValueError(f"{o} is not below {a}")
-        if fin_count and not o < fin_base:
+        if fin_count and not t < fin_start:
             return ord_sub_left(fin_base, o).to_int()
-        i = bisect_right(starts, o.terms) - 1
-        b, e = blocks[i]
-        v = _encode_tuple(_coords_below_power(ord_sub_left(b, o), e))
+        i = bisect_right(starts, t) - 1
+        e = exps[i]
+        rest = t[len(starts[i]):]  # r's terms, exponents below e
+        j = len(rest) - 1
+        v = 0
+        if j >= 0 and rest[j][0] == 0:
+            v = rest[j][1]
+            j -= 1
+        for x in range(1, e):  # v = pair(r_x, v), r_x = 0 where r has no term
+            s = v
+            if j >= 0 and rest[j][0] == x:
+                s += rest[j][1]
+                j -= 1
+            v += s * (s + 1) // 2
         return fin_count + v * k + i
 
     def backward(n: int) -> Ordinal:
+        if n.__class__ is not int:
+            raise ValueError(f"bad index {n!r}")
         if n < 0:
             raise ValueError("negative index")
         if n < fin_count:
             return ord_add(fin_base, Ordinal.from_int(n))
         v, i = divmod(n - fin_count, k)
-        b, e = blocks[i]
-        return ord_add(b, _power_of_coords(_decode_tuple(v, e)))
+        new = []
+        for x in range(exps[i] - 1, 0, -1):  # (r_x, v) = unpair(v)
+            s = (isqrt(8 * v + 1) - 1) // 2
+            y = v - s * (s + 1) // 2
+            if s > y:
+                new.append((x, s - y))
+            v = y
+        if v:
+            new.append((0, v))
+        return Ordinal._of(starts[i] + tuple(new))
 
     return OmegaBijection(a, forward, backward)

@@ -1,6 +1,9 @@
 import itertools
 import random
 import re
+import runpy
+from bisect import bisect_right
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,8 @@ from forcelab.ordinals import (
     Ordinal,
     OrdinalsBelow,
     TransfiniteSeq,
+    cantor_pair,
+    cantor_unpair,
     concat,
     format_cnf,
     omega_bijection,
@@ -100,8 +105,9 @@ class TestArithmetic:
             ord_sub_left(W, ONE)
 
     def test_successor_predecessor(self):
-        a = parse_cnf("w^2*2 + 5")
-        assert a.succ().pred() == a
+        for text in ("0", "1", "w*1", "w*1 + 1", "w^2*2 + 5"):
+            a = parse_cnf(text)
+            assert a.succ().pred() == a
         assert W.is_limit() and not W.is_successor()
         assert fin(3).is_successor()
         with pytest.raises(ValueError):
@@ -263,6 +269,18 @@ class TestConcat:
         with pytest.raises(OrdinalOverflow):
             concat(t2, limit_length=ord_add(W, fin(1)))
 
+    def test_infinite_declaration_is_checked_against_eight_blocks(self):
+        # a ninth block of length w would reach the declared w: found later
+        read = []
+
+        def component(p):
+            read.append(p.to_int())
+            return seq_of("x") if p.to_int() < 8 else TransfiniteSeq(W, lambda q: "y")
+
+        c = concat(TransfiniteSeq(W, component), limit_length=W)
+        assert read == list(range(8))
+        assert c.at(fin(7)) == "x" and c.at(fin(8)) == "y"
+
     def test_offset_law(self):
         # sigma recurrence against independently folded ordinal sums
         lengths = [W if n % 7 == 0 else fin(n % 3 + 1) for n in range(51)]
@@ -343,6 +361,180 @@ class TestOmegaBijection:
         bij = omega_bijection(W)
         with pytest.raises(ValueError):
             bij.forward(ord_add(W, fin(1)))
+
+    @pytest.mark.parametrize("text", ["w*2", "w*2 + 3"])
+    @pytest.mark.parametrize("n", [True, False])
+    def test_backward_refuses_a_bool(self, text, n):
+        # w*2 read True as 1 (w*1) and False as 0; w*2 + 3 said "bad coefficient"
+        with pytest.raises(ValueError, match=f"bad index {n}"):
+            omega_bijection(parse_cnf(text)).backward(n)
+
+    @pytest.mark.parametrize("text", ["w*2", "w*2 + 3"])
+    def test_backward_refuses_a_float(self, text):
+        # a raw TypeError from divmod's result under w*2
+        with pytest.raises(ValueError, match=r"bad index 2\.0"):
+            omega_bijection(parse_cnf(text)).backward(2.0)
+
+    def test_forward_takes_a_natural(self):
+        # a raw AttributeError: an int has no terms
+        bij = omega_bijection(parse_cnf("w*2"))
+        assert bij.forward(5) == bij.forward(fin(5)) == 10
+        assert bij.backward(10) == fin(5)
+
+    @pytest.mark.parametrize("x, message", [(True, "bad coefficient True"),
+                                            (2.0, "bad coefficient 2.0"),
+                                            (-1, "ordinals are non-negative"),
+                                            ("w", "bad coefficient 'w'")])
+    def test_forward_refuses_what_ord_of_refuses(self, x, message):
+        with pytest.raises(ValueError, match=message):
+            omega_bijection(parse_cnf("w*2")).forward(x)
+
+    def test_a_natural_bound_has_no_bijection(self):
+        # a raw AttributeError: an int has no terms
+        with pytest.raises(NoOmegaBijection, match="5 is finite"):
+            omega_bijection(5)
+
+    @pytest.mark.parametrize("x, message", [(True, "bad coefficient True"),
+                                            (-3, "ordinals are non-negative"),
+                                            ("w*2", "bad coefficient 'w\\*2'")])
+    def test_a_bound_that_is_no_ordinal_is_refused(self, x, message):
+        with pytest.raises(ValueError, match=message):
+            omega_bijection(x)
+
+
+# ---------------------------------------------------------------------------
+# the bijection against its first implementation: block starts as Ordinals,
+# generic ord_add/ord_sub_left, a coefficient dict and tuple pairing
+# ---------------------------------------------------------------------------
+
+def _encode_tuple(coords):
+    acc = coords[-1]
+    for c in reversed(coords[:-1]):
+        acc = cantor_pair(c, acc)
+    return acc
+
+
+def _decode_tuple(n, dim):
+    coords = []
+    for _ in range(dim - 1):
+        c, n = cantor_unpair(n)
+        coords.append(c)
+    coords.append(n)
+    return tuple(coords)
+
+
+def _coords_below_power(r, dim):
+    """Coefficient vector (a_{dim-1}, ..., a_0) of r < w^dim, zeros allowed."""
+    coeffs = dict(r.terms)
+    return tuple(coeffs.get(e, 0) for e in range(dim - 1, -1, -1))
+
+
+def _power_of_coords(coords):
+    dim = len(coords)
+    return Ordinal(tuple((dim - 1 - i, c) for i, c in enumerate(coords) if c))
+
+
+def reference_bijection(a):
+    """``(forward, backward)`` as ``omega_bijection`` computed them before
+    its maps worked on terms."""
+    blocks = []  # (base offset, exponent)
+    base = ZERO
+    fin_count = 0
+    fin_base = ZERO
+    for e, c in a.terms:
+        if e == 0:
+            fin_count = c
+            fin_base = base
+            break
+        for _ in range(c):
+            blocks.append((base, e))
+            base = ord_add(base, Ordinal.omega_power(e))
+    k = len(blocks)
+    starts = [b.terms for b, _e in blocks]
+
+    def forward(o):
+        if not o < a:
+            raise ValueError(f"{o} is not below {a}")
+        if fin_count and not o < fin_base:
+            return ord_sub_left(fin_base, o).to_int()
+        i = bisect_right(starts, o.terms) - 1
+        b, e = blocks[i]
+        return fin_count + _encode_tuple(_coords_below_power(ord_sub_left(b, o), e)) * k + i
+
+    def backward(n):
+        if n < 0:
+            raise ValueError("negative index")
+        if n < fin_count:
+            return ord_add(fin_base, Ordinal.from_int(n))
+        v, i = divmod(n - fin_count, k)
+        b, e = blocks[i]
+        return ord_add(b, _power_of_coords(_decode_tuple(v, e)))
+
+    return forward, backward
+
+
+_WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+ORACLE_ALPHAS = (*runpy.run_path(str(_WORKLOADS))["_BIJECTION_ALPHAS"],
+                 "w*2 + 3", "w^3*2 + w^2 + w*5 + 7", "w^4 + 3")
+
+
+def ordinal_below(a, rng):
+    """A random o < a: a's first t terms, then a smaller coefficient at
+    a's term t (or none), then any terms of lower exponents."""
+    t = rng.randrange(len(a.terms))
+    e, c = a.terms[t]
+    terms = list(a.terms[:t])
+    lower = rng.randrange(c)
+    if lower:
+        terms.append((e, lower))
+    terms += [(x, rng.randint(1, 10**6)) for x in range(e - 1, -1, -1) if rng.random() < 0.6]
+    return Ordinal(tuple(terms))
+
+
+class TestBijectionOracle:
+    """The term kernel has the images of the first implementation."""
+
+    @pytest.mark.parametrize("text", ORACLE_ALPHAS)
+    def test_naturals_map_as_the_reference_maps_them(self, text):
+        a = parse_cnf(text)
+        bij = omega_bijection(a)
+        forward, backward = reference_bijection(a)
+        rng = random.Random(f"naturals {text}")
+        for n in [*range(5001), *(rng.randrange(10**12) for _ in range(1000))]:
+            o = bij.backward(n)
+            assert o == backward(n)
+            assert_valid(o)
+            assert bij.forward(o) == forward(o) == n
+
+    @pytest.mark.parametrize("text", ORACLE_ALPHAS)
+    def test_ordinals_map_as_the_reference_maps_them(self, text):
+        a = parse_cnf(text)
+        bij = omega_bijection(a)
+        forward, backward = reference_bijection(a)
+        rng = random.Random(f"ordinals {text}")
+        for _ in range(2000):
+            o = ordinal_below(a, rng)
+            assert o < a
+            n = bij.forward(o)
+            assert n == forward(o)
+            assert bij.backward(n) == backward(n) == o
+
+    @pytest.mark.parametrize("text", ORACLE_ALPHAS)
+    def test_refusals_match_the_reference(self, text):
+        a = parse_cnf(text)
+        bij = omega_bijection(a)
+        forward, backward = reference_bijection(a)
+        rng = random.Random(f"refusals {text}")
+        above = [a, a.succ(), ord_add(a, W), Ordinal.omega_power(a.terms[0][0] + 1)]
+        above += [ord_add(a, rand_ordinal(rng)) for _ in range(50)]
+        for o in above:
+            for f in (bij.forward, forward):
+                with pytest.raises(ValueError, match="is not below"):
+                    f(o)
+        for n in (-1, -2, -(10**12)):
+            for b in (bij.backward, backward):
+                with pytest.raises(ValueError, match="negative index"):
+                    b(n)
 
 
 def test_ord_of_coercion():

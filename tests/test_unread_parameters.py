@@ -146,6 +146,8 @@ UNREAD_MEMBERS_KEPT = {
     ("posets", "GenericRun", "met"),
     # succ's inverse, with which tests step back from a successor length or offset
     ("ordinals", "Ordinal", "pred"),
+    # w^e*c, the public constructor of a power beside omega(c); tests build powers with it
+    ("ordinals", "Ordinal", "omega_power"),
     # the finite sequence of given items, which transfinite_f_seq records by index
     ("ordinals", "TransfiniteSeq", "from_items"),
 }

@@ -16,7 +16,7 @@ import tracemalloc
 
 import pytest
 
-from forcelab import collapse, dctrees, levy, posets, qtree
+from forcelab import collapse, dctrees, levy, ordinals, posets, qtree
 from forcelab.cli import RunConfig, run
 from forcelab.collapse import CountableSet, InjSeq
 from forcelab.dctrees import dc_witness, f_seq, fixture_functional
@@ -27,7 +27,7 @@ from forcelab.levy import (
     standard_cofinal,
     transfinite_f_seq,
 )
-from forcelab.ordinals import Ordinal, TransfiniteSeq, parse_cnf
+from forcelab.ordinals import Ordinal, TransfiniteSeq, omega_bijection, parse_cnf
 from forcelab.posets import PosetPresentation, check_poset_laws, is_dense_on_truncation
 from forcelab.qtree import LatticeOracle, check_lattice, finite_subset_lattice
 
@@ -675,3 +675,35 @@ def test_prefix_tree_step_python_calls(command, xset, functional, most):
 
     calls(10)
     assert (calls(400) - calls(200)) / 200 <= most
+
+
+@pytest.mark.parametrize("alpha", ["w*2", "w*3 + 4", "w^2", "w^2*2 + w*3 + 1", "w^3"])
+def test_bijection_round_trip_builds_no_ordinal_by_arithmetic(monkeypatch, alpha):
+    """A round trip n -> o -> n past the finite tail reads o's terms off its
+    block's start: no ``ord_add``, ``ord_sub_left`` or checked Ordinal, and
+    three Python-level calls (``backward``, ``Ordinal._of`` and
+    ``forward``).  Through ``ord_add``/``ord_sub_left``, a coefficient dict
+    and the tuple-pairing helpers, it made 14 to 18."""
+    bij = omega_bijection(parse_cnf(alpha))
+    arithmetic = [0]
+    init, add, sub = Ordinal.__init__, ordinals.ord_add, ordinals.ord_sub_left
+
+    def counting(fn):
+        def wrapped(*args):
+            arithmetic[0] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(Ordinal, "__init__", counting(init))
+    monkeypatch.setattr(ordinals, "ord_add", counting(add))
+    monkeypatch.setattr(ordinals, "ord_sub_left", counting(sub))
+    fin_count = dict(bij.bound.terms).get(0, 0)
+    ns = [*range(fin_count, fin_count + 300), 10**6, 10**12, 10**30]
+
+    def round_trips():
+        return [bij.forward(bij.backward(n)) for n in ns]
+
+    back, calls = python_calls(round_trips)
+    assert back == ns
+    assert arithmetic[0] == 0
+    assert (calls - 2) / len(ns) <= 4  # less round_trips and its comprehension
