@@ -37,15 +37,6 @@ class RunConfig(Record):
         object.__setattr__(self, "params", {} if params is None else params)
         object.__setattr__(self, "output_path", output_path)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.command, self.params, self.output_path)
-                    == (other.command, other.params, other.output_path))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.command, self.params, self.output_path))
-
 
 # Inclusive (least, greatest) value of each size, count and level; None is
 # unbounded.  Zero cases or an empty fragment would report a vacuous

@@ -38,20 +38,6 @@ class CountableSet(Record):
     enum: Callable[[int], Code]
     index: Callable[[Code], Optional[int]]
 
-    def __init__(self, name: str, enum: Callable[[int], Code],
-                 index: Callable[[Code], Optional[int]]):
-        _set_field(self, "name", name)
-        _set_field(self, "enum", enum)
-        _set_field(self, "index", index)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.enum, self.index) == (other.name, other.enum, other.index)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.enum, self.index))
-
     def index_of(self, code: Code) -> int:
         i = self.index(code)
         if i is None:
@@ -125,14 +111,6 @@ class InjSeq(Record):
         items = tuple(items)
         require_injective(items)
         _set_field(self, "items", items)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.items == other.items
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.items,))
 
 
 def first_repeat(items: Sequence[Code]) -> Optional[tuple[int, int]]:

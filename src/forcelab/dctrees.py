@@ -242,18 +242,6 @@ class MarkedElement(Record):
     base: Code
     marker: int
 
-    def __init__(self, base: Code, marker: int):
-        _set_field(self, "base", base)
-        _set_field(self, "marker", marker)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.base, self.marker) == (other.base, other.marker)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.base, self.marker))
-
 
 def marked_set(x: CountableSet) -> CountableSet:
     """The product of x with the naturals, diagonally enumerated; a

@@ -51,6 +51,10 @@ class OracleLimit(ContractError):
     code = "oracle-limit"
 
 
+class NotAPartialOrder(ContractError):
+    code = "not-a-partial-order"
+
+
 # --- collapse / qtree ---
 
 class NotInjective(ContractError):

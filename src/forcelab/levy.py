@@ -109,7 +109,7 @@ class OmegaLayer:
         return self.base.nth_fresh(2 * j)
 
 
-class IndexUsage(Record):
+class IndexUsage(Record, defaults=(None, ())):
     """A decidable set of consumed enumeration indices.
 
     The fresh indices are the odd-ranked fresh indices of ``layer.base``
@@ -125,18 +125,6 @@ class IndexUsage(Record):
     __slots__ = ("layer", "taken")
     layer: Optional[OmegaLayer]
     taken: tuple
-
-    def __init__(self, layer: Optional[OmegaLayer] = None, taken: tuple = ()):
-        _set_field(self, "layer", layer)
-        _set_field(self, "taken", taken)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.layer, self.taken) == (other.layer, other.taken)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.layer, self.taken))
 
     def _level_rank(self, k: int) -> Optional[int]:
         """Rank of k in the space ``taken`` counts in, ``layer.below``'s
@@ -218,26 +206,11 @@ class IndexUsage(Record):
 _EMPTY_USAGE = IndexUsage()
 
 
-class UsageSeq(TransfiniteSeq):
+class UsageSeq(TransfiniteSeq, defaults=(_EMPTY_USAGE,)):
     """A transfinite sequence that knows which enumeration indices it uses."""
 
     __slots__ = ("usage",)
     usage: IndexUsage
-
-    def __init__(self, length: Ordinal, evaluator: Callable[[Ordinal], Any],
-                 usage: IndexUsage = _EMPTY_USAGE):
-        _set_field(self, "length", length)
-        _set_field(self, "evaluator", evaluator)
-        _set_field(self, "usage", usage)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.length, self.evaluator, self.usage)
-                    == (other.length, other.evaluator, other.usage))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.length, self.evaluator, self.usage))
 
 
 # ---------------------------------------------------------------------------
@@ -296,18 +269,6 @@ class CofinalPresentation(Record):
     alpha: Ordinal
     stage: Callable[[int], Ordinal]
 
-    def __init__(self, alpha: Ordinal, stage: Callable[[int], Ordinal]):
-        _set_field(self, "alpha", alpha)
-        _set_field(self, "stage", stage)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.alpha, self.stage) == (other.alpha, other.stage)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.alpha, self.stage))
-
 
 def standard_cofinal(alpha: Ordinal) -> CofinalPresentation:
     """The canonical ladder: limit boundaries first, then single steps.
@@ -364,7 +325,7 @@ def validate_cofinal(cof: CofinalPresentation) -> list[Ordinal]:
 # ---------------------------------------------------------------------------
 
 
-class BuiltBlock(Record):
+class BuiltBlock(Record, defaults=(None, None)):
     """A block plus the bookkeeping to restrict or extend its usage."""
 
     __slots__ = ("seq", "usage_after", "indices", "layer")
@@ -372,22 +333,6 @@ class BuiltBlock(Record):
     usage_after: IndexUsage    # usage of prefix + this whole block
     indices: Optional[tuple]   # finite block: consumed indices in order
     layer: Optional[OmegaLayer]
-
-    def __init__(self, seq: TransfiniteSeq, usage_after: IndexUsage,
-                 indices: Optional[tuple] = None, layer: Optional[OmegaLayer] = None):
-        _set_field(self, "seq", seq)
-        _set_field(self, "usage_after", usage_after)
-        _set_field(self, "indices", indices)
-        _set_field(self, "layer", layer)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.seq, self.usage_after, self.indices, self.layer)
-                    == (other.seq, other.usage_after, other.indices, other.layer))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.seq, self.usage_after, self.indices, self.layer))
 
     def partial_usage(self, offset: int, base: IndexUsage) -> IndexUsage:
         if self.indices is not None:

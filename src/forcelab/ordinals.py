@@ -54,14 +54,6 @@ class Ordinal(Record):
                 raise ValueError("exponents must be strictly decreasing")
             prev = e
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.terms,))
-
     # -- constructors -------------------------------------------------
 
     @staticmethod
@@ -231,17 +223,6 @@ class OrdinalsBelow(Record):
     __slots__ = ("bound",)
     bound: Ordinal
 
-    def __init__(self, bound: Ordinal):
-        _set_field(self, "bound", bound)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.bound,) == (other.bound,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.bound,))
-
     def __iter__(self) -> Iterator[Ordinal]:
         # finite bounds enumerate exactly; infinite ones yield 0, 1, 2, ...
         n = ZERO
@@ -281,18 +262,6 @@ class TransfiniteSeq(Record):
     __slots__ = ("length", "evaluator")
     length: Ordinal
     evaluator: Callable[[Ordinal], Any]
-
-    def __init__(self, length: Ordinal, evaluator: Callable[[Ordinal], Any]):
-        _set_field(self, "length", length)
-        _set_field(self, "evaluator", evaluator)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.length, self.evaluator) == (other.length, other.evaluator)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.length, self.evaluator))
 
     def at(self, pos: "Ordinal | int") -> Any:
         p = pos if isinstance(pos, Ordinal) else Ordinal.from_int(pos)
@@ -448,8 +417,8 @@ def omega_bijection(a: "Ordinal | int") -> OmegaBijection:
         t = o.terms
         if not t < top:
             raise ValueError(f"{o} is not below {a}")
-        if fin_count and not t < fin_start:
-            return ord_sub_left(fin_base, o).to_int()
+        if fin_count and not t < fin_start:  # fin_base + m: its last term is (0, m)
+            return t[-1][1] if len(t) > len(fin_start) else 0
         i = bisect_right(starts, t) - 1
         e = exps[i]
         rest = t[len(starts[i]):]  # r's terms, exponents below e
@@ -472,7 +441,7 @@ def omega_bijection(a: "Ordinal | int") -> OmegaBijection:
         if n < 0:
             raise ValueError("negative index")
         if n < fin_count:
-            return ord_add(fin_base, Ordinal.from_int(n))
+            return Ordinal._of(fin_start + ((0, n),)) if n else fin_base
         v, i = divmod(n - fin_count, k)
         new = []
         for x in range(exps[i] - 1, 0, -1):  # (r_x, v) = unpair(v)

@@ -20,7 +20,6 @@ from .errors import BadExtender, NotAChain
 from .records import Record
 
 Code = Any
-_set_field = object.__setattr__  # a value class's fields, past its refusing __setattr__
 
 
 @dataclass(frozen=True)
@@ -214,18 +213,6 @@ class GenericRun(Record):
     poset: str
     chain: tuple
 
-    def __init__(self, poset: str, chain: tuple):
-        _set_field(self, "poset", poset)
-        _set_field(self, "chain", chain)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.poset, self.chain) == (other.poset, other.chain)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.poset, self.chain))
-
     @property
     def met(self) -> tuple[tuple[int, int], ...]:
         """The (goal index, chain position) pairs, made when read."""
@@ -302,7 +289,7 @@ def filter_from_chain(p: PosetPresentation, chain: Sequence[Code],
     return {q for q in frag if q in cone}
 
 
-class DensityReport(Record):
+class DensityReport(Record, defaults=(None, None)):
     """Density evidence on an enumeration fragment; not a proof for the full poset.
 
     ``dense`` is None when the fragment cannot decide: ``undecided`` has no
@@ -314,22 +301,6 @@ class DensityReport(Record):
     fragment: int
     counterexample: Optional[Code]
     undecided: Optional[Code]
-
-    def __init__(self, dense: Optional[bool], fragment: int,
-                 counterexample: Optional[Code] = None, undecided: Optional[Code] = None):
-        _set_field(self, "dense", dense)
-        _set_field(self, "fragment", fragment)
-        _set_field(self, "counterexample", counterexample)
-        _set_field(self, "undecided", undecided)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.dense, self.fragment, self.counterexample, self.undecided)
-                    == (other.dense, other.fragment, other.counterexample, other.undecided))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.dense, self.fragment, self.counterexample, self.undecided))
 
 
 def is_dense_on_truncation(p: PosetPresentation, d: DenseSet,

@@ -56,14 +56,6 @@ class QSeq(Record):
             seen = stage
         _set_field(self, "seq", InjSeq(values))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.seq == other.seq
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.seq,))
-
     @property
     def stages(self) -> tuple:
         """Stage i is ``frozenset(seq.items[:i+1])``."""
@@ -94,7 +86,7 @@ def q_extends(t_longer: QSeq, t_shorter: QSeq) -> bool:
 # strict lattices with the finite predecessor property
 # ---------------------------------------------------------------------------
 
-class LatticeOracle(Record):
+class LatticeOracle(Record, defaults=(None,)):
     """A strict lattice presented by predicates and finite predecessor lists.
 
     ``lt(p, q)`` reads "p is strictly below q".  ``uppers(p)`` lists every
@@ -113,33 +105,6 @@ class LatticeOracle(Record):
     uppers: Callable[[Code], list]
     has_lower: Callable[[Code], Code]
     enum: Optional[Callable[[int], Code]]
-
-    def __init__(self, name: str, carrier: Callable[[Code], bool],
-                 lt: Callable[[Code, Code], bool],
-                 meet: Callable[[Code, Code], Optional[Code]],
-                 join: Callable[[Code, Code], Optional[Code]],
-                 uppers: Callable[[Code], list], has_lower: Callable[[Code], Code],
-                 enum: Optional[Callable[[int], Code]] = None):
-        _set_field(self, "name", name)
-        _set_field(self, "carrier", carrier)
-        _set_field(self, "lt", lt)
-        _set_field(self, "meet", meet)
-        _set_field(self, "join", join)
-        _set_field(self, "uppers", uppers)
-        _set_field(self, "has_lower", has_lower)
-        _set_field(self, "enum", enum)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.name, self.carrier, self.lt, self.meet, self.join, self.uppers,
-                     self.has_lower, self.enum)
-                    == (other.name, other.carrier, other.lt, other.meet, other.join,
-                        other.uppers, other.has_lower, other.enum))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.carrier, self.lt, self.meet, self.join, self.uppers,
-                     self.has_lower, self.enum))
 
 
 def check_lattice(l: LatticeOracle, sample: Sequence[Code]) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import BadExtender, OracleLimit
+from .errors import BadExtender, NotAPartialOrder, OracleLimit
 from .posets import _ORACLE_CAP, Code, DenseSet, PosetPresentation
 from .records import Record
 
@@ -21,8 +21,10 @@ _set_field = object.__setattr__  # a value class's fields, past its refusing __s
 class FinitePoset(Record):
     """A finite poset as bit rows: bit j of up[i] iff elements[i] <= elements[j].
 
-    Rows are reflexive.  ``down`` (the transposed rows) and the position map
-    are not fields, so ``==`` and ``hash`` read elements and rows only.
+    Rows are reflexive, and ``NotAPartialOrder`` refuses rows that are not
+    transitive or not antisymmetric.  ``down`` (the transposed rows) and the
+    position map are not fields, so ``==`` and ``hash`` read elements and
+    rows only.
     """
 
     __slots__ = ("elements", "up", "down", "_pos")
@@ -36,18 +38,18 @@ class FinitePoset(Record):
                 type(row) is int and 0 <= row < 1 << n and row >> i & 1
                 for i, row in enumerate(up)):
             raise ValueError(f"need {n} distinct elements, {n} reflexive int rows < 2**{n}")
+        down = _transpose(up)
+        for i, row in enumerate(up):
+            if row & down[i] != 1 << i:
+                raise NotAPartialOrder(f"leq not antisymmetric at {elements[i]!r}")
+            for j in _bits(row):
+                if up[j] & ~row:
+                    raise NotAPartialOrder(
+                        f"leq not transitive at {elements[i]!r} <= {elements[j]!r}")
         _set_field(self, "elements", elements)
         _set_field(self, "up", up)
         _set_field(self, "_pos", pos)
-        _set_field(self, "down", _transpose(up))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.elements, self.up) == (other.elements, other.up)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.elements, self.up))
+        _set_field(self, "down", down)
 
     def leq(self, a, b) -> bool:
         if a == b:
@@ -235,20 +237,8 @@ class FinitePreorder(Record):
     elements: tuple
     relation: frozenset
 
-    def __init__(self, elements: tuple, relation: frozenset):
-        _set_field(self, "elements", elements)
-        _set_field(self, "relation", relation)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.elements, self.relation) == (other.elements, other.relation)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.elements, self.relation))
-
-
-class GammaPresentation(Record):
+class GammaPresentation(Record, defaults=(False,)):
     """A pre-order presented as a countable union of finite levels.
 
     Levels must be pairwise disjoint unless ``shared_codes`` declares that
@@ -260,21 +250,6 @@ class GammaPresentation(Record):
     levels: Callable[[int], FinitePreorder]
     shared_codes: bool
 
-    def __init__(self, name: str, levels: Callable[[int], FinitePreorder],
-                 shared_codes: bool = False):
-        _set_field(self, "name", name)
-        _set_field(self, "levels", levels)
-        _set_field(self, "shared_codes", shared_codes)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.name, self.levels, self.shared_codes)
-                    == (other.name, other.levels, other.shared_codes))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.levels, self.shared_codes))
-
 
 class PreorderViolation(Record):
     """The level a ``gamma_check`` failed at, the law broken and a witness triple."""
@@ -284,42 +259,14 @@ class PreorderViolation(Record):
     law: str
     witness: tuple
 
-    def __init__(self, level: int, law: str, witness: tuple):
-        _set_field(self, "level", level)
-        _set_field(self, "law", law)
-        _set_field(self, "witness", witness)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.level, self.law, self.witness) == (other.level, other.law, other.witness)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.level, self.law, self.witness))
-
-
-class GammaReport(Record):
+class GammaReport(Record, defaults=(None,)):
     """A ``gamma_check`` verdict, the sizes of the levels read, and the violation."""
 
     __slots__ = ("ok", "size_profile", "violation")
     ok: bool
     size_profile: tuple[int, ...]
     violation: Optional[PreorderViolation]
-
-    def __init__(self, ok: bool, size_profile: tuple[int, ...],
-                 violation: Optional[PreorderViolation] = None):
-        _set_field(self, "ok", ok)
-        _set_field(self, "size_profile", size_profile)
-        _set_field(self, "violation", violation)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.ok, self.size_profile, self.violation)
-                    == (other.ok, other.size_profile, other.violation))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ok, self.size_profile, self.violation))
 
 
 def gamma_check(g: GammaPresentation, depth: int) -> GammaReport:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forcelab.collapse import coll_poset, level_dense, nat_set
-from forcelab.errors import BadExtender, NotAChain, OracleLimit
+from forcelab.errors import BadExtender, NotAChain, NotAPartialOrder, OracleLimit
 from forcelab.posets import (
     DenseSet,
     FinitePoset,
@@ -30,6 +30,7 @@ from forcelab.posets import (
     table_dense_sets,
     table_poset,
 )
+from test_merged_paths import closed_table
 
 # The covers of each of "0" to "6": 1, 2 <= 0; 3, 4 <= 1; 5 <= 2; 6 <= 3, 4.
 SEVEN_COVERS = ("", "0", "0", "1", "1", "2", "34")
@@ -305,6 +306,23 @@ def test_random_dense_sets_fall_back_to_the_whole_carrier():
     assert random_dense_sets(Tails(), table, 3) == [frozenset(table.elements)] * 3
 
 
+def test_random_dense_sets_read_no_row_per_draw_on_a_partial_order():
+    """Each element of a partial order lies above a minimal one, so the
+    minimal elements alone test a drawn mask: the down rows are read once,
+    to find the rows that hold no minimal element, and never per draw."""
+    reads = [0]
+
+    class Row(int):
+        def __and__(self, other):
+            reads[0] += 1
+            return int(self) & other
+
+    table = random_finite_poset(random.Random(3), 8)
+    object.__setattr__(table, "down", [Row(row) for row in table.down])
+    assert len(random_dense_sets(random.Random(0), table, 3)) == 3
+    assert reads[0] == len(table.down)
+
+
 NAMES = st.text("ab <=\telm\n", max_size=6)
 
 
@@ -315,8 +333,8 @@ def test_string_tables_match_their_index_tables(names, data):
     it relates, presents and filters as the same rows over 0..n-1 do."""
     n = len(names)
     rows = [1 << i | data.draw(st.integers(0, (1 << n) - 1)) for i in range(n)]
-    named = _closed_rows_table(names, list(rows))
-    index = _closed_rows_table(range(n), list(rows))
+    named = closed_table(names, list(rows))
+    index = closed_table(range(n), list(rows))
     assert named.up == index.up
     p, q = table_poset(named), table_poset(index)
     assert p.root == (None if q.root is None else names[q.root])
@@ -375,6 +393,20 @@ class TestRowTables:
             FinitePoset(("a", "a"), (0b01, 0b10))
         with pytest.raises(ValueError):
             FinitePoset((1, True), (0b01, 0b10))  # equal codes
+
+    def test_a_relation_that_is_not_transitive_is_refused(self):
+        """a <= b and b <= c, but not a <= c."""
+        with pytest.raises(NotAPartialOrder, match="not transitive at 'a' <= 'b'") as exc:
+            FinitePoset(("a", "b", "c"), (0b011, 0b110, 0b100))
+        assert exc.value.code == "not-a-partial-order"
+        FinitePoset(("a", "b", "c"), (0b111, 0b110, 0b100))  # its closure is an order
+
+    def test_a_relation_that_is_not_antisymmetric_is_refused(self):
+        """a <= b and b <= a for a != b."""
+        with pytest.raises(NotAPartialOrder, match="not antisymmetric at 'a'"):
+            FinitePoset(("a", "b"), (0b11, 0b11))
+        with pytest.raises(NotAPartialOrder, match="not antisymmetric at 'a'"):
+            _closed_rows_table("abc", [0b011, 0b101, 0b001])  # a cycle closes to a preorder
 
     def test_fields_equality_and_hash_read_elements_and_rows(self):
         with pytest.raises(TypeError):

@@ -13,8 +13,11 @@
   ``prefixes`` as its cones.
 * ``perfbench/tracing.py`` wraps the library by name, so a rename that
   breaks it shows up here, not only in the benchmark's self-test.
+* ``records.Record`` writes every value class's ``==`` and hash, and its
+  ``__init__`` unless the class must check or convert its arguments.
 """
 
+import importlib
 import json
 import operator
 import os
@@ -39,6 +42,7 @@ from forcelab.ordinals import (OMEGA, ZERO, Ordinal, TransfiniteSeq, concat, ord
                                ord_sub_left)
 from forcelab.posets import Grown, PosetPresentation, extends, prefixes
 from forcelab.qtree import LatticeOracle, finite_subset_lattice, lambda_tree
+from forcelab.records import Record
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -422,3 +426,24 @@ def test_tracer_installs_and_keeps_cli_stdout():
         docs[mode] = json.loads(done.stdout)
     assert [status for status, _ in docs["plain"]] == [0] * len(ONE_OF_EACH)
     assert docs["traced"] == docs["plain"]
+
+
+# ---------------------------------------------------------------------------
+# value classes: one writer of ==, hash and the storing __init__
+# ---------------------------------------------------------------------------
+
+CHECKING_INITS = {"RunConfig", "InjSeq", "Ordinal", "QSeq", "FinitePoset"}
+
+
+def test_value_classes_write_no_eq_or_hash_and_only_checking_inits():
+    """No library ``Record`` class writes ``__eq__`` or ``__hash__``; only
+    the five whose ``__init__`` checks or converts write one."""
+    written = {"__init__": set(), "__eq__": set(), "__hash__": set()}
+    for path in sorted((ROOT / "src" / "forcelab").glob("[!_]*.py")):
+        for cls in vars(importlib.import_module(f"forcelab.{path.stem}")).values():
+            if isinstance(cls, type) and issubclass(cls, Record) and cls is not Record:
+                for name, classes in written.items():
+                    code = getattr(vars(cls).get(name), "__code__", None)
+                    if code is None or code.co_filename != f"<record {cls.__qualname__}>":
+                        classes.add(cls.__name__)
+    assert written == {"__init__": CHECKING_INITS, "__eq__": set(), "__hash__": set()}

@@ -195,3 +195,95 @@ def test_a_qseq_is_a_frozen_dataclass_of_its_sequence():
         t.seq = InjSeq(())
     with pytest.raises(AttributeError):
         del t.seq
+
+
+# Test-local classes: the methods ``Record`` writes for no field, one field,
+# trailing defaults, and a subclass that adds a defaulted field.
+
+class Empty(Record):
+    __slots__ = ()
+
+
+class Single(Record):
+    __slots__ = ("x",)
+    x: object
+
+
+class Defaulted(Record, defaults=(None, ())):
+    __slots__ = ("a", "b", "c")
+    a: object
+    b: object
+    c: object
+
+
+class Extended(Single, defaults=(0,)):
+    __slots__ = ("y",)
+    y: int
+
+
+LOCAL_SPECS = {
+    Single: ([("x", REQUIRED)], [(1, 2)], [(1,)]),
+    Defaulted: ([("a", REQUIRED), ("b", None), ("c", ())], [1, "b", (2,)], [2, None, ()]),
+    Extended: ([("x", REQUIRED), ("y", 0)], [(1, 2), 3], [(1,), 0]),
+}
+
+
+@pytest.mark.parametrize("cls", list(LOCAL_SPECS), ids=lambda c: c.__name__)
+def test_written_methods_are_a_frozen_dataclass(monkeypatch, cls):
+    """The checks every library class passes, on classes declared here."""
+    monkeypatch.setitem(SPECS, cls, LOCAL_SPECS[cls])
+    test_eq_hash_and_repr_are_a_frozen_dataclass(cls)
+    test_fields_refuse_writes_and_deletions(cls)
+    test_positional_keyword_and_default_construction(cls)
+    test_copies_are_equal(cls)
+    for name in ("__init__", "__eq__", "__hash__"):
+        method = vars(cls)[name]
+        assert method.__code__.co_filename == f"<record {cls.__name__}>"
+        assert method.__qualname__ == f"{cls.__name__}.{name}"
+        assert method.__module__ == cls.__module__
+
+
+def test_a_class_without_fields_is_its_empty_tuple(monkeypatch):
+    monkeypatch.setitem(SPECS, Empty, ([], [], []))
+    ref = reference(Empty)()
+    assert Empty._fields == () and Empty() == Empty() and not Empty() != Empty()
+    assert hash(Empty()) == hash(()) == hash(ref)
+    assert repr(Empty()) == repr(ref) == "Empty()"
+    assert Empty() != ref and Empty() != () and Empty() != Single(())
+    with pytest.raises(TypeError):
+        Empty(1)
+
+
+def test_a_subclass_states_its_own_defaults():
+    assert Extended._fields == ("x", "y") and Extended((1,)) == Extended((1,), 0)
+    assert Extended((1,)) != Single((1,)) and Single((1,)) != Extended((1,))
+    with pytest.raises(TypeError):
+        Single()
+
+
+def test_more_defaults_than_fields_are_refused_when_the_class_is_made():
+    with pytest.raises(TypeError, match="2 fields, not 3 defaults"):
+        class Over(Record, defaults=(1, 2, 3)):
+            __slots__ = ("a", "b")
+            a: object
+            b: object
+
+
+def test_methods_the_class_body_writes_are_kept():
+    class Checked(Record):
+        __slots__ = ("n",)
+        n: int
+
+        def __init__(self, n=0):
+            if n < 0:
+                raise ValueError("negative")
+            object.__setattr__(self, "n", n)
+
+        def __eq__(self, other):
+            return isinstance(other, Checked) and self.n % 2 == other.n % 2
+
+    with pytest.raises(ValueError):
+        Checked(-1)
+    assert Checked(1) == Checked(3) and Checked() == Checked(2)
+    with pytest.raises(TypeError):  # a class that writes __eq__ alone is unhashable
+        hash(Checked())
