@@ -3,10 +3,10 @@
 A witness of limit length is assembled block by block along a cofinal
 ladder: block xi has the order type of the ladder interval and is produced
 by a block builder from the concatenated earlier blocks.  Freshness over an
-infinite prefix is decided structurally: the construction records which
-enumeration indices each block consumes, finite blocks as explicit index
-sets and infinite blocks as an "every other fresh index" layer, which keeps
-infinitely many indices free for later blocks.
+infinite prefix is decided structurally: each block reports the
+enumeration indices it consumed, a finite block as explicit indices and an
+infinite block as an "every other fresh index" layer, which keeps
+infinitely many indices free for later blocks; the lift derives the usage.
 """
 
 from __future__ import annotations
@@ -326,13 +326,12 @@ def validate_cofinal(cof: CofinalPresentation) -> list[Ordinal]:
 
 
 class BuiltBlock(Record, defaults=(None, None)):
-    """A block plus the bookkeeping to restrict or extend its usage."""
+    """A block plus what it consumed, which the lift's usages derive from."""
 
-    __slots__ = ("seq", "usage_after", "indices", "layer")
+    __slots__ = ("seq", "indices", "layer")
     seq: TransfiniteSeq
-    usage_after: IndexUsage    # usage of prefix + this whole block
-    indices: Optional[tuple]   # finite block: consumed indices in order
-    layer: Optional[OmegaLayer]
+    indices: Optional[tuple]     # finite block: consumed indices in order
+    layer: Optional[OmegaLayer]  # block of length w: its layer over the prefix's usage
 
     def partial_usage(self, offset: int, base: IndexUsage) -> IndexUsage:
         if self.indices is not None:
@@ -348,21 +347,21 @@ class BuiltBlock(Record, defaults=(None, None)):
 def standard_block_builder(x: CountableSet) -> Callable:
     """Block builder for freshness functionals over x.
 
-    Finite blocks iterate the functional's select greedily.  Blocks of
-    length w instead take every other fresh index: a greedy infinite block
-    would exhaust a countable presentation and leave nothing for the later
-    blocks, while the alternating choice is still a block of allowed values.
+    ``build(gamma, f, prefix)`` returns a ``BuiltBlock`` of length gamma over
+    ``prefix``.  Finite blocks iterate the functional's select greedily; blocks
+    of length w take every other fresh index: a greedy infinite block would
+    exhaust a countable presentation and leave nothing for the later blocks,
+    while the alternating choice is still a block of allowed values.
     """
 
     def build(gamma: Ordinal, f: TransfiniteFunctional,
               prefix: TransfiniteSeq) -> BuiltBlock:
         usage = getattr(prefix, "usage", None)
         if usage is None:
-            raise RangeNotDecidable(
-                "standard builder needs a prefix with a usage record")
+            raise RangeNotDecidable("standard builder needs a prefix with a usage record")
         if not gamma.terms or not gamma.terms[0][0]:  # finite: () or ((0, n),)
             n = gamma.terms[0][1] if gamma.terms else 0
-            values, indices, cur = [], [], usage
+            values, indices, working = [], [], prefix
             if n > 1:  # later values see the prefix, then the values so far
                 plen = prefix.length
 
@@ -371,23 +370,22 @@ def standard_block_builder(x: CountableSet) -> Callable:
                             else values[ord_sub_left(plen, pos).to_int()])
 
             for j in range(n):
-                working = (UsageSeq(ord_add(prefix.length, Ordinal.from_int(j)),
-                                    splice, usage=cur) if j else prefix)
+                if j:
+                    usage = usage.with_explicit(indices[-1:])
+                    working = UsageSeq(ord_add(plen, Ordinal.from_int(j)), splice, usage=usage)
                 values.append(f.select(working))
                 indices.append(x.index_of(values[-1]))
-                cur = cur.with_explicit(indices[-1:])
             items, seq, block = tuple(values), _new(TransfiniteSeq), _new(BuiltBlock)
             _set_field(seq, "length", gamma)  # a block over the values, of length gamma
             _set_field(seq, "evaluator", lambda p: items[p.to_int()])
             _set_field(block, "seq", seq)
-            _set_field(block, "usage_after", cur)
             _set_field(block, "indices", tuple(indices))
             _set_field(block, "layer", None)
             return block
         if gamma == OMEGA:
             layer = OmegaLayer(usage)
             seq = TransfiniteSeq(OMEGA, lambda j: x.enum(layer.nth_index(j.to_int())))
-            return BuiltBlock(seq, usage.with_layer(layer), layer=layer)
+            return BuiltBlock(seq, layer=layer)
         raise BadBlock(f"block length {gamma} unsupported (finite or w only)")
 
     return build
@@ -410,8 +408,8 @@ class LiftedWitness:
     The ladder's checked stages start the lift's one stage list.  Blocks
     are constructed lazily but strictly in order; every finished block is
     verified to have the ladder's order type and to satisfy the functional
-    at sampled positions.  Restrictions carry the usage record of exactly
-    the consumed prefix.
+    at sampled positions.  ``_prefixes[xi]`` is the witness below stage xi
+    with the usage its blocks consumed (at 0, none), derived only here.
     """
 
     def __init__(self, cof: CofinalPresentation, f: TransfiniteFunctional,
@@ -422,7 +420,7 @@ class LiftedWitness:
         self.length = cof.alpha
         self._blocks: list[BuiltBlock] = []
         self._stages = validate_cofinal(cof)  # ladder stages computed so far
-        self._next_prefix = UsageSeq(self._stages[0], self.at, usage=IndexUsage())
+        self._prefixes = [UsageSeq(self._stages[0], self.at, usage=_EMPTY_USAGE)]
         self._last_located: tuple = (None, None)  # terms of a position, its locate
 
     # -- block construction -------------------------------------------
@@ -441,42 +439,47 @@ class LiftedWitness:
             stages.append(_stage(self.cof, len(stages)))
 
     def _block(self, xi: int) -> BuiltBlock:
-        stages = self._stages
+        stages, prefixes = self._stages, self._prefixes
         for nxt in range(len(self._blocks), xi + 1):  # each turn appends a block or raises
             if len(stages) <= nxt + 1:
                 self._grow_stages(block=nxt)
             # the order type of block nxt, between its two stages
             gamma = ord_sub_left(stages[nxt], stages[nxt + 1])
-            prefix = self._next_prefix
+            prefix = prefixes[nxt]
             block = self.builder(gamma, self.functional, prefix)
             if not isinstance(block, BuiltBlock):
                 raise BadBlock("builder must return a BuiltBlock")
             length = block.seq.length
             if length is not gamma and length != gamma:
                 raise BadBlock(f"block {nxt} has length {length}, expected {gamma}")
-            if block.layer is not None and block.layer.base != prefix.usage:
-                raise BadBlock(f"block {nxt} has a layer over a foreign usage")
+            n = None if gamma.terms and gamma.terms[0][0] else gamma.to_int()  # None: w
+            if n is None:
+                if block.layer is None or block.layer.base != prefix.usage:
+                    raise BadBlock(f"block {nxt} has no layer over its prefix's usage")
+                usage = prefix.usage.with_layer(block.layer)
+            elif block.indices is None:
+                raise BadBlock(f"block {nxt} of length {gamma} reports no indices")
+            else:
+                usage = prefix.usage.with_explicit(block.indices)
             after = _new(UsageSeq)
             _set_field(after, "length", stages[nxt + 1])
             _set_field(after, "evaluator", self.at)
-            _set_field(after, "usage", block.usage_after)
+            _set_field(after, "usage", usage)
             self._blocks.append(block)  # the functional may read the block's values
             try:
-                self._verify_block(nxt, block, prefix, after)
+                self._verify_block(nxt, block, n, prefix, after)
             except BaseException:
                 self._blocks.pop()  # a refused block is never served
                 raise
-            self._next_prefix = after
+            prefixes.append(after)
         return self._blocks[xi]
 
-    def _verify_block(self, xi: int, block: BuiltBlock, prefix: UsageSeq,
-                      after: UsageSeq) -> None:
-        """Each probed value must be allowed before its offset and refused
-        after the block; a finite block's indices must add up to its usage,
-        since restrictions inside the block read them."""
-        gamma = block.seq.length
+    def _verify_block(self, xi: int, block: BuiltBlock, n: Optional[int],
+                      prefix: UsageSeq, after: UsageSeq) -> None:
+        """Each probed value of a block of length n (None: w) must be allowed
+        before its offset and refused after the block, so a block whose
+        report misses a value is refused."""
         base, member = prefix.usage, self.functional.member
-        n = None if gamma.terms and gamma.terms[0][0] else gamma.to_int()  # None: infinite
         for j in _OMEGA_BLOCK_PROBES if n is None else range(min(n, _FINITE_CHECK_CAP)):
             working = (UsageSeq(ord_add(prefix.length, Ordinal.from_int(j)), self.at,
                                 usage=block.partial_usage(j, base)) if j else prefix)
@@ -487,8 +490,6 @@ class LiftedWitness:
             if member(after, value):
                 raise BadBlock(f"block {xi} value at offset {j} is still allowed "
                                f"after the block, at {after.length}")
-        if n is not None and block.partial_usage(n, base) != after.usage:
-            raise BadBlock(f"block {xi} reports indices that disagree with its usage")
 
     # -- sequence interface ---------------------------------------------
 
@@ -516,9 +517,7 @@ class LiftedWitness:
     def usage_at(self, pos) -> IndexUsage:
         """Usage record of the restriction to positions below pos."""
         xi, offset = self.locate(pos)
-        block = self._block(xi)
-        base = self._blocks[xi - 1].usage_after if xi else IndexUsage()
-        return block.partial_usage(offset.to_int(), base)
+        return self._block(xi).partial_usage(offset.to_int(), self._prefixes[xi].usage)
 
     def restrict(self, length) -> UsageSeq:
         l = ord_of(length)

@@ -14,6 +14,7 @@ import functools
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from math import isqrt
 from typing import Any, Callable, Iterable, Iterator
 
@@ -385,7 +386,8 @@ def omega_bijection(a: "Ordinal | int") -> OmegaBijection:
     coefficient vector (r_{e-1}, ..., r_0) of r by iterated diagonal
     pairing, r_0 innermost.  Every exponent of b is at least e, above
     every exponent of r, so the terms of b + r are b's followed by r's:
-    both maps work on ``terms`` tuples and build no intermediate Ordinal.
+    both maps work on ``terms`` tuples and build no intermediate Ordinal,
+    and find a block's term by one bisection over a's terms, not its blocks.
 
     ``a`` and the argument of ``forward`` are what ``ord_of`` takes;
     ``backward`` takes an ``int`` (not a ``bool``).
@@ -395,21 +397,13 @@ def omega_bijection(a: "Ordinal | int") -> OmegaBijection:
         raise NoOmegaBijection(f"{a} is finite")
 
     top = a.terms
-    starts: list[tuple] = []  # each block's first position, as terms
-    exps: list[int] = []  # each block's exponent e
-    fin_count = 0
-    fin_base = ZERO
-    for t, (e, c) in enumerate(top):
-        head = top[:t]
-        if e == 0:
-            fin_count = c
-            fin_base = Ordinal._of(head)
-            break
-        starts.append(head)
-        starts.extend(head + ((e, j),) for j in range(1, c))
-        exps.extend([e] * c)
-    fin_start = fin_base.terms
-    k = len(starts)
+    m = len(top) - (top[-1][0] == 0)  # the infinite terms w^e*c; a finite one is last
+    heads = [top[:t] for t in range(m)]  # per infinite term: the terms of a before it
+    firsts = [0, *accumulate(c for _, c in top[:m])]  # its first block's index, then k
+    k = firsts[-1]
+    fin_count = top[-1][1] if m < len(top) else 0
+    fin_start = top[:m]
+    fin_base = Ordinal._of(fin_start)
 
     def forward(o: "Ordinal | int") -> int:
         if o.__class__ is not Ordinal:
@@ -419,9 +413,12 @@ def omega_bijection(a: "Ordinal | int") -> OmegaBijection:
             raise ValueError(f"{o} is not below {a}")
         if fin_count and not t < fin_start:  # fin_base + m: its last term is (0, m)
             return t[-1][1] if len(t) > len(fin_start) else 0
-        i = bisect_right(starts, t) - 1
-        e = exps[i]
-        rest = t[len(starts[i]):]  # r's terms, exponents below e
+        u = bisect_right(heads, t) - 1  # the term whose head t extends
+        h, e, i = len(heads[u]), top[u][0], firsts[u]
+        if len(t) > h and t[h][0] == e:  # in its block j > 0, which starts w^e*j past the head
+            i += t[h][1]
+            h += 1
+        rest = t[h:]  # r's terms, exponents below e
         j = len(rest) - 1
         v = 0
         if j >= 0 and rest[j][0] == 0:
@@ -443,8 +440,10 @@ def omega_bijection(a: "Ordinal | int") -> OmegaBijection:
         if n < fin_count:
             return Ordinal._of(fin_start + ((0, n),)) if n else fin_base
         v, i = divmod(n - fin_count, k)
-        new = []
-        for x in range(exps[i] - 1, 0, -1):  # (r_x, v) = unpair(v)
+        u = bisect_right(firsts, i) - 1  # the term of block i, its j-th block
+        e, j = top[u][0], i - firsts[u]
+        new = [(e, j)] if j else []
+        for x in range(e - 1, 0, -1):  # (r_x, v) = unpair(v)
             s = (isqrt(8 * v + 1) - 1) // 2
             y = v - s * (s + 1) // 2
             if s > y:
@@ -452,6 +451,6 @@ def omega_bijection(a: "Ordinal | int") -> OmegaBijection:
             v = y
         if v:
             new.append((0, v))
-        return Ordinal._of(starts[i] + tuple(new))
+        return Ordinal._of(heads[u] + tuple(new))
 
     return OmegaBijection(a, forward, backward)

@@ -386,7 +386,7 @@ _ORACLE_CAP = 20
 
 # The names ``tables`` defines, each loaded from there when first read here.
 _TABLE_NAMES = frozenset("""
-    FinitePoset _bit_rows _transpose _bits _closed_rows_table table_poset
+    FinitePoset _bit_rows _order_columns _bits _closed_rows_table table_poset
     check_poset_laws is_filter brute_force_filter random_finite_poset
     table_dense_sets random_dense_sets FinitePreorder GammaPresentation
     PreorderViolation GammaReport gamma_check""".split())

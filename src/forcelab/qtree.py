@@ -20,7 +20,7 @@ from .collapse import CountableSet, InjSeq, _nonnegative, prefix_enumeration, se
 from .errors import NotAQSeq, NotInLambda
 from .posets import Code, PosetPresentation, extends
 from .records import Record
-from .tables import _bits, _transpose, check_poset_laws
+from .tables import _bits, check_poset_laws
 
 
 _set_field = object.__setattr__  # a value class's fields, past its refusing __setattr__
@@ -113,16 +113,16 @@ def check_lattice(l: LatticeOracle, sample: Sequence[Code]) -> None:
     Past irreflexivity, the order laws and the ``uppers`` lists are
     ``check_poset_laws`` on the order "equal or lt" over the sample, so
     every sample element must pass ``l.carrier`` and none may repeat.  Meets
-    and joins must bound their arguments; the laws read bounds off its rows.
+    and joins must bound their arguments; the laws read bounds off its rows
+    and columns.
     """
     for a in sample:
         if l.lt(a, a):
             raise AssertionError(f"lt not irreflexive at {a!r}")
     leq = lambda a, b: a == b or l.lt(a, b)
-    up = check_poset_laws(PosetPresentation(
+    up, down = check_poset_laws(PosetPresentation(
         name=l.name, carrier=l.carrier, leq=leq,
         enum=sample.__getitem__, above=lambda a: [a, *l.uppers(a)]), len(sample))
-    down = _transpose(up)
     for a in sample:
         if a in l.uppers(a):
             raise AssertionError(f"uppers({a!r}) lists {a!r} itself")

@@ -38,14 +38,9 @@ class FinitePoset(Record):
                 type(row) is int and 0 <= row < 1 << n and row >> i & 1
                 for i, row in enumerate(up)):
             raise ValueError(f"need {n} distinct elements, {n} reflexive int rows < 2**{n}")
-        down = _transpose(up)
-        for i, row in enumerate(up):
-            if row & down[i] != 1 << i:
-                raise NotAPartialOrder(f"leq not antisymmetric at {elements[i]!r}")
-            for j in _bits(row):
-                if up[j] & ~row:
-                    raise NotAPartialOrder(
-                        f"leq not transitive at {elements[i]!r} <= {elements[j]!r}")
+        down, broken = _order_columns(elements, up)
+        if broken:
+            raise NotAPartialOrder(broken)
         _set_field(self, "elements", elements)
         _set_field(self, "up", up)
         _set_field(self, "_pos", pos)
@@ -72,12 +67,23 @@ def _bit_rows(elements: Sequence, leq: Callable[[Code, Code], bool]) -> list[int
     return [sum(1 << j for j, b in enumerate(elements) if leq(a, b)) for a in elements]
 
 
-def _transpose(rows: list[int]) -> list[int]:
+def _order_columns(elements: Sequence, rows: Sequence[int]) -> tuple[list[int], Optional[str]]:
+    """The columns of bit rows (bit i of column j iff bit j of row i) and the
+    first order law the rows break, or None, in one walk over (i, j) in
+    order: reflexivity at i, then transitivity and antisymmetry at each j of
+    row i.  The walk stops at a break, leaving the columns unfinished."""
     cols = [0] * len(rows)
     for i, row in enumerate(rows):
+        if not row >> i & 1:
+            return cols, f"leq not reflexive at {elements[i]!r}"
+        bit = 1 << i
         for j in _bits(row):
-            cols[j] |= 1 << i
-    return cols
+            cols[j] |= bit
+            if rows[j] & ~row:
+                return cols, f"leq not transitive at {elements[i]!r} <= {elements[j]!r}"
+            if rows[j] & bit and i != j:
+                return cols, f"leq not antisymmetric on {elements[i]!r}, {elements[j]!r}"
+    return cols, None
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -117,28 +123,22 @@ def table_poset(table: FinitePoset) -> PosetPresentation:
     )
 
 
-def check_poset_laws(p: PosetPresentation, n: int) -> list[int]:
+def check_poset_laws(p: PosetPresentation, n: int) -> tuple[list[int], list[int]]:
     """Assert reflexivity, transitivity and antisymmetry of leq on the first n elements.
 
     When the presentation has ``above``, also assert its contract there:
     above(a) meets the fragment in exactly the b with leq(a, b).  Returns
-    the fragment's bit rows: bit j of row i iff leq(enum(i), enum(j)).
+    the fragment's bit rows and their columns: bit j of row i, and bit i of
+    column j, iff leq(enum(i), enum(j)).
     """
     frag = [p.enum(k) for k in range(n)]
     for q in frag:
         if not p.carrier(q):
             raise AssertionError(f"enumerated {q!r} fails the carrier predicate")
     rows = _bit_rows(frag, p.leq)
-    for i in range(n):
-        if not rows[i] >> i & 1:
-            raise AssertionError(f"leq not reflexive at {frag[i]!r}")
-        for j in _bits(rows[i]):
-            if rows[j] & ~rows[i]:
-                raise AssertionError(
-                    f"leq not transitive at {frag[i]!r} <= {frag[j]!r}")
-            if rows[j] >> i & 1 and i != j:
-                raise AssertionError(
-                    f"leq not antisymmetric on {frag[i]!r}, {frag[j]!r}")
+    cols, broken = _order_columns(frag, rows)
+    if broken:
+        raise AssertionError(broken)
     if p.above is not None:
         pos = {q: k for k, q in enumerate(frag)}
         for i, a in enumerate(frag):
@@ -147,7 +147,7 @@ def check_poset_laws(p: PosetPresentation, n: int) -> list[int]:
                 b = frag[next(_bits(wrong))]
                 raise AssertionError(
                     f"above({a!r}) and leq disagree on {b!r}")
-    return rows
+    return rows, cols
 
 
 def is_filter(table: FinitePoset, subset: Iterable) -> bool:

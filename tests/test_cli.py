@@ -145,6 +145,12 @@ class TestErrors:
             build_config(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_no_command_names_the_first_token(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_config(["--n", "5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "forcelab: error: no command in ['--n']\n"
+
     def test_unknown_key_rejected(self):
         status, doc = run(RunConfig("coll-run", {"set": "nat", "mood": 3}))
         assert status == 2
@@ -153,6 +159,33 @@ class TestErrors:
     def test_unknown_command_in_config(self):
         status, doc = run(RunConfig("no-such"))
         assert status == 2
+
+
+class TestReportedFailures:
+    """A command reports a case the library gets wrong, though none does."""
+
+    def test_iso_roundtrip_reports_a_round_trip_that_loses_an_item(self, monkeypatch):
+        from forcelab import collapse, qtree
+        q_to_coll = qtree.q_to_coll
+
+        def lossy(t):
+            items = q_to_coll(t).items
+            return collapse.InjSeq(items[:-1]) if len(items) == 3 else collapse.InjSeq(items)
+
+        monkeypatch.setattr(qtree, "q_to_coll", lossy)
+        assert run(RunConfig("iso-roundtrip", {"len": 4, "cases": 10})) == (
+            0, {"ok": False, "cases": 10})
+
+    @pytest.mark.parametrize("is_filter, closure", [(False, None), (True, frozenset())])
+    def test_oracle_check_counts_a_case_only_when_every_check_holds(
+            self, monkeypatch, is_filter, closure):
+        """A closure that is no filter, or one that meets no dense set, is
+        no agreement."""
+        monkeypatch.setattr(posets, "is_filter", lambda table, s: is_filter)
+        if closure is not None:
+            monkeypatch.setattr(posets, "filter_from_chain", lambda *args: closure)
+        assert run(RunConfig("oracle-check", {"cases": 4})) == (
+            0, {"ok": False, "cases": 4, "agreements": 0})
 
 
 class TestConfig:
@@ -234,6 +267,22 @@ class TestValidation:
                                    "detail": f"{flag} must be in [0, {hi}], got {hi + 1}"}
         with pytest.raises(AssertionError, match="ran"):
             invoke([command, f"--{flag}", str(hi)], capsys)
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("coll-run", "n", 1_000_001), ("density-check", "i", 2_000_001),
+        ("density-check", "frag", 2_000_001)])
+    def test_the_caps_are_the_documented_ones(self, capsys, command, flag, value):
+        """One past each cap that the comment on ``cli._BOUNDS`` sizes."""
+        status, out = invoke([command, f"--{flag}", str(value)], capsys)
+        assert status == 2
+        assert json.loads(out)["detail"].endswith(f"{value - 1}], got {value}")
+
+    def test_least_sizes_run(self):
+        """One case of empty sequences, and tables of exactly two elements."""
+        assert run(RunConfig("iso-roundtrip", {"cases": 1, "len": 0})) == (
+            0, {"ok": True, "cases": 1})
+        assert run(RunConfig("oracle-check", {"size": 2, "cases": 3})) == (
+            0, {"ok": True, "cases": 3, "agreements": 3})
 
     def test_zero_sizes_still_run(self, capsys):
         status, out = invoke(["coll-run", "--n", "0"], capsys)

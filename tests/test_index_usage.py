@@ -219,8 +219,7 @@ class TestAgainstScanningReference:
     def test_omega_block_restriction_takes_its_first_elements(self, history, offset):
         base, _ref, _ = replay(history)
         layer = OmegaLayer(base)
-        block = BuiltBlock(TransfiniteSeq(OMEGA, lambda j: j), base.with_layer(layer),
-                           layer=layer)
+        block = BuiltBlock(TransfiniteSeq(OMEGA, lambda j: j), layer=layer)
         cut = block.partial_usage(offset, base)
         assert cut == base.with_fresh(range(0, 2 * offset, 2))
         first = {layer.nth_index(j) for j in range(offset)}
@@ -380,7 +379,7 @@ class TestComposition:
             foreign = prefix.usage.with_explicit((0,))
             layer = OmegaLayer(foreign)
             seq = TransfiniteSeq(OMEGA, lambda j: nat.enum(layer.nth_index(j.to_int())))
-            return BuiltBlock(seq, foreign.with_layer(layer), layer=layer)
+            return BuiltBlock(seq, layer=layer)
 
         g = levy_lift(standard_cofinal(Ordinal.omega(2)), f, builder=foreign_layer)
         with pytest.raises(BadBlock):
@@ -402,7 +401,7 @@ class TestComposition:
             usage = rebuilt(prefix.usage)
             layer = OmegaLayer(usage)
             seq = TransfiniteSeq(OMEGA, lambda j: nat.enum(layer.nth_index(j.to_int())))
-            return BuiltBlock(seq, usage.with_layer(layer), layer=layer)
+            return BuiltBlock(seq, layer=layer)
 
         cof = standard_cofinal(parse_cnf("w^2"))
         g = levy_lift(cof, transfinite_f_seq(nat), builder=copied_layer)

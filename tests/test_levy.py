@@ -330,9 +330,7 @@ class TestBuilders:
         f = transfinite_f_seq(nat)
 
         def stub(gamma, _f, prefix):
-            usage = prefix.usage
-            return BuiltBlock(TransfiniteSeq.from_items((0, 1)),
-                              usage.with_explicit((0, 1)), indices=(0, 1))
+            return BuiltBlock(TransfiniteSeq.from_items((0, 1)), indices=(0, 1))
 
         with pytest.raises(BadBlock):
             levy_lift(standard_cofinal(W), f, builder=stub).at(0)
@@ -343,8 +341,7 @@ class TestBuilders:
         f = transfinite_f_seq(nat)
 
         def repeat_zero(gamma, _f, prefix):
-            return BuiltBlock(TransfiniteSeq.from_items((0,)),
-                              prefix.usage.with_explicit((0,)), indices=(0,))
+            return BuiltBlock(TransfiniteSeq.from_items((0,)), indices=(0,))
 
         with pytest.raises(BadBlockWitness) as exc:
             levy_lift(standard_cofinal(W), f, builder=repeat_zero).at(3)
@@ -352,8 +349,8 @@ class TestBuilders:
 
     @pytest.mark.parametrize("lie, message", [
         ("consumes nothing", "still allowed after the block"),
-        ("other indices", "indices that disagree with its usage"),
-        ("other index throughout", "still allowed after the block"),
+        ("other indices", "still allowed after the block"),
+        ("no indices", "reports no indices"),
     ])
     def test_misreported_bookkeeping_is_bad_block(self, nat, lie, message):
         std = standard_block_builder(nat)
@@ -363,11 +360,8 @@ class TestBuilders:
             if not gamma.is_finite():
                 return b
             other = tuple(k + 2 for k in b.indices)  # the next odd index, still fresh
-            if lie == "consumes nothing":
-                return BuiltBlock(b.seq, prefix.usage, indices=b.indices)
-            if lie == "other indices":
-                return BuiltBlock(b.seq, b.usage_after, indices=other)
-            return BuiltBlock(b.seq, prefix.usage.with_explicit(other), indices=other)
+            return BuiltBlock(b.seq, indices={"consumes nothing": (), "other indices": other,
+                                              "no indices": None}[lie])
 
         g = levy_lift(standard_cofinal(parse_cnf("w*2")), transfinite_f_seq(nat),
                       builder=liar)
@@ -377,6 +371,46 @@ class TestBuilders:
                 g.at(parse_cnf("w + 5"))
             assert exc.type is BadBlock and message in str(exc.value)
         assert "block 1 " in str(exc.value)
+
+    @pytest.mark.parametrize("alpha, message", [
+        ("w*2", "block 0 has no layer over its prefix's usage"),
+        ("w", "block 0 of length 1 reports no indices"),
+    ])
+    def test_a_block_that_reports_nothing_consumed_is_bad_block(self, nat, alpha, message):
+        """A finite block must report its indices and a block of length w
+        its layer: the lift derives the usage after the block from them."""
+        std = standard_block_builder(nat)
+
+        def silent(gamma, f, prefix):
+            return BuiltBlock(std(gamma, f, prefix).seq)
+
+        g = levy_lift(standard_cofinal(parse_cnf(alpha)), transfinite_f_seq(nat),
+                      builder=silent)
+        with pytest.raises(BadBlock) as exc:
+            g.at(0)
+        assert exc.type is BadBlock and str(exc.value) == message
+
+    def test_a_block_whose_indices_miss_its_values_is_refused(self, nat):
+        """On the ladder 0, 2, 5, 9, ..., block 2 (positions 5 to 8) reports
+        a fresh index in place of its last value's: the lift consumes what
+        is reported, so that value is still allowed after the block, and
+        the block is refused by name."""
+        std = standard_block_builder(nat)
+
+        def short(gamma, f, prefix):
+            b = std(gamma, f, prefix)
+            if prefix.length != fin(5):
+                return b
+            return BuiltBlock(b.seq, indices=b.indices[:-1] + (b.indices[-1] + 1,))
+
+        cof = CofinalPresentation(W, lambda n: fin(n * (n + 3) // 2))
+        g = levy_lift(cof, transfinite_f_seq(nat), builder=short)
+        assert [g.at(j) for j in range(5)] == [0, 1, 2, 3, 4]
+        with pytest.raises(BadBlock, match="^block 2 value at offset 3 is still allowed "
+                                           "after the block, at 9$"):
+            g.at(5)
+        with pytest.raises(BadBlock, match="^block 2 "):  # refused again, never served
+            g.at(6)
 
     @pytest.mark.parametrize("bad", [0, 1, 2, 5, 13])
     def test_omega_block_probes(self, nat, bad):
@@ -389,7 +423,7 @@ class TestBuilders:
             if gamma != W:
                 return b
             seq = TransfiniteSeq(W, lambda j: -1 if j == fin(bad) else b.seq.at(j))
-            return BuiltBlock(seq, b.usage_after, layer=b.layer)
+            return BuiltBlock(seq, layer=b.layer)
 
         g = levy_lift(standard_cofinal(parse_cnf("w*2")), transfinite_f_seq(nat),
                       builder=outside_at)
@@ -414,8 +448,7 @@ class TestBuilders:
         build = standard_block_builder(nat)
         prefix = UsageSeq(fin(2), lambda p: p.to_int(), usage=IndexUsage().with_explicit((0, 1)))
         block = build(ZERO, transfinite_f_seq(nat), prefix)
-        assert block.seq.length == ZERO and block.indices == ()
-        assert block.usage_after == prefix.usage
+        assert block.seq.length == ZERO and block.indices == () and block.layer is None
 
     def test_builder_needs_usage(self, nat):
         build = standard_block_builder(nat)

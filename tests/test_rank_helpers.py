@@ -81,11 +81,10 @@ def standard_block_builder_reference(x):
                 values.append(f.select(working))
                 indices.append(x.index_of(values[-1]))
                 cur = cur.with_explicit(indices[-1:])
-            return BuiltBlock(TransfiniteSeq.from_items(values), cur,
-                              indices=tuple(indices))
+            return BuiltBlock(TransfiniteSeq.from_items(values), indices=tuple(indices))
         layer = OmegaLayer(usage)
         seq = TransfiniteSeq(OMEGA, lambda j: x.enum(layer.nth_index(j.to_int())))
-        return BuiltBlock(seq, usage.with_layer(layer), layer=layer)
+        return BuiltBlock(seq, layer=layer)
 
     return build
 
@@ -218,15 +217,14 @@ class TestBlocks:
         for xi in range(blocks):
             a, b = fast._block(xi), ref._block(xi)
             assert type(a) is BuiltBlock and type(a.seq) is TransfiniteSeq
-            assert (a.seq.length, a.usage_after, a.indices) == (b.seq.length, b.usage_after,
-                                                                 b.indices)
+            assert (a.seq.length, a.indices) == (b.seq.length, b.indices)
             assert (a.layer is None) == (b.layer is None) and a.layer == b.layer
             n = a.seq.length.to_int() if a.seq.length.is_finite() else 6
             assert [a.seq.at(j) for j in range(n)] == [b.seq.at(j) for j in range(n)]
-            after = fast._next_prefix
+            after = fast._prefixes[xi + 1]  # the boundary after block xi
             assert type(after) is UsageSeq and after.evaluator == fast.at
-            assert (after.length, after.usage) == (ref._next_prefix.length,
-                                                   ref._next_prefix.usage)
+            assert (after.length, after.usage) == (ref._prefixes[xi + 1].length,
+                                                   ref._prefixes[xi + 1].usage)
 
     def test_a_finite_block_is_its_values_over_gamma(self):
         build = standard_block_builder(nat_set())

@@ -1,6 +1,7 @@
 """Lints: every parameter of a named function in the library is read,
 every public definition of the library is exported or read by the library,
-and every public member of a library class is read by the library.
+every private one is read by the library, and every public member of a
+library class is read by the library.
 
 A parameter that the body never reads is an option nobody can use.  The
 check skips ``self``, ``cls``, names that start with ``_`` (kept to match
@@ -14,7 +15,11 @@ library module (``levy.x``), or an import of it from another module; an
 attribute read off any other value names a member, not a definition.
 ``posets`` forwards the names of ``tables`` (PEP 562), so a name the
 package exports from ``posets`` that ``posets`` forwards is exported from
-``tables``, where it is defined.
+``tables``, where it is defined.  A private module-level definition must
+be read by the library itself: the names ``posets._TABLE_NAMES`` forwards
+are strings there, so forwarding one reads nothing, and a helper that only
+tests call (an unchecked transpose, say) belongs in the tests.  Module
+protocol names (``__getattr__``) are read by the interpreter.
 
 A public method, property or class attribute of a library class is read
 when some library module reads an attribute of that name.  An override of
@@ -81,10 +86,9 @@ UNREAD_KEPT = {
 }
 
 
-def unreached_definitions(trees, exports):
-    """(module, name) for each public module-level def or class of the
-    modules (a dict of module name to tree) that is not among the module's
-    exports (an ``_EXPORTS`` dict) and that no module reads."""
+def definitions_read(trees):
+    """The names the modules (a dict of module name to tree) read: loaded,
+    read off a library module (``levy.x``) or imported from one."""
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -95,13 +99,33 @@ def unreached_definitions(trees, exports):
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
+    return read
+
+
+def definitions(tree):
+    """The names of the module-level defs and classes of a module."""
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def unreached_definitions(trees, exports):
+    """(module, name) for each public module-level def or class of the
+    modules (a dict of module name to tree) that is not among the module's
+    exports (an ``_EXPORTS`` dict) and that no module reads."""
+    read = definitions_read(trees)
     for module, tree in trees.items():
         exported = set(exports.get(module, "").split())
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")
-                    and node.name not in exported | read):
-                yield module, node.name
+        yield from ((module, name) for name in definitions(tree)
+                    if not name.startswith("_") and name not in exported | read)
+
+
+def unread_private_definitions(trees):
+    """(module, name) for each private module-level def or class of the
+    modules that no module reads; protocol names (``__x__``) are skipped."""
+    read = definitions_read(trees)
+    for module, tree in trees.items():
+        yield from ((module, name) for name in definitions(tree)
+                    if name.startswith("_") and not name.endswith("__") and name not in read)
 
 
 def test_the_lint_sees_an_unreached_definition():
@@ -127,6 +151,30 @@ def test_the_lint_sees_an_unreached_definition():
     # without the module that imports f and reads posets.Table
     assert sorted(unreached_definitions({"posets": trees["posets"]}, exports)) == [
         ("posets", "Table"), ("posets", "f"), ("posets", "method"), ("posets", "unread")]
+
+
+def test_the_lint_sees_an_unread_private_definition():
+    trees = {
+        "posets": ast.parse("_NAMES = frozenset('_forwarded'.split())\n"
+                            "def _helper(): pass\n"
+                            "def _forwarded(): pass\n"
+                            "def _lone(): pass\n"
+                            "class _Kept: pass\n"
+                            "def __getattr__(name): pass\n"
+                            "def f():\n"
+                            "    return _helper(), tables._rows\n"),
+        "tables": ast.parse("from .posets import _Kept\n"
+                            "def _rows(): pass\n"),
+    }
+    # a name in a string is no read, so _forwarded is unread
+    assert sorted(unread_private_definitions(trees)) == [
+        ("posets", "_forwarded"), ("posets", "_lone")]
+
+
+def test_no_private_definition_only_tests_read():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in MODULES}
+    assert sorted(unread_private_definitions(trees)) == []
 
 
 def test_no_library_code_only_tests_read():

@@ -59,9 +59,8 @@ SPECS = {
                [THREE, f, USAGE], [OMEGA, g, IndexUsage()]),
     CofinalPresentation: ([("alpha", REQUIRED), ("stage", REQUIRED)],
                           [OMEGA, f], [Ordinal(((1, 2),)), g]),
-    BuiltBlock: ([("seq", REQUIRED), ("usage_after", REQUIRED), ("indices", None),
-                  ("layer", None)],
-                 [SEQ, USAGE, (0, 1), LAYER], [TransfiniteSeq(OMEGA, f), IndexUsage(), None, None]),
+    BuiltBlock: ([("seq", REQUIRED), ("indices", None), ("layer", None)],
+                 [SEQ, (0, 1), LAYER], [TransfiniteSeq(OMEGA, f), None, None]),
     Ordinal: ([("terms", ())], [((1, 2), (0, 1))], [((0, 1),)]),
     OrdinalsBelow: ([("bound", REQUIRED)], [OMEGA], [THREE]),
     TransfiniteSeq: ([("length", REQUIRED), ("evaluator", REQUIRED)], [THREE, f], [OMEGA, g]),

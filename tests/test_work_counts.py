@@ -10,13 +10,14 @@ oracle call, so one test pins the growth of wall time instead.
 
 import dataclasses
 import gc
+import random
 import sys
 import time
 import tracemalloc
 
 import pytest
 
-from forcelab import collapse, dctrees, levy, ordinals, posets, qtree
+from forcelab import collapse, dctrees, levy, ordinals, posets, qtree, tables
 from forcelab.cli import RunConfig, run
 from forcelab.collapse import CountableSet, InjSeq
 from forcelab.dctrees import dc_witness, f_seq, fixture_functional
@@ -199,6 +200,25 @@ def test_lattice_laws_visit_common_bounds_only():
                             lattice.uppers, lattice.has_lower, lattice.enum)
     check_lattice(counted, [lattice.enum(n) for n in range(100)])
     assert calls[0] <= 150_000
+
+
+@pytest.mark.parametrize("size", [1, 7, 20])
+def test_finite_poset_walks_its_rows_once(monkeypatch, size):
+    """A ``FinitePoset`` checks the order laws and builds its columns in one
+    pass of ``_bits`` over each row; transposing the rows first and checking
+    them after made two passes per row."""
+    rows = tables.random_finite_poset(random.Random(size), size).up
+    passes, bits = [0], tables._bits
+
+    def counting_bits(mask):
+        passes[0] += 1
+        return bits(mask)
+
+    monkeypatch.setattr(tables, "_bits", counting_bits)
+    table = tables.FinitePoset(tuple(range(size)), rows)
+    assert passes[0] == size
+    assert table.down == [sum(1 << i for i in range(size) if rows[i] >> j & 1)
+                          for j in range(size)]
 
 
 def test_above_contract_check_hashes_each_element_a_few_times():
@@ -621,10 +641,12 @@ def test_standard_ladder_stage_reads_in_two_frames():
 
 def test_cold_lift_unit_block_python_calls():
     """A unit block of a cold lift under w*2 (its ladder stage, its length,
-    the build and the block check) makes at most 38 Python-level calls.
+    the build and the block check) makes at most 31 Python-level calls.
     Built through the frozen ``__init__``s, ``from_items`` and three- and
     four-frame rank queries it made 64; built past them, with the stage
-    read through a ``TransfiniteSeq`` of length w, 41.  Now it makes 37."""
+    read through a ``TransfiniteSeq`` of length w, 41; while the builder
+    also reported the usage after its block and the lift checked that
+    report against the block's indices, 36."""
 
     def calls(n):
         f = transfinite_f_seq(collapse.nat_set())
@@ -635,7 +657,7 @@ def test_cold_lift_unit_block_python_calls():
         assert value == 2 * n + 1 and ok
         return count
 
-    assert (calls(300) - calls(150)) / 150 <= 38
+    assert (calls(300) - calls(150)) / 150 <= 31
 
 
 # Python-level calls per step of a prefix-tree run, (calls at n = 400 minus
@@ -710,3 +732,18 @@ def test_bijection_round_trip_builds_no_ordinal_by_arithmetic(monkeypatch, alpha
     assert (calls - 2) / len(ns) <= 4  # less round_trips and its comprehension
     tail, tail_calls = python_calls(round_trips, range(fin_count))
     assert tail == list(range(fin_count)) and tail_calls - 2 <= 3 * fin_count
+
+
+def test_bijection_setup_reads_the_terms_not_the_blocks():
+    """Setup keeps one head and one first-block index per infinite term of
+    alpha, so w*100000 sets up in far less than 1 MiB; one start tuple per
+    block took 15.3 MiB."""
+    alpha = parse_cnf("w*100000")
+    tracemalloc.start()
+    try:
+        bij = omega_bijection(alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert str(bij.backward(99999 + 100000 * 7)) == "w*99999 + 7"
