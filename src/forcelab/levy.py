@@ -295,31 +295,6 @@ def standard_cofinal(alpha: Ordinal) -> CofinalPresentation:
     return CofinalPresentation(alpha, stage)
 
 
-def _stage(cof: CofinalPresentation, n: int) -> Ordinal:
-    """Stage n of the ladder, or ``BadCofinal`` naming n if it is no ``Ordinal``."""
-    if isinstance(xi := cof.stage(n), Ordinal):
-        return xi
-    raise BadCofinal(f"stage {n} is {xi!r}, not an Ordinal")
-
-
-def validate_cofinal(cof: CofinalPresentation) -> list[Ordinal]:
-    """Check ladder invariants on the first ``_VALIDATE_STAGES`` stages; return those."""
-    stages = [_stage(cof, 0)]
-    if not stages[0].is_zero():
-        raise BadCofinal("ladder must start at 0")
-    for xi in range(1, _VALIDATE_STAGES + 1):
-        prev, cur = stages[-1], _stage(cof, xi)
-        if not prev < cur:
-            raise BadCofinal(f"ladder not strictly increasing at {xi}")
-        if not cur < cof.alpha:
-            raise BadCofinal(f"stage {xi} reaches {cof.alpha}")
-        gamma = ord_sub_left(prev, cur)
-        if not (gamma.is_finite() or gamma == OMEGA):
-            raise BadCofinal(f"block {xi - 1} has length {gamma}, not finite or w")
-        stages.append(cur)
-    return stages
-
-
 # ---------------------------------------------------------------------------
 # block builders
 # ---------------------------------------------------------------------------
@@ -394,7 +369,6 @@ def standard_block_builder(x: CountableSet) -> Callable:
 _terms = attrgetter("terms")
 _OMEGA_BLOCK_PROBES = (0, 1, 2, 5, 13)
 _FINITE_CHECK_CAP = 64
-_VALIDATE_STAGES = 50
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +379,12 @@ _VALIDATE_STAGES = 50
 class LiftedWitness:
     """A length-alpha sequence built block by block along a cofinal ladder.
 
-    The ladder's checked stages start the lift's one stage list.  Blocks
-    are constructed lazily but strictly in order; every finished block is
-    verified to have the ladder's order type and to satisfy the functional
-    at sampled positions.  ``_prefixes[xi]`` is the witness below stage xi
-    with the usage its blocks consumed (at 0, none), derived only here.
+    The lift reads its ladder into one stage list, checking each stage
+    once, when it first needs it.  Blocks are constructed lazily but
+    strictly in order; every finished block is verified to have the
+    ladder's order type and to satisfy the functional at sampled
+    positions.  ``_prefixes[xi]`` is the witness below stage xi with the
+    usage its blocks consumed (at 0, none), derived only here.
     """
 
     def __init__(self, cof: CofinalPresentation, f: TransfiniteFunctional,
@@ -419,32 +394,44 @@ class LiftedWitness:
         self.builder = builder
         self.length = cof.alpha
         self._blocks: list[BuiltBlock] = []
-        self._stages = validate_cofinal(cof)  # ladder stages computed so far
-        self._prefixes = [UsageSeq(self._stages[0], self.at, usage=_EMPTY_USAGE)]
+        self._stages: list[Ordinal] = []  # ladder stages read so far
+        self._grow_stages(1)
+        self._prefixes = [UsageSeq(ZERO, self.at, usage=_EMPTY_USAGE)]
         self._last_located: tuple = (None, None)  # terms of a position, its locate
 
     # -- block construction -------------------------------------------
 
-    def _grow_stages(self, pos: Optional[Ordinal] = None,
-                     block: Optional[int] = None) -> None:
-        """Evaluate ladder stages into ``self._stages``, the one stage list
-        of the lift, until the last lies past ``pos``, or until block
-        ``block`` has its end stage."""
-        stages = self._stages
-        while (not pos.terms < stages[-1].terms if block is None
-               else len(stages) <= block + 1):
-            if len(stages) > ordinals._SCAN_CAP + 1:
-                raise BadCofinal("ladder never passes " + (
-                    str(pos) if block is None else f"the end of block {block}"))
-            stages.append(_stage(self.cof, len(stages)))
+    def _grow_stages(self, count: int) -> None:
+        """Read ladder stages into ``self._stages``, the one stage list of
+        the lift, until it holds stage ``count``.  Each stage is checked
+        once, as it is read: an Ordinal, 0 first, then each strictly above
+        the last and below alpha (Ordinals compare as their terms)."""
+        stages, stage, alpha = self._stages, self.cof.stage, self.length.terms
+        while (n := len(stages)) <= count:
+            if not isinstance(xi := stage(n), Ordinal):
+                raise BadCofinal(f"stage {n} is {xi!r}, not an Ordinal")
+            if not n:
+                if xi.terms:
+                    raise BadCofinal("ladder must start at 0")
+            elif not stages[-1].terms < xi.terms:
+                raise BadCofinal(f"ladder not strictly increasing at {n}")
+            elif not xi.terms < alpha:
+                raise BadCofinal(f"stage {n} reaches {self.length}")
+            stages.append(xi)
 
     def _block(self, xi: int) -> BuiltBlock:
         stages, prefixes = self._stages, self._prefixes
         for nxt in range(len(self._blocks), xi + 1):  # each turn appends a block or raises
             if len(stages) <= nxt + 1:
-                self._grow_stages(block=nxt)
-            # the order type of block nxt, between its two stages
+                self._grow_stages(nxt + 1)
+            # the order type of block nxt, between its two stages: finite or w
             gamma = ord_sub_left(stages[nxt], stages[nxt + 1])
+            if gamma.terms and gamma.terms[0][0]:
+                if gamma.terms != OMEGA.terms:
+                    raise BadCofinal(f"block {nxt} has length {gamma}, not finite or w")
+                n = None
+            else:
+                n = gamma.to_int()
             prefix = prefixes[nxt]
             block = self.builder(gamma, self.functional, prefix)
             if not isinstance(block, BuiltBlock):
@@ -452,7 +439,6 @@ class LiftedWitness:
             length = block.seq.length
             if length is not gamma and length != gamma:
                 raise BadBlock(f"block {nxt} has length {length}, expected {gamma}")
-            n = None if gamma.terms and gamma.terms[0][0] else gamma.to_int()  # None: w
             if n is None:
                 if block.layer is None or block.layer.base != prefix.usage:
                     raise BadBlock(f"block {nxt} has no layer over its prefix's usage")
@@ -477,19 +463,26 @@ class LiftedWitness:
     def _verify_block(self, xi: int, block: BuiltBlock, n: Optional[int],
                       prefix: UsageSeq, after: UsageSeq) -> None:
         """Each probed value of a block of length n (None: w) must be allowed
-        before its offset and refused after the block, so a block whose
-        report misses a value is refused."""
-        base, member = prefix.usage, self.functional.member
+        before its offset and refused after it: value j of a finite block
+        after offset j + 1, so a block whose report misses or repeats a
+        value is refused; a value of an omega block after the block.  A
+        finite block's usage after offset j + 1 is the next probe's."""
+        base, member, working = prefix.usage, self.functional.member, prefix
         for j in _OMEGA_BLOCK_PROBES if n is None else range(min(n, _FINITE_CHECK_CAP)):
-            working = (UsageSeq(ord_add(prefix.length, Ordinal.from_int(j)), self.at,
-                                usage=block.partial_usage(j, base)) if j else prefix)
+            if n is None and j:
+                working = UsageSeq(ord_add(prefix.length, Ordinal.from_int(j)), self.at,
+                                   usage=block.partial_usage(j, base))
             value = block.seq.at(j)
             if not member(working, value):
                 raise BadBlockWitness(f"block {xi} value at offset {j} is not allowed",
                                       position=str(working.length))
-            if member(after, value):
-                raise BadBlock(f"block {xi} value at offset {j} is still allowed "
-                               f"after the block, at {after.length}")
+            later = after if n is None or j + 1 == n else UsageSeq(
+                ord_add(prefix.length, Ordinal.from_int(j + 1)), self.at,
+                usage=working.usage.with_explicit(block.indices[j:j + 1]))
+            if member(later, value):
+                raise BadBlock(f"block {xi} value at offset {j} is still allowed after "
+                               f"{'the block' if later is after else 'it'}, at {later.length}")
+            working = later
 
     # -- sequence interface ---------------------------------------------
 
@@ -507,8 +500,10 @@ class LiftedWitness:
         if not p < self.length:
             raise IndexError(f"position {p} not below {self.length}")
         stages = self._stages
-        if not p.terms < stages[-1].terms:
-            self._grow_stages(p)
+        while not p.terms < stages[-1].terms:  # read stages until one passes p
+            if len(stages) > ordinals._SCAN_CAP + 1:
+                raise BadCofinal(f"ladder never passes {p}")
+            self._grow_stages(len(stages))
         # Ordinals compare as their terms; comparing those is done in C
         xi = bisect_right(stages, p.terms, key=_terms) - 1
         self._last_located = p.terms, (xi, ord_sub_left(stages[xi], p))
@@ -533,17 +528,15 @@ class LiftedWitness:
 
     def default_samples(self) -> list[Ordinal]:
         """0, a mid-block point, the first five ladder boundaries, and the
-        two least limit ordinals below alpha when they exist, read off the
-        stages the lift has evaluated, so the ladder is not asked again."""
-        stages, samples = self._stages, {ZERO}
-        gamma0 = ord_sub_left(stages[0], stages[1])
+        two least limit ordinals below alpha when they exist.  The stages
+        are read once, as far as stage 5; block 0's length is stage 1."""
+        self._grow_stages(5)
+        stages = self._stages
+        samples, gamma0 = {ZERO, *stages[1:6]}, stages[1]
         if gamma0 == OMEGA:
             samples.add(Ordinal.from_int(3))
-        elif gamma0.to_int() >= 2:
+        elif gamma0.is_finite() and gamma0.to_int() >= 2:
             samples.add(Ordinal.from_int(gamma0.to_int() // 2))
-        for stage in stages[1:6]:
-            if stage < self.length:
-                samples.add(stage)
         for k in (1, 2):
             limit = Ordinal.omega(k)
             if limit < self.length:

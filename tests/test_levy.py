@@ -26,7 +26,6 @@ from forcelab.levy import (
     standard_block_builder,
     standard_cofinal,
     transfinite_f_seq,
-    validate_cofinal,
 )
 from forcelab.ordinals import (
     OMEGA,
@@ -73,29 +72,41 @@ class TestIndexUsage:
         assert u2.least_fresh() == 3
 
 
+def passes_the_lift(cof, nat):
+    """The lift reads and checks stages 0 to 51 of the ladder, building
+    blocks 0 to 50."""
+    return len(levy_lift(cof, transfinite_f_seq(nat)).block_lengths(51)) == 51
+
+
+def bad_at_61(alpha, bad):
+    """The standard ladder under alpha with stage 61 replaced by ``bad``."""
+    base = standard_cofinal(parse_cnf(alpha))
+    return CofinalPresentation(base.alpha, lambda n: bad if n == 61 else base.stage(n))
+
+
 class TestCofinal:
-    def test_standard_omega(self):
+    def test_standard_omega(self, nat):
         cof = standard_cofinal(W)
         assert [cof.stage(i) for i in range(4)] == [ZERO, fin(1), fin(2), fin(3)]
-        validate_cofinal(cof)
+        assert passes_the_lift(cof, nat)
 
-    def test_standard_omega_times_2(self):
+    def test_standard_omega_times_2(self, nat):
         cof = standard_cofinal(Ordinal.omega(2))
         assert [str(cof.stage(i)) for i in range(4)] == ["0", "w*1", "w*1 + 1",
                                                          "w*1 + 2"]
-        validate_cofinal(cof)
+        assert passes_the_lift(cof, nat)
 
-    def test_standard_omega_times_3(self):
+    def test_standard_omega_times_3(self, nat):
         cof = standard_cofinal(Ordinal.omega(3))
         assert [str(cof.stage(i)) for i in range(5)] == ["0", "w*1", "w*2", "w*2 + 1",
                                                          "w*2 + 2"]
-        validate_cofinal(cof)
+        assert passes_the_lift(cof, nat)
 
-    def test_standard_omega_squared(self):
+    def test_standard_omega_squared(self, nat):
         cof = standard_cofinal(parse_cnf("w^2"))
         assert [cof.stage(i) for i in range(10)] == [ZERO] + [Ordinal.omega(i)
                                                             for i in range(1, 10)]
-        validate_cofinal(cof)
+        assert passes_the_lift(cof, nat)
 
     def test_block_order_types_match_interval_types(self, nat):
         # block xi has the order type gamma of [stage(xi), stage(xi+1)):
@@ -116,34 +127,82 @@ class TestCofinal:
         with pytest.raises(BadCofinal):
             standard_cofinal(parse_cnf("w^2*1 + w*2"))
 
-    def test_validate_catches_bad_ladders(self):
+    def test_lift_refuses_bad_ladders(self, nat):
+        f = transfinite_f_seq(nat)
         flat = CofinalPresentation(Ordinal.omega(2), lambda n: ZERO)
         with pytest.raises(BadCofinal):
-            validate_cofinal(flat)
+            levy_lift(flat, f)
         not_zero = CofinalPresentation(Ordinal.omega(2), lambda n: fin(n + 1))
         with pytest.raises(BadCofinal):
-            validate_cofinal(not_zero)
+            levy_lift(not_zero, f)
         too_long = CofinalPresentation(parse_cnf("w^2*2"),
                                        lambda n: Ordinal.omega_power(2, n))
         with pytest.raises(BadCofinal):
-            validate_cofinal(too_long)
+            levy_lift(too_long, f).at(0)
 
-    def test_validate_names_the_block_of_another_length(self):
+    def test_lift_names_the_block_of_another_length(self, nat):
         """Block 1 of 0, 1, w*4, w*6, ... is [1, w*4), of type w*4."""
         wide = CofinalPresentation(
             parse_cnf("w^2"), lambda n: fin(n) if n < 2 else Ordinal.omega(2 * n))
+        g = levy_lift(wide, transfinite_f_seq(nat))
         with pytest.raises(BadCofinal, match=r"^block 1 has length w\*4, not finite or w$"):
-            validate_cofinal(wide)
+            g.at(1)
 
-    def test_default_samples_ask_the_ladder_nothing(self, nat):
+    @pytest.mark.parametrize("bad, message", [
+        ("w + 55", "^ladder not strictly increasing at 61$"),  # a raw ValueError
+        ("w + 59", "^ladder not strictly increasing at 61$"),  # served a block of length 0
+        ("w*63", r"^stage 61 reaches w\*2$"),                  # BadBlock from the builder
+    ])
+    def test_a_late_stage_is_checked_when_read(self, nat, bad, message):
+        """Stage 61 of the standard ladder under w*2 (stage 60 is w + 59)
+        is checked when a query first reads it, as stage 1 is."""
+        f = transfinite_f_seq(nat)
+        g = levy_lift(bad_at_61("w*2", parse_cnf(bad)), f)
+        assert g.at(parse_cnf("w + 58")) == 117
+        for _ in range(2):  # refused again, never served
+            with pytest.raises(BadCofinal, match=message) as exc:
+                g.at(parse_cnf("w + 62"))
+            assert exc.type is BadCofinal
+
+    def test_a_late_stage_past_alpha_is_refused_for_any_builder(self, nat):
+        """A builder that stretches an omega block to any infinite length
+        is never asked for block 60, [w + 59, w*63)."""
+        std, asked = standard_block_builder(nat), []
+
+        def any_length(gamma, f, prefix):
+            asked.append(gamma)
+            if gamma.is_finite() or gamma == W:
+                return std(gamma, f, prefix)
+            b = std(W, f, prefix)
+            return BuiltBlock(TransfiniteSeq(gamma, b.seq.evaluator), layer=b.layer)
+
+        g = levy_lift(bad_at_61("w*2", parse_cnf("w*63")), transfinite_f_seq(nat),
+                      builder=any_length)
+        with pytest.raises(BadCofinal, match=r"^stage 61 reaches w\*2$"):
+            g.at(parse_cnf("w + 62"))
+        assert g.block_lengths(60) == asked == [W] + [fin(1)] * 59
+
+    def test_a_late_block_of_length_w_times_2_is_refused(self, nat):
+        """On the multiples of w under w^2 with stage 61 at w*62, block 60
+        is [w*60, w*62), of type w*2: refused as the ladder's fault."""
+        cof = bad_at_61("w^2", Ordinal.omega(62))
+        g = levy_lift(cof, transfinite_f_seq(nat))
+        with pytest.raises(BadCofinal,
+                           match=r"^block 60 has length w\*2, not finite or w$") as exc:
+            g.at(parse_cnf("w*61 + 3"))
+        assert exc.type is BadCofinal
+
+    def test_default_samples_read_the_ladder_to_stage_5_once(self, nat):
         calls = []
         base = standard_cofinal(parse_cnf("w*3"))
         cof = CofinalPresentation(base.alpha, lambda n: calls.append(n) or base.stage(n))
         g = levy_lift(cof, transfinite_f_seq(nat))
-        assert calls == list(range(51))  # the lift's check of its first stages
-        assert g.default_samples() == [ZERO, fin(3), W, Ordinal.omega(2),
-                                       *(parse_cnf(f"w*2 + {i}") for i in range(1, 4))]
-        assert calls == list(range(51))
+        assert calls == [0, 1]  # the lift reads stages 0 and 1 when it is built
+        samples = [ZERO, fin(3), W, Ordinal.omega(2),
+                   *(parse_cnf(f"w*2 + {i}") for i in range(1, 4))]
+        assert g.default_samples() == samples
+        assert calls == list(range(6))
+        assert g.default_samples() == samples and calls == list(range(6))
 
     @pytest.mark.parametrize("first, mid", [(2, 1), (4, 2), (5, 2)])
     def test_default_samples_split_a_short_first_block(self, nat, first, mid):
@@ -151,6 +210,18 @@ class TestCofinal:
         g = levy_lift(cof, transfinite_f_seq(nat))
         assert g.default_samples() == sorted({ZERO, fin(mid)} | {fin(first * i)
                                                                  for i in range(1, 6)})
+
+    def test_default_samples_leave_a_long_first_block_to_the_lift(self, nat):
+        """Block 0 of 0, w*4, w*8, ... has no mid-block sample; the lift
+        refuses it when the samples are checked."""
+        f = transfinite_f_seq(nat)
+        g = levy_lift(CofinalPresentation(parse_cnf("w^2"),
+                                          lambda n: Ordinal.omega_power(1, 4 * n)), f)
+        samples = g.default_samples()
+        assert samples == [ZERO, W, Ordinal.omega(2), *(Ordinal.omega(4 * i)
+                                                        for i in range(1, 6))]
+        with pytest.raises(BadCofinal, match=r"^block 0 has length w\*4, not finite or w$"):
+            check_transfinite_witness(f, g, samples)
 
     def test_default_samples_add_both_limits_below_alpha(self, nat):
         """Stages 0, 1, ..., 10, w, w*2, w*2 + 1, ... to w*3: the first six
@@ -169,10 +240,11 @@ class TestCofinal:
         with pytest.raises(BadCofinal, match="not strictly increasing at 1"):
             LiftedWitness(flat, transfinite_f_seq(nat), standard_block_builder(nat))
 
-    def test_validate_refuses_a_stage_that_reaches_alpha(self):
+    def test_lift_refuses_a_stage_that_reaches_alpha(self, nat):
         overshoot = CofinalPresentation(Ordinal.omega(2), lambda n: Ordinal.omega_power(1, n))
+        g = levy_lift(overshoot, transfinite_f_seq(nat))
         with pytest.raises(BadCofinal, match=r"stage 2 reaches w\*2"):
-            validate_cofinal(overshoot)
+            g.at(W)
 
     @pytest.mark.parametrize("value", [0, 3, "w", None, 1.0])
     def test_a_stage_that_is_no_ordinal_is_refused(self, nat, value):
@@ -184,8 +256,7 @@ class TestCofinal:
             levy_lift(CofinalPresentation(W, lambda n: n), transfinite_f_seq(nat))
 
     def test_a_later_stage_that_is_no_ordinal_is_refused(self, nat):
-        """Stages past the checked ones are read as blocks are built, and
-        each is checked as it is read."""
+        """Each stage is checked when the lift first reads it."""
         base = standard_cofinal(Ordinal.omega(2))
         cof = CofinalPresentation(base.alpha, lambda n: base.stage(n) if n <= 60 else n)
         g = levy_lift(cof, transfinite_f_seq(nat))
@@ -412,6 +483,21 @@ class TestBuilders:
         with pytest.raises(BadBlock, match="^block 2 "):  # refused again, never served
             g.at(6)
 
+    def test_a_finite_block_that_repeats_a_value_is_refused(self, nat):
+        """On the ladder 0, 2, 4, ..., block 0 has the values (0, 0) and
+        reports the indices (5, 0), so both are consumed by its end; value 0
+        is still allowed after offset 1, where only 5 is consumed, and was
+        served twice."""
+        def repeat(gamma, f, prefix):
+            return BuiltBlock(TransfiniteSeq.from_items((0, 0)), indices=(5, 0))
+
+        f = transfinite_f_seq(nat)
+        g = levy_lift(CofinalPresentation(W, lambda n: fin(2 * n)), f, builder=repeat)
+        for query in (lambda: g.at(1), lambda: check_transfinite_witness(f, g, [1])):
+            with pytest.raises(BadBlock, match="^block 0 value at offset 0 is still "
+                                               "allowed after it, at 1$"):
+                query()
+
     @pytest.mark.parametrize("bad", [0, 1, 2, 5, 13])
     def test_omega_block_probes(self, nat, bad):
         """An infinite block is probed at offsets 0, 1, 2, 5 and 13; a code
@@ -511,6 +597,18 @@ class TestLongerFiniteBlocks:
         usage = g.restrict(positions[5]).usage
         assert ([k for k in range(40) if usage.contains(k)]
                 == sorted(set(range(0, 40, 2)) | {1, 3, 5, 7, 9}))
+
+    def test_a_restriction_inside_an_omega_block_after_a_finite_one(self, nat):
+        """On 0, 1, w, w + 1, ... block 0 takes index 0 and block 1 the
+        even-ranked fresh indices after it, 1, 3, 5, ...; below 4 it has
+        taken three of them."""
+        f = transfinite_f_seq(nat)
+        g = levy_lift(CofinalPresentation(Ordinal.omega(2), lambda n: fin(n) if n < 2
+                                          else ord_add(W, fin(n - 2))), f)
+        assert [g.at(j) for j in range(5)] == [0, 1, 3, 5, 7]
+        usage = g.restrict(fin(4)).usage
+        assert [k for k in range(10) if usage.contains(k)] == [0, 1, 3, 5]
+        assert check_transfinite_witness(f, g, [fin(j) for j in range(6)])
 
     def test_select_sees_the_lift_s_previous_values(self, nat):
         plain = transfinite_f_seq(nat)

@@ -254,19 +254,19 @@ class TestBlocks:
 
 
 class TestStageGrowth:
-    def test_a_block_past_the_cap_names_its_end(self, monkeypatch):
-        """``block_lengths`` asks for blocks without locating a position;
-        the cap names the block whose end the ladder never reached."""
+    def test_the_cap_stops_only_a_walk_toward_a_position(self, monkeypatch):
+        """``block_lengths(n)`` reads stages up to n, a walk its caller
+        bounds; the cap stops a query whose position no stage may pass."""
         monkeypatch.setattr(levy.ordinals, "_SCAN_CAP", 60)
         g = levy_lift(standard_cofinal(parse_cnf("w*2")), transfinite_f_seq(nat_set()))
-        assert len(g.block_lengths(60)) == 60
-        with pytest.raises(levy.BadCofinal, match="ladder never passes the end of block 61"):
-            g.block_lengths(63)
-        assert len(g._stages) == 62
+        assert len(g.block_lengths(63)) == 63 and len(g._stages) == 64
+        with pytest.raises(levy.BadCofinal, match=r"^ladder never passes w\*1 \+ 70$"):
+            g.at(parse_cnf("w + 70"))
+        assert len(g._stages) == 64
 
     def test_stages_grow_only_as_far_as_asked(self):
         g = levy_lift(standard_cofinal(parse_cnf("w*2")), transfinite_f_seq(nat_set()))
-        assert len(g._stages) == 51  # the ladder check's stages
+        assert len(g._stages) == 2  # stages 0 and 1, read when the lift is built
         g.block_lengths(55)
         assert len(g._stages) == 56
         g.locate(parse_cnf("w + 60"))

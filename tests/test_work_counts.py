@@ -401,7 +401,7 @@ def test_cold_lift_evaluates_each_ladder_stage_once():
     cof = CofinalPresentation(base.alpha, stage)
     f = transfinite_f_seq(collapse.nat_set())
     g = levy_lift(cof, f)
-    probe = calls["stage"]  # the lift's check of its first stages
+    probe = calls["stage"]  # stages 0 and 1, read when the lift is built
     pos = parse_cnf("w + 300")
     assert g.at(pos) == 601 and check_transfinite_witness(f, g, [pos])
     assert calls["stage"] - probe <= 303
@@ -410,9 +410,11 @@ def test_cold_lift_evaluates_each_ladder_stage_once():
 
 @pytest.mark.parametrize("alpha", ["w", "w*2", "w*7", "w^2"])
 def test_levy_run_evaluates_each_ladder_stage_once(monkeypatch, alpha):
-    """``levy-run`` takes its samples' first block and stages 1 to 5 from
-    the 51 stages its lift checked; asking the ladder again made 58 calls.
-    The document is unchanged."""
+    """``levy-run`` reads stages 0 to 6, each once: 0 and 1 when its lift is
+    built, 2 to 5 for its samples, 6 for its sixth block.  Checking stages
+    0 to 50 when the lift was built asked the ladder 51 times; asking it
+    again for the samples and blocks made 58 calls.  The document is
+    unchanged."""
     calls = {"stage": 0}
     standard = levy.standard_cofinal
 
@@ -429,7 +431,7 @@ def test_levy_run_evaluates_each_ladder_stage_once(monkeypatch, alpha):
     plain = run(config)
     monkeypatch.setattr(levy, "standard_cofinal", counted_cofinal)
     assert run(config) == plain
-    assert calls["stage"] == 51
+    assert calls["stage"] == 7
 
 
 def test_f_seq_records_a_finite_sequence_with_one_index_of_per_code():
@@ -658,6 +660,25 @@ def test_cold_lift_unit_block_python_calls():
         return count
 
     assert (calls(300) - calls(150)) / 150 <= 31
+
+
+def test_cold_lift_finite_block_python_calls():
+    """A value of a long finite block (its select, its index and its two
+    probes) makes 40 Python-level calls at any offset, as each probe's
+    usage extends the one before it by one index.  Rebuilding the usage
+    before each offset from the block's start made the probes quadratic:
+    64.5 calls a value between blocks of 16 and 32 values, 88.5 between
+    32 and 64."""
+
+    def calls(length):
+        f = transfinite_f_seq(collapse.nat_set())
+        cof = CofinalPresentation(ordinals.OMEGA, lambda n: Ordinal.from_int(length * n))
+        g = levy_lift(cof, f)
+        value, count = python_calls(g.at, 0)
+        assert value == 0
+        return count
+
+    assert (calls(32) - calls(16)) / 16 <= 40 and (calls(64) - calls(32)) / 32 <= 40
 
 
 # Python-level calls per step of a prefix-tree run, (calls at n = 400 minus
