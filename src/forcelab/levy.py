@@ -28,6 +28,7 @@ from .errors import (
 )
 from .ordinals import (
     OMEGA,
+    ONE,
     ZERO,
     Ordinal,
     TransfiniteSeq,
@@ -349,7 +350,9 @@ def standard_block_builder(x: CountableSet) -> Callable:
                     usage = usage.with_explicit(indices[-1:])
                     working = UsageSeq(ord_add(plen, Ordinal.from_int(j)), splice, usage=usage)
                 values.append(f.select(working))
-                indices.append(x.index_of(values[-1]))
+                indices.append(x.index_or_none(values[-1]))
+                if indices[-1] is None:
+                    raise _outside(x, values[-1], j, prefix.length, working.length)
             items, seq, block = tuple(values), _new(TransfiniteSeq), _new(BuiltBlock)
             _set_field(seq, "length", gamma)  # a block over the values, of length gamma
             _set_field(seq, "evaluator", lambda p: items[p.to_int()])
@@ -363,12 +366,20 @@ def standard_block_builder(x: CountableSet) -> Callable:
             return BuiltBlock(seq, layer=layer)
         raise BadBlock(f"block length {gamma} unsupported (finite or w only)")
 
+    # the lift's mark: it builds this builder's unit blocks itself, from x; a
+    # wrapper that copies the attribute is not ``build`` and keeps its calls
+    build._unit_set = build, x
     return build
+
+
+def _outside(x: CountableSet, value, offset: int, start: Ordinal,
+             position: Ordinal) -> BadBlockWitness:
+    return BadBlockWitness(f"value {value!r} at offset {offset} of the block at {start} "
+                           f"is not in {x.name}", position=str(position))
 
 
 _terms = attrgetter("terms")
 _OMEGA_BLOCK_PROBES = (0, 1, 2, 5, 13)
-_FINITE_CHECK_CAP = 64
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +393,12 @@ class LiftedWitness:
     The lift reads its ladder into one stage list, checking each stage
     once, when it first needs it.  Blocks are constructed lazily but
     strictly in order; every finished block is verified to have the
-    ladder's order type and to satisfy the functional at sampled
-    positions.  ``_prefixes[xi]`` is the witness below stage xi with the
-    usage its blocks consumed (at 0, none), derived only here.
+    ladder's order type and to satisfy the functional at every value of a
+    finite block and at sampled offsets of an omega block.  The unit
+    blocks of a standard builder are built and checked by one loop,
+    ``_unit_run``; every other block goes through the builder and
+    ``_verify_block``.  ``_prefixes[xi]`` is the witness below stage xi
+    with the usage its blocks consumed (at 0, none), derived only here.
     """
 
     def __init__(self, cof: CofinalPresentation, f: TransfiniteFunctional,
@@ -392,6 +406,9 @@ class LiftedWitness:
         self.cof = cof
         self.functional = f
         self.builder = builder
+        mark = getattr(builder, "_unit_set", None)
+        # the set of a standard builder, whose unit blocks ``_unit_run`` builds
+        self._unit_set = mark[1] if mark is not None and mark[0] is builder else None
         self.length = cof.alpha
         self._blocks: list[BuiltBlock] = []
         self._stages: list[Ordinal] = []  # ladder stages read so far
@@ -421,7 +438,9 @@ class LiftedWitness:
 
     def _block(self, xi: int) -> BuiltBlock:
         stages, prefixes = self._stages, self._prefixes
-        for nxt in range(len(self._blocks), xi + 1):  # each turn appends a block or raises
+        while (nxt := len(self._blocks)) <= xi:  # each turn appends blocks or raises
+            if self._unit_set is not None and self._unit_run(nxt, xi):
+                continue
             if len(stages) <= nxt + 1:
                 self._grow_stages(nxt + 1)
             # the order type of block nxt, between its two stages: finite or w
@@ -460,15 +479,61 @@ class LiftedWitness:
             prefixes.append(after)
         return self._blocks[xi]
 
+    def _unit_run(self, first: int, last: int) -> bool:
+        """Blocks first, first + 1, ... of length 1, up to block last or one
+        of another length, as the standard builder builds them and checked
+        as ``_verify_block`` checks them: each value is allowed before its
+        block and refused after it.  False when block first is no unit."""
+        stages, prefixes, blocks = self._stages, self._prefixes, self._blocks
+        select, member = self.functional.select, self.functional.member
+        index = self._unit_set.index_or_none
+        for k in range(first, last + 1):
+            if len(stages) <= k + 1:
+                self._grow_stages(k + 1)
+            # block k has length 1 iff stage k + 1 raises the finite last
+            # term of stage k by one, or appends (0, 1) to a stage with none
+            a, b = stages[k].terms, stages[k + 1].terms
+            e, c = b[-1]
+            if e or (b[:-1] != a if c == 1 else a != b[:-1] + ((0, c - 1),)):
+                return k > first
+            prefix = prefixes[k]
+            value = select(prefix)
+            i = index(value)
+            if i is None:
+                raise _outside(self._unit_set, value, 0, prefix.length, prefix.length)
+            seq, block, after = _new(TransfiniteSeq), _new(BuiltBlock), _new(UsageSeq)
+            _set_field(seq, "length", ONE)
+            _set_field(seq, "evaluator", lambda p, v=value: v)  # v: this block's value
+            _set_field(block, "seq", seq)
+            _set_field(block, "indices", (i,))
+            _set_field(block, "layer", None)
+            _set_field(after, "length", stages[k + 1])
+            _set_field(after, "evaluator", self.at)
+            _set_field(after, "usage", prefix.usage.with_explicit((i,)))
+            blocks.append(block)  # the functional may read the block's value
+            try:
+                if not member(prefix, value):
+                    raise BadBlockWitness(f"block {k} value at offset 0 is not allowed",
+                                          position=str(prefix.length))
+                if member(after, value):
+                    raise BadBlock(f"block {k} value at offset 0 is still allowed after "
+                                   f"the block, at {after.length}")
+            except BaseException:
+                blocks.pop()  # a refused block is never served
+                raise
+            prefixes.append(after)
+        return True
+
     def _verify_block(self, xi: int, block: BuiltBlock, n: Optional[int],
                       prefix: UsageSeq, after: UsageSeq) -> None:
-        """Each probed value of a block of length n (None: w) must be allowed
-        before its offset and refused after it: value j of a finite block
-        after offset j + 1, so a block whose report misses or repeats a
-        value is refused; a value of an omega block after the block.  A
-        finite block's usage after offset j + 1 is the next probe's."""
+        """Each value of a finite block of length n, and each probed value of
+        an omega block (n None), must be allowed before its offset and
+        refused after it: value j of a finite block after offset j + 1, so
+        a block whose report misses or repeats a value is refused; a value
+        of an omega block after the block.  A finite block's usage after
+        offset j + 1 is the next probe's."""
         base, member, working = prefix.usage, self.functional.member, prefix
-        for j in _OMEGA_BLOCK_PROBES if n is None else range(min(n, _FINITE_CHECK_CAP)):
+        for j in _OMEGA_BLOCK_PROBES if n is None else range(n):
             if n is None and j:
                 working = UsageSeq(ord_add(prefix.length, Ordinal.from_int(j)), self.at,
                                    usage=block.partial_usage(j, base))

@@ -1,9 +1,12 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forcelab import ordinals
-from forcelab.collapse import evens_set, nat_set
+from forcelab.collapse import evens_set, nat_set, pairs_set
 from forcelab.errors import (
     BadBlock,
     BadBlockWitness,
@@ -140,12 +143,18 @@ class TestCofinal:
         with pytest.raises(BadCofinal):
             levy_lift(too_long, f).at(0)
 
-    def test_lift_names_the_block_of_another_length(self, nat):
-        """Block 1 of 0, 1, w*4, w*6, ... is [1, w*4), of type w*4."""
-        wide = CofinalPresentation(
-            parse_cnf("w^2"), lambda n: fin(n) if n < 2 else Ordinal.omega(2 * n))
-        g = levy_lift(wide, transfinite_f_seq(nat))
-        with pytest.raises(BadCofinal, match=r"^block 1 has length w\*4, not finite or w$"):
+    @pytest.mark.parametrize("alpha, stage, message", [
+        ("w^2", lambda n: fin(n) if n < 2 else Ordinal.omega(2 * n),
+         r"^block 1 has length w\*4, not finite or w$"),
+        ("w*2", lambda n: ord_add(W, fin(n)) if n else ZERO,
+         r"^block 0 has length w\*1 \+ 1, not finite or w$"),
+    ], ids=["w*4", "w+1"])
+    def test_lift_names_the_block_of_another_length(self, nat, alpha, stage, message):
+        """Block 1 of 0, 1, w*4, w*6, ... is [1, w*4), of type w*4; block 0
+        of 0, w + 1, w + 2, ... is of type w + 1, though its end is a
+        successor, as a unit block's is."""
+        g = levy_lift(CofinalPresentation(parse_cnf(alpha), stage), transfinite_f_seq(nat))
+        with pytest.raises(BadCofinal, match=message):
             g.at(1)
 
     @pytest.mark.parametrize("bad, message", [
@@ -516,8 +525,10 @@ class TestBuilders:
         with pytest.raises(BadBlockWitness, match=f"block 0 value at offset {bad} is not"):
             g.at(0)
 
-    def test_a_long_finite_block_makes_64_probes(self, nat):
-        """Each probe asks ``member`` twice: allowed before, refused after."""
+    def test_a_long_finite_block_probes_every_value(self, nat):
+        """Each value is probed, and each probe asks ``member`` twice:
+        allowed before, refused after.  The first 64 values alone were
+        probed, 128 calls."""
         plain = transfinite_f_seq(nat)
         calls = [0]
 
@@ -528,7 +539,81 @@ class TestBuilders:
         f = TransfiniteFunctional("counted", member, plain.select, set=nat)
         cof = CofinalPresentation(W, lambda n: fin(100 * n))
         g = levy_lift(cof, f)
-        assert g.at(99) == 99 and calls[0] == 2 * 64
+        assert g.at(99) == 99 and calls[0] == 2 * 100
+
+    def test_a_finite_block_is_checked_past_its_64th_value(self, nat):
+        """Block 0 of the ladder 0, 100, 200, ... repeats value 70 at offset
+        80 and reports index 70 there.  Only the first 64 values were
+        probed, so ``g.at(70) == g.at(80) == 70`` was served and passed the
+        default samples."""
+        std = standard_block_builder(nat)
+
+        def repeat_late(gamma, f, prefix):
+            b = std(gamma, f, prefix)
+            values = [b.seq.at(j) for j in range(100)]
+            values[80] = values[70]
+            return BuiltBlock(TransfiniteSeq.from_items(values),
+                              indices=b.indices[:80] + b.indices[70:71] + b.indices[81:])
+
+        f = transfinite_f_seq(nat)
+        g = levy_lift(CofinalPresentation(W, lambda n: fin(100 * n)), f, builder=repeat_late)
+        for query in (lambda: g.at(70),
+                      lambda: check_transfinite_witness(f, g, g.default_samples())):
+            with pytest.raises(BadBlockWitness, match="^block 0 value at offset 80 is not "
+                                                      "allowed$") as exc:
+                query()
+            assert exc.value.details["position"] == "80"
+
+    @pytest.mark.parametrize("per_block", [False, True])
+    def test_a_unit_block_value_outside_the_set_is_bad_block_witness(self, nat, per_block):
+        """A select that returns a code outside the set raised the bare
+        ``ValueError`` of ``index_of``; the unit block at w, the first
+        finite block under w*2, is refused by name, through the lift's
+        unit-block loop and through the builder alike."""
+        f = transfinite_f_seq(nat)
+        bad = TransfiniteFunctional("bad", f.member, lambda s: -1, set=nat)
+        std = standard_block_builder(nat)
+        builder = (lambda *args: std(*args)) if per_block else std
+        g = levy_lift(standard_cofinal(parse_cnf("w*2")), bad, builder=builder)
+        assert g.at(5) == 10
+        for _ in range(2):  # refused again, never served
+            with pytest.raises(BadBlockWitness, match="^value -1 at offset 0 of the block "
+                                                      "at w\\*1 is not in nat$") as exc:
+                g.at(parse_cnf("w + 3"))
+            assert exc.value.details["position"] == "w*1"
+        assert len(g._blocks) == 1
+
+    def test_a_finite_block_value_outside_the_set_is_bad_block_witness(self, nat):
+        """On the ladder 0, 3, 6, ... the select gives -1 at position 4,
+        offset 1 of block 1."""
+        f = transfinite_f_seq(nat)
+        bad = TransfiniteFunctional(
+            "bad", f.member, lambda s: -1 if s.length == fin(4) else f.select(s), set=nat)
+        g = levy_lift(CofinalPresentation(W, lambda n: fin(3 * n)), bad)
+        assert g.at(2) == 2
+        with pytest.raises(BadBlockWitness, match="^value -1 at offset 1 of the block at 3 "
+                                                  "is not in nat$") as exc:
+            g.at(3)
+        assert exc.value.details["position"] == "4" and len(g._blocks) == 1
+
+    @pytest.mark.parametrize("wrap", ["plain", "functools.wraps"])
+    def test_a_custom_builder_is_called_once_per_block_in_order(self, nat, wrap):
+        """A builder other than the standard one itself, even a wrapper of
+        it that copies its attributes, builds every block, unit blocks too:
+        one call per block, in order, and none for a warm query."""
+        std, calls = standard_block_builder(nat), []
+
+        def counted(gamma, f, prefix):
+            calls.append((str(gamma), str(prefix.length)))
+            return std(gamma, f, prefix)
+
+        builder = functools.wraps(std)(counted) if wrap == "functools.wraps" else counted
+        f = transfinite_f_seq(nat)
+        g = levy_lift(standard_cofinal(parse_cnf("w*3")), f, builder=builder)
+        assert g.at(parse_cnf("w*2 + 3")) == 15
+        assert calls == [("w*1", "0"), ("w*1", "w*1"), ("1", "w*2"), ("1", "w*2 + 1"),
+                         ("1", "w*2 + 2"), ("1", "w*2 + 3")]
+        assert g.at(parse_cnf("w*2 + 1")) == 7 and len(calls) == 6
 
     def test_standard_builder_gives_an_empty_block_for_length_0(self, nat):
         build = standard_block_builder(nat)
@@ -630,6 +715,95 @@ class TestLongerFiniteBlocks:
         assert len(inside) > 10 and all(v == g.at(p) for p, v in inside)
         # the block [w + 3, w + 7) read w + 2, the last value of the block before
         assert (ord_add(W, fin(2)), 5) in seen
+
+
+def mixed_ladder(lengths):
+    """The ladder whose first blocks have the given lengths (an int, or
+    None for w), then unit blocks; alpha is w times one more than the
+    number of w-blocks.  Also its stages up to the end of those blocks."""
+    stages = [ZERO]
+    for n in lengths:
+        stages.append(ord_add(stages[-1], W if n is None else fin(n)))
+
+    def stage(n):
+        return stages[n] if n < len(stages) else ord_add(stages[-1], fin(n - len(stages) + 1))
+
+    return CofinalPresentation(Ordinal.omega(lengths.count(None) + 1), stage), stages
+
+
+_lengths = st.lists(st.one_of(st.just(1), st.integers(2, 70), st.none()), min_size=1, max_size=8)
+_sets = st.sampled_from([nat_set, evens_set, pairs_set])
+
+
+class TestUnitRuns:
+    """The lift builds the unit blocks of the standard builder in one loop;
+    the builder, wrapped in a plain function, takes the per-block path, the
+    oracle: the same values, usages, lengths and checks, and the same
+    refusals."""
+
+    @staticmethod
+    def lifts(cof, f, x):
+        build = standard_block_builder(x)
+        return (levy_lift(cof, f, builder=build),
+                levy_lift(cof, f, builder=lambda *args: build(*args)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_lengths, _sets)
+    def test_a_run_built_lift_matches_the_per_block_path(self, lengths, make_set):
+        x = make_set()
+        f = transfinite_f_seq(x)
+        cof, stages = mixed_ladder(lengths)
+        run, oracle = self.lifts(cof, f, x)
+        deepest = ord_add(stages[-1], fin(3))
+        assert run.at(deepest) == oracle.at(deepest)
+        blocks = len(lengths) + 4
+        assert len(run._blocks) == len(oracle._blocks) == blocks
+        assert [p.usage for p in run._prefixes] == [p.usage for p in oracle._prefixes]
+        assert run.block_lengths(blocks) == oracle.block_lengths(blocks)
+        positions = [ord_add(stages[k], fin(j)) for k, n in enumerate(lengths)
+                     for j in range(16 if n is None else n)]
+        positions += [ord_add(stages[-1], fin(j)) for j in range(4)]
+        assert [run.at(p) for p in positions] == [oracle.at(p) for p in positions]
+        samples = positions + run.default_samples()
+        assert check_transfinite_witness(f, run, samples)
+        assert check_transfinite_witness(f, oracle, samples)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_lengths, _sets, st.data())
+    def test_a_stale_functional_is_refused_alike(self, lengths, make_set, data):
+        """From block k on the functional selects a used code, selects a
+        code outside the set, or allows every code.  Both lifts refuse the
+        first block that asks it, with the same error, serve the blocks
+        before it, and refuse it again on a second query."""
+        x = make_set()
+        plain = transfinite_f_seq(x)
+        cof, stages = mixed_ladder(lengths)
+        kind = data.draw(st.sampled_from(["used", "outside", "allows"]))
+        k = data.draw(st.integers(kind == "used", len(lengths) + 2))
+        stale = cof.stage(k)
+
+        def select(seq):
+            if seq.length < stale:
+                return plain.select(seq)
+            return seq.at(ZERO) if kind == "used" else -1
+
+        def member(seq, v):
+            return (kind == "allows" and stale < seq.length) or plain.member(seq, v)
+
+        f = TransfiniteFunctional("stale", member, select, set=x)
+        finite = [n is not None for n in lengths] + [True] * 4
+        # select is asked by finite blocks only, member by every block
+        refused = k if kind == "allows" else finite.index(True, k)
+        deepest = ord_add(stages[-1], fin(3))
+        errors, served = [], []
+        for g in self.lifts(cof, f, x):
+            for _ in range(2):
+                with pytest.raises((BadBlock, BadBlockWitness)) as exc:
+                    g.at(deepest)
+                errors.append((exc.type, str(exc.value), exc.value.details))
+                assert len(g._blocks) == refused
+            served.append([g.at(cof.stage(xi)) for xi in range(refused)])
+        assert errors[1:] == errors[:1] * 3 and served[0] == served[1]
 
 
 class TestReport:

@@ -264,10 +264,18 @@ class TestStageGrowth:
             g.at(parse_cnf("w + 70"))
         assert len(g._stages) == 64
 
-    def test_stages_grow_only_as_far_as_asked(self):
-        g = levy_lift(standard_cofinal(parse_cnf("w*2")), transfinite_f_seq(nat_set()))
+    @pytest.mark.parametrize("alpha, pos, count, last", [("w*2", "w + 60", 63, "w + 61"),
+                                                         ("w^2", "w*60", 62, "w*61")])
+    @pytest.mark.parametrize("wrapped", [False, True])
+    def test_stages_grow_only_as_far_as_asked(self, alpha, pos, count, last, wrapped):
+        """The unit-block loop reads the stages of the standard builder's
+        blocks, the per-block path those of a wrapper's."""
+        build = standard_block_builder(nat_set())
+        g = levy_lift(standard_cofinal(parse_cnf(alpha)), transfinite_f_seq(nat_set()),
+                      builder=(lambda *args: build(*args)) if wrapped else build)
         assert len(g._stages) == 2  # stages 0 and 1, read when the lift is built
-        g.block_lengths(55)
-        assert len(g._stages) == 56
-        g.locate(parse_cnf("w + 60"))
-        assert len(g._stages) == 63 and g._stages[-1] == parse_cnf("w + 61")
+        for n in range(1, 56):  # block n - 1 reads stage n, and no further
+            g.block_lengths(n)
+            assert len(g._stages) == n + 1
+        g.locate(parse_cnf(pos))
+        assert len(g._stages) == count and g._stages[-1] == parse_cnf(last)

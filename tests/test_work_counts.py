@@ -642,13 +642,15 @@ def test_standard_ladder_stage_reads_in_two_frames():
 
 
 def test_cold_lift_unit_block_python_calls():
-    """A unit block of a cold lift under w*2 (its ladder stage, its length,
-    the build and the block check) makes at most 31 Python-level calls.
-    Built through the frozen ``__init__``s, ``from_items`` and three- and
-    four-frame rank queries it made 64; built past them, with the stage
-    read through a ``TransfiniteSeq`` of length w, 41; while the builder
-    also reported the usage after its block and the lift checked that
-    report against the block's indices, 36."""
+    """A unit block of a cold lift under w*2 (its ladder stage, its select,
+    index and usage, and its two ``member`` probes) makes at most 22
+    Python-level calls, built in the lift's unit-block loop.  Built through
+    the frozen ``__init__``s, ``from_items`` and three- and four-frame rank
+    queries it made 64; built past them, with the stage read through a
+    ``TransfiniteSeq`` of length w, 41; while the builder also reported
+    the usage after its block and the lift checked that report against the
+    block's indices, 36; through the builder call, ``ord_sub_left`` and
+    ``_verify_block`` on every block, 31."""
 
     def calls(n):
         f = transfinite_f_seq(collapse.nat_set())
@@ -659,7 +661,7 @@ def test_cold_lift_unit_block_python_calls():
         assert value == 2 * n + 1 and ok
         return count
 
-    assert (calls(300) - calls(150)) / 150 <= 31
+    assert (calls(300) - calls(150)) / 150 <= 22
 
 
 def test_cold_lift_finite_block_python_calls():
